@@ -29,6 +29,7 @@ from .spectral import (
     laplacian_apply,
     paper_symbol,
     solve_screened,
+    symbol_for,
 )
 from .guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
 from .feature_bank import (

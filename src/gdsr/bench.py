@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dct import dct2_forward
 from .feature_bank import (
     FilterBank,
     ReconstructionHead,
@@ -33,13 +34,14 @@ from .feature_bank import (
     fit_lambda,
     load_params,
     INIT_LOG_LAMBDA,
-    LOG_LAMBDA_BOUNDS,
+    _search_log_lambda,
+    _solved_coeffs,
 )
 from .guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
 from .image_core import DepthMap, RgbImage, elementwise_combine
 from .imgio import load_image
 from .resample import check_scale, crop_to_multiple, degrade
-from .spectral import FIVE_POINT, build_rhs, derived_symbol, laplacian_apply, paper_symbol, solve_screened
+from .spectral import SYMBOL_MODES, build_rhs, laplacian_apply, solve_screened, symbol_for
 
 __all__ = [
     "DatasetEntry",
@@ -143,6 +145,8 @@ class PipelineConfig:
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.crop_border < 0:
             raise ValueError(f"crop_border must be >= 0, got {self.crop_border}")
+        if self.symbol_mode not in SYMBOL_MODES:
+            raise ValueError(f"symbol_mode must be one of {SYMBOL_MODES}, got {self.symbol_mode!r}")
         if self.scale is not None:
             check_scale(self.scale)
         # Validate edge fields eagerly.
@@ -196,7 +200,7 @@ def rmse(pred: DepthMap, gt: DepthMap, crop_border: int = 0) -> float:
     return float(np.sqrt(np.mean(diff * diff))) * gt.unit_scale
 
 
-def _load_feature_params(cfg: PipelineConfig, channels: int):
+def _load_feature_params(cfg: PipelineConfig, bank: FilterBank):
     """Fitted lambdas and head for the feature pipeline, or passthrough
     defaults (lambda_c = e^0.1, head = channel 0 verbatim) when no
     parameter file is configured."""
@@ -204,6 +208,11 @@ def _load_feature_params(cfg: PipelineConfig, channels: int):
         params = load_params(cfg.params_path)
         if params.get("method") != "feature":
             raise ValueError(f"parameter file {cfg.params_path} is not a feature fit")
+        if params.get("bank") != bank.name:
+            raise ValueError(
+                f"parameter file {cfg.params_path} was fit with bank "
+                f"{params.get('bank')!r}, but the pipeline uses bank {bank.name!r}"
+            )
         lambdas = np.asarray(params["lambdas"], dtype=np.float64)
         head = ReconstructionHead(
             np.asarray(params["head_weights"], dtype=np.float64),
@@ -211,9 +220,9 @@ def _load_feature_params(cfg: PipelineConfig, channels: int):
             float(params.get("head_gamma", 0.0)),
         )
         return lambdas, head
-    weights = np.zeros(channels)
+    weights = np.zeros(len(bank))
     weights[0] = 1.0
-    return np.full(channels, math.exp(INIT_LOG_LAMBDA)), ReconstructionHead(weights, 0.0)
+    return np.full(len(bank), math.exp(INIT_LOG_LAMBDA)), ReconstructionHead(weights, 0.0)
 
 
 def _image_lambda(cfg: PipelineConfig) -> float:
@@ -235,11 +244,7 @@ def predict(up: DepthMap, rgb: RgbImage, cfg: PipelineConfig,
         raise ValueError(f"depth {up.shape} does not match guide {rgb.shape}")
     if cfg.method == "bicubic":
         return up
-    M, N = up.shape
-    if cfg.symbol_mode == "paper":
-        symbol = paper_symbol(M, N)
-    else:
-        symbol = derived_symbol(FIVE_POINT, M, N)
+    symbol = symbol_for(cfg.symbol_mode, up.shape)
     lum = luminance(rgb)
     edge_cfg = cfg.edge_config()
     if cfg.method == "image_domain":
@@ -250,7 +255,7 @@ def predict(up: DepthMap, rgb: RgbImage, cfg: PipelineConfig,
         h = solve_screened(e, lam, symbol)
     else:
         bank = bank if bank is not None else default_bank()
-        lambdas, head = _load_feature_params(cfg, len(bank))
+        lambdas, head = _load_feature_params(cfg, bank)
         phi_l = extract(up.data, bank, "depth")
         phi_r = extract(lum, bank, "guide")
         w = multichannel_edge_weight(phi_r, edge_cfg)
@@ -398,45 +403,32 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     golden-section refinement, accept only strict improvements from the
     e^0.1 start), with lambda = 0 included among the candidates so the
     fitted value can never lose to the unguided baseline on the fitting
-    set.
+    set. The objective is the pooled RMSE of the fixed-head prediction,
+    evaluated on DCT coefficients (Parseval): each entry is transformed
+    once, and every lambda costs one per-frequency division.
     """
     entries = manifest.split("train") or manifest.entries
     s = check_scale(s)
     edge_cfg = cfg.edge_config()
     prepared = []
-    symbols = {}
     for gt, up, lum in _prepared_entries(entries, cfg, s):
         w = edge_weight(lum, edge_cfg)
         target = elementwise_combine(laplacian_apply(lum), w, "mul")
-        lap_t = laplacian_apply(target)
-        if gt.shape not in symbols:
-            symbols[gt.shape] = (paper_symbol(*gt.shape) if cfg.symbol_mode == "paper"
-                                 else derived_symbol(FIVE_POINT, *gt.shape))
-        prepared.append((gt, up, lap_t, symbols[gt.shape]))
-    n_pixels = sum(gt.data.size for gt, _, _, _ in prepared)
+        symbol = symbol_for(cfg.symbol_mode, gt.shape).values
+        prepared.append((dct2_forward(up.data), dct2_forward(laplacian_apply(target)),
+                         symbol * symbol, dct2_forward(gt.data), gt.unit_scale**2))
+    n_pixels = sum(y_hat.size for _, _, _, y_hat, _ in prepared)
 
     def objective(lam: float) -> float:
         sse = 0.0
-        for gt, up, lap_t, symbol in prepared:
-            e = lam * lap_t + up.data if lam > 0 else up.data
-            h = solve_screened(e, lam, symbol)
-            sse += float(np.sum((h - gt.data) ** 2)) * gt.unit_scale**2
+        for u_hat, t_hat, sym_sq, y_hat, unit_sq in prepared:
+            resid = _solved_coeffs(u_hat, t_hat, sym_sq, lam) - y_hat
+            sse += float(np.sum(resid * resid)) * unit_sq
         return math.sqrt(sse / n_pixels)
-
-    from .feature_bank import _golden_min  # shared search helper
 
     best_lam = math.exp(INIT_LOG_LAMBDA)
     best = objective(best_lam)
-    lo, hi = LOG_LAMBDA_BOUNDS
-    grid = np.linspace(lo, hi, grid_points)
-    vals = [objective(math.exp(v)) for v in grid]
-    k = int(np.argmin(vals))
-    v_star, f_star = _golden_min(
-        lambda v: objective(math.exp(v)),
-        float(grid[max(0, k - 1)]), float(grid[min(grid_points - 1, k + 1)]),
-    )
-    if vals[k] < f_star:
-        v_star, f_star = float(grid[k]), vals[k]
+    v_star, f_star = _search_log_lambda(lambda v: objective(math.exp(v)), grid_points)
     candidates = [(math.exp(v_star), f_star), (0.0, objective(0.0))]
     for lam, val in candidates:
         if val < best:
@@ -471,15 +463,7 @@ def fit_feature_params(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
         lambdas = np.full(len(bank), math.exp(INIT_LOG_LAMBDA))
         trace = []
 
-    solved = []
-    targets = []
-    symbols = {}
-    for phi_l, phi_r, w, target in train_pairs:
-        shape = target.shape
-        if shape not in symbols:
-            symbols[shape] = (paper_symbol(*shape) if cfg.symbol_mode == "paper"
-                              else derived_symbol(FIVE_POINT, *shape))
-        solved.append(channel_solve(phi_l, phi_r, w, lambdas, symbols[shape]))
-        targets.append(target)
-    head = fit_head(solved, targets, head_gamma)
+    solved = [channel_solve(phi_l, phi_r, w, lambdas, symbol_for(cfg.symbol_mode, target.shape))
+              for phi_l, phi_r, w, target in train_pairs]
+    head = fit_head(solved, [target for *_, target in train_pairs], head_gamma)
     return lambdas, head, trace

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dct import dct2_forward
 from .image_core import as_image, as_stack, elementwise_combine
 from .filters import correlate_reflect
 from .spectral import (
@@ -31,10 +32,9 @@ from .spectral import (
     LaplacianKernel,
     SpectralSymbol,
     build_rhs,
-    derived_symbol,
     laplacian_apply,
-    paper_symbol,
     solve_screened,
+    symbol_for,
 )
 
 __all__ = [
@@ -282,35 +282,65 @@ def fit_head(features_list, targets_list, gamma: float) -> ReconstructionHead:
     if not (np.isfinite(gamma) and gamma >= 0.0):
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     G, b, _ = _normal_equations(features_list, targets_list)
+    w = _ridge_solve(G, b, gamma)
+    return ReconstructionHead(w[:-1], float(w[-1]), gamma)
+
+
+def _ridge_solve(G, b, gamma: float) -> np.ndarray:
+    """Solve (G + gamma * I) w = b with the trailing bias entry unpenalized."""
     A = G.copy()
     A[np.diag_indices(A.shape[0] - 1)] += gamma
     try:
-        w = np.linalg.solve(A, b)
+        return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             f"singular normal matrix ({exc}); retry with gamma > 0"
         ) from None
-    return ReconstructionHead(w[:-1], float(w[-1]), gamma)
+
+
+def _solved_coeffs(l_hat, t_hat, symbol_sq, lam: float, out=None, den=None) -> np.ndarray:
+    """DCT coefficients of the screened solve, without leaving the basis.
+
+    dct(H) = (dct(L) + lam * dct(lap(T))) / (1 + lam * Lambda^2), the
+    same per-frequency division :func:`solve_screened` makes; lam = 0
+    returns ``l_hat`` itself. ``out`` and ``den`` are optional buffers
+    shaped like ``l_hat`` for the result and the denominator.
+    """
+    if lam == 0.0:
+        return l_hat
+    den = np.multiply(symbol_sq, lam, out=den)
+    den += 1.0
+    out = np.multiply(t_hat, lam, out=out)
+    out += l_hat
+    out /= den
+    return out
 
 
 class _LambdaObjective:
-    """Training RMSE of the full pipeline as a function of the channel weights.
+    """Training RMSE of the full pipeline as a function of one channel weight.
 
-    Caches the lambda-independent pieces (phi_l, lap of the masked guide
-    Laplacian, per-size symbols) and the solved stacks for the current
-    accepted weights, so a coordinate search only re-solves the channel
-    it is moving.
+    Everything is evaluated on DCT coefficients. The transform is
+    orthonormal, so Parseval gives every inner product the head fit
+    needs: <H_c, H_d> = <dct H_c, dct H_d>, <H_c, y> = <dct H_c, dct y>
+    and <H_c, 1> = sqrt(MN) * dct(H_c)[0, 0]. The training pairs are
+    validated and transformed once here, into one flattened coefficient
+    row per channel that spans all pairs.
+
+    The accepted state starts at lambda_c = e^0.1 for every channel and
+    is the solved coefficient stack at the accepted weights plus its
+    normal equations (G, b). Moving channel c changes
+    only row and column c of G and entry c of b, so one evaluation costs
+    O(C * pixels): no transform, no stack copy, no full rebuild.
     """
 
     def __init__(self, train_pairs, head_gamma, kernel, symbol_mode):
         if len(train_pairs) == 0:
             raise ValueError("empty training set")
+        if not (np.isfinite(head_gamma) and head_gamma >= 0.0):
+            raise ValueError(f"gamma must be >= 0, got {head_gamma}")
         self.gamma = head_gamma
-        self.kernel = kernel
-        self.pairs = []
-        self.targets = []
         self.channels = None
-        symbols: dict[tuple[int, int], SpectralSymbol] = {}
+        pairs = []
         for phi_l, phi_r, w, target in train_pairs:
             phi_l = as_stack(phi_l)
             phi_r = as_stack(phi_r)
@@ -324,37 +354,78 @@ class _LambdaObjective:
                 self.channels = phi_l.shape[0]
             elif phi_l.shape[0] != self.channels:
                 raise ValueError("training pairs must share one channel count")
-            shape = target.shape
-            if shape not in symbols:
-                if symbol_mode == "paper":
-                    symbols[shape] = paper_symbol(*shape)
-                else:
-                    symbols[shape] = derived_symbol(kernel, *shape)
-            lap_t = np.stack([
-                laplacian_apply(laplacian_apply(phi_r[c], kernel) * w[c], kernel)
-                for c in range(self.channels)
-            ])
-            self.pairs.append((phi_l, lap_t, symbols[shape]))
-            self.targets.append(target)
-        self.n_pixels = sum(t.size for t in self.targets)
+            pairs.append((phi_l, phi_r, w, target))
 
-    def solve_channel(self, pair_idx: int, c: int, lam: float) -> np.ndarray:
-        phi_l, lap_t, symbol = self.pairs[pair_idx]
-        e = lam * lap_t[c] + phi_l[c]
-        return solve_screened(e, lam, symbol)
+        # Filled in place, pair by pair: the stacks are the bulk of the memory.
+        C = self.channels
+        sizes = [target.size for *_, target in pairs]
+        bounds = np.cumsum([0] + sizes)
+        self.n_pixels = int(bounds[-1])
+        self.l_hat = np.empty((C, self.n_pixels))
+        self.t_hat = np.empty((C, self.n_pixels))
+        self.sym_sq = np.empty(self.n_pixels)
+        self.y_hat = np.empty(self.n_pixels)
+        for (phi_l, phi_r, w, target), lo, hi in zip(pairs, bounds[:-1], bounds[1:]):
+            symbol = symbol_for(symbol_mode, target.shape, kernel).values
+            self.sym_sq[lo:hi] = (symbol * symbol).ravel()
+            self.y_hat[lo:hi] = dct2_forward(target).ravel()
+            for c in range(C):
+                self.l_hat[c, lo:hi] = dct2_forward(phi_l[c]).ravel()
+                masked = laplacian_apply(phi_r[c], kernel) * w[c]
+                self.t_hat[c, lo:hi] = dct2_forward(laplacian_apply(masked, kernel)).ravel()
+        # dct(1) = sqrt(MN) e_0: the bias column lives in each pair's DC slot
+        self.dc_idx = bounds[:-1]
+        self.dc_scale = np.sqrt(sizes)
+        # Work rows reused by every evaluation: fresh pixel-sized temporaries
+        # would cost page faults on each allocation.
+        self._coeffs, self._scratch, self._resid = np.empty((3, self.n_pixels))
 
-    def solve_all(self, lambdas) -> list[np.ndarray]:
-        return [
-            np.stack([self.solve_channel(i, c, lambdas[c]) for c in range(self.channels)])
-            for i in range(len(self.pairs))
-        ]
+        self.lambdas = np.full(C, math.exp(INIT_LOG_LAMBDA))
+        self.h_hat = np.empty_like(self.l_hat)
+        for c in range(C):
+            self.h_hat[c] = self.solve(c, self.lambdas[c])
+        self.G = np.empty((C + 1, C + 1))
+        self.G[:C, :C] = self.h_hat @ self.h_hat.T
+        self.G[:C, C] = self.G[C, :C] = self.h_hat[:, self.dc_idx] @ self.dc_scale
+        self.G[C, C] = self.n_pixels
+        self.b = np.append(self.h_hat @ self.y_hat, self.y_hat[self.dc_idx] @ self.dc_scale)
 
-    def rmse(self, solved) -> float:
-        head = fit_head(solved, self.targets, self.gamma)
-        sse = 0.0
-        for feats, target in zip(solved, self.targets):
-            sse += float(np.sum((apply_head(feats, head) - target) ** 2))
-        return math.sqrt(sse / self.n_pixels)
+    def solve(self, c: int, lam: float) -> np.ndarray:
+        """Channel c's coefficients at lam; valid until the next call."""
+        return _solved_coeffs(self.l_hat[c], self.t_hat[c], self.sym_sq, lam,
+                              self._coeffs, self._scratch)
+
+    def _candidate(self, c: int, lam: float):
+        """Channel c's coefficients at lam and the normal equations with them."""
+        h = self.solve(c, lam)
+        row = self.h_hat @ h
+        row[c] = h @ h
+        G = self.G.copy()
+        G[c, :-1] = G[:-1, c] = row
+        G[c, -1] = G[-1, c] = h[self.dc_idx] @ self.dc_scale
+        b = self.b.copy()
+        b[c] = h @ self.y_hat
+        return h, G, b
+
+    def evaluate(self, c: int, lam: float) -> float:
+        """Training RMSE with channel c moved to lam, the others as accepted."""
+        h, G, b = self._candidate(c, lam)
+        coef = _ridge_solve(G, b, self.gamma)
+        # Residual sum_c w_c H_c + bias - y taken directly in coefficients:
+        # y'y - 2w'b + w'Gw would cancel badly near a good fit.
+        weights = coef[:-1]
+        w_c = weights[c]
+        weights[c] = 0.0
+        resid = np.dot(weights, self.h_hat, out=self._resid)
+        resid += np.multiply(h, w_c, out=self._scratch)
+        resid -= self.y_hat
+        resid[self.dc_idx] += coef[-1] * self.dc_scale
+        return math.sqrt(float(resid @ resid) / self.n_pixels)
+
+    def accept(self, c: int, lam: float) -> None:
+        h, self.G, self.b = self._candidate(c, lam)
+        self.h_hat[c] = h
+        self.lambdas[c] = lam
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = 0.02):
@@ -374,6 +445,23 @@ def _golden_min(f, lo: float, hi: float, tol: float = 0.02):
             d = a + invphi * (b - a)
             fd = f(d)
     return (c, fc) if fc < fd else (d, fd)
+
+
+def _search_log_lambda(f, grid_points: int):
+    """Minimize f over log(lambda) in LOG_LAMBDA_BOUNDS; returns (v, f(v)).
+
+    A ``grid_points``-sample scan brackets the minimum, golden-section
+    refines inside the bracket, and the best grid sample wins if the
+    refinement does not beat it.
+    """
+    lo, hi = LOG_LAMBDA_BOUNDS
+    grid = np.linspace(lo, hi, grid_points)
+    grid_vals = [f(v) for v in grid]
+    k = int(np.argmin(grid_vals))
+    v_star, f_star = _golden_min(f, grid[max(0, k - 1)], grid[min(grid_points - 1, k + 1)])
+    if grid_vals[k] < f_star:
+        v_star, f_star = float(grid[k]), grid_vals[k]
+    return v_star, f_star
 
 
 def fit_lambda(train_pairs, head_gamma: float = 1e-6, grid_points: int = 9,
@@ -398,41 +486,25 @@ def fit_lambda(train_pairs, head_gamma: float = 1e-6, grid_points: int = 9,
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     obj = _LambdaObjective(train_pairs, head_gamma, kernel, symbol_mode)
-    C = obj.channels
-    lambdas = np.full(C, math.exp(INIT_LOG_LAMBDA))
-    solved = obj.solve_all(lambdas)
-    best = obj.rmse(solved)
+    best = obj.evaluate(0, obj.lambdas[0])
     trace = [best]
-    lo, hi = LOG_LAMBDA_BOUNDS
-    grid = np.linspace(lo, hi, grid_points)
 
     for _ in range(sweeps):
         accepted = False
-        for c in range(C):
-
-            def eval_log(v: float) -> float:
-                lam = math.exp(v)
-                candidate = [s.copy() for s in solved]
-                for i in range(len(candidate)):
-                    candidate[i][c] = obj.solve_channel(i, c, lam)
-                return obj.rmse(candidate)
-
-            grid_vals = [eval_log(v) for v in grid]
-            k = int(np.argmin(grid_vals))
-            bracket = (grid[max(0, k - 1)], grid[min(grid_points - 1, k + 1)])
-            v_star, f_star = _golden_min(eval_log, *bracket)
-            if grid_vals[k] < f_star:
-                v_star, f_star = float(grid[k]), grid_vals[k]
-            if f_star < best:
-                lambdas[c] = math.exp(v_star)
-                for i in range(len(solved)):
-                    solved[i][c] = obj.solve_channel(i, c, lambdas[c])
+        for c in range(obj.channels):
+            # The incumbent goes through the same update arithmetic as the
+            # candidates, so a null move cannot win on rounding alone.
+            incumbent = obj.evaluate(c, obj.lambdas[c])
+            v_star, f_star = _search_log_lambda(
+                lambda v: obj.evaluate(c, math.exp(v)), grid_points)
+            if f_star < incumbent and f_star < best:
+                obj.accept(c, math.exp(v_star))
                 best = f_star
                 trace.append(best)
                 accepted = True
         if not accepted:
             break
-    return lambdas, trace
+    return obj.lambdas, trace
 
 
 def save_params(path, params: dict) -> None:

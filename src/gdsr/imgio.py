@@ -85,16 +85,19 @@ def _load_netpbm(data: bytes, magic: bytes):
     return RgbImage(samples[:, :, 0], samples[:, :, 1], samples[:, :, 2])
 
 
-def _load_pfm(data: bytes) -> DepthMap:
+def _pfm_grid(data: bytes) -> np.ndarray:
+    """Float samples of a grayscale PFM, top row first, taken verbatim."""
     tokens, offset = _read_tokens(data[2:], 3)
     width = _parse_int(tokens[0], "width")
     height = _parse_int(tokens[1], "height")
+    if width < 1 or height < 1:
+        raise ImageFormatError(f"bad dimensions {width}x{height}")
     try:
         scale = float(tokens[2])
     except ValueError:
         raise ImageFormatError(f"bad scale line: {tokens[2]!r}") from None
-    if scale == 0.0:
-        raise ImageFormatError("PFM scale must be nonzero")
+    if scale == 0.0 or not np.isfinite(scale):
+        raise ImageFormatError(f"PFM scale must be finite and nonzero, got {scale!r}")
     payload = data[2 + offset :]
     expected = width * height * 4
     if len(payload) < expected:
@@ -103,8 +106,7 @@ def _load_pfm(data: bytes) -> DepthMap:
         )
     endian = "<f4" if scale < 0 else ">f4"
     raw = np.frombuffer(payload[:expected], dtype=endian)
-    samples = raw.astype(np.float64).reshape(height, width)[::-1]  # bottom-up rows
-    return DepthMap(samples)
+    return raw.astype(np.float64).reshape(height, width)[::-1]  # bottom-up rows
 
 
 def load_image(path):
@@ -119,7 +121,7 @@ def load_image(path):
     if magic in (b"P5", b"P6"):
         return _load_netpbm(data, magic)
     if magic == b"Pf":
-        return _load_pfm(data)
+        return DepthMap(_pfm_grid(data))
     if magic == b"PF":
         raise ImageFormatError("color PFM not supported; convert to grayscale Pf")
     raise ImageFormatError(f"unrecognized magic {magic!r}")
@@ -190,14 +192,4 @@ def load_pfm_grid(path) -> np.ndarray:
         data = fh.read()
     if data[:2] != b"Pf":
         raise ImageFormatError(f"not a grayscale PFM: magic {data[:2]!r}")
-    tokens, offset = _read_tokens(data[2:], 3)
-    width = _parse_int(tokens[0], "width")
-    height = _parse_int(tokens[1], "height")
-    scale = float(tokens[2])
-    payload = data[2 + offset :]
-    expected = width * height * 4
-    if len(payload) < expected:
-        raise ImageFormatError("truncated payload")
-    endian = "<f4" if scale < 0 else ">f4"
-    raw = np.frombuffer(payload[:expected], dtype=endian)
-    return raw.astype(np.float64).reshape(height, width)[::-1]
+    return _pfm_grid(data)

@@ -27,6 +27,7 @@ residual guarantee is made in that mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +43,8 @@ __all__ = [
     "laplacian_apply",
     "derived_symbol",
     "paper_symbol",
+    "symbol_for",
+    "SYMBOL_MODES",
     "build_rhs",
     "solve_screened",
     "energy",
@@ -99,6 +102,9 @@ class SpectralSymbol:
         return self.values.shape
 
 
+SYMBOL_MODES = ("derived", "paper")
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Solve configuration: regularization weight and symbol mode.
@@ -115,13 +121,11 @@ class SolverOptions:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.symbol_mode not in ("derived", "paper"):
-            raise ValueError(f"symbol_mode must be 'derived' or 'paper', got {self.symbol_mode!r}")
+        if self.symbol_mode not in SYMBOL_MODES:
+            raise ValueError(f"symbol_mode must be one of {SYMBOL_MODES}, got {self.symbol_mode!r}")
 
     def symbol(self, M: int, N: int) -> SpectralSymbol:
-        if self.symbol_mode == "paper":
-            return paper_symbol(M, N)
-        return derived_symbol(self.kernel, M, N)
+        return symbol_for(self.symbol_mode, (M, N), self.kernel)
 
 
 def laplacian_apply(img, kernel: LaplacianKernel = FIVE_POINT) -> np.ndarray:
@@ -168,6 +172,26 @@ def paper_symbol(M: int, N: int) -> SpectralSymbol:
     ci = np.cos(np.pi * np.arange(M) / M)[:, None]
     cj = np.cos(np.pi * np.arange(N) / N)[None, :]
     return SpectralSymbol(ci + cj, "paper")
+
+
+def symbol_for(mode: str, shape, kernel: LaplacianKernel = FIVE_POINT) -> SpectralSymbol:
+    """The ``mode`` symbol on an (M, N) grid, cached per (mode, shape, kernel).
+
+    Symbols are read-only, so one instance serves every caller; the
+    derived symbol's probe then runs once per (kernel weights, shape).
+    """
+    if mode not in SYMBOL_MODES:
+        raise ValueError(f"symbol mode must be one of {SYMBOL_MODES}, got {mode!r}")
+    M, N = shape
+    return _cached_symbol(mode, int(M), int(N), kernel.weights.tobytes())
+
+
+@lru_cache(maxsize=16)
+def _cached_symbol(mode: str, M: int, N: int, weights: bytes) -> SpectralSymbol:
+    if mode == "paper":
+        return paper_symbol(M, N)
+    kernel = LaplacianKernel(np.frombuffer(weights, dtype=np.float64).reshape(3, 3))
+    return derived_symbol(kernel, M, N)
 
 
 def build_rhs(l_up, guide_lap_masked, lam: float, kernel: LaplacianKernel = FIVE_POINT) -> np.ndarray:

@@ -4,11 +4,25 @@ Everything here is deliberately written the slow, obvious way (index
 reflection by hand, quadruple loops, per-pixel tap enumeration, dense
 matrix assembly) so the fast paths in the package are checked against
 code that shares none of their machinery.
+
+The exception is the pixel-domain fit objective at the end: it chains
+the package's public pixel-domain stages (channel solve, head fit,
+reconstruction), each checked against its own oracle, as the reference
+for the lambda search, which works on DCT coefficients instead.
 """
 
 import math
 
 import numpy as np
+
+from gdsr.feature_bank import (
+    INIT_LOG_LAMBDA,
+    _search_log_lambda,
+    apply_head,
+    channel_solve,
+    fit_head,
+)
+from gdsr.spectral import FIVE_POINT, symbol_for
 
 
 def reflect_index(i: int, n: int) -> int:
@@ -125,3 +139,42 @@ def ref_resample_2d(img, out_shape, antialias: bool) -> np.ndarray:
     Mo, No = out_shape
     tmp = np.stack([ref_resample_1d(row, No, antialias) for row in img])
     return np.stack([ref_resample_1d(col, Mo, antialias) for col in tmp.T]).T
+
+
+def pixel_objective(train_pairs, lambdas, gamma, symbol_mode="derived",
+                    kernel=FIVE_POINT) -> float:
+    """Training RMSE of the feature pipeline, computed on pixels: solve
+    every channel, refit the ridge head, reconstruct, compare."""
+    solved, targets = [], []
+    for phi_l, phi_r, w, target in train_pairs:
+        symbol = symbol_for(symbol_mode, target.shape, kernel)
+        solved.append(channel_solve(phi_l, phi_r, w, lambdas, symbol, kernel))
+        targets.append(target)
+    head = fit_head(solved, targets, gamma)
+    sse = sum(float(np.sum((apply_head(f, head) - t) ** 2)) for f, t in zip(solved, targets))
+    return math.sqrt(sse / sum(t.size for t in targets))
+
+
+def pixel_fit_lambda(train_pairs, gamma, grid_points, sweeps, symbol_mode="derived"):
+    """The coordinate search of ``fit_lambda`` driven by :func:`pixel_objective`:
+    every evaluation re-solves and refits from scratch, and a move is
+    accepted when it strictly lowers the recorded best."""
+    lambdas = np.full(len(train_pairs[0][0]), math.exp(INIT_LOG_LAMBDA))
+    best = pixel_objective(train_pairs, lambdas, gamma, symbol_mode)
+    for _ in range(sweeps):
+        accepted = False
+        for c in range(lambdas.size):
+
+            def f(v):
+                trial = lambdas.copy()
+                trial[c] = math.exp(v)
+                return pixel_objective(train_pairs, trial, gamma, symbol_mode)
+
+            v_star, f_star = _search_log_lambda(f, grid_points)
+            if f_star < best:
+                lambdas[c] = math.exp(v_star)
+                best = f_star
+                accepted = True
+        if not accepted:
+            break
+    return lambdas

@@ -45,7 +45,7 @@ from gdsr.spectral import (
     solve_screened,
 )
 
-from oracles import dense_screened_solve
+from oracles import dense_screened_solve, pixel_fit_lambda
 from scenes import make_scene, write_scene_files
 
 
@@ -239,6 +239,26 @@ def test_criterion_08_golden_section_vs_grid(scene_manifest):
     assert distance <= cell + 1e-9
     report(8, f"golden log-lambda {np.log(lambdas[0]):.4f} within "
               f"{distance:.4f} (<= cell {cell:.4f}) of 50-point grid optimum {best:.4f}")
+
+
+def test_criterion_08_search_matches_pixel_objective_search(scene_manifest):
+    # the criterion-08 task; the lambda search on DCT coefficients must pick
+    # exactly the lambda the same search picks on the pixel-domain objective
+    entry = scene_manifest.entries[0]
+    from gdsr.imgio import load_image
+    from gdsr.resample import crop_to_multiple
+
+    rgb = load_image(entry.rgb_path)
+    gt = DepthMap(crop_to_multiple(load_image(entry.depth_path).data, 4))
+    _, up = degrade(gt, 4)
+    identity = np.array([[1.0]])
+    bank = FilterBank((FilterPair(identity, identity, shared=True),), name="id1")
+    phi_l = extract(up.data, bank, "depth")
+    phi_r = extract(luminance(rgb), bank, "guide")
+    w = multichannel_edge_weight(phi_r, EdgeWeightConfig("hard", 0.9))
+    pair = (phi_l, phi_r, w, gt.data)
+    lambdas, _ = fit_lambda([pair], head_gamma=1e-8, grid_points=9, sweeps=1)
+    assert np.array_equal(lambdas, pixel_fit_lambda([pair], 1e-8, grid_points=9, sweeps=1))
 
 
 def test_criterion_09_bicubic_kernel_and_constants():

@@ -10,6 +10,7 @@ from gdsr.bench import (
     PipelineConfig,
     fit_image_lambda,
     load_manifest,
+    predict,
     rmse,
     run_bench,
     run_image,
@@ -116,7 +117,7 @@ def test_feature_identity_params_reduce_to_image_domain(tmp_path):
     params = tmp_path / "p.json"
     save_params(params, {
         "method": "feature",
-        "bank": "id1",
+        "bank": "default8",
         "lambdas": [lam] + [0.0] * 7,
         "head_weights": [1.0] + [0.0] * 7,
         "head_bias": 0.0,
@@ -129,6 +130,28 @@ def test_feature_identity_params_reduce_to_image_domain(tmp_path):
     pred_i, rec_i = run_image(entry, cfg_i, "t")
     assert np.abs(pred_f.data - pred_i.data).max() < 1e-10
     assert abs(rec_f.rmse - rec_i.rmse) < 1e-10
+
+
+def test_feature_params_bank_must_match(tmp_path):
+    params = tmp_path / "p.json"
+    save_params(params, {
+        "method": "feature",
+        "bank": "id1",
+        "lambdas": [1.0] * 8,
+        "head_weights": [1.0] + [0.0] * 7,
+        "head_bias": 0.0,
+        "head_gamma": 0.0,
+        "config_hash": "manual",
+    })
+    gt, rgb = make_scene(np.random.default_rng(92), 16, 16)
+    cfg = PipelineConfig(method="feature_domain", params_path=str(params))
+    with pytest.raises(ValueError, match="bank 'id1'.*bank 'default8'"):
+        predict(gt, rgb, cfg)
+
+
+def test_symbol_mode_validated_by_config():
+    with pytest.raises(ValueError, match="symbol_mode"):
+        PipelineConfig(symbol_mode="exact")
 
 
 def test_run_image_requires_scale(tmp_path):

@@ -1,6 +1,11 @@
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gdsr.dct import dct2_forward
 from gdsr.feature_bank import (
     FilterBank,
     FilterPair,
@@ -15,12 +20,14 @@ from gdsr.feature_bank import (
     load_params,
     log_stencil,
     save_params,
+    _LambdaObjective,
 )
-from gdsr.guidance import EdgeWeightConfig, edge_weight
+from gdsr.filters import correlate_reflect
+from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
 from gdsr.image_core import elementwise_combine
 from gdsr.spectral import FIVE_POINT, build_rhs, derived_symbol, laplacian_apply, solve_screened
 
-from oracles import brute_correlate_reflect
+from oracles import brute_correlate_reflect, pixel_fit_lambda, pixel_objective
 from scenes import make_scene
 
 
@@ -253,6 +260,80 @@ def test_fit_lambda_identity_task_no_regression():
     pair = (phi_l, phi_r, w, phi_l[0])
     _, trace = fit_lambda([pair], head_gamma=1e-8, grid_points=5, sweeps=1)
     assert trace[-1] <= trace[0] + 1e-15
+
+
+@functools.lru_cache(maxsize=None)
+def _random_pairs():
+    """Two 8-channel training pairs on different odd grids, channels
+    independent so the head's normal matrix is well conditioned."""
+    pairs = []
+    for seed, M, N in ((80, 15, 21), (81, 17, 11)):
+        rng = np.random.default_rng(seed)
+        phi_l, phi_r, w = rng.random((3, 8, M, N))
+        pairs.append((phi_l, phi_r, w, phi_l[0] + 0.1 * rng.standard_normal((M, N))))
+    return tuple(pairs)
+
+
+def _bank_pairs():
+    """Two default-bank training pairs on different odd grids; a blurred
+    copy of the ground truth stands in for the upsampled depth."""
+    pairs = []
+    for seed, M, N in ((82, 15, 21), (83, 17, 11)):
+        rng = np.random.default_rng(seed)
+        gt, rgb = make_scene(rng, M, N, n_shapes=3)
+        bank = default_bank()
+        up = correlate_reflect(gt.data, gaussian_stencil(2.0, 7))
+        phi_l = extract(up, bank, "depth")
+        phi_r = extract(luminance(rgb), bank, "guide")
+        w = multichannel_edge_weight(phi_r, EdgeWeightConfig("hard", 0.9))
+        pairs.append((phi_l, phi_r, w, gt.data))
+    return pairs
+
+
+_LAMBDA = st.one_of(st.just(0.0), st.floats(-4.0, 4.0).map(math.exp))
+
+
+# Independent channels keep the ridge solve well conditioned. On smooth
+# scene features with several channels at lambda = 0 its condition number
+# reaches 1e9-1e10, and both objectives are then only accurate to about
+# that times the float64 epsilon.
+@settings(max_examples=40, deadline=None)
+@given(
+    lambdas=st.lists(_LAMBDA, min_size=8, max_size=8),
+    moves=st.lists(st.tuples(st.integers(0, 7), _LAMBDA), min_size=1, max_size=4),
+    mode=st.sampled_from(["derived", "paper"]),
+    gamma=st.sampled_from([1e-8, 1e-6]),
+)
+def test_coefficient_objective_matches_pixel_oracle(lambdas, moves, mode, gamma):
+    pairs = _random_pairs()
+    obj = _LambdaObjective(pairs, gamma, FIVE_POINT, mode)
+    for c, lam in enumerate(lambdas):
+        obj.accept(c, lam)
+    current = np.array(lambdas)
+    for c, lam in moves:
+        trial = current.copy()
+        trial[c] = lam
+        want = pixel_objective(pairs, trial, gamma, mode)
+        assert abs(obj.evaluate(c, lam) - want) <= 1e-10 * want
+        obj.accept(c, lam)  # later moves start from row/column-updated normal equations
+        current = trial
+    assert np.array_equal(obj.lambdas, current)
+
+
+def test_coefficient_solve_at_zero_lambda_is_bitwise():
+    pairs = _random_pairs()
+    obj = _LambdaObjective(pairs, 1e-6, FIVE_POINT, "derived")
+    want = np.concatenate([dct2_forward(phi_l[3]).ravel() for phi_l, *_ in pairs])
+    assert np.array_equal(obj.solve(3, 0.0), want)
+
+
+def test_fit_lambda_matches_pixel_oracle_search():
+    pair = _tiny_training_pair(70)
+    lambdas, _ = fit_lambda([pair], head_gamma=1e-8, grid_points=5, sweeps=2)
+    assert np.array_equal(lambdas, pixel_fit_lambda([pair], 1e-8, grid_points=5, sweeps=2))
+    pairs = _bank_pairs()
+    lambdas, _ = fit_lambda(pairs, head_gamma=1e-6, grid_points=5, sweeps=1)
+    assert np.array_equal(lambdas, pixel_fit_lambda(pairs, 1e-6, grid_points=5, sweeps=1))
 
 
 def test_fit_lambda_input_validation():

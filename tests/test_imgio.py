@@ -104,6 +104,23 @@ def test_malformed_inputs(tmp_path):
             load_image(path)
 
 
+@pytest.mark.parametrize("loader", [load_image, load_pfm_grid])
+@pytest.mark.parametrize("header, match", [
+    (b"Pf\n2 2\nabc\n", "scale"),
+    (b"Pf\n2 2\n0.0\n", "scale"),
+    (b"Pf\n2 2\nnan\n", "scale"),
+    (b"Pf\n0 2\n-1.0\n", "dimensions"),
+    (b"Pf\n2 0\n-1.0\n", "dimensions"),
+    (b"Pf\n-2 -2\n-1.0\n", "dimensions"),
+], ids=["nonnumeric-scale", "zero-scale", "nan-scale", "zero-width", "zero-height",
+        "negative-size"])
+def test_pfm_bad_header_is_format_error(tmp_path, loader, header, match):
+    path = tmp_path / "bad.pfm"
+    path.write_bytes(header + b"\x00" * 16)
+    with pytest.raises(ImageFormatError, match=match):
+        loader(path)
+
+
 def test_sample_exceeding_maxval_rejected(tmp_path):
     path = tmp_path / "over.pgm"
     path.write_bytes(b"P5 1 1 100\n" + bytes([200]))

@@ -14,6 +14,7 @@ from gdsr.spectral import (
     laplacian_apply,
     paper_symbol,
     solve_screened,
+    symbol_for,
 )
 
 from oracles import brute_correlate_reflect, dense_screened_solve
@@ -106,6 +107,23 @@ def test_paper_symbol_values():
     for i in (1, 4):
         for j in (2, 5):
             assert abs(K[i, 0] + K[0, j] - (K[i, j] + 2.0)) < 1e-14
+
+
+def test_symbol_for_caches_per_mode_shape_and_kernel():
+    kernel = LaplacianKernel(np.array([[0.25, 0.5, 0.25],
+                                       [0.5, -3.0, 0.5],
+                                       [0.25, 0.5, 0.25]]))
+    sym = symbol_for("derived", (9, 7), kernel)
+    assert symbol_for("derived", (9, 7), kernel) is sym
+    assert np.array_equal(sym.values, derived_symbol(kernel, 9, 7).values)
+    five = symbol_for("derived", (9, 7))
+    assert five is not sym
+    assert np.array_equal(five.values, derived_symbol(FIVE_POINT, 9, 7).values)
+    paper = symbol_for("paper", (9, 7))
+    assert paper.mode == "paper"
+    assert np.array_equal(paper.values, paper_symbol(9, 7).values)
+    with pytest.raises(ValueError, match="symbol mode"):
+        symbol_for("exact", (9, 7))
 
 
 def test_build_rhs_degenerate():
