@@ -15,7 +15,7 @@ from .image_core import (
     elementwise_combine,
     quantize,
 )
-from .dct import DctPlan, dct2_forward, dct2_inverse, dct2_naive
+from .dct import dct2_forward, dct2_inverse, dct2_naive
 from .spectral import (
     FIVE_POINT,
     ConvergenceError,
@@ -29,9 +29,16 @@ from .spectral import (
     laplacian_apply,
     paper_symbol,
     solve_screened,
+    stencil_symbol,
     symbol_for,
 )
-from .guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
+from .guidance import (
+    EdgeWeightConfig,
+    edge_weight,
+    luminance,
+    multichannel_edge_weight,
+    transfer_target,
+)
 from .feature_bank import (
     FilterBank,
     FilterPair,
@@ -44,6 +51,7 @@ from .feature_bank import (
     fit_lambda,
     load_params,
     save_params,
+    spectral_predict,
 )
 from .resample import (
     bicubic_downsample,

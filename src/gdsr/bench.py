@@ -17,7 +17,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +26,19 @@ from .dct import dct2_forward
 from .feature_bank import (
     FilterBank,
     ReconstructionHead,
-    apply_head,
     channel_solve,
     default_bank,
     extract,
     fit_head,
     fit_lambda,
     load_params,
+    spectral_predict,
     INIT_LOG_LAMBDA,
     _search_log_lambda,
     _solved_coeffs,
 )
-from .guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
-from .image_core import DepthMap, RgbImage, elementwise_combine
+from .guidance import EdgeWeightConfig, luminance, multichannel_edge_weight, transfer_target
+from .image_core import DepthMap, RgbImage
 from .imgio import load_image
 from .resample import check_scale, crop_to_multiple, degrade
 from .spectral import SYMBOL_MODES, build_rhs, laplacian_apply, solve_screened, symbol_for
@@ -64,6 +64,7 @@ MEAN_ROW_ID = "__mean__"
 ERROR_MARKER = "ERROR"
 
 _METHODS = ("bicubic", "image_domain", "feature_domain")
+_CSV_UNSAFE = (",", "\n", "\r")
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,10 @@ class DatasetManifest:
         ids = [e.id for e in entries]
         if len(set(ids)) != len(ids):
             raise ValueError("manifest ids must be unique")
+        # names become CSV fields, written unquoted one row per line
+        for kind, text in [("dataset name", self.name)] + [("id", i) for i in ids]:
+            if any(ch in text for ch in _CSV_UNSAFE):
+                raise ValueError(f"manifest {kind} {text!r} contains a comma or line break")
         for e in entries:
             for p in (e.rgb_path, e.depth_path):
                 if not Path(p).exists():
@@ -169,7 +174,10 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class BenchRecord:
-    """One evaluation result; rmse is None when the entry failed."""
+    """One evaluation result; rmse is None when the entry failed.
+
+    ``error`` holds the cause of a failed entry. It is not a CSV column.
+    """
 
     dataset: str
     image_id: str
@@ -178,6 +186,7 @@ class BenchRecord:
     config_hash: str
     rmse: float | None
     runtime_ms: float
+    error: str | None = None
 
     def __post_init__(self):
         if self.rmse is not None and not (np.isfinite(self.rmse) and self.rmse >= 0):
@@ -244,23 +253,16 @@ def predict(up: DepthMap, rgb: RgbImage, cfg: PipelineConfig,
         raise ValueError(f"depth {up.shape} does not match guide {rgb.shape}")
     if cfg.method == "bicubic":
         return up
-    symbol = symbol_for(cfg.symbol_mode, up.shape)
     lum = luminance(rgb)
     edge_cfg = cfg.edge_config()
     if cfg.method == "image_domain":
         lam = _image_lambda(cfg)
-        w = edge_weight(lum, edge_cfg)
-        target = elementwise_combine(laplacian_apply(lum), w, "mul")
-        e = build_rhs(up.data, target, lam)
-        h = solve_screened(e, lam, symbol)
+        e = build_rhs(up.data, transfer_target(lum, edge_cfg), lam)
+        h = solve_screened(e, lam, symbol_for(cfg.symbol_mode, up.shape))
     else:
         bank = bank if bank is not None else default_bank()
         lambdas, head = _load_feature_params(cfg, bank)
-        phi_l = extract(up.data, bank, "depth")
-        phi_r = extract(lum, bank, "guide")
-        w = multichannel_edge_weight(phi_r, edge_cfg)
-        phi_h = channel_solve(phi_l, phi_r, w, lambdas, symbol)
-        h = apply_head(phi_h, head)
+        h = spectral_predict(up.data, lum, bank, lambdas, head, edge_cfg, cfg.symbol_mode)
     return DepthMap(np.maximum(h, 0.0), up.unit_scale)
 
 
@@ -292,7 +294,7 @@ def run_image(entry: DatasetEntry, cfg: PipelineConfig, dataset: str = "",
         runtime_ms = (time.perf_counter() - t0) * 1e3
         value = rmse(pred, gt, cfg.crop_border)
     except Exception as exc:
-        raise RuntimeError(f"entry {entry.id!r}: {exc}") from exc
+        raise RuntimeError(f"entry {entry.id!r}: {type(exc).__name__}: {exc}") from exc
     rec = BenchRecord(dataset, entry.id, s, cfg.method, cfg.config_hash(), value, runtime_ms)
     return pred, rec
 
@@ -312,8 +314,9 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
               threads: int | None = None, timing: bool = True) -> list[BenchRecord]:
     """Evaluate every (entry, scale, config) combination.
 
-    Per-entry failures never abort the run; they become records with an
-    error marker. Detail records come first in canonical order, followed
+    Per-entry failures never abort the run; they become records with
+    rmse None, written with an error marker, that keep the cause in
+    ``error``. Detail records come first in canonical order, followed
     by one mean record per (scale, config) group. With ``timing`` off,
     runtimes are reported as 0 so repeated runs emit identical bytes.
     """
@@ -334,9 +337,9 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
         try:
             _, rec = run_image(entry, cfg, manifest.name, bank)
             return rec
-        except Exception:
+        except Exception as exc:
             return BenchRecord(manifest.name, entry.id, cfg.scale, cfg.method,
-                               cfg.config_hash(), None, 0.0)
+                               cfg.config_hash(), None, 0.0, str(exc))
 
     workers = _worker_count(threads)
     if workers == 1 or len(tasks) == 1:
@@ -346,8 +349,7 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
             records = list(pool.map(one, tasks))
 
     if not timing:
-        records = [BenchRecord(r.dataset, r.image_id, r.scale, r.method,
-                               r.config_hash, r.rmse, 0.0) for r in records]
+        records = [replace(r, runtime_ms=0.0) for r in records]
 
     aggregates = []
     for s in scales:
@@ -412,8 +414,7 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     edge_cfg = cfg.edge_config()
     prepared = []
     for gt, up, lum in _prepared_entries(entries, cfg, s):
-        w = edge_weight(lum, edge_cfg)
-        target = elementwise_combine(laplacian_apply(lum), w, "mul")
+        target = transfer_target(lum, edge_cfg)
         symbol = symbol_for(cfg.symbol_mode, gt.shape).values
         prepared.append((dct2_forward(up.data), dct2_forward(laplacian_apply(target)),
                          symbol * symbol, dct2_forward(gt.data), gt.unit_scale**2))

@@ -109,6 +109,11 @@ def _cmd_bench(args) -> int:
         configs.append(PipelineConfig(**raw))
     records = run_bench(manifest, scales, configs, args.out,
                         threads=args.threads, timing=not args.no_timing)
+    for r in records:
+        if r.error is not None:
+            cause = " ".join(r.error.splitlines())
+            print(f"{r.dataset} {r.image_id} x{r.scale} {r.method} [{r.config_hash}] "
+                  f"failed: {cause}", file=sys.stderr)
     means = [r for r in records if r.image_id == "__mean__"]
     for r in means:
         shown = "ERROR" if r.rmse is None else f"{r.rmse:.4f}"

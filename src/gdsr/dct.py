@@ -18,7 +18,6 @@ a size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy import fft as _fft
 
 from .image_core import as_image
 
-__all__ = ["DctPlan", "dct2_forward", "dct2_inverse", "dct2_naive"]
+__all__ = ["dct2_forward", "dct2_inverse", "dct2_naive"]
 
 # Guard for the O(M*N*(M+N)) naive path.
 _NAIVE_MAX_SAMPLES = 2**20
@@ -77,36 +76,3 @@ def dct2_naive(img, direction: str) -> np.ndarray:
         rows = img @ cn
         return cm.T @ rows
     raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
-@dataclass(frozen=True)
-class DctPlan:
-    """A transform bound to fixed dimensions, direction, and path.
-
-    Executing a plan is pure; plans are safe to share across workers.
-    """
-
-    M: int
-    N: int
-    direction: str = "forward"
-    path: str = "fast"
-
-    def __post_init__(self):
-        if self.M < 1 or self.N < 1:
-            raise ValueError(f"plan dimensions must be >= 1, got {(self.M, self.N)}")
-        if self.direction not in ("forward", "inverse"):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.path not in ("fast", "naive"):
-            raise ValueError(f"unknown path {self.path!r}")
-
-    def apply(self, img) -> np.ndarray:
-        img = as_image(img)
-        if img.shape != (self.M, self.N):
-            raise ValueError(
-                f"plan built for {(self.M, self.N)} got input of shape {img.shape}"
-            )
-        if self.path == "naive":
-            return dct2_naive(img, self.direction)
-        if self.direction == "forward":
-            return dct2_forward(img)
-        return dct2_inverse(img)

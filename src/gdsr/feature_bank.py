@@ -14,6 +14,10 @@ channels plus a bias; fitting minimizes the pixelwise sum of squares.
 The channel weights lambda_c are fit by derivative-free coordinate
 search in log space (grid bracketing plus golden-section refinement),
 accepting a move only when the training RMSE strictly decreases.
+
+Prediction (:func:`spectral_predict`) folds the depth-side extraction,
+the solves and the head into one sum over DCT frequencies, which is why
+depth-side stencils must be flip-symmetric.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dct import dct2_forward
+from .dct import dct2_forward, dct2_inverse
 from .image_core import as_image, as_stack, elementwise_combine
 from .filters import correlate_reflect
+from .guidance import EdgeWeightConfig, transfer_target
 from .spectral import (
     FIVE_POINT,
     LaplacianKernel,
@@ -48,6 +53,7 @@ __all__ = [
     "ReconstructionHead",
     "fit_head",
     "apply_head",
+    "spectral_predict",
     "fit_lambda",
     "save_params",
     "load_params",
@@ -84,6 +90,9 @@ class FilterPair:
         g = _stencil(self.guide_filter)
         if self.shared and not (d.shape == g.shape and np.array_equal(d, g)):
             raise ValueError("shared pair must carry identical stencils")
+        if not (np.array_equal(d, d[::-1]) and np.array_equal(d, d[:, ::-1])):
+            # the spectral prediction needs the depth stencil's DCT symbol
+            raise ValueError("depth stencil must be symmetric under horizontal and vertical flips")
         object.__setattr__(self, "depth_filter", d)
         object.__setattr__(self, "guide_filter", g)
 
@@ -234,6 +243,49 @@ def apply_head(features, head: ReconstructionHead) -> np.ndarray:
             f"head expects {head.channels} channels, got {features.shape[0]}"
         )
     return np.tensordot(head.weights, features, axes=(0, 0)) + head.bias
+
+
+def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: ReconstructionHead,
+                     edge_cfg: EdgeWeightConfig, symbol_mode: str = "derived") -> np.ndarray:
+    """The feature-domain prediction as one sum over DCT frequencies.
+
+    Equals ``apply_head(channel_solve(extract(l_up, bank, "depth"), phi_r,
+    multichannel_edge_weight(phi_r, edge_cfg), lambdas, symbol), head)``
+    with ``phi_r = extract(guide, bank, "guide")``. Every stage after the
+    edge weights is linear, and the DCT diagonalizes each flip-symmetric
+    depth stencil K_c, so with L^ = dct(l_up) and T^_c = dct(T_c) for the
+    transfer target T_c = lap(phi_r_c) * w_c:
+
+        dct(H) = sum_c w_c (Lambda_Kc L^ + lam_c Lambda_lap T^_c)
+                           / (1 + lam_c Lambda^2)  +  bias sqrt(MN) e_0.
+
+    Lambda_lap is the 5-point Laplacian's own symbol, since the right-hand
+    side holds a pixel Laplacian of T_c; Lambda is the ``symbol_mode``
+    symbol of the solve. One forward transform per channel for its target
+    (none when lam_c = 0), one for L, and one inverse.
+    """
+    l_up = as_image(l_up)
+    guide = as_image(guide)
+    if l_up.shape != guide.shape:
+        raise ValueError(f"depth {l_up.shape} does not match guide {guide.shape}")
+    lam = _check_lambdas(lambdas, len(bank))
+    if head.channels != len(bank):
+        raise ValueError(f"head expects {head.channels} channels, bank has {len(bank)}")
+    shape = l_up.shape
+    phi_r = extract(guide, bank, "guide")
+    lap_symbol = symbol_for("derived", shape).values
+    mode_sq = np.square(symbol_for(symbol_mode, shape).values)
+    l_hat = dct2_forward(l_up)
+    h_hat = np.zeros(shape)
+    for c, pair in enumerate(bank.pairs):
+        num = symbol_for("derived", shape, pair.depth_filter).values * l_hat
+        if lam[c] != 0.0:
+            t_hat = dct2_forward(transfer_target(phi_r[c], edge_cfg))
+            num += lam[c] * lap_symbol * t_hat
+            num /= 1.0 + lam[c] * mode_sq
+        h_hat += head.weights[c] * num
+    h_hat[0, 0] += head.bias * math.sqrt(l_up.size)
+    return dct2_inverse(h_hat)
 
 
 def _normal_equations(features_list, targets_list):

@@ -19,7 +19,13 @@ from scipy.special import expit
 from .image_core import RgbImage, as_image, as_stack
 from .spectral import FIVE_POINT, LaplacianKernel, laplacian_apply
 
-__all__ = ["EdgeWeightConfig", "luminance", "edge_weight", "multichannel_edge_weight"]
+__all__ = [
+    "EdgeWeightConfig",
+    "luminance",
+    "edge_weight",
+    "multichannel_edge_weight",
+    "transfer_target",
+]
 
 # BT.601 luma weights, the conventional choice for 8-bit image files.
 _LUMA = (0.299, 0.587, 0.114)
@@ -49,10 +55,23 @@ def luminance(rgb: RgbImage) -> np.ndarray:
 
 
 def _nearest_rank_quantile(values: np.ndarray, q: float) -> float:
-    """Nearest-rank quantile: the element at 1-based rank ceil(q * n)."""
-    flat = np.sort(values, axis=None)
-    rank = max(1, math.ceil(q * flat.size))
-    return float(flat[rank - 1])
+    """Nearest-rank quantile: the element at 1-based rank ceil(q * n).
+
+    A partial sort places exactly that element; the full order is never
+    needed.
+    """
+    rank = max(1, math.ceil(q * values.size))
+    return float(np.partition(values, rank - 1, axis=None)[rank - 1])
+
+
+def _weights_from_laplacian(lap: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarray:
+    if cfg.mode == "none":
+        return np.ones_like(lap)
+    g = np.abs(lap)
+    tau = _nearest_rank_quantile(g, cfg.tau_quantile)
+    if cfg.mode == "hard":
+        return np.where((g >= tau) & (g > 0.0), 1.0, 0.0)
+    return expit(cfg.steepness * (g - tau))
 
 
 def edge_weight(guide_lum, cfg: EdgeWeightConfig,
@@ -67,11 +86,17 @@ def edge_weight(guide_lum, cfg: EdgeWeightConfig,
     guide_lum = as_image(guide_lum)
     if cfg.mode == "none":
         return np.ones_like(guide_lum)
-    g = np.abs(laplacian_apply(guide_lum, kernel))
-    tau = _nearest_rank_quantile(g, cfg.tau_quantile)
-    if cfg.mode == "hard":
-        return np.where((g >= tau) & (g > 0.0), 1.0, 0.0)
-    return expit(cfg.steepness * (g - tau))
+    return _weights_from_laplacian(laplacian_apply(guide_lum, kernel), cfg)
+
+
+def transfer_target(guide, cfg: EdgeWeightConfig,
+                    kernel: LaplacianKernel = FIVE_POINT) -> np.ndarray:
+    """Gradient-transfer target T = lap(guide) * edge_weight(guide, cfg).
+
+    The guide Laplacian is computed once and serves both factors.
+    """
+    lap = laplacian_apply(guide, kernel)
+    return lap * _weights_from_laplacian(lap, cfg)
 
 
 def multichannel_edge_weight(phi_r, cfg: EdgeWeightConfig,

@@ -41,6 +41,7 @@ __all__ = [
     "SpectralSymbol",
     "SolverOptions",
     "laplacian_apply",
+    "stencil_symbol",
     "derived_symbol",
     "paper_symbol",
     "symbol_for",
@@ -133,29 +134,42 @@ def laplacian_apply(img, kernel: LaplacianKernel = FIVE_POINT) -> np.ndarray:
     return correlate_reflect(img, kernel.weights)
 
 
-def derived_symbol(kernel: LaplacianKernel, M: int, N: int) -> SpectralSymbol:
-    """Exact eigenvalue grid of the stencil under the reflective extension.
+def stencil_symbol(stencil, M: int, N: int) -> SpectralSymbol:
+    """Exact eigenvalue grid of an odd, flip-symmetric stencil K.
 
-    For a flip-symmetric stencil with center a, horizontal neighbors b,
-    vertical neighbors c and corners d:
+    Under the half-sample symmetric extension the DCT-II diagonalizes
+    every such stencil (Martucci, IEEE TSP 1994): with (cu, cv) the
+    stencil center,
 
-        Lambda[i, j] = a + 2b cos(pi j/N) + 2c cos(pi i/M)
-                         + 4d cos(pi i/M) cos(pi j/N).
+        Lambda[i, j] = sum_uv K[u, v] cos(pi i (u - cu)/M) cos(pi j (v - cv)/N).
 
-    A seeded probe verifies dct(lap(X)) == Lambda * dct(X) before the
-    symbol is returned; a failure means the stencil is not diagonalized
-    by the cosine basis and is rejected.
+    Flip symmetry folds the sum onto one quadrant of offsets (du, dv),
+    each term weighted by its multiplicity 1, 2 or 4 and built from one
+    column and one row of cosines. The terms are added in (du, dv)
+    order, so a 3x3 stencil gives a + 2b cos(pi j/N) + 2c cos(pi i/M)
+    + 4d cos(pi i/M) cos(pi j/N) evaluated in exactly that order; the
+    order fixes the last bits of every solve that uses the symbol.
+
+    A seeded probe verifies dct(correlate(X, K)) == Lambda * dct(X)
+    before the symbol is returned; a failure means the stencil is not
+    diagonalized by the cosine basis and is rejected.
     """
     if M < 1 or N < 1:
         raise ValueError(f"symbol dimensions must be >= 1, got {(M, N)}")
-    w = kernel.weights
-    a, b, c, d = w[1, 1], w[1, 2], w[2, 1], w[2, 2]
-    ci = np.cos(np.pi * np.arange(M) / M)[:, None]
-    cj = np.cos(np.pi * np.arange(N) / N)[None, :]
-    values = a + 2.0 * b * cj + 2.0 * c * ci + 4.0 * d * ci * cj
+    st = np.asarray(stencil, dtype=np.float64)
+    if st.ndim != 2 or st.shape[0] % 2 == 0 or st.shape[1] % 2 == 0:
+        raise ValueError(f"stencil must be 2-D with odd dimensions, got {st.shape}")
+    cu, cv = st.shape[0] // 2, st.shape[1] // 2
+    values = np.zeros((M, N))
+    for du in range(cu + 1):
+        ci = np.cos(np.pi * du * np.arange(M) / M)[:, None]
+        for dv in range(cv + 1):
+            cj = np.cos(np.pi * dv * np.arange(N) / N)[None, :]
+            mult = (2.0 if du else 1.0) * (2.0 if dv else 1.0)
+            values = values + mult * st[cu + du, cv + dv] * ci * cj
 
     probe = np.random.default_rng(0xD1A6).random((M, N))
-    lhs = dct2_forward(laplacian_apply(probe, kernel))
+    lhs = dct2_forward(correlate_reflect(probe, st))
     rhs = values * dct2_forward(probe)
     scale = max(1.0, np.abs(rhs).max())
     if np.abs(lhs - rhs).max() > 1e-8 * scale:
@@ -163,6 +177,18 @@ def derived_symbol(kernel: LaplacianKernel, M: int, N: int) -> SpectralSymbol:
             "stencil has no exact spectral symbol under the reflective extension"
         )
     return SpectralSymbol(values, "derived")
+
+
+def derived_symbol(kernel: LaplacianKernel, M: int, N: int) -> SpectralSymbol:
+    """Exact eigenvalue grid of a Laplacian stencil: its :func:`stencil_symbol`.
+
+    For center a, horizontal neighbors b, vertical neighbors c and
+    corners d:
+
+        Lambda[i, j] = a + 2b cos(pi j/N) + 2c cos(pi i/M)
+                         + 4d cos(pi i/M) cos(pi j/N).
+    """
+    return stencil_symbol(kernel.weights, M, N)
 
 
 def paper_symbol(M: int, N: int) -> SpectralSymbol:
@@ -174,24 +200,28 @@ def paper_symbol(M: int, N: int) -> SpectralSymbol:
     return SpectralSymbol(ci + cj, "paper")
 
 
-def symbol_for(mode: str, shape, kernel: LaplacianKernel = FIVE_POINT) -> SpectralSymbol:
-    """The ``mode`` symbol on an (M, N) grid, cached per (mode, shape, kernel).
+def symbol_for(mode: str, shape, kernel=FIVE_POINT) -> SpectralSymbol:
+    """The ``mode`` symbol on an (M, N) grid, cached per (mode, shape, stencil).
 
-    Symbols are read-only, so one instance serves every caller; the
-    derived symbol's probe then runs once per (kernel weights, shape).
+    ``kernel`` is a :class:`LaplacianKernel` or any odd, flip-symmetric
+    stencil array; the ``paper`` symbol ignores it. Symbols are
+    read-only, so one instance serves every caller; the derived symbol's
+    probe then runs once per (stencil weights, shape).
     """
     if mode not in SYMBOL_MODES:
         raise ValueError(f"symbol mode must be one of {SYMBOL_MODES}, got {mode!r}")
     M, N = shape
-    return _cached_symbol(mode, int(M), int(N), kernel.weights.tobytes())
+    if isinstance(kernel, LaplacianKernel):
+        kernel = kernel.weights
+    st = np.asarray(kernel, dtype=np.float64)
+    return _cached_symbol(mode, int(M), int(N), st.tobytes(), st.shape)
 
 
 @lru_cache(maxsize=16)
-def _cached_symbol(mode: str, M: int, N: int, weights: bytes) -> SpectralSymbol:
+def _cached_symbol(mode: str, M: int, N: int, weights: bytes, kshape) -> SpectralSymbol:
     if mode == "paper":
         return paper_symbol(M, N)
-    kernel = LaplacianKernel(np.frombuffer(weights, dtype=np.float64).reshape(3, 3))
-    return derived_symbol(kernel, M, N)
+    return stencil_symbol(np.frombuffer(weights, dtype=np.float64).reshape(kshape), M, N)
 
 
 def build_rhs(l_up, guide_lap_masked, lam: float, kernel: LaplacianKernel = FIVE_POINT) -> np.ndarray:

@@ -5,10 +5,12 @@ reflection by hand, quadruple loops, per-pixel tap enumeration, dense
 matrix assembly) so the fast paths in the package are checked against
 code that shares none of their machinery.
 
-The exception is the pixel-domain fit objective at the end: it chains
-the package's public pixel-domain stages (channel solve, head fit,
-reconstruction), each checked against its own oracle, as the reference
-for the lambda search, which works on DCT coefficients instead.
+The exceptions are the pixel-domain feature pipeline and fit objective
+at the end: they chain the package's public pixel-domain stages
+(extraction, edge weights, channel solve, head fit, reconstruction),
+each checked against its own oracle, as the references for the
+prediction and the lambda search, which work on DCT coefficients
+instead.
 """
 
 import math
@@ -20,8 +22,10 @@ from gdsr.feature_bank import (
     _search_log_lambda,
     apply_head,
     channel_solve,
+    extract,
     fit_head,
 )
+from gdsr.guidance import multichannel_edge_weight
 from gdsr.spectral import FIVE_POINT, symbol_for
 
 
@@ -139,6 +143,16 @@ def ref_resample_2d(img, out_shape, antialias: bool) -> np.ndarray:
     Mo, No = out_shape
     tmp = np.stack([ref_resample_1d(row, No, antialias) for row in img])
     return np.stack([ref_resample_1d(col, Mo, antialias) for col in tmp.T]).T
+
+
+def pixel_predict(l_up, guide, bank, lambdas, head, edge_cfg, symbol_mode="derived"):
+    """The feature-domain prediction on pixels, stage by stage: extract both
+    sides, weight the guide channels, solve every channel, apply the head."""
+    phi_l = extract(l_up, bank, "depth")
+    phi_r = extract(guide, bank, "guide")
+    w = multichannel_edge_weight(phi_r, edge_cfg)
+    symbol = symbol_for(symbol_mode, np.shape(l_up))
+    return apply_head(channel_solve(phi_l, phi_r, w, lambdas, symbol), head)
 
 
 def pixel_objective(train_pairs, lambdas, gamma, symbol_mode="derived",

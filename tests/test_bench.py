@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from gdsr.bench import (
     rmse,
     run_bench,
     run_image,
+    write_csv,
     CSV_HEADER,
     MEAN_ROW_ID,
     ERROR_MARKER,
@@ -70,6 +73,15 @@ def test_manifest_validation(tmp_path):
         DatasetManifest("x", (e, e))
     with pytest.raises(ValueError, match="split"):
         DatasetEntry("a", e.rgb_path, e.depth_path, split="holdout")
+
+
+@pytest.mark.parametrize("bad", ["a,b", "a\nb", "a\rb"])
+def test_manifest_rejects_csv_breaking_names(tmp_path, bad):
+    e = build_manifest(tmp_path, n=1).entries[0]
+    with pytest.raises(ValueError, match=re.escape(f"id {bad!r}")):
+        DatasetManifest("synth", (dataclasses.replace(e, id=bad),))
+    with pytest.raises(ValueError, match=re.escape(f"dataset name {bad!r}")):
+        DatasetManifest(bad, (e,))
 
 
 def test_config_hash_deterministic_and_sensitive():
@@ -241,3 +253,25 @@ def test_bench_record_validation():
         BenchRecord("d", "i", 4, "bicubic", "h", -1.0, 0.0)
     with pytest.raises(ValueError):
         BenchRecord("d", "i", 4, "bicubic", "h", 1.0, -5.0)
+
+
+def test_failed_record_keeps_its_cause_out_of_the_csv(tmp_path):
+    manifest = build_manifest(tmp_path, n=2)
+    bad = manifest.entries[1]
+    blob = open(bad.depth_path, "rb").read()
+    with open(bad.depth_path, "wb") as fh:
+        fh.write(blob[: len(blob) // 2])  # truncated PGM payload
+    cfg = PipelineConfig(method="bicubic")
+    out = tmp_path / "t.csv"
+    records = run_bench(manifest, [4], [cfg], out, threads=1, timing=False)
+    failed = [r for r in records if r.image_id == bad.id]
+    assert len(failed) == 1 and failed[0].rmse is None
+    assert f"entry {bad.id!r}" in failed[0].error
+    assert "ImageFormatError" in failed[0].error
+    assert all(r.error is None for r in records if r.image_id != bad.id)
+    # the cause is not a CSV column: the bytes equal those of cause-free records
+    bare = tmp_path / "bare.csv"
+    write_csv([dataclasses.replace(r, error=None) for r in records], bare)
+    assert out.read_bytes() == bare.read_bytes()
+    h = cfg.with_scale(4).config_hash()
+    assert f"synth,{bad.id},4,bicubic,{h},ERROR,0.000\n" in out.read_text()

@@ -135,3 +135,21 @@ def test_bench_command_deterministic(tmp_path, capsys):
     lines = out1.read_text().strip().split("\n")
     # header + 2 entries x 2 scales x 2 configs + 4 aggregates
     assert len(lines) == 1 + 8 + 4
+
+
+def test_bench_command_reports_failed_entries_on_stderr(tmp_path, capsys):
+    manifest = make_manifest(tmp_path)
+    depth = tmp_path / "m1_depth.pgm"
+    depth.write_bytes(depth.read_bytes()[:40])  # truncated PGM payload
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([{"method": "bicubic"}, {"method": "image", "lam": 2.0}]))
+    rc = main(["bench", "--manifest", str(manifest), "--scales", "4",
+               "--config", str(config), "--out", str(tmp_path / "r.csv"),
+               "--threads", "1", "--no-timing"])
+    assert rc == 0
+    err_lines = capsys.readouterr().err.strip().split("\n")
+    # one line per failed record: the m1 entry under both configs
+    assert len(err_lines) == 2
+    for line in err_lines:
+        assert line.startswith("clitest m1 x4 ")
+        assert "entry 'm1'" in line and "ImageFormatError" in line

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gdsr.dct import DctPlan, dct2_forward, dct2_inverse, dct2_naive
+from gdsr.dct import dct2_forward, dct2_inverse, dct2_naive
 
 from oracles import literal_dct2
 
@@ -74,21 +74,6 @@ def test_fast_naive_equivalence_random_shapes():
         x = rng.random((M, N))
         assert np.abs(dct2_forward(x) - dct2_naive(x, "forward")).max() < 1e-9
         assert np.abs(dct2_inverse(x) - dct2_naive(x, "inverse")).max() < 1e-9
-
-
-def test_plan_contract():
-    plan = DctPlan(8, 6, "forward", "fast")
-    rng = np.random.default_rng(15)
-    x = rng.random((8, 6))
-    assert np.array_equal(plan.apply(x), dct2_forward(x))
-    with pytest.raises(ValueError, match="plan built for"):
-        plan.apply(np.zeros((6, 8)))
-    naive_plan = DctPlan(8, 6, "inverse", "naive")
-    assert np.array_equal(naive_plan.apply(x), dct2_naive(x, "inverse"))
-    with pytest.raises(ValueError):
-        DctPlan(8, 6, "sideways")
-    with pytest.raises(ValueError):
-        DctPlan(0, 6)
 
 
 def test_naive_size_guard():

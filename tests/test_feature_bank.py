@@ -20,14 +20,22 @@ from gdsr.feature_bank import (
     load_params,
     log_stencil,
     save_params,
+    spectral_predict,
     _LambdaObjective,
 )
 from gdsr.filters import correlate_reflect
 from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
 from gdsr.image_core import elementwise_combine
-from gdsr.spectral import FIVE_POINT, build_rhs, derived_symbol, laplacian_apply, solve_screened
+from gdsr.spectral import (
+    FIVE_POINT,
+    SYMBOL_MODES,
+    build_rhs,
+    derived_symbol,
+    laplacian_apply,
+    solve_screened,
+)
 
-from oracles import brute_correlate_reflect, pixel_fit_lambda, pixel_objective
+from oracles import brute_correlate_reflect, pixel_fit_lambda, pixel_objective, pixel_predict
 from scenes import make_scene
 
 
@@ -43,6 +51,12 @@ def test_pair_and_bank_validation():
         FilterPair(IDENTITY, np.array([[0.5]]), shared=True)
     with pytest.raises(ValueError, match="odd"):
         FilterPair(np.ones((2, 2)) / 4, np.ones((2, 2)) / 4, shared=False)
+    ddx = np.array([[-0.5, 0.0, 0.5]])
+    with pytest.raises(ValueError, match="depth stencil must be symmetric"):
+        FilterPair(ddx, ddx, shared=True)
+    with pytest.raises(ValueError, match="depth stencil must be symmetric"):
+        FilterPair(np.array([[1.0], [2.0], [3.0]]), IDENTITY, shared=False)
+    FilterPair(IDENTITY, ddx, shared=False)  # the guide side may be asymmetric
     with pytest.raises(ValueError, match="at least one"):
         FilterBank(())
 
@@ -334,6 +348,43 @@ def test_fit_lambda_matches_pixel_oracle_search():
     pairs = _bank_pairs()
     lambdas, _ = fit_lambda(pairs, head_gamma=1e-6, grid_points=5, sweeps=1)
     assert np.array_equal(lambdas, pixel_fit_lambda(pairs, 1e-6, grid_points=5, sweeps=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+       lambdas=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 60.0)), min_size=8, max_size=8),
+       weights=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=8, max_size=8),
+       bias=st.floats(-1.0, 1.0),
+       mode=st.sampled_from(SYMBOL_MODES),
+       edge=st.sampled_from(["none", "hard", "soft"]))
+def test_spectral_predict_matches_pixel_oracle(seed, shape, lambdas, weights, bias, mode, edge):
+    rng = np.random.default_rng(seed)
+    l_up, guide = rng.random(shape), rng.random(shape)
+    bank = default_bank()
+    head = ReconstructionHead(weights, bias)
+    cfg = EdgeWeightConfig(edge, tau_quantile=0.8)
+    got = spectral_predict(l_up, guide, bank, lambdas, head, cfg, mode)
+    want = pixel_predict(l_up, guide, bank, lambdas, head, cfg, mode)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_spectral_predict_on_scene_and_validation():
+    gt, rgb = make_scene(np.random.default_rng(15), 40, 56)
+    guide = luminance(rgb)
+    bank = default_bank()
+    lambdas = [41.3, 33.8, 26.3, 0.27, 54.6, 54.6, 54.6, 26.8]
+    head = ReconstructionHead([5.67, 0.11, 0.50, -0.17, -0.07, -0.08, -0.19, -4.95], 0.01)
+    cfg = EdgeWeightConfig("hard")
+    got = spectral_predict(gt.data, guide, bank, lambdas, head, cfg)
+    want = pixel_predict(gt.data, guide, bank, lambdas, head, cfg)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    with pytest.raises(ValueError, match="channel weights"):
+        spectral_predict(gt.data, guide, bank, lambdas[:7], head, cfg)
+    with pytest.raises(ValueError, match="head expects 1 channels"):
+        spectral_predict(gt.data, guide, bank, lambdas, ReconstructionHead([1.0], 0.0), cfg)
+    with pytest.raises(ValueError, match="does not match guide"):
+        spectral_predict(gt.data, guide[:-1], bank, lambdas, head, cfg)
 
 
 def test_fit_lambda_input_validation():

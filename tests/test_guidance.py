@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdsr.guidance import (
     EdgeWeightConfig,
+    _nearest_rank_quantile,
     edge_weight,
     luminance,
     multichannel_edge_weight,
+    transfer_target,
 )
 from gdsr.image_core import RgbImage
 from gdsr.spectral import laplacian_apply
@@ -119,3 +124,40 @@ def test_multichannel_duplicated_channels():
     assert np.array_equal(got[0], got[1])
     single = multichannel_edge_weight(ch[None], EdgeWeightConfig("hard", 0.6))
     assert np.array_equal(single[0], edge_weight(ch, EdgeWeightConfig("hard", 0.6)))
+
+
+def sorted_nearest_rank(values, q):
+    """The nearest-rank rule by full sort: element ceil(q * n) of the sorted values."""
+    flat = np.sort(values, axis=None)
+    return float(flat[max(1, math.ceil(q * flat.size)) - 1])
+
+
+@st.composite
+def magnitude_grids(draw):
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    n = rows * cols
+    kind = draw(st.sampled_from(["ties", "constant", "spread"]))
+    if kind == "constant":
+        values = [draw(st.floats(0.0, 10.0))] * n
+    elif kind == "ties":
+        values = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    return np.array(values).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=magnitude_grids(),
+       q=st.one_of(st.floats(1e-12, 1.0 - 1e-12),
+                   st.sampled_from([1e-12, 1e-3, 0.5, 0.9, 1.0 - 1e-3, 1.0 - 1e-12])))
+def test_nearest_rank_quantile_matches_sort_rule(values, q):
+    assert _nearest_rank_quantile(values, q) == sorted_nearest_rank(values, q)
+
+
+@pytest.mark.parametrize("mode", ["none", "hard", "soft"])
+def test_transfer_target_is_masked_laplacian(mode):
+    g = np.random.default_rng(14).random((11, 13))
+    cfg = EdgeWeightConfig(mode, tau_quantile=0.7)
+    want = laplacian_apply(g) * edge_weight(g, cfg)
+    assert np.array_equal(transfer_target(g, cfg), want)

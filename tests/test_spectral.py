@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gdsr.dct import dct2_forward, dct2_inverse
+from gdsr.filters import correlate_reflect
 from gdsr.spectral import (
     FIVE_POINT,
     ConvergenceError,
@@ -14,6 +17,7 @@ from gdsr.spectral import (
     laplacian_apply,
     paper_symbol,
     solve_screened,
+    stencil_symbol,
     symbol_for,
 )
 
@@ -97,6 +101,53 @@ def test_derived_symbol_general_kernel():
     lhs = dct2_forward(laplacian_apply(x, kernel))
     rhs = sym.values * dct2_forward(x)
     assert np.abs(lhs - rhs).max() < 1e-10
+
+
+@st.composite
+def flip_symmetric_stencils(draw):
+    """Odd stencils up to 7x7, mirrored from one quadrant of offsets."""
+    hu, hv = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    quadrant = draw(arrays(np.float64, (hu + 1, hv + 1),
+                           elements=st.floats(-2.0, 2.0, allow_subnormal=False)))
+    rows = np.concatenate([quadrant[:0:-1], quadrant], axis=0)
+    return np.concatenate([rows[:, :0:-1], rows], axis=1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stencil=flip_symmetric_stencils(), M=st.integers(1, 12), N=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_stencil_symbol_diagonalizes_symmetric_stencils(stencil, M, N, seed):
+    # grids down to 1x1 sit inside the stencil radius, where the padding
+    # reflects more than once; the identity holds there too
+    x = np.random.default_rng(seed).standard_normal((M, N))
+    sym = stencil_symbol(stencil, M, N)
+    lhs = dct2_forward(correlate_reflect(x, stencil))
+    rhs = sym.values * dct2_forward(x)
+    # relative to ||K||_1 ||X||_2, which bounds the norm of both sides
+    scale = np.abs(stencil).sum() * np.linalg.norm(x)
+    assert np.abs(lhs - rhs).max() <= 1e-12 * scale
+
+
+def test_stencil_symbol_3x3_is_derived_symbol_and_rejects_asymmetry():
+    kernel = LaplacianKernel(np.array([[0.5, 1.0, 0.5], [2.0, -8.0, 2.0], [0.5, 1.0, 0.5]]))
+    assert np.array_equal(stencil_symbol(kernel.weights, 9, 7).values,
+                          derived_symbol(kernel, 9, 7).values)
+    assert np.array_equal(stencil_symbol([[2.5]], 3, 4).values, np.full((3, 4), 2.5))
+    with pytest.raises(ValueError, match="no exact spectral symbol"):
+        stencil_symbol(np.array([[-0.5, 0.0, 0.5]]), 9, 7)
+    with pytest.raises(ValueError, match="odd"):
+        stencil_symbol(np.ones((2, 2)), 9, 7)
+
+
+def test_symbol_for_caches_general_stencils():
+    g = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
+    sym = symbol_for("derived", (9, 7), g)
+    assert symbol_for("derived", (9, 7), g.copy()) is sym
+    # a row and a column with the same bytes are different stencils
+    assert symbol_for("derived", (9, 7), g[1:2]) is not symbol_for("derived", (9, 7), g[:, 1:2])
+    # the 5-point Laplacian as an array shares the LaplacianKernel entry
+    five = symbol_for("derived", (9, 7))
+    assert symbol_for("derived", (9, 7), np.array(FIVE_POINT.weights)) is five
 
 
 def test_paper_symbol_values():
