@@ -12,20 +12,14 @@ from .image_core import (
     as_image,
     as_stack,
     dequantize,
-    elementwise_combine,
     quantize,
 )
-from .dct import dct2_forward, dct2_inverse, dct2_naive
+from .dct import dct2_forward, dct2_inverse
 from .spectral import (
     FIVE_POINT,
-    ConvergenceError,
-    LaplacianKernel,
-    SolverOptions,
     SpectralSymbol,
     build_rhs,
-    cg_solve,
     derived_symbol,
-    energy,
     laplacian_apply,
     paper_symbol,
     solve_screened,

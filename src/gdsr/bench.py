@@ -108,24 +108,51 @@ class DatasetManifest:
         return tuple(e for e in self.entries if e.split == tag)
 
 
+def _manifest_field(obj: dict, key: str, kinds, where: str, path, default=None):
+    """``obj[key]`` checked against ``kinds``; ``default`` when the key is
+    absent, or an error naming the manifest if the key is required."""
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"manifest {path}: {where} lacks key {key!r}")
+        return default
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"manifest {path}: {where} key {key!r} must be {names}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
     """Read a JSON manifest: {"name": ..., "entries": [{id, rgb_path,
     depth_path, depth_unit_scale, split}, ...]}. Relative paths resolve
-    against the manifest's directory."""
+    against the manifest's directory. A missing key or a value of the
+    wrong type raises a ValueError naming the manifest."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"manifest {path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"manifest {path}: expected a JSON object, got {type(doc).__name__}")
     base = path.parent
     entries = []
-    for raw in doc["entries"]:
+    for k, raw in enumerate(_manifest_field(doc, "entries", (list,), "top level", path)):
+        where = f"entry {k}"
+        if not isinstance(raw, dict):
+            raise ValueError(f"manifest {path}: {where} must be an object, "
+                             f"got {type(raw).__name__}")
         entries.append(DatasetEntry(
-            id=str(raw["id"]),
-            rgb_path=str(base / raw["rgb_path"]),
-            depth_path=str(base / raw["depth_path"]),
-            depth_unit_scale=float(raw.get("depth_unit_scale", 1.0)),
-            split=str(raw.get("split", "test")),
+            id=str(_manifest_field(raw, "id", (str, int), where, path)),
+            rgb_path=str(base / _manifest_field(raw, "rgb_path", (str,), where, path)),
+            depth_path=str(base / _manifest_field(raw, "depth_path", (str,), where, path)),
+            depth_unit_scale=float(_manifest_field(raw, "depth_unit_scale", (int, float),
+                                                   where, path, 1.0)),
+            split=_manifest_field(raw, "split", (str,), where, path, "test"),
         ))
-    return DatasetManifest(str(doc.get("name", path.stem)), tuple(entries))
+    name = _manifest_field(doc, "name", (str,), "top level", path, path.stem)
+    return DatasetManifest(name, tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -253,17 +280,61 @@ def predict(up: DepthMap, rgb: RgbImage, cfg: PipelineConfig,
         raise ValueError(f"depth {up.shape} does not match guide {rgb.shape}")
     if cfg.method == "bicubic":
         return up
-    lum = luminance(rgb)
     edge_cfg = cfg.edge_config()
+    # luminance(rgb) goes straight to its stage and is freed after it, not held
+    # through the solve: with two bench workers solving at once it would count
+    # twice toward peak memory.
     if cfg.method == "image_domain":
         lam = _image_lambda(cfg)
-        e = build_rhs(up.data, transfer_target(lum, edge_cfg), lam)
+        e = build_rhs(up.data, transfer_target(luminance(rgb), edge_cfg), lam)
         h = solve_screened(e, lam, symbol_for(cfg.symbol_mode, up.shape))
     else:
         bank = bank if bank is not None else default_bank()
         lambdas, head = _load_feature_params(cfg, bank)
-        h = spectral_predict(up.data, lum, bank, lambdas, head, edge_cfg, cfg.symbol_mode)
+        h = spectral_predict(up.data, luminance(rgb), bank, lambdas, head, edge_cfg,
+                             cfg.symbol_mode)
     return DepthMap(np.maximum(h, 0.0), up.unit_scale)
+
+
+def _prepare(entry: DatasetEntry, s: int,
+             antialias: bool) -> tuple[DepthMap, DepthMap, RgbImage]:
+    """Load, check, crop and degrade one entry: (gt, up, rgb).
+
+    Ground truth and guide are cropped bottom/right to a multiple of the
+    scale; ``up`` is the degraded-then-upsampled depth on that grid.
+    """
+    rgb = load_image(entry.rgb_path)
+    depth = load_image(entry.depth_path)
+    if not isinstance(rgb, RgbImage):
+        raise ValueError(f"rgb_path is not a color image: {entry.rgb_path}")
+    if not isinstance(depth, DepthMap):
+        raise ValueError(f"depth_path is not a grayscale image: {entry.depth_path}")
+    gt = DepthMap(crop_to_multiple(depth.data, s), entry.depth_unit_scale)
+    rgb = RgbImage(*(crop_to_multiple(p, s) for p in (rgb.red, rgb.green, rgb.blue)))
+    if gt.shape != rgb.shape:
+        raise ValueError(f"depth {gt.shape} and rgb {rgb.shape} differ after crop")
+    _, up = degrade(gt, s, antialias)
+    return gt, up, rgb
+
+
+def _entry_error(entry: DatasetEntry, exc: Exception) -> RuntimeError:
+    return RuntimeError(f"entry {entry.id!r}: {type(exc).__name__}: {exc}")
+
+
+def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig, dataset: str,
+              bank: FilterBank | None) -> tuple[DepthMap, BenchRecord]:
+    """Super-resolve one prepared entry under ``cfg`` and score it."""
+    gt, up, rgb = prepared
+    try:
+        t0 = time.perf_counter()
+        pred = predict(up, rgb, cfg, bank)
+        runtime_ms = (time.perf_counter() - t0) * 1e3
+        value = rmse(pred, gt, cfg.crop_border)
+    except Exception as exc:
+        raise _entry_error(entry, exc) from exc
+    rec = BenchRecord(dataset, entry.id, cfg.scale, cfg.method, cfg.config_hash(), value,
+                      runtime_ms)
+    return pred, rec
 
 
 def run_image(entry: DatasetEntry, cfg: PipelineConfig, dataset: str = "",
@@ -276,27 +347,11 @@ def run_image(entry: DatasetEntry, cfg: PipelineConfig, dataset: str = "",
     """
     if cfg.scale is None:
         raise ValueError("config carries no scale; use cfg.with_scale(s)")
-    s = cfg.scale
     try:
-        rgb = load_image(entry.rgb_path)
-        depth = load_image(entry.depth_path)
-        if not isinstance(rgb, RgbImage):
-            raise ValueError(f"rgb_path is not a color image: {entry.rgb_path}")
-        if not isinstance(depth, DepthMap):
-            raise ValueError(f"depth_path is not a grayscale image: {entry.depth_path}")
-        gt = DepthMap(crop_to_multiple(depth.data, s), entry.depth_unit_scale)
-        rgb = RgbImage(*(crop_to_multiple(p, s) for p in (rgb.red, rgb.green, rgb.blue)))
-        if gt.shape != rgb.shape:
-            raise ValueError(f"depth {gt.shape} and rgb {rgb.shape} differ after crop")
-        _, up = degrade(gt, s, cfg.antialias)
-        t0 = time.perf_counter()
-        pred = predict(up, rgb, cfg, bank)
-        runtime_ms = (time.perf_counter() - t0) * 1e3
-        value = rmse(pred, gt, cfg.crop_border)
+        prepared = _prepare(entry, cfg.scale, cfg.antialias)
     except Exception as exc:
-        raise RuntimeError(f"entry {entry.id!r}: {type(exc).__name__}: {exc}") from exc
-    rec = BenchRecord(dataset, entry.id, s, cfg.method, cfg.config_hash(), value, runtime_ms)
-    return pred, rec
+        raise _entry_error(entry, exc) from exc
+    return _evaluate(entry, prepared, cfg, dataset, bank)
 
 
 def _worker_count(threads: int | None) -> int:
@@ -325,28 +380,41 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
     if not configs:
         raise ValueError("no pipeline configs given")
     bank = default_bank()
-    tasks = [
-        (entry, cfg.with_scale(s))
-        for entry in manifest.entries
-        for s in scales
-        for cfg in configs
-    ]
+    tasks = [(entry, s) for entry in manifest.entries for s in scales]
 
     def one(task):
-        entry, cfg = task
-        try:
-            _, rec = run_image(entry, cfg, manifest.name, bank)
-            return rec
-        except Exception as exc:
-            return BenchRecord(manifest.name, entry.id, cfg.scale, cfg.method,
-                               cfg.config_hash(), None, 0.0, str(exc))
+        """Records of every config on one (entry, scale), in config order.
+
+        The entry is prepared once per antialias setting; a failed
+        preparation fails every config that needs it, with its cause.
+        """
+        entry, s = task
+        prepared = {}  # antialias -> (gt, up, rgb), or the error preparing raised
+        for antialias in dict.fromkeys(cfg.antialias for cfg in configs):
+            try:
+                prepared[antialias] = _prepare(entry, s, antialias)
+            except Exception as exc:
+                prepared[antialias] = _entry_error(entry, exc)
+        records = []
+        for cfg in configs:
+            cfg = cfg.with_scale(s)
+            inputs = prepared[cfg.antialias]
+            try:
+                if isinstance(inputs, Exception):
+                    raise inputs
+                records.append(_evaluate(entry, inputs, cfg, manifest.name, bank)[1])
+            except Exception as exc:
+                records.append(BenchRecord(manifest.name, entry.id, s, cfg.method,
+                                           cfg.config_hash(), None, 0.0, str(exc)))
+        return records
 
     workers = _worker_count(threads)
     if workers == 1 or len(tasks) == 1:
-        records = [one(t) for t in tasks]
+        groups = [one(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, tasks))
+            groups = list(pool.map(one, tasks))
+    records = [r for group in groups for r in group]
 
     if not timing:
         records = [replace(r, runtime_ms=0.0) for r in records]
@@ -384,19 +452,6 @@ def write_csv(records, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _prepared_entries(entries, cfg: PipelineConfig, s: int):
-    """Load, crop, degrade, and convert the guide once per entry."""
-    prepared = []
-    for entry in entries:
-        rgb = load_image(entry.rgb_path)
-        depth = load_image(entry.depth_path)
-        gt = DepthMap(crop_to_multiple(depth.data, s), entry.depth_unit_scale)
-        rgb = RgbImage(*(crop_to_multiple(p, s) for p in (rgb.red, rgb.green, rgb.blue)))
-        _, up = degrade(gt, s, cfg.antialias)
-        prepared.append((gt, up, luminance(rgb)))
-    return prepared
-
-
 def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
                      grid_points: int = 17) -> float:
     """Fit the single image-domain lambda on the manifest's train split.
@@ -409,12 +464,12 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     evaluated on DCT coefficients (Parseval): each entry is transformed
     once, and every lambda costs one per-frequency division.
     """
-    entries = manifest.split("train") or manifest.entries
     s = check_scale(s)
     edge_cfg = cfg.edge_config()
     prepared = []
-    for gt, up, lum in _prepared_entries(entries, cfg, s):
-        target = transfer_target(lum, edge_cfg)
+    for entry in manifest.split("train") or manifest.entries:
+        gt, up, rgb = _prepare(entry, s, cfg.antialias)
+        target = transfer_target(luminance(rgb), edge_cfg)
         symbol = symbol_for(cfg.symbol_mode, gt.shape).values
         prepared.append((dct2_forward(up.data), dct2_forward(laplacian_apply(target)),
                          symbol * symbol, dct2_forward(gt.data), gt.unit_scale**2))
@@ -446,14 +501,14 @@ def fit_feature_params(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     Returns (lambdas, head, rmse_trace). With ``fit_lambdas`` off, the
     lambdas stay at the e^0.1 start and only the head is fit.
     """
-    entries = manifest.split("train") or manifest.entries
     s = check_scale(s)
     bank = bank if bank is not None else default_bank()
     edge_cfg = cfg.edge_config()
     train_pairs = []
-    for gt, up, lum in _prepared_entries(entries, cfg, s):
+    for entry in manifest.split("train") or manifest.entries:
+        gt, up, rgb = _prepare(entry, s, cfg.antialias)
         phi_l = extract(up.data, bank, "depth")
-        phi_r = extract(lum, bank, "guide")
+        phi_r = extract(luminance(rgb), bank, "guide")
         w = multichannel_edge_weight(phi_r, edge_cfg)
         train_pairs.append((phi_l, phi_r, w, gt.data))
 

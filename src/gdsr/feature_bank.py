@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dct import dct2_forward, dct2_inverse
-from .image_core import as_image, as_stack, elementwise_combine
+from .image_core import as_image, as_stack
 from .filters import correlate_reflect
 from .guidance import EdgeWeightConfig, transfer_target
 from .spectral import (
     FIVE_POINT,
-    LaplacianKernel,
     SpectralSymbol,
     build_rhs,
     laplacian_apply,
@@ -144,14 +143,13 @@ def default_bank() -> FilterBank:
     identity = np.array([[1.0]])
     g1 = gaussian_stencil(1.0, 5)
     g2 = gaussian_stencil(2.0, 7)
-    lap5 = np.asarray(FIVE_POINT.weights)
     ddx = np.array([[-0.5, 0.0, 0.5]])
     ddy = ddx.T
     pairs = (
         FilterPair(identity, identity, shared=True),
         FilterPair(g1, g1, shared=True),
         FilterPair(g2, g2, shared=True),
-        FilterPair(lap5, lap5, shared=True),
+        FilterPair(FIVE_POINT, FIVE_POINT, shared=True),
         FilterPair(g1, ddx, shared=False),
         FilterPair(g1, ddy, shared=False),
         FilterPair(identity, log_stencil(1.0, 7), shared=False),
@@ -185,8 +183,7 @@ def _check_lambdas(lambdas, channels: int) -> np.ndarray:
     return lam
 
 
-def channel_solve(phi_l, phi_r, w, lambdas, symbol: SpectralSymbol,
-                  kernel: LaplacianKernel = FIVE_POINT) -> np.ndarray:
+def channel_solve(phi_l, phi_r, w, lambdas, symbol: SpectralSymbol) -> np.ndarray:
     """Per-channel screened solve coupling depth and guide features.
 
     For each channel c: E_c = lam_c * lap(lap(phi_r_c) * w_c) + phi_l_c,
@@ -203,8 +200,8 @@ def channel_solve(phi_l, phi_r, w, lambdas, symbol: SpectralSymbol,
     lam = _check_lambdas(lambdas, phi_l.shape[0])
     out = np.empty_like(phi_l)
     for c in range(phi_l.shape[0]):
-        target = elementwise_combine(laplacian_apply(phi_r[c], kernel), w[c], "mul")
-        e = build_rhs(phi_l[c], target, lam[c], kernel)
+        target = laplacian_apply(phi_r[c]) * w[c]
+        e = build_rhs(phi_l[c], target, lam[c])
         out[c] = solve_screened(e, lam[c], symbol)
     return out
 
@@ -385,7 +382,7 @@ class _LambdaObjective:
     O(C * pixels): no transform, no stack copy, no full rebuild.
     """
 
-    def __init__(self, train_pairs, head_gamma, kernel, symbol_mode):
+    def __init__(self, train_pairs, head_gamma, symbol_mode):
         if len(train_pairs) == 0:
             raise ValueError("empty training set")
         if not (np.isfinite(head_gamma) and head_gamma >= 0.0):
@@ -418,13 +415,13 @@ class _LambdaObjective:
         self.sym_sq = np.empty(self.n_pixels)
         self.y_hat = np.empty(self.n_pixels)
         for (phi_l, phi_r, w, target), lo, hi in zip(pairs, bounds[:-1], bounds[1:]):
-            symbol = symbol_for(symbol_mode, target.shape, kernel).values
+            symbol = symbol_for(symbol_mode, target.shape).values
             self.sym_sq[lo:hi] = (symbol * symbol).ravel()
             self.y_hat[lo:hi] = dct2_forward(target).ravel()
             for c in range(C):
                 self.l_hat[c, lo:hi] = dct2_forward(phi_l[c]).ravel()
-                masked = laplacian_apply(phi_r[c], kernel) * w[c]
-                self.t_hat[c, lo:hi] = dct2_forward(laplacian_apply(masked, kernel)).ravel()
+                masked = laplacian_apply(phi_r[c]) * w[c]
+                self.t_hat[c, lo:hi] = dct2_forward(laplacian_apply(masked)).ravel()
         # dct(1) = sqrt(MN) e_0: the bias column lives in each pair's DC slot
         self.dc_idx = bounds[:-1]
         self.dc_scale = np.sqrt(sizes)
@@ -517,8 +514,7 @@ def _search_log_lambda(f, grid_points: int):
 
 
 def fit_lambda(train_pairs, head_gamma: float = 1e-6, grid_points: int = 9,
-               sweeps: int = 2, kernel: LaplacianKernel = FIVE_POINT,
-               symbol_mode: str = "derived"):
+               sweeps: int = 2, symbol_mode: str = "derived"):
     """Coordinate search for the per-channel regularization weights.
 
     ``train_pairs`` is a sequence of (phi_l, phi_r, w, target_hr) tuples.
@@ -537,7 +533,7 @@ def fit_lambda(train_pairs, head_gamma: float = 1e-6, grid_points: int = 9,
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
-    obj = _LambdaObjective(train_pairs, head_gamma, kernel, symbol_mode)
+    obj = _LambdaObjective(train_pairs, head_gamma, symbol_mode)
     best = obj.evaluate(0, obj.lambdas[0])
     trace = [best]
 

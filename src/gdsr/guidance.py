@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .image_core import RgbImage, as_image, as_stack
-from .spectral import FIVE_POINT, LaplacianKernel, laplacian_apply
+from .spectral import laplacian_apply
 
 __all__ = [
     "EdgeWeightConfig",
@@ -74,8 +74,7 @@ def _weights_from_laplacian(lap: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarra
     return expit(cfg.steepness * (g - tau))
 
 
-def edge_weight(guide_lum, cfg: EdgeWeightConfig,
-                kernel: LaplacianKernel = FIVE_POINT) -> np.ndarray:
+def edge_weight(guide_lum, cfg: EdgeWeightConfig) -> np.ndarray:
     """Per-pixel edge weights in [0, 1] from guide Laplacian magnitude.
 
     Let g = |lap(guide)| and tau the nearest-rank tau_quantile of g.
@@ -86,21 +85,19 @@ def edge_weight(guide_lum, cfg: EdgeWeightConfig,
     guide_lum = as_image(guide_lum)
     if cfg.mode == "none":
         return np.ones_like(guide_lum)
-    return _weights_from_laplacian(laplacian_apply(guide_lum, kernel), cfg)
+    return _weights_from_laplacian(laplacian_apply(guide_lum), cfg)
 
 
-def transfer_target(guide, cfg: EdgeWeightConfig,
-                    kernel: LaplacianKernel = FIVE_POINT) -> np.ndarray:
+def transfer_target(guide, cfg: EdgeWeightConfig) -> np.ndarray:
     """Gradient-transfer target T = lap(guide) * edge_weight(guide, cfg).
 
     The guide Laplacian is computed once and serves both factors.
     """
-    lap = laplacian_apply(guide, kernel)
+    lap = laplacian_apply(guide)
     return lap * _weights_from_laplacian(lap, cfg)
 
 
-def multichannel_edge_weight(phi_r, cfg: EdgeWeightConfig,
-                             kernel: LaplacianKernel = FIVE_POINT) -> np.ndarray:
+def multichannel_edge_weight(phi_r, cfg: EdgeWeightConfig) -> np.ndarray:
     """Edge weights computed independently for every channel of a stack."""
     phi_r = as_stack(phi_r)
-    return np.stack([edge_weight(ch, cfg, kernel) for ch in phi_r])
+    return np.stack([edge_weight(ch, cfg) for ch in phi_r])

@@ -1,4 +1,4 @@
-"""Numeric image containers and elementary pixelwise algebra.
+"""Numeric image containers, validation and quantization.
 
 Everything downstream computes on 2-D float64 sample grids; 8/16-bit
 integers exist only at the file I/O boundary. Values are treated as
@@ -17,7 +17,6 @@ __all__ = [
     "as_stack",
     "RgbImage",
     "DepthMap",
-    "elementwise_combine",
     "quantize",
     "dequantize",
 ]
@@ -93,31 +92,6 @@ class DepthMap:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-
-_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-}
-
-
-def elementwise_combine(a, b, op: str) -> np.ndarray:
-    """Combine two same-sized images sample by sample.
-
-    ``op`` is one of add/sub/mul/div. Division requires every divisor
-    sample to be nonzero.
-    """
-    a = as_image(a)
-    b = as_image(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}, expected one of {sorted(_OPS)}")
-    if op == "div" and np.any(b == 0.0):
-        raise ValueError("division by zero sample")
-    return _OPS[op](a, b)
 
 
 def quantize(img, max_value: int, strict: bool = False) -> np.ndarray:

@@ -10,6 +10,8 @@ produce identical files.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .image_core import DepthMap, RgbImage, as_image, quantize
@@ -21,12 +23,18 @@ class ImageFormatError(ValueError):
     """Malformed header, truncated payload, or unsupported variant."""
 
 
+_DECIMAL = re.compile(rb"-?[0-9]+")
+
+
 def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     """Read whitespace-separated header tokens, skipping '#' comments.
 
-    Returns the tokens and the offset one byte past the single
-    whitespace that terminates the last token.
+    ``data`` starts right after the magic number, which must be followed
+    by whitespace or a comment. Returns the tokens and the offset one
+    byte past the single whitespace that terminates the last token.
     """
+    if data and data[:1] not in (b" ", b"\t", b"\r", b"\n", b"#"):
+        raise ImageFormatError("magic number not followed by whitespace")
     tokens = []
     pos = 0
     while len(tokens) < count:
@@ -53,10 +61,13 @@ def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
 
 
 def _parse_int(token: bytes, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ImageFormatError(f"bad {what}: {token!r}") from None
+    # decimal digits only: int() would also take a '+' sign and '_' separators
+    if _DECIMAL.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # beyond int()'s digit limit
+            pass
+    raise ImageFormatError(f"bad {what}: {token!r}")
 
 
 def _load_netpbm(data: bytes, magic: bytes):
@@ -79,7 +90,8 @@ def _load_netpbm(data: bytes, magic: bytes):
     raw = np.frombuffer(payload[:expected], dtype=dtype)
     if raw.max(initial=0) > maxval:
         raise ImageFormatError("sample exceeds declared maxval")
-    samples = raw.astype(np.float64).reshape(height, width, planes) / maxval
+    samples = raw.astype(np.float64).reshape(height, width, planes)
+    samples /= maxval  # in place: no second full-size grid
     if magic == b"P5":
         return DepthMap(samples[:, :, 0])
     return RgbImage(samples[:, :, 0], samples[:, :, 1], samples[:, :, 2])
@@ -106,6 +118,8 @@ def _pfm_grid(data: bytes) -> np.ndarray:
         )
     endian = "<f4" if scale < 0 else ">f4"
     raw = np.frombuffer(payload[:expected], dtype=endian)
+    if not np.all(np.isfinite(raw)):
+        raise ImageFormatError("PFM payload holds non-finite samples")
     return raw.astype(np.float64).reshape(height, width)[::-1]  # bottom-up rows
 
 
@@ -114,6 +128,8 @@ def load_image(path):
 
     P6 yields an :class:`RgbImage`; P5 and Pf yield a :class:`DepthMap`
     with unit_scale 1 (the manifest supplies the metric multiplier).
+    Every malformed file raises :class:`ImageFormatError`, including a
+    PFM with non-finite or negative samples.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -121,7 +137,10 @@ def load_image(path):
     if magic in (b"P5", b"P6"):
         return _load_netpbm(data, magic)
     if magic == b"Pf":
-        return DepthMap(_pfm_grid(data))
+        grid = _pfm_grid(data)
+        if grid.min() < 0.0:
+            raise ImageFormatError("PFM depth has negative samples")
+        return DepthMap(grid)
     if magic == b"PF":
         raise ImageFormatError("color PFM not supported; convert to grayscale Pf")
     raise ImageFormatError(f"unrecognized magic {magic!r}")

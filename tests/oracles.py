@@ -5,8 +5,10 @@ reflection by hand, quadruple loops, per-pixel tap enumeration, dense
 matrix assembly) so the fast paths in the package are checked against
 code that shares none of their machinery.
 
-The exceptions are the pixel-domain feature pipeline and fit objective
-at the end: they chain the package's public pixel-domain stages
+The exceptions build on the package's 5-point Laplacian: the energy and
+the matrix-free conjugate-gradient solve, the references for the
+spectral solve, and the pixel-domain feature pipeline and fit objective
+at the end. Those chain the package's public pixel-domain stages
 (extraction, edge weights, channel solve, head fit, reconstruction),
 each checked against its own oracle, as the references for the
 prediction and the lambda search, which work on DCT coefficients
@@ -14,6 +16,7 @@ instead.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +29,8 @@ from gdsr.feature_bank import (
     fit_head,
 )
 from gdsr.guidance import multichannel_edge_weight
-from gdsr.spectral import FIVE_POINT, symbol_for
+from gdsr.image_core import as_image
+from gdsr.spectral import laplacian_apply, symbol_for
 
 
 def reflect_index(i: int, n: int) -> int:
@@ -86,6 +90,41 @@ def literal_dct2(img, inverse: bool = False) -> np.ndarray:
     return out
 
 
+# Guard for the O(M*N*(M+N)) naive transform.
+_NAIVE_MAX_SAMPLES = 2**20
+
+
+@lru_cache(maxsize=64)
+def _basis(n: int) -> np.ndarray:
+    """Orthonormal DCT-II basis matrix of order n (rows indexed by frequency)."""
+    k = np.arange(n)[:, None]
+    m = np.arange(n)[None, :]
+    C = np.cos(np.pi * (2 * m + 1) * k / (2 * n)) * np.sqrt(2.0 / n)
+    C[0, :] = np.sqrt(1.0 / n)
+    return C
+
+
+def dct2_naive(img, direction: str) -> np.ndarray:
+    """Direct-summation transform via explicit cosine basis matrices.
+
+    Applies the separable transform rows first, then columns, with the
+    orthonormal scaling of ``gdsr.dct``. Guarded against accidental use
+    on huge inputs.
+    """
+    img = as_image(img)
+    M, N = img.shape
+    if M * N > _NAIVE_MAX_SAMPLES:
+        raise ValueError(f"naive transform guard: {M}x{N} exceeds {_NAIVE_MAX_SAMPLES} samples")
+    cm, cn = _basis(M), _basis(N)
+    if direction == "forward":
+        rows = img @ cn.T
+        return cm @ rows
+    if direction == "inverse":
+        rows = img @ cn
+        return cm.T @ rows
+    raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
+
+
 def screened_matrix(shape, lam, apply_laplacian) -> np.ndarray:
     """Dense matrix of H -> H + lam * lap(lap(H)), assembled column by column."""
     M, N = shape
@@ -103,6 +142,65 @@ def dense_screened_solve(E, lam, apply_laplacian) -> np.ndarray:
     E = np.asarray(E, dtype=np.float64)
     A = screened_matrix(E.shape, lam, apply_laplacian)
     return np.linalg.solve(A, E.ravel()).reshape(E.shape)
+
+
+def energy(h, l_up, target_grad, lam: float) -> float:
+    """Gradient-transfer energy 0.5||H - L||^2 + 0.5 lam ||lap(H) - T||^2."""
+    h = as_image(h)
+    l_up = as_image(l_up)
+    t = as_image(target_grad)
+    if not (h.shape == l_up.shape == t.shape):
+        raise ValueError(
+            f"dimension mismatch: {h.shape} vs {l_up.shape} vs {t.shape}"
+        )
+    fidelity = 0.5 * float(np.sum((h - l_up) ** 2))
+    transfer = 0.5 * float(np.sum((laplacian_apply(h) - t) ** 2))
+    return fidelity + lam * transfer
+
+
+class ConvergenceError(RuntimeError):
+    """Iterative solve did not reach the requested residual."""
+
+
+def cg_solve(E, lam: float, tol: float = 1e-10, max_iter: int = 2000) -> np.ndarray:
+    """Conjugate-gradient solve of (Id + lam * lap^2) H = E.
+
+    Matrix-free: uses only applications of the screened operator, which
+    is symmetric positive definite under the reflective extension. Stops
+    when the residual 2-norm drops below tol * ||E||_2.
+    """
+    E = as_image(E)
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+
+    def apply_op(x):
+        return x + lam * laplacian_apply(laplacian_apply(x))
+
+    b_norm = float(np.linalg.norm(E))
+    if b_norm == 0.0:
+        return np.zeros_like(E)
+    x = np.zeros_like(E)
+    r = E.copy()
+    p = r.copy()
+    rs = float(np.sum(r * r))
+    for _ in range(max_iter):
+        if np.sqrt(rs) <= tol * b_norm:
+            return x
+        Ap = apply_op(p)
+        alpha = rs / float(np.sum(p * Ap))
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rs_new = float(np.sum(r * r))
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    if np.sqrt(rs) <= tol * b_norm:
+        return x
+    raise ConvergenceError(
+        f"no convergence in {max_iter} iterations; residual {np.sqrt(rs):.3e} "
+        f"(target {tol * b_norm:.3e})"
+    )
 
 
 def keys_cubic(x: float) -> float:
@@ -155,14 +253,13 @@ def pixel_predict(l_up, guide, bank, lambdas, head, edge_cfg, symbol_mode="deriv
     return apply_head(channel_solve(phi_l, phi_r, w, lambdas, symbol), head)
 
 
-def pixel_objective(train_pairs, lambdas, gamma, symbol_mode="derived",
-                    kernel=FIVE_POINT) -> float:
+def pixel_objective(train_pairs, lambdas, gamma, symbol_mode="derived") -> float:
     """Training RMSE of the feature pipeline, computed on pixels: solve
     every channel, refit the ridge head, reconstruct, compare."""
     solved, targets = [], []
     for phi_l, phi_r, w, target in train_pairs:
-        symbol = symbol_for(symbol_mode, target.shape, kernel)
-        solved.append(channel_solve(phi_l, phi_r, w, lambdas, symbol, kernel))
+        symbol = symbol_for(symbol_mode, target.shape)
+        solved.append(channel_solve(phi_l, phi_r, w, lambdas, symbol))
         targets.append(target)
     head = fit_head(solved, targets, gamma)
     sse = sum(float(np.sum((apply_head(f, head) - t) ** 2)) for f, t in zip(solved, targets))

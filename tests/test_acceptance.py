@@ -20,7 +20,7 @@ from gdsr.bench import (
     run_bench,
     run_image,
 )
-from gdsr.dct import dct2_forward, dct2_inverse, dct2_naive
+from gdsr.dct import dct2_forward, dct2_inverse
 from gdsr.feature_bank import (
     FilterBank,
     FilterPair,
@@ -38,14 +38,12 @@ from gdsr.resample import bicubic_kernel, degrade
 from gdsr.spectral import (
     FIVE_POINT,
     build_rhs,
-    cg_solve,
     derived_symbol,
-    energy,
     laplacian_apply,
     solve_screened,
 )
 
-from oracles import dense_screened_solve, pixel_fit_lambda
+from oracles import cg_solve, dct2_naive, dense_screened_solve, energy, pixel_fit_lambda
 from scenes import make_scene, write_scene_files
 
 

@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
+from gdsr import bench
 from gdsr.bench import (
     BenchRecord,
     DatasetEntry,
     DatasetManifest,
     PipelineConfig,
+    fit_feature_params,
     fit_image_lambda,
     load_manifest,
     predict,
@@ -23,6 +25,7 @@ from gdsr.bench import (
 )
 from gdsr.feature_bank import save_params
 from gdsr.image_core import DepthMap
+from gdsr.imgio import load_image, save_image
 
 from scenes import make_scene, write_scene_files
 
@@ -275,3 +278,84 @@ def test_failed_record_keeps_its_cause_out_of_the_csv(tmp_path):
     assert out.read_bytes() == bare.read_bytes()
     h = cfg.with_scale(4).config_hash()
     assert f"synth,{bad.id},4,bicubic,{h},ERROR,0.000\n" in out.read_text()
+
+
+def _mismatched_manifest(tmp_path, case):
+    """One-entry manifest whose files fail the entry checks: a grayscale
+    guide, or a 64x64 guide over a 64x48 depth map."""
+    gt, rgb = make_scene(np.random.default_rng(93), 64, 64, n_shapes=3)
+    entry = write_scene_files(tmp_path, "bad", gt, rgb)
+    if case == "gray-guide":
+        entry["rgb_path"] = entry["depth_path"]
+    else:
+        save_image(DepthMap(gt.data[:, :48]), tmp_path / entry["depth_path"], "pgm16")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"name": "bad", "entries": [entry]}))
+    return load_manifest(path)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("gray-guide", "rgb_path is not a color image"),
+    ("shape", r"depth \(64, 48\) and rgb \(64, 64\) differ after crop"),
+])
+def test_fits_and_run_image_share_the_entry_checks(tmp_path, case, match):
+    manifest = _mismatched_manifest(tmp_path, case)
+    cfg = PipelineConfig(method="image_domain", scale=8)
+    with pytest.raises(ValueError, match=match):
+        fit_image_lambda(manifest, cfg, 8, grid_points=3)
+    with pytest.raises(ValueError, match=match):
+        fit_feature_params(manifest, cfg, 8, grid_points=3, sweeps=1)
+    with pytest.raises(RuntimeError, match=match) as info:
+        run_image(manifest.entries[0], cfg, "t")
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_run_bench_prepares_each_entry_once_per_scale_and_antialias(tmp_path, monkeypatch):
+    manifest = build_manifest(tmp_path, n=2)
+    configs = [PipelineConfig(method="bicubic"),
+               PipelineConfig(method="image_domain", lam=2.0),
+               PipelineConfig(method="image_domain", lam=2.0, antialias=False)]
+    loads = []
+    monkeypatch.setattr(bench, "load_image", lambda p: loads.append(p) or load_image(p))
+    records = run_bench(manifest, [2, 4], configs, threads=2, timing=False)
+    # two files per (entry, scale, antialias): 2 entries x 2 scales x 2 settings
+    assert len(loads) == 2 * 2 * 2 * 2
+    # the records, in canonical order, are those run_image gives one by one
+    details = [r for r in records if r.image_id != MEAN_ROW_ID]
+    want = [run_image(e, cfg.with_scale(s), "synth")[1]
+            for e in manifest.entries for s in (2, 4) for cfg in configs]
+    assert details == [dataclasses.replace(r, runtime_ms=0.0) for r in want]
+
+
+def _write_manifest(tmp_path, doc):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("doc, match", [
+    ([], "expected a JSON object, got list"),
+    ({"name": "x"}, "top level lacks key 'entries'"),
+    ({"entries": {"id": "a"}}, "top level key 'entries' must be list, got dict"),
+    ({"entries": ["a"]}, "entry 0 must be an object, got str"),
+    ({"entries": [{"id": "a", "depth_path": "d.pgm"}]}, "entry 0 lacks key 'rgb_path'"),
+    ({"entries": [{"rgb_path": "r.ppm", "depth_path": "d.pgm"}]}, "entry 0 lacks key 'id'"),
+    ({"entries": [{"id": "a", "rgb_path": 5, "depth_path": "d.pgm"}]},
+     "entry 0 key 'rgb_path' must be str, got int"),
+    ({"entries": [{"id": "a", "rgb_path": "r.ppm", "depth_path": "d.pgm",
+                   "depth_unit_scale": "cm"}]},
+     "entry 0 key 'depth_unit_scale' must be int or float, got str"),
+    ({"name": 3, "entries": []}, "top level key 'name' must be str, got int"),
+], ids=["list", "no-entries", "entries-dict", "entry-str", "no-rgb", "no-id", "rgb-int",
+        "unit-str", "name-int"])
+def test_load_manifest_names_file_and_key(tmp_path, doc, match):
+    path = _write_manifest(tmp_path, doc)
+    with pytest.raises(ValueError, match=re.escape(f"manifest {path}: ") + match):
+        load_manifest(path)
+
+
+def test_load_manifest_rejects_invalid_json(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("{\"entries\": [")
+    with pytest.raises(ValueError, match=re.escape(f"manifest {path}: not valid JSON")):
+        load_manifest(path)

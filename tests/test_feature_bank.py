@@ -25,7 +25,6 @@ from gdsr.feature_bank import (
 )
 from gdsr.filters import correlate_reflect
 from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
-from gdsr.image_core import elementwise_combine
 from gdsr.spectral import (
     FIVE_POINT,
     SYMBOL_MODES,
@@ -152,7 +151,7 @@ def test_single_channel_reduction_is_bitwise():
 
     # image-domain path
     wmask = edge_weight(guide, cfg)
-    target = elementwise_combine(laplacian_apply(guide), wmask, "mul")
+    target = laplacian_apply(guide) * wmask
     h_image = solve_screened(build_rhs(depth_up, target, lam), lam, sym)
 
     # C=1 feature path with identity filters and passthrough head
@@ -320,7 +319,7 @@ _LAMBDA = st.one_of(st.just(0.0), st.floats(-4.0, 4.0).map(math.exp))
 )
 def test_coefficient_objective_matches_pixel_oracle(lambdas, moves, mode, gamma):
     pairs = _random_pairs()
-    obj = _LambdaObjective(pairs, gamma, FIVE_POINT, mode)
+    obj = _LambdaObjective(pairs, gamma, mode)
     for c, lam in enumerate(lambdas):
         obj.accept(c, lam)
     current = np.array(lambdas)
@@ -336,7 +335,7 @@ def test_coefficient_objective_matches_pixel_oracle(lambdas, moves, mode, gamma)
 
 def test_coefficient_solve_at_zero_lambda_is_bitwise():
     pairs = _random_pairs()
-    obj = _LambdaObjective(pairs, 1e-6, FIVE_POINT, "derived")
+    obj = _LambdaObjective(pairs, 1e-6, "derived")
     want = np.concatenate([dct2_forward(phi_l[3]).ravel() for phi_l, *_ in pairs])
     assert np.array_equal(obj.solve(3, 0.0), want)
 
@@ -366,7 +365,10 @@ def test_spectral_predict_matches_pixel_oracle(seed, shape, lambdas, weights, bi
     cfg = EdgeWeightConfig(edge, tau_quantile=0.8)
     got = spectral_predict(l_up, guide, bank, lambdas, head, cfg, mode)
     want = pixel_predict(l_up, guide, bank, lambdas, head, cfg, mode)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # Relative to the output, plus 1e-300: with every head weight 0 and a
+    # subnormal bias, the transforms' scaling underflows (the 1x1 inverse DCT
+    # maps 5e-324 to 0), and float64 has no relative precision down there.
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max() + 1e-300
 
 
 def test_spectral_predict_on_scene_and_validation():

@@ -6,7 +6,6 @@ from gdsr.image_core import (
     RgbImage,
     as_image,
     dequantize,
-    elementwise_combine,
     quantize,
 )
 
@@ -20,39 +19,6 @@ def test_as_image_rejects_bad_inputs():
         as_image(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         as_image(np.array([[np.inf, 1.0]]))
-
-
-def test_elementwise_identities():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((5, 7))
-    ones = np.ones_like(x)
-    assert np.array_equal(elementwise_combine(x, ones, "mul"), x)
-    x_nonzero = x + 10.0
-    assert np.array_equal(elementwise_combine(x_nonzero, x_nonzero, "div"), ones)
-    assert np.array_equal(elementwise_combine(x, -x, "add"), np.zeros_like(x))
-
-
-def test_elementwise_matches_scalar_semantics():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((4, 4))
-    b = rng.standard_normal((4, 4))
-    c = rng.standard_normal((4, 4))
-    # commutativity / associativity exactly as floats do it
-    assert np.array_equal(elementwise_combine(a, b, "add"), elementwise_combine(b, a, "add"))
-    assert np.array_equal(elementwise_combine(a, b, "mul"), elementwise_combine(b, a, "mul"))
-    lhs = elementwise_combine(elementwise_combine(a, b, "add"), c, "add")
-    rhs = a + b + c
-    assert np.array_equal(lhs, rhs)
-
-
-def test_elementwise_errors():
-    a = np.zeros((2, 2))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        elementwise_combine(a, np.zeros((2, 3)), "add")
-    with pytest.raises(ValueError, match="division by zero"):
-        elementwise_combine(a, np.array([[1.0, 0.0], [1.0, 1.0]]), "div")
-    with pytest.raises(ValueError, match="unknown op"):
-        elementwise_combine(a, a, "pow")
 
 
 @pytest.mark.parametrize("value,maxval,expected", [

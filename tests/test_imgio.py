@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdsr.image_core import DepthMap, RgbImage, dequantize, quantize
 from gdsr.imgio import ImageFormatError, load_image, load_pfm_grid, save_error_map, save_image
@@ -75,7 +79,7 @@ def test_pfm_negative_values_via_grid_loader(tmp_path):
     path = tmp_path / "coeffs.pfm"
     save_image(coeffs, path, "pfm")
     assert np.array_equal(load_pfm_grid(path), coeffs)
-    with pytest.raises(ValueError):
+    with pytest.raises(ImageFormatError, match="negative"):
         load_image(path)  # depth loader rejects negative samples
 
 
@@ -96,6 +100,11 @@ def test_malformed_inputs(tmp_path):
         "hugemax.pgm": b"P5 1 1 70000\n\x00\x00",
         "colorpfm.pfm": b"PF\n1 1\n-1.0\n" + b"\x00" * 12,
         "badscale.pfm": b"Pf\n1 1\n0.0\n" + b"\x00" * 4,
+        "gluedmagic.pgm": b"P52 1 255\n\x07\x09",
+        "gluedpfm.pfm": b"Pf1 1\n-1.0\n" + b"\x00" * 4,
+        "underscore.pgm": b"P5 1_0 1 255\n" + b"\x00" * 10,
+        "plussign.pgm": b"P5 +2 1 255\n\x01\x02",
+        "hugeint.pgm": b"P5 " + b"1" * 5000 + b" 1 255\n",
     }
     for name, blob in cases.items():
         path = tmp_path / name
@@ -153,3 +162,148 @@ def test_save_deterministic_bytes(tmp_path):
     save_image(img, p1, "pgm16")
     save_image(img, p2, "pgm16")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _load_blob(blob, loader=load_image):
+    """Decode ``blob`` as a file; hypothesis examples get no tmp_path."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "blob"
+        path.write_bytes(blob)
+        return loader(path)
+
+
+_SIZES = st.tuples(st.integers(1, 24), st.integers(1, 24))
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=_SIZES, maxval=st.integers(1, 65535), color=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_netpbm_readback_any_size_and_maxval(size, maxval, color, seed):
+    M, N = size
+    planes = 3 if color else 1
+    ints = np.random.default_rng(seed).integers(0, maxval + 1, size=(M, N, planes))
+    dtype = ">u2" if maxval > 255 else "u1"
+    magic = b"P6" if color else b"P5"
+    blob = magic + f"\n{N} {M}\n{maxval}\n".encode() + ints.astype(dtype).tobytes()
+    img = _load_blob(blob)
+    want = ints / maxval
+    if color:
+        assert isinstance(img, RgbImage)
+        for k, plane in enumerate((img.red, img.green, img.blue)):
+            assert np.array_equal(plane, want[:, :, k])
+    else:
+        assert isinstance(img, DepthMap)
+        assert np.array_equal(img.data, want[:, :, 0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=_SIZES, fmt=st.sampled_from(["pgm8", "pgm16", "ppm8", "ppm16"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_netpbm_save_load_round_trip(size, fmt, seed):
+    maxval = 255 if fmt.endswith("8") else 65535
+    rng = np.random.default_rng(seed)
+    planes = [dequantize(quantize(rng.random(size), maxval), maxval) for _ in range(3)]
+    img = RgbImage(*planes) if fmt.startswith("ppm") else planes[0]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "rt"
+        save_image(img, path, fmt)
+        back = load_image(path)
+    if fmt.startswith("ppm"):
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((back.red, back.green, back.blue), planes))
+    else:
+        assert np.array_equal(back.data, planes[0])
+
+
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=_SIZES, data=st.data(), little=st.booleans())
+def test_pfm_round_trip_any_size(size, data, little):
+    values = np.array(data.draw(st.lists(_F32, min_size=size[0] * size[1],
+                                         max_size=size[0] * size[1]))).reshape(size)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "rt.pfm"
+        save_image(values, path, "pfm")
+        assert np.array_equal(load_pfm_grid(path), values)
+        if values.min() >= 0.0:
+            assert np.array_equal(load_image(path).data, values)
+    # the scale line's sign picks the byte order; rows are stored bottom-up
+    endian, scale = ("<f4", b"-1.0") if little else (">f4", b"2.5")
+    blob = b"Pf\n%d %d\n%s\n" % (size[1], size[0], scale)
+    assert np.array_equal(_load_blob(blob + values[::-1].astype(endian).tobytes(),
+                                     load_pfm_grid), values)
+
+
+@pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("loader", [load_image, load_pfm_grid])
+def test_pfm_non_finite_samples_are_format_errors(loader, sample):
+    payload = np.array([[1.0, sample]], dtype="<f4").tobytes()
+    with pytest.raises(ImageFormatError, match="non-finite"):
+        _load_blob(b"Pf\n2 1\n-1.0\n" + payload, loader)
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 70000).map(lambda v: str(v).encode()),
+    st.sampled_from([b"-1.0", b"1.0", b"0.0", b"nan", b"inf", b"1e40", b"+7", b"0x10", b"1_0"]),
+    st.binary(min_size=1, max_size=4),
+)
+_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"  ", b"# note\n", b"#", b""])
+
+
+@st.composite
+def _headers(draw):
+    """A magic number, then a few tokens and separators, then a payload."""
+    blob = draw(st.sampled_from([b"P5", b"P6", b"Pf", b"PF", b"P4", b"", b"P"]))
+    for _ in range(draw(st.integers(0, 5))):
+        blob += draw(_SEPARATORS) + draw(_TOKENS)
+    return blob + draw(_SEPARATORS) + draw(st.binary(max_size=64))
+
+
+def _valid_files():
+    rng = np.random.default_rng(84)
+    planes = [dequantize(quantize(rng.random((3, 4)), 255), 255) for _ in range(3)]
+    return [
+        b"P5\n4 3\n255\n" + quantize(planes[0], 255).tobytes(),
+        b"P5\n2 2\n65535\n" + np.arange(4, dtype=">u2").tobytes(),
+        b"P6 2 1 255\n" + bytes(range(6)),
+        b"Pf\n2 2\n-1.0\n" + np.array([0.5, 1.0, 2.0, 0.0], dtype="<f4").tobytes(),
+    ]
+
+
+@st.composite
+def _mutated_files(draw):
+    """A valid file with bytes replaced, inserted, removed or cut off."""
+    blob = bytearray(draw(st.sampled_from(_valid_files())))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(blob)))
+        op = draw(st.sampled_from(["set", "insert", "delete", "truncate"]))
+        if op == "set" and pos < len(blob):
+            blob[pos] = draw(st.integers(0, 255))
+        elif op == "insert":
+            blob[pos:pos] = draw(st.binary(min_size=1, max_size=3))
+        elif op == "delete":
+            del blob[pos:pos + 1]
+        elif op == "truncate":
+            del blob[pos:]
+    return bytes(blob)
+
+
+def _decodes_or_format_error(blob, loader):
+    try:
+        img = _load_blob(blob, loader)
+    except ImageFormatError:
+        return
+    if isinstance(img, RgbImage):
+        planes = (img.red, img.green, img.blue)
+    else:
+        planes = (img if isinstance(img, np.ndarray) else img.data,)
+    assert all(np.all(np.isfinite(p)) for p in planes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(_headers(), _mutated_files(), st.binary(max_size=40)),
+       loader=st.sampled_from([load_image, load_pfm_grid]))
+def test_fuzzed_files_raise_only_format_errors(blob, loader):
+    _decodes_or_format_error(blob, loader)
