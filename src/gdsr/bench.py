@@ -26,22 +26,20 @@ from .dct import dct2_forward
 from .feature_bank import (
     FilterBank,
     ReconstructionHead,
-    channel_solve,
     default_bank,
-    extract,
-    fit_head,
     fit_lambda,
     load_params,
     spectral_predict,
     INIT_LOG_LAMBDA,
+    _LambdaObjective,
     _search_log_lambda,
     _solved_coeffs,
 )
-from .guidance import EdgeWeightConfig, luminance, multichannel_edge_weight, transfer_target
+from .guidance import EdgeWeightConfig, luminance, transfer_target
 from .image_core import DepthMap, RgbImage
 from .imgio import load_image
 from .resample import check_scale, crop_to_multiple, degrade
-from .spectral import SYMBOL_MODES, build_rhs, laplacian_apply, solve_screened, symbol_for
+from .spectral import SYMBOL_MODES, build_rhs, solve_screened, symbol_for
 
 __all__ = [
     "DatasetEntry",
@@ -471,14 +469,15 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
         gt, up, rgb = _prepare(entry, s, cfg.antialias)
         target = transfer_target(luminance(rgb), edge_cfg)
         symbol = symbol_for(cfg.symbol_mode, gt.shape).values
-        prepared.append((dct2_forward(up.data), dct2_forward(laplacian_apply(target)),
-                         symbol * symbol, dct2_forward(gt.data), gt.unit_scale**2))
-    n_pixels = sum(y_hat.size for _, _, _, y_hat, _ in prepared)
+        prepared.append((dct2_forward(up.data), dct2_forward(target),
+                         symbol_for("derived", gt.shape).values, symbol * symbol,
+                         dct2_forward(gt.data), gt.unit_scale**2))
+    n_pixels = sum(y_hat.size for *_, y_hat, _ in prepared)
 
     def objective(lam: float) -> float:
         sse = 0.0
-        for u_hat, t_hat, sym_sq, y_hat, unit_sq in prepared:
-            resid = _solved_coeffs(u_hat, t_hat, sym_sq, lam) - y_hat
+        for u_hat, t_hat, lap_symbol, sym_sq, y_hat, unit_sq in prepared:
+            resid = _solved_coeffs(u_hat, t_hat, lap_symbol, sym_sq, lam) - y_hat
             sse += float(np.sum(resid * resid)) * unit_sq
         return math.sqrt(sse / n_pixels)
 
@@ -498,28 +497,21 @@ def fit_feature_params(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
                        bank: FilterBank | None = None):
     """Fit channel lambdas and/or the reconstruction head on the train split.
 
-    Returns (lambdas, head, rmse_trace). With ``fit_lambdas`` off, the
-    lambdas stay at the e^0.1 start and only the head is fit.
+    Returns (lambdas, head, rmse_trace); the head solves the lambda
+    search's own normal equations. With ``fit_lambdas`` off, the lambdas
+    stay at the e^0.1 start and the trace is empty.
     """
     s = check_scale(s)
     bank = bank if bank is not None else default_bank()
     edge_cfg = cfg.edge_config()
-    train_pairs = []
+    triples = []
     for entry in manifest.split("train") or manifest.entries:
         gt, up, rgb = _prepare(entry, s, cfg.antialias)
-        phi_l = extract(up.data, bank, "depth")
-        phi_r = extract(luminance(rgb), bank, "guide")
-        w = multichannel_edge_weight(phi_r, edge_cfg)
-        train_pairs.append((phi_l, phi_r, w, gt.data))
+        triples.append((up.data, luminance(rgb), gt.data))
 
     if fit_lambdas:
-        lambdas, trace = fit_lambda(train_pairs, head_gamma, grid_points, sweeps,
-                                    symbol_mode=cfg.symbol_mode)
-    else:
-        lambdas = np.full(len(bank), math.exp(INIT_LOG_LAMBDA))
-        trace = []
-
-    solved = [channel_solve(phi_l, phi_r, w, lambdas, symbol_for(cfg.symbol_mode, target.shape))
-              for phi_l, phi_r, w, target in train_pairs]
-    head = fit_head(solved, [target for *_, target in train_pairs], head_gamma)
-    return lambdas, head, trace
+        (lambdas, head), trace = fit_lambda(triples, bank, edge_cfg, head_gamma, grid_points,
+                                            sweeps, cfg.symbol_mode)
+        return lambdas, head, trace
+    obj = _LambdaObjective(triples, bank, edge_cfg, head_gamma, cfg.symbol_mode)
+    return obj.lambdas, obj.head(), []

@@ -17,7 +17,8 @@ accepting a move only when the training RMSE strictly decreases.
 
 Prediction (:func:`spectral_predict`) folds the depth-side extraction,
 the solves and the head into one sum over DCT frequencies, which is why
-depth-side stencils must be flip-symmetric.
+depth-side stencils must be flip-symmetric. Fitting runs on the same
+channel coefficients, so fit and prediction are one model.
 """
 
 from __future__ import annotations
@@ -242,6 +243,36 @@ def apply_head(features, head: ReconstructionHead) -> np.ndarray:
     return np.tensordot(head.weights, features, axes=(0, 0)) + head.bias
 
 
+def _channel_coeffs(l_up, guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, channels):
+    """Yield (c, Lambda_Kc dct(l_up), dct(T_c)) for each c in ``channels``:
+    K_c is pair c's depth stencil, diagonal in the DCT, and T_c the transfer
+    target of pair c's guide feature. The callers validate the inputs."""
+    shape = np.shape(l_up)
+    l_hat = dct2_forward(l_up)
+    for c in channels:
+        pair = bank.pairs[c]
+        d_hat = symbol_for("derived", shape, pair.depth_filter).values * l_hat
+        phi_r = correlate_reflect(guide, pair.guide_filter)
+        yield c, d_hat, dct2_forward(transfer_target(phi_r, edge_cfg))
+
+
+def _solved_coeffs(d_hat, t_hat, lap_symbol, symbol_sq, lam: float, out=None,
+                   den=None) -> np.ndarray:
+    """One channel's solved coefficients (d_hat + (lam Lambda_lap) t_hat) /
+    (1 + lam Lambda^2), in this operation order, which prediction's bits
+    depend on; lam = 0 returns ``d_hat``. ``out`` and ``den`` are optional
+    buffers shaped like ``d_hat``."""
+    if lam == 0.0:
+        return d_hat
+    den = np.multiply(symbol_sq, lam, out=den)
+    den += 1.0
+    out = np.multiply(lap_symbol, lam, out=out)
+    out *= t_hat
+    out += d_hat
+    out /= den
+    return out
+
+
 def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: ReconstructionHead,
                      edge_cfg: EdgeWeightConfig, symbol_mode: str = "derived") -> np.ndarray:
     """The feature-domain prediction as one sum over DCT frequencies.
@@ -258,8 +289,8 @@ def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: Reconstructio
 
     Lambda_lap is the 5-point Laplacian's own symbol, since the right-hand
     side holds a pixel Laplacian of T_c; Lambda is the ``symbol_mode``
-    symbol of the solve. One forward transform per channel for its target
-    (none when lam_c = 0), one for L, and one inverse.
+    symbol of the solve. Channels with head weight 0 add only zeros and are
+    skipped; each other channel costs one guide filtering and transform.
     """
     l_up = as_image(l_up)
     guide = as_image(guide)
@@ -269,18 +300,12 @@ def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: Reconstructio
     if head.channels != len(bank):
         raise ValueError(f"head expects {head.channels} channels, bank has {len(bank)}")
     shape = l_up.shape
-    phi_r = extract(guide, bank, "guide")
     lap_symbol = symbol_for("derived", shape).values
     mode_sq = np.square(symbol_for(symbol_mode, shape).values)
-    l_hat = dct2_forward(l_up)
     h_hat = np.zeros(shape)
-    for c, pair in enumerate(bank.pairs):
-        num = symbol_for("derived", shape, pair.depth_filter).values * l_hat
-        if lam[c] != 0.0:
-            t_hat = dct2_forward(transfer_target(phi_r[c], edge_cfg))
-            num += lam[c] * lap_symbol * t_hat
-            num /= 1.0 + lam[c] * mode_sq
-        h_hat += head.weights[c] * num
+    for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg,
+                                           np.flatnonzero(head.weights)):
+        h_hat += head.weights[c] * _solved_coeffs(d_hat, t_hat, lap_symbol, mode_sq, lam[c])
     h_hat[0, 0] += head.bias * math.sqrt(l_up.size)
     return dct2_inverse(h_hat)
 
@@ -347,82 +372,56 @@ def _ridge_solve(G, b, gamma: float) -> np.ndarray:
         ) from None
 
 
-def _solved_coeffs(l_hat, t_hat, symbol_sq, lam: float, out=None, den=None) -> np.ndarray:
-    """DCT coefficients of the screened solve, without leaving the basis.
-
-    dct(H) = (dct(L) + lam * dct(lap(T))) / (1 + lam * Lambda^2), the
-    same per-frequency division :func:`solve_screened` makes; lam = 0
-    returns ``l_hat`` itself. ``out`` and ``den`` are optional buffers
-    shaped like ``l_hat`` for the result and the denominator.
-    """
-    if lam == 0.0:
-        return l_hat
-    den = np.multiply(symbol_sq, lam, out=den)
-    den += 1.0
-    out = np.multiply(t_hat, lam, out=out)
-    out += l_hat
-    out /= den
-    return out
-
-
 class _LambdaObjective:
     """Training RMSE of the full pipeline as a function of one channel weight.
 
     Everything is evaluated on DCT coefficients. The transform is
     orthonormal, so Parseval gives every inner product the head fit
     needs: <H_c, H_d> = <dct H_c, dct H_d>, <H_c, y> = <dct H_c, dct y>
-    and <H_c, 1> = sqrt(MN) * dct(H_c)[0, 0]. The training pairs are
-    validated and transformed once here, into one flattened coefficient
-    row per channel that spans all pairs.
+    and <H_c, 1> = sqrt(MN) * dct(H_c)[0, 0]. The training triples are
+    validated and transformed once here, through the same
+    :func:`_channel_coeffs` as prediction, into one flattened coefficient
+    row per channel that spans all triples.
 
     The accepted state starts at lambda_c = e^0.1 for every channel and
     is the solved coefficient stack at the accepted weights plus its
-    normal equations (G, b). Moving channel c changes
-    only row and column c of G and entry c of b, so one evaluation costs
-    O(C * pixels): no transform, no stack copy, no full rebuild.
+    normal equations (G, b), which also give the fitted head. Moving
+    channel c changes only row and column c of G and entry c of b, so one
+    evaluation costs O(C * pixels): no transform, no copy, no rebuild.
     """
 
-    def __init__(self, train_pairs, head_gamma, symbol_mode):
-        if len(train_pairs) == 0:
+    def __init__(self, train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
+                 head_gamma, symbol_mode):
+        if len(train_triples) == 0:
             raise ValueError("empty training set")
         if not (np.isfinite(head_gamma) and head_gamma >= 0.0):
             raise ValueError(f"gamma must be >= 0, got {head_gamma}")
         self.gamma = head_gamma
-        self.channels = None
-        pairs = []
-        for phi_l, phi_r, w, target in train_pairs:
-            phi_l = as_stack(phi_l)
-            phi_r = as_stack(phi_r)
-            w = as_stack(w)
-            target = as_image(target)
-            if not (phi_l.shape == phi_r.shape == w.shape):
-                raise ValueError("stack shape mismatch in training pair")
-            if phi_l.shape[1:] != target.shape:
-                raise ValueError("target does not match feature dimensions")
-            if self.channels is None:
-                self.channels = phi_l.shape[0]
-            elif phi_l.shape[0] != self.channels:
-                raise ValueError("training pairs must share one channel count")
-            pairs.append((phi_l, phi_r, w, target))
+        triples = [tuple(map(as_image, triple)) for triple in train_triples]
+        for l_up, guide, target in triples:
+            if not (l_up.shape == guide.shape == target.shape):
+                raise ValueError(f"training triple shapes differ: depth {l_up.shape}, "
+                                 f"guide {guide.shape}, target {target.shape}")
 
-        # Filled in place, pair by pair: the stacks are the bulk of the memory.
-        C = self.channels
-        sizes = [target.size for *_, target in pairs]
+        # Filled in place, triple by triple: the rows are the bulk of the memory.
+        C = self.channels = len(bank)
+        sizes = [target.size for *_, target in triples]
         bounds = np.cumsum([0] + sizes)
         self.n_pixels = int(bounds[-1])
-        self.l_hat = np.empty((C, self.n_pixels))
+        self.d_hat = np.empty((C, self.n_pixels))
         self.t_hat = np.empty((C, self.n_pixels))
+        self.lap_symbol = np.empty(self.n_pixels)
         self.sym_sq = np.empty(self.n_pixels)
         self.y_hat = np.empty(self.n_pixels)
-        for (phi_l, phi_r, w, target), lo, hi in zip(pairs, bounds[:-1], bounds[1:]):
+        for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
             symbol = symbol_for(symbol_mode, target.shape).values
             self.sym_sq[lo:hi] = (symbol * symbol).ravel()
+            self.lap_symbol[lo:hi] = symbol_for("derived", target.shape).values.ravel()
             self.y_hat[lo:hi] = dct2_forward(target).ravel()
-            for c in range(C):
-                self.l_hat[c, lo:hi] = dct2_forward(phi_l[c]).ravel()
-                masked = laplacian_apply(phi_r[c]) * w[c]
-                self.t_hat[c, lo:hi] = dct2_forward(laplacian_apply(masked)).ravel()
-        # dct(1) = sqrt(MN) e_0: the bias column lives in each pair's DC slot
+            for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg, range(C)):
+                self.d_hat[c, lo:hi] = d_hat.ravel()
+                self.t_hat[c, lo:hi] = t_hat.ravel()
+        # dct(1) = sqrt(MN) e_0: the bias column lives in each triple's DC slot
         self.dc_idx = bounds[:-1]
         self.dc_scale = np.sqrt(sizes)
         # Work rows reused by every evaluation: fresh pixel-sized temporaries
@@ -430,7 +429,7 @@ class _LambdaObjective:
         self._coeffs, self._scratch, self._resid = np.empty((3, self.n_pixels))
 
         self.lambdas = np.full(C, math.exp(INIT_LOG_LAMBDA))
-        self.h_hat = np.empty_like(self.l_hat)
+        self.h_hat = np.empty_like(self.d_hat)
         for c in range(C):
             self.h_hat[c] = self.solve(c, self.lambdas[c])
         self.G = np.empty((C + 1, C + 1))
@@ -441,8 +440,13 @@ class _LambdaObjective:
 
     def solve(self, c: int, lam: float) -> np.ndarray:
         """Channel c's coefficients at lam; valid until the next call."""
-        return _solved_coeffs(self.l_hat[c], self.t_hat[c], self.sym_sq, lam,
-                              self._coeffs, self._scratch)
+        return _solved_coeffs(self.d_hat[c], self.t_hat[c], self.lap_symbol, self.sym_sq,
+                              lam, self._coeffs, self._scratch)
+
+    def head(self) -> ReconstructionHead:
+        """The ridge head of the accepted state's normal equations."""
+        coef = _ridge_solve(self.G, self.b, self.gamma)
+        return ReconstructionHead(coef[:-1], float(coef[-1]), self.gamma)
 
     def _candidate(self, c: int, lam: float):
         """Channel c's coefficients at lam and the normal equations with them."""
@@ -513,27 +517,30 @@ def _search_log_lambda(f, grid_points: int):
     return v_star, f_star
 
 
-def fit_lambda(train_pairs, head_gamma: float = 1e-6, grid_points: int = 9,
-               sweeps: int = 2, symbol_mode: str = "derived"):
+def fit_lambda(train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
+               head_gamma: float = 1e-6, grid_points: int = 9, sweeps: int = 2,
+               symbol_mode: str = "derived"):
     """Coordinate search for the per-channel regularization weights.
 
-    ``train_pairs`` is a sequence of (phi_l, phi_r, w, target_hr) tuples.
-    Each pass visits every channel once and searches log(lambda_c) over
-    LOG_LAMBDA_BOUNDS: a ``grid_points``-sample scan brackets the
-    minimum, golden-section refines inside the bracket, and the move is
-    accepted only if the training RMSE of the full pipeline (solve, head
-    refit, reconstruction) strictly decreases. Starts from
-    lambda_c = e^0.1 for every channel; stops after ``sweeps`` passes or
-    one pass with no accepted move.
+    ``train_triples`` is a sequence of (l_up, guide, target_hr) grids, the
+    inputs and output of :func:`spectral_predict`. Each pass visits every
+    channel once and searches log(lambda_c) over LOG_LAMBDA_BOUNDS: a
+    ``grid_points``-sample scan brackets the minimum, golden-section
+    refines inside the bracket, and the move is accepted only if the
+    training RMSE of the full pipeline (solve, head refit,
+    reconstruction) strictly decreases. Starts from lambda_c = e^0.1 for
+    every channel; stops after ``sweeps`` passes or one pass with no
+    accepted move.
 
-    Returns (lambdas, rmse_trace) with one trace entry for the start and
-    one per accepted move.
+    Returns ((lambdas, head), rmse_trace): the weights, the ridge head
+    accepted with them, and one trace entry for the start and one per
+    accepted move.
     """
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
-    obj = _LambdaObjective(train_pairs, head_gamma, symbol_mode)
+    obj = _LambdaObjective(train_triples, bank, edge_cfg, head_gamma, symbol_mode)
     best = obj.evaluate(0, obj.lambdas[0])
     trace = [best]
 
@@ -552,7 +559,7 @@ def fit_lambda(train_pairs, head_gamma: float = 1e-6, grid_points: int = 9,
                 accepted = True
         if not accepted:
             break
-    return obj.lambdas, trace
+    return (obj.lambdas, obj.head()), trace
 
 
 def save_params(path, params: dict) -> None:

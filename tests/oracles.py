@@ -11,8 +11,9 @@ spectral solve, and the pixel-domain feature pipeline and fit objective
 at the end. Those chain the package's public pixel-domain stages
 (extraction, edge weights, channel solve, head fit, reconstruction),
 each checked against its own oracle, as the references for the
-prediction and the lambda search, which work on DCT coefficients
-instead.
+prediction, the lambda search and the fitted head, which all work on
+DCT coefficients instead. The pixel chain is reference-only: no fit or
+prediction in the package runs it.
 """
 
 import math
@@ -243,35 +244,49 @@ def ref_resample_2d(img, out_shape, antialias: bool) -> np.ndarray:
     return np.stack([ref_resample_1d(col, Mo, antialias) for col in tmp.T]).T
 
 
-def pixel_predict(l_up, guide, bank, lambdas, head, edge_cfg, symbol_mode="derived"):
-    """The feature-domain prediction on pixels, stage by stage: extract both
-    sides, weight the guide channels, solve every channel, apply the head."""
+def _pixel_features(l_up, guide, bank, lambdas, edge_cfg, symbol_mode):
+    """Extract both sides, weight the guide channels, solve every channel."""
     phi_l = extract(l_up, bank, "depth")
     phi_r = extract(guide, bank, "guide")
     w = multichannel_edge_weight(phi_r, edge_cfg)
-    symbol = symbol_for(symbol_mode, np.shape(l_up))
-    return apply_head(channel_solve(phi_l, phi_r, w, lambdas, symbol), head)
+    return channel_solve(phi_l, phi_r, w, lambdas, symbol_for(symbol_mode, np.shape(l_up)))
 
 
-def pixel_objective(train_pairs, lambdas, gamma, symbol_mode="derived") -> float:
+def pixel_predict(l_up, guide, bank, lambdas, head, edge_cfg, symbol_mode="derived"):
+    """The feature-domain prediction on pixels, stage by stage: extract both
+    sides, weight the guide channels, solve every channel, apply the head."""
+    return apply_head(_pixel_features(l_up, guide, bank, lambdas, edge_cfg, symbol_mode), head)
+
+
+def pixel_head(train_triples, bank, edge_cfg, lambdas, gamma, symbol_mode="derived"):
+    """The ridge head fit on pixels over (l_up, guide, target) triples;
+    returns (head, solved stacks, targets)."""
+    solved = [_pixel_features(l_up, guide, bank, lambdas, edge_cfg, symbol_mode)
+              for l_up, guide, _ in train_triples]
+    targets = [target for *_, target in train_triples]
+    return fit_head(solved, targets, gamma), solved, targets
+
+
+def pixel_objective(train_triples, bank, edge_cfg, lambdas, gamma, symbol_mode="derived"):
     """Training RMSE of the feature pipeline, computed on pixels: solve
     every channel, refit the ridge head, reconstruct, compare."""
-    solved, targets = [], []
-    for phi_l, phi_r, w, target in train_pairs:
-        symbol = symbol_for(symbol_mode, target.shape)
-        solved.append(channel_solve(phi_l, phi_r, w, lambdas, symbol))
-        targets.append(target)
-    head = fit_head(solved, targets, gamma)
+    head, solved, targets = pixel_head(train_triples, bank, edge_cfg, lambdas, gamma,
+                                       symbol_mode)
     sse = sum(float(np.sum((apply_head(f, head) - t) ** 2)) for f, t in zip(solved, targets))
     return math.sqrt(sse / sum(t.size for t in targets))
 
 
-def pixel_fit_lambda(train_pairs, gamma, grid_points, sweeps, symbol_mode="derived"):
+def pixel_fit_lambda(train_triples, bank, edge_cfg, gamma, grid_points, sweeps,
+                     symbol_mode="derived"):
     """The coordinate search of ``fit_lambda`` driven by :func:`pixel_objective`:
-    every evaluation re-solves and refits from scratch, and a move is
-    accepted when it strictly lowers the recorded best."""
-    lambdas = np.full(len(train_pairs[0][0]), math.exp(INIT_LOG_LAMBDA))
-    best = pixel_objective(train_pairs, lambdas, gamma, symbol_mode)
+    every evaluation re-extracts, re-solves and refits from scratch, and a
+    move is accepted when it strictly lowers the recorded best."""
+    lambdas = np.full(len(bank), math.exp(INIT_LOG_LAMBDA))
+
+    def objective(trial):
+        return pixel_objective(train_triples, bank, edge_cfg, trial, gamma, symbol_mode)
+
+    best = objective(lambdas)
     for _ in range(sweeps):
         accepted = False
         for c in range(lambdas.size):
@@ -279,7 +294,7 @@ def pixel_fit_lambda(train_pairs, gamma, grid_points, sweeps, symbol_mode="deriv
             def f(v):
                 trial = lambdas.copy()
                 trial[c] = math.exp(v)
-                return pixel_objective(train_pairs, trial, gamma, symbol_mode)
+                return objective(trial)
 
             v_star, f_star = _search_log_lambda(f, grid_points)
             if f_star < best:

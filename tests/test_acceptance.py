@@ -217,9 +217,9 @@ def test_criterion_08_golden_section_vs_grid(scene_manifest):
     phi_l = extract(up.data, bank, "depth")
     phi_r = extract(luminance(rgb), bank, "guide")
     w = multichannel_edge_weight(phi_r, cfg_e)
-    pair = (phi_l, phi_r, w, gt.data)
 
-    lambdas, _ = fit_lambda([pair], head_gamma=1e-8, grid_points=9, sweeps=1)
+    (lambdas, _), _ = fit_lambda([(up.data, luminance(rgb), gt.data)], bank, cfg_e,
+                                 head_gamma=1e-8, grid_points=9, sweeps=1)
 
     sym = derived_symbol(FIVE_POINT, *gt.shape)
 
@@ -251,12 +251,12 @@ def test_criterion_08_search_matches_pixel_objective_search(scene_manifest):
     _, up = degrade(gt, 4)
     identity = np.array([[1.0]])
     bank = FilterBank((FilterPair(identity, identity, shared=True),), name="id1")
-    phi_l = extract(up.data, bank, "depth")
-    phi_r = extract(luminance(rgb), bank, "guide")
-    w = multichannel_edge_weight(phi_r, EdgeWeightConfig("hard", 0.9))
-    pair = (phi_l, phi_r, w, gt.data)
-    lambdas, _ = fit_lambda([pair], head_gamma=1e-8, grid_points=9, sweeps=1)
-    assert np.array_equal(lambdas, pixel_fit_lambda([pair], 1e-8, grid_points=9, sweeps=1))
+    cfg_e = EdgeWeightConfig("hard", 0.9)
+    triple = (up.data, luminance(rgb), gt.data)
+    (lambdas, _), _ = fit_lambda([triple], bank, cfg_e, head_gamma=1e-8, grid_points=9,
+                                 sweeps=1)
+    assert np.array_equal(
+        lambdas, pixel_fit_lambda([triple], bank, cfg_e, 1e-8, grid_points=9, sweeps=1))
 
 
 def test_criterion_09_bicubic_kernel_and_constants():

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -23,10 +24,12 @@ from gdsr.bench import (
     MEAN_ROW_ID,
     ERROR_MARKER,
 )
-from gdsr.feature_bank import save_params
+from gdsr.feature_bank import INIT_LOG_LAMBDA, default_bank, save_params
+from gdsr.guidance import luminance
 from gdsr.image_core import DepthMap
 from gdsr.imgio import load_image, save_image
 
+from oracles import pixel_head
 from scenes import make_scene, write_scene_files
 
 
@@ -308,6 +311,24 @@ def test_fits_and_run_image_share_the_entry_checks(tmp_path, case, match):
     with pytest.raises(RuntimeError, match=match) as info:
         run_image(manifest.entries[0], cfg, "t")
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_head_only_fit_matches_pixel_head(tmp_path):
+    # --mode head: the head solved from the search objective's normal
+    # equations at the e^0.1 start equals the pixel-domain ridge fit
+    manifest = build_manifest(tmp_path, n=2)
+    cfg = PipelineConfig(method="feature_domain", scale=8)
+    lambdas, head, trace = fit_feature_params(manifest, cfg, 8, fit_lambdas=False)
+    assert trace == [] and np.all(lambdas == math.exp(INIT_LOG_LAMBDA))
+    triples = []
+    for entry in manifest.entries:
+        gt, up, rgb = bench._prepare(entry, 8, True)
+        triples.append((up.data, luminance(rgb), gt.data))
+    want, _, _ = pixel_head(triples, default_bank(), cfg.edge_config(), lambdas, 1e-6)
+    scale = np.abs(want.weights).max()
+    assert np.abs(head.weights - want.weights).max() <= 1e-8 * scale
+    assert abs(head.bias - want.bias) <= 1e-8 * scale
+    assert head.gamma == want.gamma
 
 
 def test_run_bench_prepares_each_entry_once_per_scale_and_antialias(tmp_path, monkeypatch):

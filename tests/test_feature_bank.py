@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gdsr import feature_bank
 from gdsr.dct import dct2_forward
 from gdsr.feature_bank import (
     FilterBank,
@@ -24,7 +25,7 @@ from gdsr.feature_bank import (
     _LambdaObjective,
 )
 from gdsr.filters import correlate_reflect
-from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
+from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, transfer_target
 from gdsr.spectral import (
     FIVE_POINT,
     SYMBOL_MODES,
@@ -32,6 +33,7 @@ from gdsr.spectral import (
     derived_symbol,
     laplacian_apply,
     solve_screened,
+    symbol_for,
 )
 
 from oracles import brute_correlate_reflect, pixel_fit_lambda, pixel_objective, pixel_predict
@@ -243,24 +245,24 @@ def test_fit_head_is_ridge_optimum():
         assert base <= objective(head.weights, head.bias + eps) + 1e-9
 
 
-def _tiny_training_pair(seed, M=32, N=32):
+HARD = EdgeWeightConfig("hard", 0.9)
+
+
+def _tiny_training_triple(seed, M=32, N=32):
+    """(l_up, guide, target) from a degraded scene, for the identity bank."""
     rng = np.random.default_rng(seed)
     gt, rgb = make_scene(rng, M, N, n_shapes=3)
-    from gdsr.guidance import luminance, multichannel_edge_weight
     from gdsr.resample import degrade
 
     _, up = degrade(gt, 4)
-    bank = identity_bank()
-    phi_l = extract(up.data, bank, "depth")
-    phi_r = extract(luminance(rgb), bank, "guide")
-    w = multichannel_edge_weight(phi_r, EdgeWeightConfig("hard", 0.9))
-    return phi_l, phi_r, w, gt.data
+    return up.data, luminance(rgb), gt.data
 
 
 def test_fit_lambda_never_regresses_and_trace_decreases():
-    pair = _tiny_training_pair(70)
-    lambdas, trace = fit_lambda([pair], head_gamma=1e-8, grid_points=5, sweeps=2)
-    assert lambdas.shape == (1,)
+    triple = _tiny_training_triple(70)
+    (lambdas, head), trace = fit_lambda([triple], identity_bank(), HARD, head_gamma=1e-8,
+                                        grid_points=5, sweeps=2)
+    assert lambdas.shape == (1,) and head.channels == 1
     assert np.all(lambdas > 0.0)
     assert trace[-1] <= trace[0]
     # every accepted move strictly improves
@@ -269,64 +271,74 @@ def test_fit_lambda_never_regresses_and_trace_decreases():
 
 def test_fit_lambda_identity_task_no_regression():
     # HR target equals the upsampled input: nothing to gain, nothing lost
-    phi_l, phi_r, w, _ = _tiny_training_pair(71)
-    pair = (phi_l, phi_r, w, phi_l[0])
-    _, trace = fit_lambda([pair], head_gamma=1e-8, grid_points=5, sweeps=1)
+    l_up, guide, _ = _tiny_training_triple(71)
+    _, trace = fit_lambda([(l_up, guide, l_up)], identity_bank(), HARD, head_gamma=1e-8,
+                          grid_points=5, sweeps=1)
     assert trace[-1] <= trace[0] + 1e-15
 
 
+def _random_stencil(rng, size):
+    """A random size x size stencil symmetric under both flips."""
+    k = rng.standard_normal((size, size))
+    k = k + k[::-1]
+    return k + k[:, ::-1]
+
+
 @functools.lru_cache(maxsize=None)
-def _random_pairs():
-    """Two 8-channel training pairs on different odd grids, channels
-    independent so the head's normal matrix is well conditioned."""
-    pairs = []
-    for seed, M, N in ((80, 15, 21), (81, 17, 11)):
-        rng = np.random.default_rng(seed)
-        phi_l, phi_r, w = rng.random((3, 8, M, N))
-        pairs.append((phi_l, phi_r, w, phi_l[0] + 0.1 * rng.standard_normal((M, N))))
-    return tuple(pairs)
+def _random_bank_triples():
+    """A bank of 8 random, distinct, flip-symmetric 5x5 depth stencils with
+    random 3x3 guide stencils, and two random triples on odd grids. The
+    depth stencils are independent, so the head's normal matrix stays well
+    conditioned even with every lambda at 0."""
+    rng = np.random.default_rng(80)
+    bank = FilterBank(tuple(
+        FilterPair(_random_stencil(rng, 5), rng.standard_normal((3, 3)), shared=False)
+        for _ in range(8)), name="random8")
+    triples = []
+    for M, N in ((15, 21), (17, 11)):
+        l_up, guide = rng.random((2, M, N))
+        triples.append((l_up, guide, l_up + 0.1 * rng.standard_normal((M, N))))
+    return bank, tuple(triples)
 
 
-def _bank_pairs():
-    """Two default-bank training pairs on different odd grids; a blurred
+def _bank_triples():
+    """Two default-bank training triples on different odd grids; a blurred
     copy of the ground truth stands in for the upsampled depth."""
-    pairs = []
+    triples = []
     for seed, M, N in ((82, 15, 21), (83, 17, 11)):
         rng = np.random.default_rng(seed)
         gt, rgb = make_scene(rng, M, N, n_shapes=3)
-        bank = default_bank()
         up = correlate_reflect(gt.data, gaussian_stencil(2.0, 7))
-        phi_l = extract(up, bank, "depth")
-        phi_r = extract(luminance(rgb), bank, "guide")
-        w = multichannel_edge_weight(phi_r, EdgeWeightConfig("hard", 0.9))
-        pairs.append((phi_l, phi_r, w, gt.data))
-    return pairs
+        triples.append((up, luminance(rgb), gt.data))
+    return triples
 
 
 _LAMBDA = st.one_of(st.just(0.0), st.floats(-4.0, 4.0).map(math.exp))
 
 
-# Independent channels keep the ridge solve well conditioned. On smooth
-# scene features with several channels at lambda = 0 its condition number
-# reaches 1e9-1e10, and both objectives are then only accurate to about
-# that times the float64 epsilon.
+# A bank of independent depth stencils keeps the ridge solve well
+# conditioned. With the default bank's repeated depth stencils and several
+# channels at lambda = 0 its condition number reaches 1e9-1e10, and both
+# objectives are then only accurate to about that times the float64 epsilon.
 @settings(max_examples=40, deadline=None)
 @given(
     lambdas=st.lists(_LAMBDA, min_size=8, max_size=8),
     moves=st.lists(st.tuples(st.integers(0, 7), _LAMBDA), min_size=1, max_size=4),
     mode=st.sampled_from(["derived", "paper"]),
     gamma=st.sampled_from([1e-8, 1e-6]),
+    edge=st.sampled_from(["none", "hard", "soft"]),
 )
-def test_coefficient_objective_matches_pixel_oracle(lambdas, moves, mode, gamma):
-    pairs = _random_pairs()
-    obj = _LambdaObjective(pairs, gamma, mode)
+def test_coefficient_objective_matches_pixel_oracle(lambdas, moves, mode, gamma, edge):
+    bank, triples = _random_bank_triples()
+    cfg = EdgeWeightConfig(edge, tau_quantile=0.8)
+    obj = _LambdaObjective(triples, bank, cfg, gamma, mode)
     for c, lam in enumerate(lambdas):
         obj.accept(c, lam)
     current = np.array(lambdas)
     for c, lam in moves:
         trial = current.copy()
         trial[c] = lam
-        want = pixel_objective(pairs, trial, gamma, mode)
+        want = pixel_objective(triples, bank, cfg, trial, gamma, mode)
         assert abs(obj.evaluate(c, lam) - want) <= 1e-10 * want
         obj.accept(c, lam)  # later moves start from row/column-updated normal equations
         current = trial
@@ -334,19 +346,39 @@ def test_coefficient_objective_matches_pixel_oracle(lambdas, moves, mode, gamma)
 
 
 def test_coefficient_solve_at_zero_lambda_is_bitwise():
-    pairs = _random_pairs()
-    obj = _LambdaObjective(pairs, 1e-6, "derived")
-    want = np.concatenate([dct2_forward(phi_l[3]).ravel() for phi_l, *_ in pairs])
+    bank, triples = _random_bank_triples()
+    obj = _LambdaObjective(triples, bank, HARD, 1e-6, "derived")
+    stencil = bank.pairs[3].depth_filter
+    want = np.concatenate([(symbol_for("derived", l_up.shape, stencil).values
+                            * dct2_forward(l_up)).ravel() for l_up, *_ in triples])
     assert np.array_equal(obj.solve(3, 0.0), want)
 
 
 def test_fit_lambda_matches_pixel_oracle_search():
-    pair = _tiny_training_pair(70)
-    lambdas, _ = fit_lambda([pair], head_gamma=1e-8, grid_points=5, sweeps=2)
-    assert np.array_equal(lambdas, pixel_fit_lambda([pair], 1e-8, grid_points=5, sweeps=2))
-    pairs = _bank_pairs()
-    lambdas, _ = fit_lambda(pairs, head_gamma=1e-6, grid_points=5, sweeps=1)
-    assert np.array_equal(lambdas, pixel_fit_lambda(pairs, 1e-6, grid_points=5, sweeps=1))
+    triple = _tiny_training_triple(70)
+    (lambdas, _), _ = fit_lambda([triple], identity_bank(), HARD, head_gamma=1e-8,
+                                 grid_points=5, sweeps=2)
+    assert np.array_equal(
+        lambdas, pixel_fit_lambda([triple], identity_bank(), HARD, 1e-8, grid_points=5, sweeps=2))
+    triples = _bank_triples()
+    (lambdas, _), _ = fit_lambda(triples, default_bank(), HARD, head_gamma=1e-6,
+                                 grid_points=5, sweeps=1)
+    assert np.array_equal(
+        lambdas, pixel_fit_lambda(triples, default_bank(), HARD, 1e-6, grid_points=5, sweeps=1))
+
+
+def test_fit_lambda_trace_is_the_rmse_of_its_prediction():
+    # fit and prediction are one model: the last trace value is the training
+    # RMSE that spectral_predict gives with the returned lambdas and head
+    triples = _bank_triples()
+    bank = default_bank()
+    (lambdas, head), trace = fit_lambda(triples, bank, HARD, head_gamma=1e-6, grid_points=5,
+                                        sweeps=1)
+    assert len(trace) > 1
+    sse = sum(float(np.sum((spectral_predict(l_up, guide, bank, lambdas, head, HARD) - t) ** 2))
+              for l_up, guide, t in triples)
+    rmse = math.sqrt(sse / sum(t.size for *_, t in triples))
+    assert abs(trace[-1] - rmse) <= 1e-12 * rmse
 
 
 @settings(max_examples=40, deadline=None)
@@ -389,11 +421,32 @@ def test_spectral_predict_on_scene_and_validation():
         spectral_predict(gt.data, guide[:-1], bank, lambdas, head, cfg)
 
 
+def test_spectral_predict_skips_zero_weight_channels(monkeypatch):
+    rng = np.random.default_rng(66)
+    l_up, guide = rng.random((2, 24, 18))
+    bank = default_bank()
+    lambdas = np.linspace(0.5, 4.0, 8)
+    pair0 = FilterBank(bank.pairs[:1], name="pair0")
+    want = spectral_predict(l_up, guide, pair0, lambdas[:1], ReconstructionHead([1.0], 0.25), HARD)
+    targets = []
+    monkeypatch.setattr(feature_bank, "transfer_target",
+                        lambda phi, cfg: targets.append(phi) or transfer_target(phi, cfg))
+    head = ReconstructionHead([1.0] + [0.0] * 7, 0.25)
+    assert np.array_equal(spectral_predict(l_up, guide, bank, lambdas, head, HARD), want)
+    assert len(targets) == 1  # channels 1-7 are neither extracted nor transformed
+
+
 def test_fit_lambda_input_validation():
+    bank = identity_bank()
     with pytest.raises(ValueError, match="empty"):
-        fit_lambda([], 1e-6)
+        fit_lambda([], bank, HARD, 1e-6)
     with pytest.raises(ValueError, match="grid_points"):
-        fit_lambda([_tiny_training_pair(72)], 1e-6, grid_points=2)
+        fit_lambda([_tiny_training_triple(72)], bank, HARD, 1e-6, grid_points=2)
+    l_up, guide, target = _tiny_training_triple(72)
+    for bad in [(l_up, guide[:-1], target), (l_up, guide, target[:, :-1]),
+                (l_up[:-1], guide, target)]:
+        with pytest.raises(ValueError, match="training triple shapes differ"):
+            fit_lambda([(l_up, guide, target), bad], bank, HARD, 1e-6)
 
 
 def test_params_roundtrip(tmp_path):
