@@ -25,9 +25,18 @@ __all__ = ["dct2_forward", "dct2_inverse"]
 
 def dct2_forward(img) -> np.ndarray:
     """Forward 2-D orthonormal DCT-II of a sample grid."""
-    return _fft.dctn(as_image(img), type=2, norm="ortho")
+    return _dct2(as_image(img))
 
 
 def dct2_inverse(coeffs) -> np.ndarray:
     """Inverse transform (DCT-III), exact inverse of :func:`dct2_forward`."""
-    return _fft.idctn(as_image(coeffs), type=2, norm="ortho")
+    return _idct2(as_image(coeffs))
+
+
+# Unchecked forms for package-internal grids that are already validated.
+def _dct2(img: np.ndarray) -> np.ndarray:
+    return _fft.dctn(img, type=2, norm="ortho")
+
+
+def _idct2(coeffs: np.ndarray) -> np.ndarray:
+    return _fft.idctn(coeffs, type=2, norm="ortho")

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dct import dct2_forward, dct2_inverse
+from .dct import _dct2, _idct2
 from .image_core import as_image, as_stack
-from .filters import correlate_reflect
+from .filters import _correlate, correlate_reflect
 from .guidance import EdgeWeightConfig, transfer_target
 from .spectral import (
     FIVE_POINT,
@@ -246,14 +246,24 @@ def apply_head(features, head: ReconstructionHead) -> np.ndarray:
 def _channel_coeffs(l_up, guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, channels):
     """Yield (c, Lambda_Kc dct(l_up), dct(T_c)) for each c in ``channels``:
     K_c is pair c's depth stencil, diagonal in the DCT, and T_c the transfer
-    target of pair c's guide feature. The callers validate the inputs."""
+    target of pair c's guide feature. Pairs with one guide stencil share
+    one dct(T_c), which is kept only until its last pair is yielded. The
+    callers validate the inputs."""
     shape = np.shape(l_up)
-    l_hat = dct2_forward(l_up)
-    for c in channels:
+    l_hat = _dct2(l_up)
+    # ddx and ddy have the same bytes, so the shape is part of the key
+    keys = [(g.shape, g.tobytes()) for g in (bank.pairs[c].guide_filter for c in channels)]
+    shared = {}
+    for k, c in enumerate(channels):
         pair = bank.pairs[c]
         d_hat = symbol_for("derived", shape, pair.depth_filter).values * l_hat
-        phi_r = correlate_reflect(guide, pair.guide_filter)
-        yield c, d_hat, dct2_forward(transfer_target(phi_r, edge_cfg))
+        t_hat = shared.pop(keys[k], None)
+        if t_hat is None:
+            phi_r = _correlate(guide, pair.guide_filter)
+            t_hat = _dct2(transfer_target(phi_r, edge_cfg))
+        if keys[k] in keys[k + 1:]:
+            shared[keys[k]] = t_hat
+        yield c, d_hat, t_hat
 
 
 def _solved_coeffs(d_hat, t_hat, lap_symbol, symbol_sq, lam: float, out=None,
@@ -307,7 +317,7 @@ def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: Reconstructio
                                            np.flatnonzero(head.weights)):
         h_hat += head.weights[c] * _solved_coeffs(d_hat, t_hat, lap_symbol, mode_sq, lam[c])
     h_hat[0, 0] += head.bias * math.sqrt(l_up.size)
-    return dct2_inverse(h_hat)
+    return _idct2(h_hat)
 
 
 def _normal_equations(features_list, targets_list):
@@ -417,7 +427,7 @@ class _LambdaObjective:
             symbol = symbol_for(symbol_mode, target.shape).values
             self.sym_sq[lo:hi] = (symbol * symbol).ravel()
             self.lap_symbol[lo:hi] = symbol_for("derived", target.shape).values.ravel()
-            self.y_hat[lo:hi] = dct2_forward(target).ravel()
+            self.y_hat[lo:hi] = _dct2(target).ravel()
             for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg, range(C)):
                 self.d_hat[c, lo:hi] = d_hat.ravel()
                 self.t_hat[c, lo:hi] = t_hat.ravel()

@@ -27,6 +27,12 @@ def correlate_reflect(img, stencil) -> np.ndarray:
     st = np.asarray(stencil, dtype=np.float64)
     if st.ndim != 2 or st.shape[0] % 2 == 0 or st.shape[1] % 2 == 0:
         raise ValueError(f"stencil must be 2-D with odd dimensions, got {st.shape}")
+    return _correlate(img, st)
+
+
+def _correlate(img: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """:func:`correlate_reflect` without its checks: ``img`` a validated
+    grid, ``st`` a 2-D float64 stencil with odd dimensions."""
     M, N = img.shape
     ph, pw = st.shape[0] // 2, st.shape[1] // 2
     if ph == 0 and pw == 0:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import expit
 
 from .image_core import RgbImage, as_image, as_stack
-from .spectral import laplacian_apply
+from .spectral import _laplacian
 
 __all__ = [
     "EdgeWeightConfig",
@@ -85,7 +85,7 @@ def edge_weight(guide_lum, cfg: EdgeWeightConfig) -> np.ndarray:
     guide_lum = as_image(guide_lum)
     if cfg.mode == "none":
         return np.ones_like(guide_lum)
-    return _weights_from_laplacian(laplacian_apply(guide_lum), cfg)
+    return _weights_from_laplacian(_laplacian(guide_lum), cfg)
 
 
 def transfer_target(guide, cfg: EdgeWeightConfig) -> np.ndarray:
@@ -93,7 +93,7 @@ def transfer_target(guide, cfg: EdgeWeightConfig) -> np.ndarray:
 
     The guide Laplacian is computed once and serves both factors.
     """
-    lap = laplacian_apply(guide)
+    lap = _laplacian(as_image(guide))
     return lap * _weights_from_laplacian(lap, cfg)
 
 

@@ -6,11 +6,13 @@ cubic kernel (a = -0.5), half-pixel-centered coordinate mapping
 by the scale factor on downsampling for antialiasing, out-of-range taps
 clamped to the edge pixel, and each output pixel's weights renormalized
 to sum to 1. Upsampling uses the same convention without antialiasing.
+
+Each axis's dense weight matrix is built in one vectorized pass, with no
+loop over output rows and no cache; its bits match the per-row tap loop
+kept in the tests as the oracle.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -51,23 +53,28 @@ def bicubic_kernel(x) -> np.ndarray:
 
 
 def _axis_weights(n_in: int, n_out: int, antialias: bool) -> np.ndarray:
-    """Dense (n_out, n_in) resampling matrix for one axis.
+    """Dense (n_out, n_in) resampling matrix for one axis, built in one pass.
 
-    Taps falling outside the signal are clamped onto the edge pixel, then
-    each row is renormalized to sum to exactly 1 so constants survive the
-    resample bit for bit.
+    Row k takes the taps floor(u - half) .. floor(u + half) + 1 around its
+    source position u; every row is padded on the right to the widest
+    row's tap count, and the padding taps lie outside the kernel support,
+    so they weigh exactly 0. Taps falling outside the signal are clamped
+    onto the edge pixel, then each row is renormalized to sum to exactly 1
+    so constants survive the resample bit for bit. ``np.add.at`` adds each
+    row's taps in tap order, so the bits match a per-row tap loop.
     """
     scale = n_out / n_in
     kscale = min(scale, 1.0) if antialias else 1.0
     half = _SUPPORT / kscale
+    u = (np.arange(n_out) + 0.5) / scale - 0.5
+    lo = np.floor(u - half)
+    width = int((np.floor(u + half) - lo).max()) + 2
+    taps = lo[:, None].astype(np.int64) + np.arange(width)
+    w = bicubic_kernel((u[:, None] - taps) * kscale) * kscale
     W = np.zeros((n_out, n_in), dtype=np.float64)
-    for k in range(n_out):
-        u = (k + 0.5) / scale - 0.5
-        lo = math.floor(u - half)
-        taps = np.arange(lo, math.floor(u + half) + 2)
-        w = bicubic_kernel((u - taps) * kscale) * kscale
-        np.add.at(W[k], np.clip(taps, 0, n_in - 1), w)
-        W[k] /= W[k].sum()
+    rows = np.broadcast_to(np.arange(n_out)[:, None], taps.shape)
+    np.add.at(W, (rows, np.clip(taps, 0, n_in - 1)), w)
+    W /= W.sum(axis=1, keepdims=True)
     return W
 
 

@@ -31,6 +31,7 @@ from gdsr.feature_bank import (
 )
 from gdsr.guidance import multichannel_edge_weight
 from gdsr.image_core import as_image
+from gdsr.resample import bicubic_kernel
 from gdsr.spectral import laplacian_apply, symbol_for
 
 
@@ -234,6 +235,24 @@ def ref_resample_1d(signal, n_out: int, antialias: bool) -> np.ndarray:
             total += w
         out[k] = acc / total
     return out
+
+
+def loop_axis_weights(n_in: int, n_out: int, antialias: bool) -> np.ndarray:
+    """Dense (n_out, n_in) resampling matrix built row by row: each output
+    row's taps are enumerated, weighed with the package's kernel, clamped
+    onto the edge pixel and accumulated, then the row is renormalized."""
+    scale = n_out / n_in
+    kscale = min(scale, 1.0) if antialias else 1.0
+    half = 2.0 / kscale
+    W = np.zeros((n_out, n_in), dtype=np.float64)
+    for k in range(n_out):
+        u = (k + 0.5) / scale - 0.5
+        lo = math.floor(u - half)
+        taps = np.arange(lo, math.floor(u + half) + 2)
+        w = bicubic_kernel((u - taps) * kscale) * kscale
+        np.add.at(W[k], np.clip(taps, 0, n_in - 1), w)
+        W[k] /= W[k].sum()
+    return W
 
 
 def ref_resample_2d(img, out_shape, antialias: bool) -> np.ndarray:

@@ -436,6 +436,23 @@ def test_spectral_predict_skips_zero_weight_channels(monkeypatch):
     assert len(targets) == 1  # channels 1-7 are neither extracted nor transformed
 
 
+def test_channel_coeffs_share_one_target_per_guide_stencil(monkeypatch):
+    rng = np.random.default_rng(67)
+    l_up, guide = rng.random((2, 24, 18))
+    bank = default_bank()
+    targets = []
+    monkeypatch.setattr(feature_bank, "transfer_target",
+                        lambda phi, cfg: targets.append(phi) or transfer_target(phi, cfg))
+    got = list(feature_bank._channel_coeffs(l_up, guide, bank, HARD, range(len(bank))))
+    # pairs 0 and 7 share the identity guide stencil; ddx and ddy share
+    # their bytes but not their shape
+    assert len(targets) == 7
+    assert got[7][2] is got[0][2] and got[5][2] is not got[4][2]
+    for c, _, t_hat in got:
+        phi_r = correlate_reflect(guide, bank.pairs[c].guide_filter)
+        assert np.array_equal(t_hat, dct2_forward(transfer_target(phi_r, HARD)))
+
+
 def test_fit_lambda_input_validation():
     bank = identity_bank()
     with pytest.raises(ValueError, match="empty"):

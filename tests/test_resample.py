@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdsr.image_core import DepthMap
 from gdsr.resample import (
@@ -12,7 +13,8 @@ from gdsr.resample import (
     _axis_weights,
 )
 
-from oracles import ref_resample_2d
+from oracles import loop_axis_weights, ref_resample_2d
+from scenes import make_scene
 
 
 def test_kernel_point_values():
@@ -28,6 +30,31 @@ def test_axis_weights_rows_sum_to_one():
     for n_in, n_out, aa in ((32, 4, True), (32, 4, False), (4, 32, False), (9, 3, True)):
         W = _axis_weights(n_in, n_out, aa)
         assert np.abs(W.sum(axis=1) - 1.0).max() < 1e-12
+
+
+@settings(max_examples=120, deadline=None)
+@given(n_hr=st.integers(1, 1500), s=st.sampled_from(SCALE_FACTORS), upsample=st.booleans(),
+       antialias=st.booleans())
+def test_axis_weights_bytes_match_loop_oracle(n_hr, s, upsample, antialias):
+    # Downsampling reads n_hr samples; upsampling writes up to n_hr, so the
+    # dense matrices stay small while both directions span the same lengths.
+    n_lr = max(1, n_hr // s)
+    n_in, n_out = (n_lr, n_lr * s) if upsample else (n_hr, n_lr)
+    got = _axis_weights(n_in, n_out, antialias)
+    assert got.tobytes() == loop_axis_weights(n_in, n_out, antialias).tobytes()
+
+
+@pytest.mark.parametrize("s", [4, 8])
+def test_degrade_bytes_match_loop_oracle_products(s):
+    gt, _ = make_scene(np.random.default_rng(54), 96, 136)
+    lr, up = degrade(gt, s)
+    (M, N), m, n = gt.shape, gt.shape[0] // s, gt.shape[1] // s
+    want_lr = np.maximum(
+        loop_axis_weights(M, m, True) @ gt.data @ loop_axis_weights(N, n, True).T, 0.0)
+    want_up = np.maximum(
+        loop_axis_weights(m, M, False) @ want_lr @ loop_axis_weights(n, N, False).T, 0.0)
+    assert lr.data.tobytes() == want_lr.tobytes()
+    assert up.data.tobytes() == want_up.tobytes()
 
 
 @pytest.mark.parametrize("s", SCALE_FACTORS)

@@ -126,6 +126,16 @@ def test_stencil_symbol_3x3_is_derived_symbol_and_rejects_asymmetry():
         stencil_symbol(np.ones((2, 2)), 9, 7)
 
 
+def test_stencil_symbol_rejects_odd_asymmetric_stencils():
+    # up-down asymmetric: only the exact flip check stands between it and
+    # a symbol read off one quadrant of its offsets
+    with pytest.raises(ValueError, match="no exact spectral symbol"):
+        stencil_symbol(np.array([[0.0, 1.0, 0.0], [0.0, -2.0, 0.0], [0.0, 2.0, 0.0]]), 9, 7)
+    with pytest.raises(ValueError, match="no exact spectral symbol"):
+        stencil_symbol(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 1.0 + 1e-15]]),
+                       9, 7)
+
+
 def test_symbol_for_caches_general_stencils():
     g = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
     sym = symbol_for("derived", (9, 7), g)
