@@ -2,7 +2,7 @@
 
     python scripts/bench_stages.py --out BENCH.json --label change
 
-Each stage runs once untimed, then --repeats times, on one seeded
+Each stage runs once untimed, then REPEATS times, on one seeded
 `tests.scenes.make_scene` scene at x8, at 480x640 and 1024x1376, with
 BLAS pinned to one thread. Stages marked cold go through no cache: the
 resample matrices are built from scratch and `stencil_symbol` is called
@@ -52,6 +52,7 @@ from tests.scenes import make_scene  # noqa: E402
 
 SIZES = ((480, 640), (1024, 1376))
 SCALE = 8
+REPEATS = 7
 PARAMS = ROOT / "perfbench" / "feature_params.json"
 
 
@@ -86,16 +87,16 @@ def stages(M: int, N: int) -> dict:
     }
 
 
-def time_stage(fn, repeats: int) -> dict:
+def time_stage(fn) -> dict:
     fn()
     samples = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - t0) * 1e3)
     q1, med, q3 = np.percentile(samples, [25, 50, 75])
     return {"median_ms": round(float(med), 3), "iqr_ms": round(float(q3 - q1), 3),
-            "n": repeats}
+            "n": REPEATS}
 
 
 def commit() -> str:
@@ -111,17 +112,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file to write or extend")
     ap.add_argument("--label", required=True, help="key of this run in the file")
-    ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args()
-    if args.repeats < 5:
-        ap.error("--repeats must be >= 5")
     result = {"commit": commit(), "numpy": np.__version__, "scipy": scipy.__version__,
               "cpu_count": os.cpu_count(), "scale": SCALE, "stages": {}}
     for M, N in SIZES:
         size = f"{M}x{N}"
         result["stages"][size] = {}
         for name, fn in stages(M, N).items():
-            result["stages"][size][name] = time_stage(fn, args.repeats)
+            result["stages"][size][name] = time_stage(fn)
             print(f"{size} {name}: {result['stages'][size][name]}", flush=True)
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}

@@ -72,8 +72,7 @@ def _axis_weights(n_in: int, n_out: int, antialias: bool) -> np.ndarray:
     taps = lo[:, None].astype(np.int64) + np.arange(width)
     w = bicubic_kernel((u[:, None] - taps) * kscale) * kscale
     W = np.zeros((n_out, n_in), dtype=np.float64)
-    rows = np.broadcast_to(np.arange(n_out)[:, None], taps.shape)
-    np.add.at(W, (rows, np.clip(taps, 0, n_in - 1)), w)
+    np.add.at(W, (np.arange(n_out)[:, None], np.clip(taps, 0, n_in - 1)), w)
     W /= W.sum(axis=1, keepdims=True)
     return W
 
