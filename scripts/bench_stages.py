@@ -83,7 +83,7 @@ def stages(M: int, N: int) -> dict:
         "correlate_reflect_3x3": lambda: correlate_reflect(guide, FIVE_POINT),
         "transfer_target_hard": lambda: transfer_target(guide, edge),
         "spectral_predict": lambda: spectral_predict(up.data, guide, bank, lambdas, head, edge),
-        "predict_image_lam20": lambda: predict(up, rgb, image_cfg),
+        "predict_image_lam20": lambda: predict(up, guide, image_cfg),
     }
 
 

@@ -17,7 +17,6 @@ from .image_core import (
 from .dct import dct2_forward, dct2_inverse
 from .spectral import (
     FIVE_POINT,
-    SpectralSymbol,
     build_rhs,
     derived_symbol,
     laplacian_apply,

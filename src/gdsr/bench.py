@@ -268,38 +268,35 @@ def _image_lambda(cfg: PipelineConfig) -> float:
     return cfg.lam
 
 
-def predict(up: DepthMap, rgb: RgbImage, cfg: PipelineConfig,
-            bank: FilterBank | None = None) -> DepthMap:
+def predict(up: DepthMap, guide, cfg: PipelineConfig) -> DepthMap:
     """Super-resolve an upsampled depth map under one configuration.
 
-    ``up`` must already have the guide's dimensions.
+    ``guide`` is the guide's luminance grid, as :func:`luminance` returns
+    it; ``up`` must already have its dimensions.
     """
-    if up.shape != rgb.shape:
-        raise ValueError(f"depth {up.shape} does not match guide {rgb.shape}")
+    if up.shape != np.shape(guide):
+        raise ValueError(f"depth {up.shape} does not match guide {np.shape(guide)}")
     if cfg.method == "bicubic":
         return up
     edge_cfg = cfg.edge_config()
-    # luminance(rgb) goes straight to its stage and is freed after it, not held
-    # through the solve: with two bench workers solving at once it would count
-    # twice toward peak memory.
     if cfg.method == "image_domain":
         lam = _image_lambda(cfg)
-        e = build_rhs(up.data, transfer_target(luminance(rgb), edge_cfg), lam)
+        e = build_rhs(up.data, transfer_target(guide, edge_cfg), lam)
         h = solve_screened(e, lam, symbol_for(cfg.symbol_mode, up.shape))
     else:
-        bank = bank if bank is not None else default_bank()
+        bank = default_bank()
         lambdas, head = _load_feature_params(cfg, bank)
-        h = spectral_predict(up.data, luminance(rgb), bank, lambdas, head, edge_cfg,
-                             cfg.symbol_mode)
+        h = spectral_predict(up.data, guide, bank, lambdas, head, edge_cfg, cfg.symbol_mode)
     return DepthMap(np.maximum(h, 0.0), up.unit_scale)
 
 
 def _prepare(entry: DatasetEntry, s: int,
-             antialias: bool) -> tuple[DepthMap, DepthMap, RgbImage]:
-    """Load, check, crop and degrade one entry: (gt, up, rgb).
+             antialias: bool) -> tuple[DepthMap, DepthMap, np.ndarray]:
+    """Load, check, crop and degrade one entry: (gt, up, guide).
 
-    Ground truth and guide are cropped bottom/right to a multiple of the
-    scale; ``up`` is the degraded-then-upsampled depth on that grid.
+    Ground truth and the guide's luminance are cropped bottom/right to a
+    multiple of the scale; ``up`` is the degraded-then-upsampled depth on
+    that grid.
     """
     rgb = load_image(entry.rgb_path)
     depth = load_image(entry.depth_path)
@@ -308,24 +305,24 @@ def _prepare(entry: DatasetEntry, s: int,
     if not isinstance(depth, DepthMap):
         raise ValueError(f"depth_path is not a grayscale image: {entry.depth_path}")
     gt = DepthMap(crop_to_multiple(depth.data, s), entry.depth_unit_scale)
-    rgb = RgbImage(*(crop_to_multiple(p, s) for p in (rgb.red, rgb.green, rgb.blue)))
-    if gt.shape != rgb.shape:
-        raise ValueError(f"depth {gt.shape} and rgb {rgb.shape} differ after crop")
+    guide = crop_to_multiple(luminance(rgb), s)
+    if gt.shape != guide.shape:
+        raise ValueError(f"depth {gt.shape} and rgb {guide.shape} differ after crop")
     _, up = degrade(gt, s, antialias)
-    return gt, up, rgb
+    return gt, up, guide
 
 
 def _entry_error(entry: DatasetEntry, exc: Exception) -> RuntimeError:
     return RuntimeError(f"entry {entry.id!r}: {type(exc).__name__}: {exc}")
 
 
-def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig, dataset: str,
-              bank: FilterBank | None) -> tuple[DepthMap, BenchRecord]:
+def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig,
+              dataset: str) -> tuple[DepthMap, BenchRecord]:
     """Super-resolve one prepared entry under ``cfg`` and score it."""
-    gt, up, rgb = prepared
+    gt, up, guide = prepared
     try:
         t0 = time.perf_counter()
-        pred = predict(up, rgb, cfg, bank)
+        pred = predict(up, guide, cfg)
         runtime_ms = (time.perf_counter() - t0) * 1e3
         value = rmse(pred, gt, cfg.crop_border)
     except Exception as exc:
@@ -335,8 +332,8 @@ def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig, dataset: str,
     return pred, rec
 
 
-def run_image(entry: DatasetEntry, cfg: PipelineConfig, dataset: str = "",
-              bank: FilterBank | None = None) -> tuple[DepthMap, BenchRecord]:
+def run_image(entry: DatasetEntry, cfg: PipelineConfig,
+              dataset: str = "") -> tuple[DepthMap, BenchRecord]:
     """Degrade one manifest entry, super-resolve it, and measure RMSE.
 
     The ground truth is cropped bottom/right to a multiple of the scale
@@ -349,7 +346,7 @@ def run_image(entry: DatasetEntry, cfg: PipelineConfig, dataset: str = "",
         prepared = _prepare(entry, cfg.scale, cfg.antialias)
     except Exception as exc:
         raise _entry_error(entry, exc) from exc
-    return _evaluate(entry, prepared, cfg, dataset, bank)
+    return _evaluate(entry, prepared, cfg, dataset)
 
 
 def _worker_count(threads: int | None) -> int:
@@ -377,7 +374,6 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
     configs = list(configs)
     if not configs:
         raise ValueError("no pipeline configs given")
-    bank = default_bank()
     tasks = [(entry, s) for entry in manifest.entries for s in scales]
 
     def one(task):
@@ -387,7 +383,7 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
         preparation fails every config that needs it, with its cause.
         """
         entry, s = task
-        prepared = {}  # antialias -> (gt, up, rgb), or the error preparing raised
+        prepared = {}  # antialias -> (gt, up, guide), or the error preparing raised
         for antialias in dict.fromkeys(cfg.antialias for cfg in configs):
             try:
                 prepared[antialias] = _prepare(entry, s, antialias)
@@ -400,7 +396,7 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
             try:
                 if isinstance(inputs, Exception):
                     raise inputs
-                records.append(_evaluate(entry, inputs, cfg, manifest.name, bank)[1])
+                records.append(_evaluate(entry, inputs, cfg, manifest.name)[1])
             except Exception as exc:
                 records.append(BenchRecord(manifest.name, entry.id, s, cfg.method,
                                            cfg.config_hash(), None, 0.0, str(exc)))
@@ -466,11 +462,11 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     edge_cfg = cfg.edge_config()
     prepared = []
     for entry in manifest.split("train") or manifest.entries:
-        gt, up, rgb = _prepare(entry, s, cfg.antialias)
-        target = transfer_target(luminance(rgb), edge_cfg)
-        symbol = symbol_for(cfg.symbol_mode, gt.shape).values
+        gt, up, guide = _prepare(entry, s, cfg.antialias)
+        target = transfer_target(guide, edge_cfg)
+        symbol = symbol_for(cfg.symbol_mode, gt.shape)
         prepared.append((dct2_forward(up.data), dct2_forward(target),
-                         symbol_for("derived", gt.shape).values, symbol * symbol,
+                         symbol_for("derived", gt.shape), symbol * symbol,
                          dct2_forward(gt.data), gt.unit_scale**2))
     n_pixels = sum(y_hat.size for *_, y_hat, _ in prepared)
 
@@ -493,21 +489,21 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
 
 def fit_feature_params(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
                        head_gamma: float = 1e-6, grid_points: int = 9,
-                       sweeps: int = 2, fit_lambdas: bool = True,
-                       bank: FilterBank | None = None):
+                       sweeps: int = 2, fit_lambdas: bool = True):
     """Fit channel lambdas and/or the reconstruction head on the train split.
 
     Returns (lambdas, head, rmse_trace); the head solves the lambda
     search's own normal equations. With ``fit_lambdas`` off, the lambdas
-    stay at the e^0.1 start and the trace is empty.
+    stay at the e^0.1 start and the trace is empty. The bank is
+    :func:`default_bank`, the one prediction uses.
     """
     s = check_scale(s)
-    bank = bank if bank is not None else default_bank()
+    bank = default_bank()
     edge_cfg = cfg.edge_config()
     triples = []
     for entry in manifest.split("train") or manifest.entries:
-        gt, up, rgb = _prepare(entry, s, cfg.antialias)
-        triples.append((up.data, luminance(rgb), gt.data))
+        gt, up, guide = _prepare(entry, s, cfg.antialias)
+        triples.append((up.data, guide, gt.data))
 
     if fit_lambdas:
         (lambdas, head), trace = fit_lambda(triples, bank, edge_cfg, head_gamma, grid_points,

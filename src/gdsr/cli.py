@@ -28,6 +28,7 @@ from .bench import (
     run_bench,
 )
 from .feature_bank import default_bank, save_params
+from .guidance import luminance
 from .image_core import DepthMap, RgbImage
 from .imgio import load_image, load_pfm_grid, save_error_map, save_image
 from .dct import dct2_forward, dct2_inverse
@@ -66,6 +67,8 @@ _METHOD_ALIASES = {"bicubic": "bicubic", "image": "image_domain", "feature": "fe
 
 
 def _cmd_sr(args) -> int:
+    if args.errmap is not None and args.gt is None:
+        raise SystemExit("--errmap requires --gt")
     s = check_scale(args.scale)
     depth = load_image(args.depth)
     rgb = load_image(args.rgb)
@@ -80,7 +83,7 @@ def _cmd_sr(args) -> int:
         )
     up = DepthMap(np.maximum(bicubic_upsample(depth.data, s), 0.0), depth.unit_scale)
     cfg = _config_from_args(args, _METHOD_ALIASES[args.method], s)
-    pred = predict(up, rgb, cfg)
+    pred = predict(up, luminance(rgb), cfg)
     save_image(pred, args.out, args.format)
     if args.gt is not None:
         gt = load_image(args.gt)
@@ -90,23 +93,29 @@ def _cmd_sr(args) -> int:
         print(f"rmse {rmse(pred, gt, args.crop_border)!r}")
         if args.errmap is not None:
             save_error_map(pred, gt, args.errmap, args.max_err)
-    elif args.errmap is not None:
-        raise SystemExit("--errmap requires --gt")
     return 0
 
 
 def _cmd_bench(args) -> int:
     manifest = load_manifest(args.manifest)
     scales = [check_scale(int(tok)) for tok in args.scales.split(",") if tok]
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    raw_configs = doc if isinstance(doc, list) else [doc]
+    path = args.config
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config {path}: not valid JSON: {exc}") from None
     configs = []
-    for raw in raw_configs:
-        raw = dict(raw)
-        raw["method"] = _METHOD_ALIASES.get(raw.get("method", "bicubic"),
-                                            raw.get("method", "bicubic"))
-        configs.append(PipelineConfig(**raw))
+    for k, raw in enumerate(doc if isinstance(doc, list) else [doc]):
+        if not isinstance(raw, dict):
+            raise ValueError(f"config {path}: entry {k} must be an object, "
+                             f"got {type(raw).__name__}")
+        method = raw.get("method", "bicubic")
+        raw = dict(raw, method=_METHOD_ALIASES.get(method, method))
+        try:  # an unknown key's TypeError names the key
+            configs.append(PipelineConfig(**raw))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config {path}: entry {k}: {exc}") from None
     records = run_bench(manifest, scales, configs, args.out,
                         threads=args.threads, timing=not args.no_timing)
     for r in records:
@@ -134,18 +143,16 @@ def _cmd_fit(args) -> int:
         })
         print(f"fitted lambda {lam!r}")
         return 0
-    bank = default_bank()
     lambdas, head, trace = fit_feature_params(
         manifest, cfg, s,
         head_gamma=args.gamma,
         grid_points=args.grid_points,
         sweeps=args.sweeps,
-        fit_lambdas=args.mode in ("lambda", "both"),
-        bank=bank,
+        fit_lambdas=args.mode == "both",
     )
     save_params(args.out, {
         "method": "feature",
-        "bank": bank.name,
+        "bank": default_bank().name,
         "lambdas": lambdas,
         "head_weights": head.weights,
         "head_bias": head.bias,
@@ -209,7 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit parameters on the manifest train split")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--mode", choices=("lambda", "head", "both"), default="both")
+    p.add_argument("--mode", choices=("head", "both"), default="both",
+                   help="feature fits: both = channel lambdas and their ridge head; "
+                        "head = the head alone, lambdas at e^0.1 (default: both)")
     p.add_argument("--scale", type=int, required=True)
     p.add_argument("--method", choices=("image", "feature"), default="feature")
     p.add_argument("--gamma", type=float, default=1e-6, help="ridge penalty")

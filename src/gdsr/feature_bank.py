@@ -35,7 +35,6 @@ from .filters import _correlate, correlate_reflect
 from .guidance import EdgeWeightConfig, transfer_target
 from .spectral import (
     FIVE_POINT,
-    SpectralSymbol,
     build_rhs,
     laplacian_apply,
     solve_screened,
@@ -184,12 +183,12 @@ def _check_lambdas(lambdas, channels: int) -> np.ndarray:
     return lam
 
 
-def channel_solve(phi_l, phi_r, w, lambdas, symbol: SpectralSymbol) -> np.ndarray:
+def channel_solve(phi_l, phi_r, w, lambdas, symbol) -> np.ndarray:
     """Per-channel screened solve coupling depth and guide features.
 
     For each channel c: E_c = lam_c * lap(lap(phi_r_c) * w_c) + phi_l_c,
     then H_c solves (Id + lam_c * lap^2) H_c = E_c. Channels are fully
-    independent.
+    independent. ``symbol`` is the (M, N) grid of the solve.
     """
     phi_l = as_stack(phi_l)
     phi_r = as_stack(phi_r)
@@ -256,7 +255,7 @@ def _channel_coeffs(l_up, guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, c
     shared = {}
     for k, c in enumerate(channels):
         pair = bank.pairs[c]
-        d_hat = symbol_for("derived", shape, pair.depth_filter).values * l_hat
+        d_hat = symbol_for("derived", shape, pair.depth_filter) * l_hat
         t_hat = shared.pop(keys[k], None)
         if t_hat is None:
             phi_r = _correlate(guide, pair.guide_filter)
@@ -310,8 +309,8 @@ def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: Reconstructio
     if head.channels != len(bank):
         raise ValueError(f"head expects {head.channels} channels, bank has {len(bank)}")
     shape = l_up.shape
-    lap_symbol = symbol_for("derived", shape).values
-    mode_sq = np.square(symbol_for(symbol_mode, shape).values)
+    lap_symbol = symbol_for("derived", shape)
+    mode_sq = np.square(symbol_for(symbol_mode, shape))
     h_hat = np.zeros(shape)
     for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg,
                                            np.flatnonzero(head.weights)):
@@ -424,9 +423,9 @@ class _LambdaObjective:
         self.sym_sq = np.empty(self.n_pixels)
         self.y_hat = np.empty(self.n_pixels)
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
-            symbol = symbol_for(symbol_mode, target.shape).values
+            symbol = symbol_for(symbol_mode, target.shape)
             self.sym_sq[lo:hi] = (symbol * symbol).ravel()
-            self.lap_symbol[lo:hi] = symbol_for("derived", target.shape).values.ravel()
+            self.lap_symbol[lo:hi] = symbol_for("derived", target.shape).ravel()
             self.y_hat[lo:hi] = _dct2(target).ravel()
             for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg, range(C)):
                 self.d_hat[c, lo:hi] = d_hat.ravel()

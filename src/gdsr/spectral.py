@@ -25,7 +25,6 @@ the discrete stencil, so no residual guarantee is made in that mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +35,6 @@ from .image_core import as_image
 
 __all__ = [
     "FIVE_POINT",
-    "SpectralSymbol",
     "laplacian_apply",
     "stencil_symbol",
     "derived_symbol",
@@ -53,23 +51,6 @@ FIVE_POINT = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 FIVE_POINT.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class SpectralSymbol:
-    """Per-frequency eigenvalue grid of a stencil in the DCT basis."""
-
-    values: np.ndarray
-    mode: str
-
-    def __post_init__(self):
-        v = as_image(self.values).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 SYMBOL_MODES = ("derived", "paper")
 
 
@@ -83,8 +64,8 @@ def _laplacian(img: np.ndarray) -> np.ndarray:
     return _correlate(img, FIVE_POINT)
 
 
-def stencil_symbol(stencil, M: int, N: int) -> SpectralSymbol:
-    """Exact eigenvalue grid of an odd, flip-symmetric stencil K.
+def stencil_symbol(stencil, M: int, N: int) -> np.ndarray:
+    """Exact eigenvalue grid of an odd, flip-symmetric stencil K, read-only.
 
     Under the half-sample symmetric extension the DCT-II diagonalizes
     every such stencil (Martucci, IEEE TSP 1994): with (cu, cv) the
@@ -100,13 +81,16 @@ def stencil_symbol(stencil, M: int, N: int) -> SpectralSymbol:
     order fixes the last bits of every solve that uses the symbol.
 
     A stencil that is not exactly equal to both of its flips is rejected:
-    the formula above holds for flip-symmetric stencils only.
+    the formula above holds for flip-symmetric stencils only. So is one
+    with a non-finite weight, whose symbol would not be finite.
     """
     if M < 1 or N < 1:
         raise ValueError(f"symbol dimensions must be >= 1, got {(M, N)}")
     st = np.asarray(stencil, dtype=np.float64)
     if st.ndim != 2 or st.shape[0] % 2 == 0 or st.shape[1] % 2 == 0:
         raise ValueError(f"stencil must be 2-D with odd dimensions, got {st.shape}")
+    if not np.all(np.isfinite(st)):
+        raise ValueError("stencil weights must be finite")
     if not (np.array_equal(st, st[::-1]) and np.array_equal(st, st[:, ::-1])):
         raise ValueError(
             "stencil has no exact spectral symbol under the reflective extension"
@@ -119,10 +103,11 @@ def stencil_symbol(stencil, M: int, N: int) -> SpectralSymbol:
             cj = np.cos(np.pi * dv * np.arange(N) / N)[None, :]
             mult = (2.0 if du else 1.0) * (2.0 if dv else 1.0)
             values = values + mult * st[cu + du, cv + dv] * ci * cj
-    return SpectralSymbol(values, "derived")
+    values.setflags(write=False)
+    return values
 
 
-def derived_symbol(kernel, M: int, N: int) -> SpectralSymbol:
+def derived_symbol(kernel, M: int, N: int) -> np.ndarray:
     """Exact eigenvalue grid of a 3x3 stencil: its :func:`stencil_symbol`.
 
     For center a, horizontal neighbors b, vertical neighbors c and
@@ -137,21 +122,23 @@ def derived_symbol(kernel, M: int, N: int) -> SpectralSymbol:
     return stencil_symbol(kernel, M, N)
 
 
-def paper_symbol(M: int, N: int) -> SpectralSymbol:
-    """Cosine-sum symbol cos(pi i/M) + cos(pi j/N), zero-based indices."""
+def paper_symbol(M: int, N: int) -> np.ndarray:
+    """Cosine-sum symbol cos(pi i/M) + cos(pi j/N), zero-based indices, read-only."""
     if M < 1 or N < 1:
         raise ValueError(f"symbol dimensions must be >= 1, got {(M, N)}")
     ci = np.cos(np.pi * np.arange(M) / M)[:, None]
     cj = np.cos(np.pi * np.arange(N) / N)[None, :]
-    return SpectralSymbol(ci + cj, "paper")
+    values = ci + cj
+    values.setflags(write=False)
+    return values
 
 
-def symbol_for(mode: str, shape, stencil=FIVE_POINT) -> SpectralSymbol:
+def symbol_for(mode: str, shape, stencil=FIVE_POINT) -> np.ndarray:
     """The ``mode`` symbol on an (M, N) grid, cached per (mode, shape, stencil).
 
     ``stencil`` is any odd, flip-symmetric stencil array; the ``paper``
-    symbol ignores it. Symbols are read-only, so one instance serves
-    every caller.
+    symbol ignores it. Symbols are read-only arrays, so one instance
+    serves every caller.
     """
     if mode not in SYMBOL_MODES:
         raise ValueError(f"symbol mode must be one of {SYMBOL_MODES}, got {mode!r}")
@@ -161,7 +148,7 @@ def symbol_for(mode: str, shape, stencil=FIVE_POINT) -> SpectralSymbol:
 
 
 @lru_cache(maxsize=16)
-def _cached_symbol(mode: str, M: int, N: int, weights: bytes, kshape) -> SpectralSymbol:
+def _cached_symbol(mode: str, M: int, N: int, weights: bytes, kshape) -> np.ndarray:
     if mode == "paper":
         return paper_symbol(M, N)
     return stencil_symbol(np.frombuffer(weights, dtype=np.float64).reshape(kshape), M, N)
@@ -184,21 +171,23 @@ def build_rhs(l_up, guide_lap_masked, lam: float) -> np.ndarray:
     return lam * _laplacian(t) + l_up
 
 
-def solve_screened(E, lam: float, symbol: SpectralSymbol) -> np.ndarray:
+def solve_screened(E, lam: float, symbol) -> np.ndarray:
     """Solve (Id + lam * lap^2) H = E by per-frequency division.
 
     H = idct( dct(E) / (1 + lam * Lambda^2) ), the division taken against
     the all-ones grid plus the squared symbol. With lam = 0 the solve is
-    the identity and E is returned unchanged (bit for bit).
+    the identity and E is returned unchanged (bit for bit). ``symbol`` is
+    the (M, N) grid Lambda, as :func:`symbol_for` returns it.
     """
     E = as_image(E)
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    symbol = np.asarray(symbol, dtype=np.float64)
     if symbol.shape != E.shape:
         raise ValueError(f"symbol shape {symbol.shape} does not match input {E.shape}")
     if lam == 0.0:
         return E.copy()
-    denom = 1.0 + lam * symbol.values * symbol.values
-    if np.any(denom <= 0.0):  # impossible for real symbols and lam >= 0
-        raise ValueError("non-positive sample in spectral denominator")
+    denom = 1.0 + lam * symbol * symbol
+    if not np.all(denom > 0.0):  # impossible for real finite symbols and lam >= 0
+        raise ValueError("non-positive or NaN sample in spectral denominator")
     return _idct2(_dct2(E) / denom)

@@ -26,7 +26,7 @@ from gdsr.bench import (
 )
 from gdsr.feature_bank import INIT_LOG_LAMBDA, default_bank, save_params
 from gdsr.guidance import luminance
-from gdsr.image_core import DepthMap
+from gdsr.image_core import DepthMap, RgbImage
 from gdsr.imgio import load_image, save_image
 
 from oracles import pixel_head
@@ -164,7 +164,7 @@ def test_feature_params_bank_must_match(tmp_path):
     gt, rgb = make_scene(np.random.default_rng(92), 16, 16)
     cfg = PipelineConfig(method="feature_domain", params_path=str(params))
     with pytest.raises(ValueError, match="bank 'id1'.*bank 'default8'"):
-        predict(gt, rgb, cfg)
+        predict(gt, luminance(rgb), cfg)
 
 
 def test_symbol_mode_validated_by_config():
@@ -322,13 +322,23 @@ def test_head_only_fit_matches_pixel_head(tmp_path):
     assert trace == [] and np.all(lambdas == math.exp(INIT_LOG_LAMBDA))
     triples = []
     for entry in manifest.entries:
-        gt, up, rgb = bench._prepare(entry, 8, True)
-        triples.append((up.data, luminance(rgb), gt.data))
+        gt, up, guide = bench._prepare(entry, 8, True)
+        triples.append((up.data, guide, gt.data))
     want, _, _ = pixel_head(triples, default_bank(), cfg.edge_config(), lambdas, 1e-6)
     scale = np.abs(want.weights).max()
     assert np.abs(head.weights - want.weights).max() <= 1e-8 * scale
     assert abs(head.bias - want.bias) <= 1e-8 * scale
     assert head.gamma == want.gamma
+
+
+def test_prepare_guide_is_luminance_of_the_cropped_planes(tmp_path):
+    manifest = build_manifest(tmp_path, n=1, M=70, N=53)
+    entry = manifest.entries[0]
+    gt, up, guide = bench._prepare(entry, 8, True)
+    rgb = load_image(entry.rgb_path)
+    want = luminance(RgbImage(*(p[:64, :48] for p in (rgb.red, rgb.green, rgb.blue))))
+    assert gt.shape == up.shape == guide.shape == (64, 48)
+    assert guide.dtype == want.dtype and guide.tobytes() == want.tobytes()
 
 
 def test_run_bench_prepares_each_entry_once_per_scale_and_antialias(tmp_path, monkeypatch):

@@ -1,0 +1,35 @@
+"""The stage script runs outside the suite, so a change to an API it
+calls would go unseen; this loads it and runs each of its stages once
+at a small size."""
+
+import os
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_stages.py"
+
+
+@pytest.fixture()
+def stage_script():
+    """The script as a fresh module; it pins the BLAS thread variables and
+    extends sys.path at import, and both are restored afterwards."""
+    env, path = dict(os.environ), list(sys.path)
+    module = types.ModuleType("bench_stages")
+    module.__file__ = str(SCRIPT)
+    try:
+        exec(compile(SCRIPT.read_text(encoding="utf-8"), str(SCRIPT), "exec"), module.__dict__)
+        yield module
+    finally:
+        os.environ.clear()
+        os.environ.update(env)
+        sys.path[:] = path
+
+
+def test_every_stage_runs_once(stage_script):
+    stages = stage_script.stages(64, 64)
+    assert "predict_image_lam20" in stages
+    for fn in stages.values():
+        fn()

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from gdsr.cli import main
+from gdsr.cli import build_parser, main
 from gdsr.feature_bank import load_params
 from gdsr.imgio import load_image, load_pfm_grid, save_image
 from gdsr.image_core import DepthMap
@@ -46,6 +47,20 @@ def test_sr_command_writes_prediction_and_errmap(scene_files, capsys):
     printed = capsys.readouterr().out
     assert printed.startswith("rmse ")
     assert float(printed.split()[1]) >= 0.0
+
+
+def test_sr_errmap_without_gt_exits_before_writing(scene_files):
+    out = scene_files / "pred.pgm"
+    with pytest.raises(SystemExit, match="--errmap requires --gt"):
+        main([
+            "sr",
+            "--depth", str(scene_files / "scene_lr.pgm"),
+            "--rgb", str(scene_files / "scene_rgb.ppm"),
+            "--scale", "4",
+            "--out", str(out),
+            "--errmap", str(scene_files / "err.pgm"),
+        ])
+    assert not out.exists()
 
 
 def test_sr_validates_guide_size(scene_files):
@@ -153,3 +168,31 @@ def test_bench_command_reports_failed_entries_on_stderr(tmp_path, capsys):
     for line in err_lines:
         assert line.startswith("clitest m1 x4 ")
         assert "entry 'm1'" in line and "ImageFormatError" in line
+
+
+@pytest.mark.parametrize("text, where", [
+    ('[{"method": "bicubic"}, {"method": "bicubic", "lamda": 2}]', "entry 1: .*'lamda'"),
+    ('[{"method": "bicubic"}, "bicubic"]', "entry 1 must be an object, got str"),
+    ('[{"method": "bicubic"', "not valid JSON"),
+])
+def test_bench_config_errors_name_file_entry_and_key(tmp_path, text, where):
+    manifest = make_manifest(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=f"config {re.escape(str(config))}: {where}"):
+        main(["bench", "--manifest", str(manifest), "--scales", "4",
+              "--config", str(config), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_fit_mode_choices_are_head_and_both(capsys):
+    parser = build_parser()
+    for mode in ("head", "both"):
+        args = parser.parse_args(["fit", "--manifest", "m.json", "--scale", "8",
+                                  "--mode", mode, "--out", "p.json"])
+        assert args.mode == mode
+    with pytest.raises(SystemExit):
+        parser.parse_args(["fit", "--manifest", "m.json", "--scale", "8",
+                           "--mode", "lambda", "--out", "p.json"])
+    assert "invalid choice: 'lambda'" in capsys.readouterr().err

@@ -59,12 +59,12 @@ def test_laplacian_matches_brute_force_random(shape):
 
 def test_derived_symbol_closed_form():
     sym = derived_symbol(FIVE_POINT, 16, 12)
-    assert sym.values[0, 0] == 0.0
+    assert sym[0, 0] == 0.0
     sym2 = derived_symbol(FIVE_POINT, 2, 2)
-    assert abs(sym2.values[1, 1] - (-4.0)) < 1e-15
+    assert abs(sym2[1, 1] - (-4.0)) < 1e-15
     i, j = 5, 7
     want = 2 * np.cos(np.pi * i / 16) + 2 * np.cos(np.pi * j / 12) - 4
-    assert abs(sym.values[i, j] - want) < 1e-14
+    assert abs(sym[i, j] - want) < 1e-14
 
 
 def test_derived_symbol_diagonalizes():
@@ -72,7 +72,7 @@ def test_derived_symbol_diagonalizes():
     x = rng.random((32, 24))
     sym = derived_symbol(FIVE_POINT, 32, 24)
     lhs = dct2_forward(laplacian_apply(x))
-    rhs = sym.values * dct2_forward(x)
+    rhs = sym * dct2_forward(x)
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -84,7 +84,7 @@ def test_derived_symbol_general_kernel():
     x = rng.random((15, 22))
     sym = derived_symbol(kernel, 15, 22)
     lhs = dct2_forward(correlate_reflect(x, kernel))
-    rhs = sym.values * dct2_forward(x)
+    rhs = sym * dct2_forward(x)
     assert np.abs(lhs - rhs).max() < 1e-10
     with pytest.raises(ValueError, match="3x3"):
         derived_symbol(kernel[1:2], 15, 22)
@@ -109,7 +109,7 @@ def test_stencil_symbol_diagonalizes_symmetric_stencils(stencil, M, N, seed):
     x = np.random.default_rng(seed).standard_normal((M, N))
     sym = stencil_symbol(stencil, M, N)
     lhs = dct2_forward(correlate_reflect(x, stencil))
-    rhs = sym.values * dct2_forward(x)
+    rhs = sym * dct2_forward(x)
     # relative to ||K||_1 ||X||_2, which bounds the norm of both sides
     scale = np.abs(stencil).sum() * np.linalg.norm(x)
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
@@ -117,9 +117,9 @@ def test_stencil_symbol_diagonalizes_symmetric_stencils(stencil, M, N, seed):
 
 def test_stencil_symbol_3x3_is_derived_symbol_and_rejects_asymmetry():
     kernel = np.array([[0.5, 1.0, 0.5], [2.0, -8.0, 2.0], [0.5, 1.0, 0.5]])
-    assert np.array_equal(stencil_symbol(kernel, 9, 7).values,
-                          derived_symbol(kernel, 9, 7).values)
-    assert np.array_equal(stencil_symbol([[2.5]], 3, 4).values, np.full((3, 4), 2.5))
+    assert np.array_equal(stencil_symbol(kernel, 9, 7),
+                          derived_symbol(kernel, 9, 7))
+    assert np.array_equal(stencil_symbol([[2.5]], 3, 4), np.full((3, 4), 2.5))
     with pytest.raises(ValueError, match="no exact spectral symbol"):
         stencil_symbol(np.array([[-0.5, 0.0, 0.5]]), 9, 7)
     with pytest.raises(ValueError, match="odd"):
@@ -147,11 +147,29 @@ def test_symbol_for_caches_general_stencils():
     assert symbol_for("derived", (9, 7), np.array(FIVE_POINT)) is five
 
 
+def test_symbols_are_read_only_arrays():
+    # symbol_for's cache hands one array to every bench thread
+    for sym in (symbol_for("derived", (9, 7)), symbol_for("paper", (9, 7)),
+                stencil_symbol(FIVE_POINT, 9, 7), paper_symbol(9, 7)):
+        assert isinstance(sym, np.ndarray) and sym.dtype == np.float64
+        assert not sym.flags.writeable
+        with pytest.raises(ValueError):
+            sym[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_stencil_symbol_rejects_non_finite_stencils(bad):
+    # symmetric, so only the finiteness check can reject the inf stencils
+    stencil = np.array([[0.0, 1.0, 0.0], [1.0, bad, 1.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        stencil_symbol(stencil, 9, 7)
+
+
 def test_paper_symbol_values():
     sym = paper_symbol(4, 4)
-    assert sym.values[0, 0] == 2.0
-    assert abs(sym.values[2, 2]) < 1e-15  # cos(pi/2) + cos(pi/2)
-    K = paper_symbol(9, 7).values
+    assert sym[0, 0] == 2.0
+    assert abs(sym[2, 2]) < 1e-15  # cos(pi/2) + cos(pi/2)
+    K = paper_symbol(9, 7)
     for i in (1, 4):
         for j in (2, 5):
             assert abs(K[i, 0] + K[0, j] - (K[i, j] + 2.0)) < 1e-14
@@ -163,13 +181,12 @@ def test_symbol_for_caches_per_mode_shape_and_kernel():
                        [0.25, 0.5, 0.25]])
     sym = symbol_for("derived", (9, 7), kernel)
     assert symbol_for("derived", (9, 7), kernel) is sym
-    assert np.array_equal(sym.values, derived_symbol(kernel, 9, 7).values)
+    assert np.array_equal(sym, derived_symbol(kernel, 9, 7))
     five = symbol_for("derived", (9, 7))
     assert five is not sym
-    assert np.array_equal(five.values, derived_symbol(FIVE_POINT, 9, 7).values)
+    assert np.array_equal(five, derived_symbol(FIVE_POINT, 9, 7))
     paper = symbol_for("paper", (9, 7))
-    assert paper.mode == "paper"
-    assert np.array_equal(paper.values, paper_symbol(9, 7).values)
+    assert np.array_equal(paper, paper_symbol(9, 7))
     with pytest.raises(ValueError, match="symbol mode"):
         symbol_for("exact", (9, 7))
 
@@ -234,6 +251,14 @@ def test_solve_shape_guard():
         solve_screened(np.zeros((8, 9)), 1.0, sym)
 
 
+def test_solve_rejects_a_nan_symbol():
+    # symbols are plain arrays, checked by the solve that divides by them
+    sym = np.array(derived_symbol(FIVE_POINT, 8, 8))
+    sym[3, 4] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        solve_screened(np.zeros((8, 8)), 1.0, sym)
+
+
 def test_paper_mode_runs_but_differs():
     # the cosine-sum symbol is not the stencil's eigenvalue grid, so the
     # residual guarantee holds only in derived mode
@@ -283,7 +308,7 @@ def test_high_lambda_transfers_gradient():
     lam = 1e6
     h = solve_screened(lam * laplacian_apply(t) + l_up, lam, sym)
     t_hat = dct2_forward(t)
-    t_hat[sym.values == 0.0] = 0.0
+    t_hat[sym == 0.0] = 0.0
     projected = dct2_inverse(t_hat)
     assert np.abs(laplacian_apply(h) - projected).max() < 1e-3
 
