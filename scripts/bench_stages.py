@@ -4,11 +4,13 @@
 
 Each stage runs once untimed, then REPEATS times, on one seeded
 `tests.scenes.make_scene` scene at x8, at 480x640 and 1024x1376, with
-BLAS pinned to one thread. Stages marked cold go through no cache: the
-resample matrices are built from scratch and `stencil_symbol` is called
-directly, below `symbol_for`'s cache. The result for --label is stored
-under that key of --out, next to any other labels already in the file,
-so runs of two checkouts can share one file:
+BLAS pinned to one thread. The load stage decodes the scene's 16-bit PGM
+depth and 8-bit PPM guide, written once to a temporary directory. Stages
+marked cold go through no cache: the resample matrices are built from
+scratch and `stencil_symbol` is called directly, below `symbol_for`'s
+cache. The result for --label is stored under that key of --out, next
+to any other labels already in the file, so runs of two checkouts can
+share one file:
 
     stage -> {"median_ms", "iqr_ms", "n"}, per size,
 
@@ -26,6 +28,7 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -46,9 +49,10 @@ from gdsr.feature_bank import (  # noqa: E402
 )
 from gdsr.filters import correlate_reflect  # noqa: E402
 from gdsr.guidance import EdgeWeightConfig, luminance, transfer_target  # noqa: E402
+from gdsr.imgio import load_image  # noqa: E402
 from gdsr.resample import _axis_weights, degrade  # noqa: E402
 from gdsr.spectral import FIVE_POINT, stencil_symbol  # noqa: E402
-from tests.scenes import make_scene  # noqa: E402
+from tests.scenes import make_scene, write_scene_files  # noqa: E402
 
 SIZES = ((480, 640), (1024, 1376))
 SCALE = 8
@@ -56,12 +60,29 @@ REPEATS = 7
 PARAMS = ROOT / "perfbench" / "feature_params.json"
 
 
+def load_stage(gt, rgb):
+    """The load stage: ``load_image`` of the scene's depth and guide files.
+
+    They are written once to a temporary directory, which is removed when
+    the returned callable is dropped.
+    """
+    scratch = tempfile.TemporaryDirectory()
+    entry = write_scene_files(Path(scratch.name), "scene", gt, rgb)
+    paths = [Path(scratch.name) / entry[key] for key in ("depth_path", "rgb_path")]
+
+    def load():
+        return [load_image(p) for p in paths]
+
+    load.scratch = scratch
+    return load
+
+
 def stages(M: int, N: int) -> dict:
     """Stage name -> zero-argument callable, on one scene of M x N."""
     gt, rgb = make_scene(np.random.default_rng(0), M, N)
     _, up = degrade(gt, SCALE)
     guide = luminance(rgb)
-    coeffs = dct2_forward(up.data)
+    coeffs = dct2_forward(up)
     bank = default_bank()
     params = load_params(PARAMS)
     lambdas = np.asarray(params["lambdas"])
@@ -71,18 +92,20 @@ def stages(M: int, N: int) -> dict:
     m, n = M // SCALE, N // SCALE
     image_cfg = PipelineConfig("image_domain", lam=20.0, scale=SCALE)
     return {
+        "load": load_stage(gt, rgb),
         "degrade": lambda: degrade(gt, SCALE),
         "axis_weights_cold": lambda: (_axis_weights(M, m, True), _axis_weights(N, n, True),
                                       _axis_weights(m, M, False), _axis_weights(n, N, False)),
         "stencil_symbol_7x7_cold": lambda: stencil_symbol(g2, M, N),
         "stencil_symbol_3x3_cold": lambda: stencil_symbol(FIVE_POINT, M, N),
-        "dct2_forward": lambda: dct2_forward(up.data),
+        "luminance": lambda: luminance(rgb),
+        "dct2_forward": lambda: dct2_forward(up),
         "dct2_inverse": lambda: dct2_inverse(coeffs),
         "correlate_reflect_7x7": lambda: correlate_reflect(guide, g2),
         "correlate_reflect_5x5": lambda: correlate_reflect(guide, g1),
         "correlate_reflect_3x3": lambda: correlate_reflect(guide, FIVE_POINT),
         "transfer_target_hard": lambda: transfer_target(guide, edge),
-        "spectral_predict": lambda: spectral_predict(up.data, guide, bank, lambdas, head, edge),
+        "spectral_predict": lambda: spectral_predict(up, guide, bank, lambdas, head, edge),
         "predict_image_lam20": lambda: predict(up, guide, image_cfg),
     }
 

@@ -7,7 +7,6 @@ edge attention stand-in, and a benchmark harness around them.
 """
 
 from .image_core import (
-    DepthMap,
     RgbImage,
     as_image,
     as_stack,

@@ -14,10 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .feature_bank import (
     _solved_coeffs,
 )
 from .guidance import EdgeWeightConfig, luminance, transfer_target
-from .image_core import DepthMap, RgbImage
+from .image_core import RgbImage
 from .imgio import load_image
 from .resample import check_scale, crop_to_multiple, degrade
 from .spectral import SYMBOL_MODES, build_rhs, solve_screened, symbol_for
@@ -74,8 +75,11 @@ class DatasetEntry:
     split: str = "test"
 
     def __post_init__(self):
-        if self.depth_unit_scale <= 0:
-            raise ValueError(f"depth_unit_scale must be positive, got {self.depth_unit_scale}")
+        # json reads NaN and Infinity, so the manifest can carry them
+        if not (math.isfinite(self.depth_unit_scale) and self.depth_unit_scale > 0):
+            raise ValueError(f"depth_unit_scale must be finite and positive, "
+                             f"got {self.depth_unit_scale}")
+        object.__setattr__(self, "depth_unit_scale", float(self.depth_unit_scale))
         if self.split not in ("train", "val", "test"):
             raise ValueError(f"split must be train/val/test, got {self.split!r}")
 
@@ -153,9 +157,21 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(name, tuple(entries))
 
 
+# PipelineConfig field annotation -> accepted types. Numpy scalars pass;
+# a bool passes only where the annotation is bool.
+_FIELD_TYPES = {"str": str, "str | None": (str, type(None)), "float": numbers.Real,
+                "int": numbers.Integral, "int | None": (numbers.Integral, type(None)),
+                "bool": (bool, np.bool_)}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """One method configuration; hashes deterministically for the CSV."""
+    """One method configuration; hashes deterministically for the CSV.
+
+    Each field must have its annotated type, where an int counts as a
+    float and a bool counts only as a bool. Nothing is converted, so a
+    config hashes the values it was given.
+    """
 
     method: str = "bicubic"
     lam: float = 1.0
@@ -169,6 +185,11 @@ class PipelineConfig:
     antialias: bool = True
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (not isinstance(value, _FIELD_TYPES[f.type])
+                    or isinstance(value, bool) and f.type != "bool"):
+                raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0.0):
@@ -220,18 +241,18 @@ class BenchRecord:
             raise ValueError(f"runtime_ms must be finite and >= 0, got {self.runtime_ms}")
 
 
-def rmse(pred: DepthMap, gt: DepthMap, crop_border: int = 0) -> float:
-    """Root-mean-square error in metric units over the border-cropped region."""
+def rmse(pred: np.ndarray, gt: np.ndarray, crop_border: int = 0) -> float:
+    """Root-mean-square error of two depth grids over the border-cropped
+    region, in their stored units. The bench multiplies it by the entry's
+    unit scale to report metric units."""
     if pred.shape != gt.shape:
         raise ValueError(f"dimension mismatch: {pred.shape} vs {gt.shape}")
-    if pred.unit_scale != gt.unit_scale:
-        raise ValueError("rmse requires matching unit scales")
     b = int(crop_border)
     M, N = gt.shape
     if b < 0 or 2 * b >= min(M, N):
         raise ValueError(f"crop border {b} too large for {gt.shape}")
-    diff = pred.data[b : M - b, b : N - b] - gt.data[b : M - b, b : N - b]
-    return float(np.sqrt(np.mean(diff * diff))) * gt.unit_scale
+    diff = pred[b : M - b, b : N - b] - gt[b : M - b, b : N - b]
+    return float(np.sqrt(np.mean(diff * diff)))
 
 
 def _load_feature_params(cfg: PipelineConfig, bank: FilterBank):
@@ -268,11 +289,12 @@ def _image_lambda(cfg: PipelineConfig) -> float:
     return cfg.lam
 
 
-def predict(up: DepthMap, guide, cfg: PipelineConfig) -> DepthMap:
-    """Super-resolve an upsampled depth map under one configuration.
+def predict(up: np.ndarray, guide, cfg: PipelineConfig) -> np.ndarray:
+    """Super-resolve an upsampled depth grid under one configuration.
 
     ``guide`` is the guide's luminance grid, as :func:`luminance` returns
-    it; ``up`` must already have its dimensions.
+    it; ``up`` must already have its dimensions. Returns the predicted
+    depth grid, in ``up``'s units.
     """
     if up.shape != np.shape(guide):
         raise ValueError(f"depth {up.shape} does not match guide {np.shape(guide)}")
@@ -281,33 +303,34 @@ def predict(up: DepthMap, guide, cfg: PipelineConfig) -> DepthMap:
     edge_cfg = cfg.edge_config()
     if cfg.method == "image_domain":
         lam = _image_lambda(cfg)
-        e = build_rhs(up.data, transfer_target(guide, edge_cfg), lam)
+        e = build_rhs(up, transfer_target(guide, edge_cfg), lam)
         h = solve_screened(e, lam, symbol_for(cfg.symbol_mode, up.shape))
     else:
         bank = default_bank()
         lambdas, head = _load_feature_params(cfg, bank)
-        h = spectral_predict(up.data, guide, bank, lambdas, head, edge_cfg, cfg.symbol_mode)
-    return DepthMap(np.maximum(h, 0.0), up.unit_scale)
+        h = spectral_predict(up, guide, bank, lambdas, head, edge_cfg, cfg.symbol_mode)
+    return np.maximum(h, 0.0)
 
 
 def _prepare(entry: DatasetEntry, s: int,
-             antialias: bool) -> tuple[DepthMap, DepthMap, np.ndarray]:
-    """Load, check, crop and degrade one entry: (gt, up, guide).
+             antialias: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Load, check, crop and degrade one entry: the grids (gt, up, guide).
 
-    Ground truth and the guide's luminance are cropped bottom/right to a
-    multiple of the scale; ``up`` is the degraded-then-upsampled depth on
-    that grid.
+    Depth and guide must have the same size as loaded. Ground truth and
+    the guide's luminance are cropped bottom/right to a multiple of the
+    scale; ``up`` is the degraded-then-upsampled depth on that grid. The
+    depth grids stay in stored units.
     """
     rgb = load_image(entry.rgb_path)
     depth = load_image(entry.depth_path)
     if not isinstance(rgb, RgbImage):
         raise ValueError(f"rgb_path is not a color image: {entry.rgb_path}")
-    if not isinstance(depth, DepthMap):
+    if isinstance(depth, RgbImage):
         raise ValueError(f"depth_path is not a grayscale image: {entry.depth_path}")
-    gt = DepthMap(crop_to_multiple(depth.data, s), entry.depth_unit_scale)
+    if depth.shape != rgb.shape:
+        raise ValueError(f"depth {depth.shape} and rgb {rgb.shape} differ")
+    gt = crop_to_multiple(depth, s)
     guide = crop_to_multiple(luminance(rgb), s)
-    if gt.shape != guide.shape:
-        raise ValueError(f"depth {gt.shape} and rgb {guide.shape} differ after crop")
     _, up = degrade(gt, s, antialias)
     return gt, up, guide
 
@@ -317,14 +340,15 @@ def _entry_error(entry: DatasetEntry, exc: Exception) -> RuntimeError:
 
 
 def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig,
-              dataset: str) -> tuple[DepthMap, BenchRecord]:
-    """Super-resolve one prepared entry under ``cfg`` and score it."""
+              dataset: str) -> tuple[np.ndarray, BenchRecord]:
+    """Super-resolve one prepared entry under ``cfg`` and score it in
+    metric units."""
     gt, up, guide = prepared
     try:
         t0 = time.perf_counter()
         pred = predict(up, guide, cfg)
         runtime_ms = (time.perf_counter() - t0) * 1e3
-        value = rmse(pred, gt, cfg.crop_border)
+        value = rmse(pred, gt, cfg.crop_border) * entry.depth_unit_scale
     except Exception as exc:
         raise _entry_error(entry, exc) from exc
     rec = BenchRecord(dataset, entry.id, cfg.scale, cfg.method, cfg.config_hash(), value,
@@ -333,7 +357,7 @@ def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig,
 
 
 def run_image(entry: DatasetEntry, cfg: PipelineConfig,
-              dataset: str = "") -> tuple[DepthMap, BenchRecord]:
+              dataset: str = "") -> tuple[np.ndarray, BenchRecord]:
     """Degrade one manifest entry, super-resolve it, and measure RMSE.
 
     The ground truth is cropped bottom/right to a multiple of the scale
@@ -465,9 +489,9 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
         gt, up, guide = _prepare(entry, s, cfg.antialias)
         target = transfer_target(guide, edge_cfg)
         symbol = symbol_for(cfg.symbol_mode, gt.shape)
-        prepared.append((dct2_forward(up.data), dct2_forward(target),
+        prepared.append((dct2_forward(up), dct2_forward(target),
                          symbol_for("derived", gt.shape), symbol * symbol,
-                         dct2_forward(gt.data), gt.unit_scale**2))
+                         dct2_forward(gt), entry.depth_unit_scale**2))
     n_pixels = sum(y_hat.size for *_, y_hat, _ in prepared)
 
     def objective(lam: float) -> float:
@@ -503,7 +527,7 @@ def fit_feature_params(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     triples = []
     for entry in manifest.split("train") or manifest.entries:
         gt, up, guide = _prepare(entry, s, cfg.antialias)
-        triples.append((up.data, guide, gt.data))
+        triples.append((up, guide, gt))
 
     if fit_lambdas:
         (lambdas, head), trace = fit_lambda(triples, bank, edge_cfg, head_gamma, grid_points,

@@ -29,7 +29,7 @@ from .bench import (
 )
 from .feature_bank import default_bank, save_params
 from .guidance import luminance
-from .image_core import DepthMap, RgbImage
+from .image_core import RgbImage
 from .imgio import load_image, load_pfm_grid, save_error_map, save_image
 from .dct import dct2_forward, dct2_inverse
 from .resample import bicubic_upsample, check_scale
@@ -72,7 +72,7 @@ def _cmd_sr(args) -> int:
     s = check_scale(args.scale)
     depth = load_image(args.depth)
     rgb = load_image(args.rgb)
-    if not isinstance(depth, DepthMap):
+    if isinstance(depth, RgbImage):
         raise SystemExit(f"--depth must be a grayscale depth file: {args.depth}")
     if not isinstance(rgb, RgbImage):
         raise SystemExit(f"--rgb must be a color image: {args.rgb}")
@@ -81,15 +81,16 @@ def _cmd_sr(args) -> int:
         raise SystemExit(
             f"guide {rgb.shape} is not the depth size {depth.shape} times scale {s}"
         )
-    up = DepthMap(np.maximum(bicubic_upsample(depth.data, s), 0.0), depth.unit_scale)
+    gt = None if args.gt is None else load_image(args.gt)
+    if isinstance(gt, RgbImage):
+        raise SystemExit(f"--gt must be a grayscale depth file: {args.gt}")
+    if gt is not None and gt.shape != rgb.shape:
+        raise SystemExit(f"--gt {gt.shape} does not match the guide {rgb.shape}: {args.gt}")
+    up = np.maximum(bicubic_upsample(depth, s), 0.0)
     cfg = _config_from_args(args, _METHOD_ALIASES[args.method], s)
     pred = predict(up, luminance(rgb), cfg)
     save_image(pred, args.out, args.format)
-    if args.gt is not None:
-        gt = load_image(args.gt)
-        if not isinstance(gt, DepthMap):
-            raise SystemExit(f"--gt must be a grayscale depth file: {args.gt}")
-        gt = DepthMap(gt.data, depth.unit_scale)
+    if gt is not None:
         print(f"rmse {rmse(pred, gt, args.crop_border)!r}")
         if args.errmap is not None:
             save_error_map(pred, gt, args.errmap, args.max_err)
@@ -174,7 +175,7 @@ def _cmd_dct(args) -> int:
         img = load_image(args.infile)
         if isinstance(img, RgbImage):
             raise SystemExit("dct expects a grayscale input")
-        out = dct2_forward(img.data)
+        out = dct2_forward(img)
     save_image(out, args.out, "pfm")
     return 0
 

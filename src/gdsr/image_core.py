@@ -1,9 +1,10 @@
-"""Numeric image containers, validation and quantization.
+"""Grid validation, the RGB guide container and quantization.
 
-Everything downstream computes on 2-D float64 sample grids; 8/16-bit
-integers exist only at the file I/O boundary. Values are treated as
-immutable after construction, so images can be shared freely between
-workers.
+Everything downstream computes on 2-D float64 sample grids: depth is a
+bare grid, the color guide three of them in an :class:`RgbImage`.
+8/16-bit integers exist only at the file I/O boundary. Values are
+treated as immutable after construction, so images can be shared freely
+between workers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ __all__ = [
     "as_image",
     "as_stack",
     "RgbImage",
-    "DepthMap",
     "quantize",
     "dequantize",
 ]
@@ -73,39 +73,15 @@ class RgbImage:
         return self.red.shape
 
 
-@dataclass(frozen=True)
-class DepthMap:
-    """A nonnegative sample grid plus the stored-value-to-metric multiplier."""
-
-    data: np.ndarray
-    unit_scale: float = 1.0
-
-    def __post_init__(self):
-        data = as_image(self.data)
-        if data.min() < 0.0:
-            raise ValueError("depth samples must be nonnegative")
-        if not (np.isfinite(self.unit_scale) and self.unit_scale > 0.0):
-            raise ValueError(f"unit_scale must be positive, got {self.unit_scale}")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "unit_scale", float(self.unit_scale))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-
-def quantize(img, max_value: int, strict: bool = False) -> np.ndarray:
+def quantize(img, max_value: int) -> np.ndarray:
     """Map [0, 1] samples to integers in [0, max_value].
 
-    Rounds half away from zero so the quantization rule is bit-exact and
-    reproducible. With ``strict`` set, samples outside [0, 1] raise
-    instead of being clamped.
+    Samples outside [0, 1] are clamped. Rounds half away from zero so the
+    quantization rule is bit-exact and reproducible.
     """
     img = as_image(img)
     if max_value not in (255, 65535):
         raise ValueError(f"max_value must be 255 or 65535, got {max_value}")
-    if strict and (img.min() < 0.0 or img.max() > 1.0):
-        raise ValueError("samples outside [0, 1] in strict quantization")
     scaled = np.clip(img, 0.0, 1.0) * max_value
     # np.round would round halves to even; floor(x + 0.5) rounds them away
     # from zero on the nonnegative range we have here.

@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 
-from .image_core import DepthMap, RgbImage, as_image, quantize
+from .image_core import RgbImage, as_image, quantize
 
 __all__ = ["load_image", "save_image", "save_error_map"]
 
@@ -93,7 +93,7 @@ def _load_netpbm(data: bytes, magic: bytes):
     samples = raw.astype(np.float64).reshape(height, width, planes)
     samples /= maxval  # in place: no second full-size grid
     if magic == b"P5":
-        return DepthMap(samples[:, :, 0])
+        return samples[:, :, 0]
     return RgbImage(samples[:, :, 0], samples[:, :, 1], samples[:, :, 2])
 
 
@@ -126,10 +126,11 @@ def _pfm_grid(data: bytes) -> np.ndarray:
 def load_image(path):
     """Decode a PGM/PPM/PFM file.
 
-    P6 yields an :class:`RgbImage`; P5 and Pf yield a :class:`DepthMap`
-    with unit_scale 1 (the manifest supplies the metric multiplier).
-    Every malformed file raises :class:`ImageFormatError`, including a
-    PFM with non-finite or negative samples.
+    P6 yields an :class:`RgbImage`; P5 and Pf yield a 2-D float64 depth
+    grid in stored units, finite and nonnegative: Netpbm samples by
+    construction, PFM samples by the checks here. Every malformed file
+    raises :class:`ImageFormatError`, including a PFM with non-finite or
+    negative samples.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -140,16 +141,10 @@ def load_image(path):
         grid = _pfm_grid(data)
         if grid.min() < 0.0:
             raise ImageFormatError("PFM depth has negative samples")
-        return DepthMap(grid)
+        return grid
     if magic == b"PF":
         raise ImageFormatError("color PFM not supported; convert to grayscale Pf")
     raise ImageFormatError(f"unrecognized magic {magic!r}")
-
-
-def _gray_data(img) -> np.ndarray:
-    if isinstance(img, DepthMap):
-        return img.data
-    return as_image(img)
 
 
 def save_image(img, path, fmt: str) -> None:
@@ -159,7 +154,7 @@ def save_image(img, path, fmt: str) -> None:
     Integer formats expect samples in [0, 1] and clamp anything outside.
     """
     if fmt in ("pgm8", "pgm16"):
-        data = _gray_data(img)
+        data = as_image(img)
         maxval = 255 if fmt == "pgm8" else 65535
         grid = quantize(data, maxval)
         payload = grid.astype(">u2").tobytes() if maxval > 255 else grid.tobytes()
@@ -179,7 +174,7 @@ def save_image(img, path, fmt: str) -> None:
             fh.write(header + payload)
         return
     if fmt == "pfm":
-        data = _gray_data(img)
+        data = as_image(img)
         header = f"Pf\n{data.shape[1]} {data.shape[0]}\n-1.0\n".encode("ascii")
         payload = data[::-1].astype("<f4").tobytes()
         with open(path, "wb") as fh:
@@ -188,25 +183,22 @@ def save_image(img, path, fmt: str) -> None:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def save_error_map(pred: DepthMap, gt: DepthMap, path, max_err: float) -> None:
+def save_error_map(pred: np.ndarray, gt: np.ndarray, path, max_err: float) -> None:
     """Write |pred - gt| / max_err, clamped to [0, 1], as 8-bit PGM.
 
-    The difference is taken in metric units (stored values times
-    unit_scale), matching the RMSE convention; max_err is in the same
-    units.
+    ``pred`` and ``gt`` are same-shaped depth grids; the difference and
+    max_err are in their stored units, as :func:`gdsr.rmse` reports them.
     """
     if pred.shape != gt.shape:
         raise ValueError(f"dimension mismatch: {pred.shape} vs {gt.shape}")
-    if pred.unit_scale != gt.unit_scale:
-        raise ValueError("error map requires matching unit scales")
     if not (np.isfinite(max_err) and max_err > 0.0):
         raise ValueError(f"max_err must be positive, got {max_err}")
-    err = np.abs(pred.data - gt.data) * pred.unit_scale
+    err = np.abs(pred - gt)
     save_image(np.clip(err / max_err, 0.0, 1.0), path, "pgm8")
 
 
 def load_pfm_grid(path) -> np.ndarray:
-    """Verbatim float grid of a PFM file (no DepthMap nonnegativity check)."""
+    """Verbatim float grid of a PFM file (no nonnegativity check)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"Pf":

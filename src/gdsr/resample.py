@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image_core import DepthMap, as_image
+from .image_core import as_image
 
 __all__ = [
     "SCALE_FACTORS",
@@ -102,17 +102,18 @@ def bicubic_upsample(img, s: int) -> np.ndarray:
     return wr @ img @ wc.T
 
 
-def degrade(gt: DepthMap, s: int, antialias: bool = True) -> tuple[DepthMap, DepthMap]:
+def degrade(gt, s: int, antialias: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize the low-resolution input and its upsampled counterpart.
 
-    Returns (lr, up) where lr = downsample(gt, s) and up = upsample(lr, s);
+    ``gt`` is a depth grid with dimensions divisible by s. Returns the
+    grids (lr, up) where lr = downsample(gt, s) and up = upsample(lr, s);
     up has exactly gt's dimensions. Negative bicubic overshoot is clipped
     to zero (depth is nonnegative).
     """
     s = check_scale(s)
-    lr = np.maximum(bicubic_downsample(gt.data, s, antialias), 0.0)
+    lr = np.maximum(bicubic_downsample(gt, s, antialias), 0.0)
     up = np.maximum(bicubic_upsample(lr, s), 0.0)
-    return DepthMap(lr, gt.unit_scale), DepthMap(up, gt.unit_scale)
+    return lr, up
 
 
 def crop_to_multiple(img, s: int) -> np.ndarray:

@@ -9,7 +9,7 @@ discontinuities, which is the regime guided super-resolution targets.
 
 import numpy as np
 
-from gdsr import DepthMap, RgbImage
+from gdsr import RgbImage
 
 
 def make_scene(rng, M=128, N=128, n_shapes=6):
@@ -41,10 +41,10 @@ def make_scene(rng, M=128, N=128, n_shapes=6):
     texture = 0.02 * np.sin(2 * np.pi * (fx * xx + fy * yy))
     planes = [np.clip(0.35 * albedo[c] + 0.65 * shading + texture, 0.0, 1.0)
               for c in range(3)]
-    return DepthMap(depth), RgbImage(*planes)
+    return depth, RgbImage(*planes)
 
 
-def write_scene_files(directory, scene_id, gt: DepthMap, rgb: RgbImage):
+def write_scene_files(directory, scene_id, gt: np.ndarray, rgb: RgbImage):
     """Store one scene as 16-bit PGM + 8-bit PPM; returns a manifest entry."""
     from gdsr.imgio import save_image
 

@@ -32,7 +32,7 @@ from gdsr.feature_bank import (
     save_params,
 )
 from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
-from gdsr.image_core import DepthMap, RgbImage
+from gdsr.image_core import RgbImage
 from gdsr.imgio import save_error_map, save_image
 from gdsr.resample import bicubic_kernel, degrade
 from gdsr.spectral import (
@@ -136,7 +136,7 @@ def test_criterion_06_degenerate_contracts(tmp_path):
     w = edge_weight(np.full((16, 16), 0.7), EdgeWeightConfig("hard", 0.9))
     assert np.array_equal(w, np.zeros((16, 16)))
     # constant-depth entry scores zero RMSE for every method
-    depth = DepthMap(np.full((32, 32), 0.5))
+    depth = np.full((32, 32), 0.5)
     plane = np.full((32, 32), 0.3)
     save_image(depth, tmp_path / "d.pgm", "pgm16")
     save_image(RgbImage(plane, plane, plane), tmp_path / "r.ppm", "ppm8")
@@ -209,25 +209,25 @@ def test_criterion_08_golden_section_vs_grid(scene_manifest):
 
     rgb = load_image(entry.rgb_path)
     gt = load_image(entry.depth_path)
-    gt = DepthMap(crop_to_multiple(gt.data, 4))
+    gt = crop_to_multiple(gt, 4)
     _, up = degrade(gt, 4)
     identity = np.array([[1.0]])
     bank = FilterBank((FilterPair(identity, identity, shared=True),), name="id1")
     cfg_e = EdgeWeightConfig("hard", 0.9)
-    phi_l = extract(up.data, bank, "depth")
+    phi_l = extract(up, bank, "depth")
     phi_r = extract(luminance(rgb), bank, "guide")
     w = multichannel_edge_weight(phi_r, cfg_e)
 
-    (lambdas, _), _ = fit_lambda([(up.data, luminance(rgb), gt.data)], bank, cfg_e,
+    (lambdas, _), _ = fit_lambda([(up, luminance(rgb), gt)], bank, cfg_e,
                                  head_gamma=1e-8, grid_points=9, sweeps=1)
 
     sym = derived_symbol(FIVE_POINT, *gt.shape)
 
     def objective(lam):
         solved = channel_solve(phi_l, phi_r, w, np.array([lam]), sym)
-        head = fit_head([solved], [gt.data], 1e-8)
+        head = fit_head([solved], [gt], 1e-8)
         pred = apply_head(solved, head)
-        return float(np.sqrt(np.mean((pred - gt.data) ** 2)))
+        return float(np.sqrt(np.mean((pred - gt) ** 2)))
 
     grid = np.linspace(-4.0, 4.0, 50)
     vals = [objective(np.exp(v)) for v in grid]
@@ -247,12 +247,12 @@ def test_criterion_08_search_matches_pixel_objective_search(scene_manifest):
     from gdsr.resample import crop_to_multiple
 
     rgb = load_image(entry.rgb_path)
-    gt = DepthMap(crop_to_multiple(load_image(entry.depth_path).data, 4))
+    gt = crop_to_multiple(load_image(entry.depth_path), 4)
     _, up = degrade(gt, 4)
     identity = np.array([[1.0]])
     bank = FilterBank((FilterPair(identity, identity, shared=True),), name="id1")
     cfg_e = EdgeWeightConfig("hard", 0.9)
-    triple = (up.data, luminance(rgb), gt.data)
+    triple = (up, luminance(rgb), gt)
     (lambdas, _), _ = fit_lambda([triple], bank, cfg_e, head_gamma=1e-8, grid_points=9,
                                  sweeps=1)
     assert np.array_equal(
@@ -265,11 +265,11 @@ def test_criterion_09_bicubic_kernel_and_constants():
     assert abs(bicubic_kernel(0.5) - 0.5625) < 1e-15
     worst = 0.0
     for s in (2, 4, 8, 16):
-        gt = DepthMap(np.full((2 * s, 3 * s), 0.375))
+        gt = np.full((2 * s, 3 * s), 0.375)
         lr, up = degrade(gt, s)
-        worst = max(worst, np.abs(lr.data - 0.375).max(), np.abs(up.data - 0.375).max())
-        assert np.abs(lr.data - 0.375).max() < 1e-12
-        assert np.abs(up.data - 0.375).max() < 1e-12
+        worst = max(worst, np.abs(lr - 0.375).max(), np.abs(up - 0.375).max())
+        assert np.abs(lr - 0.375).max() < 1e-12
+        assert np.abs(up - 0.375).max() < 1e-12
     report(9, f"kernel points exact; constants preserved at all scales (worst {worst:.2e})")
 
 
@@ -321,7 +321,7 @@ def test_criterion_11_determinism(scene_manifest, tmp_path):
     from gdsr.resample import crop_to_multiple
 
     gt_full = load_image(entry.depth_path)
-    gt = DepthMap(crop_to_multiple(gt_full.data, 8))
+    gt = crop_to_multiple(gt_full, 8)
     m1, m2 = tmp_path / "e1.pgm", tmp_path / "e2.pgm"
     save_error_map(pred, gt, m1, max_err=0.1)
     save_error_map(pred, gt, m2, max_err=0.1)

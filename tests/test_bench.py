@@ -26,7 +26,7 @@ from gdsr.bench import (
 )
 from gdsr.feature_bank import INIT_LOG_LAMBDA, default_bank, save_params
 from gdsr.guidance import luminance
-from gdsr.image_core import DepthMap, RgbImage
+from gdsr.image_core import RgbImage
 from gdsr.imgio import load_image, save_image
 
 from oracles import pixel_head
@@ -46,26 +46,41 @@ def build_manifest(tmp_path, n=2, seed=90, M=64, N=64, name="synth"):
 
 
 def test_rmse_basics():
-    gt = DepthMap(np.zeros((2, 2)))
+    gt = np.zeros((2, 2))
     assert rmse(gt, gt) == 0.0
-    pred = DepthMap(np.full((2, 2), 2.0))
+    pred = np.full((2, 2), 2.0)
     assert rmse(pred, gt) == 2.0
-    spike = DepthMap(np.array([[3.0, 0.0], [0.0, 0.0]]))
+    spike = np.array([[3.0, 0.0], [0.0, 0.0]])
     assert rmse(spike, gt) == 1.5  # sqrt(9/4)
 
 
 def test_rmse_units_and_border():
-    gt = DepthMap(np.zeros((6, 6)), unit_scale=100.0)
-    data = np.zeros((6, 6))
-    data[0, 0] = 1.0
-    pred = DepthMap(data, unit_scale=100.0)
+    gt = np.zeros((6, 6))
+    pred = np.zeros((6, 6))
+    pred[0, 0] = 1.0
     full = rmse(pred, gt)
-    assert abs(full - 100.0 * np.sqrt(1 / 36)) < 1e-12
+    assert abs(full - np.sqrt(1 / 36)) < 1e-12  # stored units
     assert rmse(pred, gt, crop_border=1) == 0.0  # corner excluded
     with pytest.raises(ValueError, match="border"):
         rmse(pred, gt, crop_border=3)
-    with pytest.raises(ValueError, match="unit scales"):
-        rmse(DepthMap(data, unit_scale=1.0), gt)
+
+
+def test_bench_rmse_applies_the_entry_unit_scale(tmp_path):
+    # one scene listed twice, in stored units and at 100 units per stored unit
+    gt, rgb = make_scene(np.random.default_rng(94), 64, 64, n_shapes=3)
+    entry = write_scene_files(tmp_path, "s", gt, rgb)
+    entries = [dict(entry, id="x1"), dict(entry, id="x100", depth_unit_scale=100)]
+    manifest = load_manifest(_write_manifest(tmp_path, {"name": "u", "entries": entries}))
+    assert [e.depth_unit_scale for e in manifest.entries] == [1.0, 100.0]
+    configs = [PipelineConfig(method="bicubic"), PipelineConfig(method="image_domain")]
+    records = run_bench(manifest, [4], configs, threads=1, timing=False)
+    by_id = {(r.image_id, r.method): r.rmse for r in records}
+    gt_c, _, _ = bench._prepare(manifest.entries[0], 4, True)
+    for cfg in configs:
+        pred, _ = run_image(manifest.entries[0], cfg.with_scale(4), "u")
+        stored = rmse(pred, gt_c)
+        assert by_id["x1", cfg.method] == stored
+        assert by_id["x100", cfg.method] == stored * 100.0
 
 
 def test_manifest_validation(tmp_path):
@@ -105,7 +120,7 @@ def test_run_image_constant_depth_is_exact(tmp_path):
     from gdsr.image_core import RgbImage
     from gdsr.imgio import save_image
 
-    depth = DepthMap(np.full((32, 32), 0.5))
+    depth = np.full((32, 32), 0.5)
     plane = np.full((32, 32), 0.25)
     save_image(depth, tmp_path / "d.pgm", "pgm16")
     save_image(RgbImage(plane, plane, plane), tmp_path / "r.ppm", "ppm8")
@@ -121,7 +136,7 @@ def test_image_domain_lambda_zero_equals_bicubic(tmp_path):
     entry = manifest.entries[0]
     pred_b, rec_b = run_image(entry, PipelineConfig(method="bicubic", scale=4), "t")
     pred_i, rec_i = run_image(entry, PipelineConfig(method="image_domain", lam=0.0, scale=4), "t")
-    assert np.array_equal(pred_b.data, pred_i.data)
+    assert np.array_equal(pred_b, pred_i)
     assert rec_b.rmse == rec_i.rmse
 
 
@@ -146,7 +161,7 @@ def test_feature_identity_params_reduce_to_image_domain(tmp_path):
     cfg_i = PipelineConfig(method="image_domain", lam=lam, scale=4)
     pred_f, rec_f = run_image(entry, cfg_f, "t")
     pred_i, rec_i = run_image(entry, cfg_i, "t")
-    assert np.abs(pred_f.data - pred_i.data).max() < 1e-10
+    assert np.abs(pred_f - pred_i).max() < 1e-10
     assert abs(rec_f.rmse - rec_i.rmse) < 1e-10
 
 
@@ -285,13 +300,18 @@ def test_failed_record_keeps_its_cause_out_of_the_csv(tmp_path):
 
 def _mismatched_manifest(tmp_path, case):
     """One-entry manifest whose files fail the entry checks: a grayscale
-    guide, or a 64x64 guide over a 64x48 depth map."""
-    gt, rgb = make_scene(np.random.default_rng(93), 64, 64, n_shapes=3)
+    guide, a 64x64 guide over a 64x48 depth map, or a 128x128 guide over
+    a 129x131 depth map, which both crop to 128x128 at x8."""
+    size = 128 if case == "crop-shape" else 64
+    gt, rgb = make_scene(np.random.default_rng(93), size, size, n_shapes=3)
     entry = write_scene_files(tmp_path, "bad", gt, rgb)
     if case == "gray-guide":
         entry["rgb_path"] = entry["depth_path"]
+    elif case == "shape":
+        save_image(gt[:, :48], tmp_path / entry["depth_path"], "pgm16")
     else:
-        save_image(DepthMap(gt.data[:, :48]), tmp_path / entry["depth_path"], "pgm16")
+        save_image(np.pad(gt, ((0, 1), (0, 3)), mode="edge"), tmp_path / entry["depth_path"],
+                   "pgm16")
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"name": "bad", "entries": [entry]}))
     return load_manifest(path)
@@ -299,7 +319,8 @@ def _mismatched_manifest(tmp_path, case):
 
 @pytest.mark.parametrize("case, match", [
     ("gray-guide", "rgb_path is not a color image"),
-    ("shape", r"depth \(64, 48\) and rgb \(64, 64\) differ after crop"),
+    ("shape", r"depth \(64, 48\) and rgb \(64, 64\) differ"),
+    ("crop-shape", r"depth \(129, 131\) and rgb \(128, 128\) differ"),
 ])
 def test_fits_and_run_image_share_the_entry_checks(tmp_path, case, match):
     manifest = _mismatched_manifest(tmp_path, case)
@@ -323,7 +344,7 @@ def test_head_only_fit_matches_pixel_head(tmp_path):
     triples = []
     for entry in manifest.entries:
         gt, up, guide = bench._prepare(entry, 8, True)
-        triples.append((up.data, guide, gt.data))
+        triples.append((up, guide, gt))
     want, _, _ = pixel_head(triples, default_bank(), cfg.edge_config(), lambdas, 1e-6)
     scale = np.abs(want.weights).max()
     assert np.abs(head.weights - want.weights).max() <= 1e-8 * scale
@@ -383,6 +404,26 @@ def test_load_manifest_names_file_and_key(tmp_path, doc, match):
     path = _write_manifest(tmp_path, doc)
     with pytest.raises(ValueError, match=re.escape(f"manifest {path}: ") + match):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 0, -1])
+def test_load_manifest_rejects_bad_unit_scales(tmp_path, scale):
+    entry = {"id": "a", "rgb_path": "r.ppm", "depth_path": "d.pgm", "depth_unit_scale": scale}
+    path = _write_manifest(tmp_path, {"entries": [entry]})
+    with pytest.raises(ValueError, match="depth_unit_scale must be finite and positive"):
+        load_manifest(path)
+
+
+def test_config_fields_are_type_checked_without_conversion():
+    cfg = PipelineConfig(method="image_domain", lam=np.float64(2.0), scale=np.int64(8),
+                         crop_border=np.int64(1), antialias=np.bool_(False))
+    assert type(cfg.lam) is np.float64 and type(cfg.antialias) is np.bool_
+    assert (PipelineConfig(lam=np.float64(2.0)).config_hash()
+            == PipelineConfig(lam=2.0).config_hash())
+    for key, value in [("scale", 8.0), ("lam", True), ("crop_border", 1.0),
+                       ("antialias", 1), ("params_path", 3), ("edge_mode", None)]:
+        with pytest.raises(ValueError, match=f"^{key} must be "):
+            PipelineConfig(**{key: value})
 
 
 def test_load_manifest_rejects_invalid_json(tmp_path):

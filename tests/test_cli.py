@@ -7,7 +7,6 @@ import pytest
 from gdsr.cli import build_parser, main
 from gdsr.feature_bank import load_params
 from gdsr.imgio import load_image, load_pfm_grid, save_image
-from gdsr.image_core import DepthMap
 from gdsr.resample import bicubic_downsample
 
 from scenes import make_scene, write_scene_files
@@ -20,7 +19,7 @@ def scene_files(tmp_path):
     write_scene_files(tmp_path, "scene", gt, rgb)
     # quantized ground truth as the CLI will see it
     gt_q = load_image(tmp_path / "scene_depth.pgm")
-    lr = DepthMap(np.maximum(bicubic_downsample(gt_q.data, 4), 0.0))
+    lr = np.maximum(bicubic_downsample(gt_q, 4), 0.0)
     save_image(lr, tmp_path / "scene_lr.pgm", "pgm16")
     return tmp_path
 
@@ -63,6 +62,25 @@ def test_sr_errmap_without_gt_exits_before_writing(scene_files):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gt_file, match", [
+    ("scene_rgb.ppm", "--gt must be a grayscale depth file"),
+    ("scene_lr.pgm", r"--gt \(16, 16\) does not match the guide \(64, 64\)"),
+], ids=["color", "size"])
+def test_sr_checks_gt_before_writing(scene_files, gt_file, match):
+    out, errmap = scene_files / "pred.pgm", scene_files / "err.pgm"
+    with pytest.raises(SystemExit, match=match):
+        main([
+            "sr",
+            "--depth", str(scene_files / "scene_lr.pgm"),
+            "--rgb", str(scene_files / "scene_rgb.ppm"),
+            "--scale", "4",
+            "--out", str(out),
+            "--gt", str(scene_files / gt_file),
+            "--errmap", str(errmap),
+        ])
+    assert not out.exists() and not errmap.exists()
+
+
 def test_sr_validates_guide_size(scene_files):
     with pytest.raises(SystemExit, match="scale"):
         main([
@@ -80,7 +98,7 @@ def test_dct_command_roundtrip(scene_files):
     assert main(["dct", "--in", str(scene_files / "scene_depth.pgm"),
                  "--out", str(fwd)]) == 0
     assert main(["dct", "--in", str(fwd), "--out", str(back), "--inverse"]) == 0
-    original = load_image(scene_files / "scene_depth.pgm").data
+    original = load_image(scene_files / "scene_depth.pgm")
     recovered = load_pfm_grid(back)
     # float32 storage bounds the round trip
     assert np.abs(recovered - original).max() < 1e-5
@@ -109,7 +127,7 @@ def test_fit_image_then_sr_with_params(tmp_path, capsys):
     assert "fitted lambda" in capsys.readouterr().out
 
     gt = load_image(tmp_path / "m0_depth.pgm")
-    lr = DepthMap(np.maximum(bicubic_downsample(gt.data, 4), 0.0))
+    lr = np.maximum(bicubic_downsample(gt, 4), 0.0)
     save_image(lr, tmp_path / "m0_lr.pgm", "pgm16")
     out = tmp_path / "m0_pred.pgm"
     rc = main(["sr", "--depth", str(tmp_path / "m0_lr.pgm"),
@@ -182,6 +200,26 @@ def test_bench_config_errors_name_file_entry_and_key(tmp_path, text, where):
     out = tmp_path / "r.csv"
     with pytest.raises(ValueError, match=f"config {re.escape(str(config))}: {where}"):
         main(["bench", "--manifest", str(manifest), "--scales", "4",
+              "--config", str(config), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, key, got", [
+    ({"antialias": "no"}, "antialias", "str"),
+    ({"scale": 8.0}, "scale", "float"),
+    ({"method": "image", "lam": True}, "lam", "bool"),
+    ({"method": "image", "lam": "x"}, "lam", "str"),
+    ({"crop_border": "2"}, "crop_border", "str"),
+    ({"tau_quantile": None}, "tau_quantile", "NoneType"),
+], ids=["antialias-str", "scale-float", "lam-bool", "lam-str", "crop-str", "tau-null"])
+def test_bench_config_fields_are_type_checked(tmp_path, entry, key, got):
+    manifest = make_manifest(tmp_path, n=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([{"method": "bicubic"}, entry]))
+    out = tmp_path / "r.csv"
+    where = f"config {re.escape(str(config))}: entry 1: {key} must be .*, got {got}$"
+    with pytest.raises(ValueError, match=where):
+        main(["bench", "--manifest", str(manifest), "--scales", "8",
               "--config", str(config), "--out", str(out)])
     assert not out.exists()
 

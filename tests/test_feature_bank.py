@@ -255,7 +255,7 @@ def _tiny_training_triple(seed, M=32, N=32):
     from gdsr.resample import degrade
 
     _, up = degrade(gt, 4)
-    return up.data, luminance(rgb), gt.data
+    return up, luminance(rgb), gt
 
 
 def test_fit_lambda_never_regresses_and_trace_decreases():
@@ -308,8 +308,8 @@ def _bank_triples():
     for seed, M, N in ((82, 15, 21), (83, 17, 11)):
         rng = np.random.default_rng(seed)
         gt, rgb = make_scene(rng, M, N, n_shapes=3)
-        up = correlate_reflect(gt.data, gaussian_stencil(2.0, 7))
-        triples.append((up, luminance(rgb), gt.data))
+        up = correlate_reflect(gt, gaussian_stencil(2.0, 7))
+        triples.append((up, luminance(rgb), gt))
     return triples
 
 
@@ -410,15 +410,15 @@ def test_spectral_predict_on_scene_and_validation():
     lambdas = [41.3, 33.8, 26.3, 0.27, 54.6, 54.6, 54.6, 26.8]
     head = ReconstructionHead([5.67, 0.11, 0.50, -0.17, -0.07, -0.08, -0.19, -4.95], 0.01)
     cfg = EdgeWeightConfig("hard")
-    got = spectral_predict(gt.data, guide, bank, lambdas, head, cfg)
-    want = pixel_predict(gt.data, guide, bank, lambdas, head, cfg)
+    got = spectral_predict(gt, guide, bank, lambdas, head, cfg)
+    want = pixel_predict(gt, guide, bank, lambdas, head, cfg)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     with pytest.raises(ValueError, match="channel weights"):
-        spectral_predict(gt.data, guide, bank, lambdas[:7], head, cfg)
+        spectral_predict(gt, guide, bank, lambdas[:7], head, cfg)
     with pytest.raises(ValueError, match="head expects 1 channels"):
-        spectral_predict(gt.data, guide, bank, lambdas, ReconstructionHead([1.0], 0.0), cfg)
+        spectral_predict(gt, guide, bank, lambdas, ReconstructionHead([1.0], 0.0), cfg)
     with pytest.raises(ValueError, match="does not match guide"):
-        spectral_predict(gt.data, guide[:-1], bank, lambdas, head, cfg)
+        spectral_predict(gt, guide[:-1], bank, lambdas, head, cfg)
 
 
 def test_spectral_predict_skips_zero_weight_channels(monkeypatch):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gdsr.image_core import (
-    DepthMap,
     RgbImage,
     as_image,
     dequantize,
@@ -32,10 +31,8 @@ def test_quantize_points(value, maxval, expected):
     assert np.all(grid == expected)
 
 
-def test_quantize_strict_flag():
+def test_quantize_clamps_out_of_range_samples():
     img = np.array([[1.5, 0.5]])
-    with pytest.raises(ValueError, match="strict"):
-        quantize(img, 255, strict=True)
     assert np.array_equal(quantize(img, 255), np.array([[255, 128]], dtype=np.uint8))
 
 
@@ -63,12 +60,3 @@ def test_rgb_image_validation():
         RgbImage(plane, plane, np.full((3, 4), 0.5))
     with pytest.raises(ValueError):
         RgbImage(plane, plane, np.full((3, 3), 1.5))
-
-
-def test_depth_map_validation():
-    d = DepthMap(np.full((2, 2), 0.25), unit_scale=100.0)
-    assert d.unit_scale == 100.0
-    with pytest.raises(ValueError):
-        DepthMap(np.array([[-0.1, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        DepthMap(np.zeros((2, 2)), unit_scale=0.0)

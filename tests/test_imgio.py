@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdsr.image_core import DepthMap, RgbImage, dequantize, quantize
+from gdsr.image_core import RgbImage, dequantize, quantize
 from gdsr.imgio import ImageFormatError, load_image, load_pfm_grid, save_error_map, save_image
 
 
@@ -13,23 +13,23 @@ def test_p5_8bit_readback(tmp_path):
     path = tmp_path / "tiny.pgm"
     path.write_bytes(b"P5 2 2 255\n" + bytes([0, 128, 255, 64]))
     img = load_image(path)
-    assert isinstance(img, DepthMap)
+    assert isinstance(img, np.ndarray) and img.dtype == np.float64
     want = np.array([[0, 128], [255, 64]]) / 255.0
-    assert np.array_equal(img.data, want)
+    assert np.array_equal(img, want)
 
 
 def test_p5_16bit_big_endian(tmp_path):
     path = tmp_path / "deep.pgm"
     path.write_bytes(b"P5\n1 1\n65535\n" + bytes([0x01, 0x00]))
     img = load_image(path)
-    assert img.data[0, 0] == 256 / 65535
+    assert img[0, 0] == 256 / 65535
 
 
 def test_header_comments_and_whitespace(tmp_path):
     path = tmp_path / "comment.pgm"
     path.write_bytes(b"P5\n# a comment line\n 2\t1 # inline\n255\n" + bytes([7, 9]))
     img = load_image(path)
-    assert np.array_equal(img.data, np.array([[7, 9]]) / 255.0)
+    assert np.array_equal(img, np.array([[7, 9]]) / 255.0)
 
 
 def test_p6_color_readback(tmp_path):
@@ -49,7 +49,7 @@ def test_pgm_roundtrip_exact(tmp_path, fmt, maxval):
     path = tmp_path / f"rt.{fmt}.pgm"
     save_image(img, path, fmt)
     back = load_image(path)
-    assert np.array_equal(back.data, img)
+    assert np.array_equal(back, img)
 
 
 @pytest.mark.parametrize("fmt,maxval", [("ppm8", 255), ("ppm16", 65535)])
@@ -71,7 +71,7 @@ def test_pfm_roundtrip_exact_for_float32_values(tmp_path):
     path = tmp_path / "rt.pfm"
     save_image(img, path, "pfm")
     back = load_image(path)
-    assert np.array_equal(back.data, img)
+    assert np.array_equal(back, img)
 
 
 def test_pfm_negative_values_via_grid_loader(tmp_path):
@@ -88,7 +88,7 @@ def test_pfm_big_endian_scale_sign(tmp_path):
     path = tmp_path / "be.pfm"
     path.write_bytes(b"Pf\n2 1\n1.0\n" + payload)
     img = load_image(path)
-    assert np.array_equal(img.data, np.array([[2.0, 3.0]]))
+    assert np.array_equal(img, np.array([[2.0, 3.0]]))
 
 
 def test_malformed_inputs(tmp_path):
@@ -138,21 +138,21 @@ def test_sample_exceeding_maxval_rejected(tmp_path):
 
 
 def test_save_error_map_levels(tmp_path):
-    gt = DepthMap(np.full((3, 3), 0.5))
+    gt = np.full((3, 3), 0.5)
     for pred_val, expected in ((0.5, 0), (0.6, 255), (0.55, 128)):
-        pred = DepthMap(np.full((3, 3), pred_val))
+        pred = np.full((3, 3), pred_val)
         path = tmp_path / f"err_{expected}.pgm"
         save_error_map(pred, gt, path, max_err=0.1)
         back = load_image(path)
-        assert np.array_equal(quantize(back.data, 255), np.full((3, 3), expected))
+        assert np.array_equal(quantize(back, 255), np.full((3, 3), expected))
 
 
 def test_save_error_map_validation(tmp_path):
-    gt = DepthMap(np.zeros((2, 2)))
+    gt = np.zeros((2, 2))
     with pytest.raises(ValueError, match="max_err"):
         save_error_map(gt, gt, tmp_path / "x.pgm", max_err=0.0)
     with pytest.raises(ValueError, match="dimension"):
-        save_error_map(DepthMap(np.zeros((2, 3))), gt, tmp_path / "x.pgm", 1.0)
+        save_error_map(np.zeros((2, 3)), gt, tmp_path / "x.pgm", 1.0)
 
 
 def test_save_deterministic_bytes(tmp_path):
@@ -192,8 +192,8 @@ def test_netpbm_readback_any_size_and_maxval(size, maxval, color, seed):
         for k, plane in enumerate((img.red, img.green, img.blue)):
             assert np.array_equal(plane, want[:, :, k])
     else:
-        assert isinstance(img, DepthMap)
-        assert np.array_equal(img.data, want[:, :, 0])
+        assert isinstance(img, np.ndarray)
+        assert np.array_equal(img, want[:, :, 0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,7 +212,7 @@ def test_netpbm_save_load_round_trip(size, fmt, seed):
         assert all(np.array_equal(a, b) for a, b in
                    zip((back.red, back.green, back.blue), planes))
     else:
-        assert np.array_equal(back.data, planes[0])
+        assert np.array_equal(back, planes[0])
 
 
 _F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -228,7 +228,7 @@ def test_pfm_round_trip_any_size(size, data, little):
         save_image(values, path, "pfm")
         assert np.array_equal(load_pfm_grid(path), values)
         if values.min() >= 0.0:
-            assert np.array_equal(load_image(path).data, values)
+            assert np.array_equal(load_image(path), values)
     # the scale line's sign picks the byte order; rows are stored bottom-up
     endian, scale = ("<f4", b"-1.0") if little else (">f4", b"2.5")
     blob = b"Pf\n%d %d\n%s\n" % (size[1], size[0], scale)
@@ -298,7 +298,7 @@ def _decodes_or_format_error(blob, loader):
     if isinstance(img, RgbImage):
         planes = (img.red, img.green, img.blue)
     else:
-        planes = (img if isinstance(img, np.ndarray) else img.data,)
+        planes = (img,)
     assert all(np.all(np.isfinite(p)) for p in planes)
 
 

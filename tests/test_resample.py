@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdsr.image_core import DepthMap
 from gdsr.resample import (
     SCALE_FACTORS,
     bicubic_downsample,
@@ -50,11 +49,11 @@ def test_degrade_bytes_match_loop_oracle_products(s):
     lr, up = degrade(gt, s)
     (M, N), m, n = gt.shape, gt.shape[0] // s, gt.shape[1] // s
     want_lr = np.maximum(
-        loop_axis_weights(M, m, True) @ gt.data @ loop_axis_weights(N, n, True).T, 0.0)
+        loop_axis_weights(M, m, True) @ gt @ loop_axis_weights(N, n, True).T, 0.0)
     want_up = np.maximum(
         loop_axis_weights(m, M, False) @ want_lr @ loop_axis_weights(n, N, False).T, 0.0)
-    assert lr.data.tobytes() == want_lr.tobytes()
-    assert up.data.tobytes() == want_up.tobytes()
+    assert lr.tobytes() == want_lr.tobytes()
+    assert up.tobytes() == want_up.tobytes()
 
 
 @pytest.mark.parametrize("s", SCALE_FACTORS)
@@ -109,17 +108,16 @@ def test_random_round_trips_match_oracle(s):
 
 
 def test_degrade_contracts():
-    gt = DepthMap(np.full((2, 2), 0.5), unit_scale=10.0)
+    gt = np.full((2, 2), 0.5)
     lr, up = degrade(gt, 2)
     assert lr.shape == (1, 1) and up.shape == (2, 2)
-    assert lr.unit_scale == 10.0 and up.unit_scale == 10.0
-    assert np.abs(lr.data - 0.5).max() < 1e-12
-    assert np.abs(up.data - 0.5).max() < 1e-12
+    assert np.abs(lr - 0.5).max() < 1e-12
+    assert np.abs(up - 0.5).max() < 1e-12
 
 
 @pytest.mark.parametrize("s", SCALE_FACTORS)
 def test_degrade_sizes_exact(s):
-    gt = DepthMap(np.random.default_rng(53).random((2 * s, 3 * s)))
+    gt = np.random.default_rng(53).random((2 * s, 3 * s))
     lr, up = degrade(gt, s)
     assert lr.shape == (2, 3)
     assert up.shape == gt.shape
@@ -127,9 +125,9 @@ def test_degrade_sizes_exact(s):
 
 def test_degradation_is_lossy():
     yy, xx = np.mgrid[0:16, 0:16]
-    gt = DepthMap((xx + yy) / 32.0 + (xx > 8) * 0.25)
+    gt = (xx + yy) / 32.0 + (xx > 8) * 0.25
     _, up = degrade(gt, 2)
-    err = float(np.sqrt(np.mean((up.data - gt.data) ** 2)))
+    err = float(np.sqrt(np.mean((up - gt) ** 2)))
     assert err > 0.0
 
 
@@ -137,9 +135,8 @@ def test_degrade_clips_overshoot():
     # hard step near zero makes plain bicubic undershoot below 0
     img = np.zeros((16, 16))
     img[:, 8:] = 1.0
-    gt = DepthMap(img)
-    lr, up = degrade(gt, 4)
-    assert lr.data.min() >= 0.0 and up.data.min() >= 0.0
+    lr, up = degrade(img, 4)
+    assert lr.min() >= 0.0 and up.min() >= 0.0
 
 
 def test_crop_to_multiple():
