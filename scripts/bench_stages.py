@@ -8,7 +8,9 @@ BLAS pinned to one thread. The load stage decodes the scene's 16-bit PGM
 depth and 8-bit PPM guide, written once to a temporary directory. Stages
 marked cold go through no cache: the resample matrices are built from
 scratch and `stencil_symbol` is called directly, below `symbol_for`'s
-cache. The result for --label is stored under that key of --out, next
+cache. `lambda_objective_evaluate` is one fit-objective evaluation, at
+480x640 only: at 1024x1376 the objective's coefficient rows alone take
+about 270 MB. The result for --label is stored under that key of --out, next
 to any other labels already in the file, so runs of two checkouts can
 share one file:
 
@@ -42,6 +44,7 @@ from gdsr.bench import PipelineConfig, predict  # noqa: E402
 from gdsr.dct import dct2_forward, dct2_inverse  # noqa: E402
 from gdsr.feature_bank import (  # noqa: E402
     ReconstructionHead,
+    _LambdaObjective,
     default_bank,
     gaussian_stencil,
     load_params,
@@ -58,6 +61,8 @@ SIZES = ((480, 640), (1024, 1376))
 SCALE = 8
 REPEATS = 7
 PARAMS = ROOT / "perfbench" / "feature_params.json"
+# Largest grid the fit-objective stage runs at.
+OBJECTIVE_MAX_PIXELS = 480 * 640
 
 
 def load_stage(gt, rgb):
@@ -91,7 +96,7 @@ def stages(M: int, N: int) -> dict:
     g1, g2 = gaussian_stencil(1.0, 5), gaussian_stencil(2.0, 7)
     m, n = M // SCALE, N // SCALE
     image_cfg = PipelineConfig("image_domain", lam=20.0, scale=SCALE)
-    return {
+    timed = {
         "load": load_stage(gt, rgb),
         "degrade": lambda: degrade(gt, SCALE),
         "axis_weights_cold": lambda: (_axis_weights(M, m, True), _axis_weights(N, n, True),
@@ -108,6 +113,11 @@ def stages(M: int, N: int) -> dict:
         "spectral_predict": lambda: spectral_predict(up, guide, bank, lambdas, head, edge),
         "predict_image_lam20": lambda: predict(up, guide, image_cfg),
     }
+    if M * N <= OBJECTIVE_MAX_PIXELS:
+        # one candidate move of channel 3 against the e^0.1 start
+        objective = _LambdaObjective([(up, guide, gt)], bank, edge, 1e-6, "derived")
+        timed["lambda_objective_evaluate"] = lambda: objective.evaluate(3, 2.0)
+    return timed
 
 
 def time_stage(fn) -> dict:

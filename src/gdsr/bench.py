@@ -214,7 +214,10 @@ class PipelineConfig:
         return PipelineConfig(**d)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        # numpy scalars hash as the Python values they hold
+        values = {k: v.item() if isinstance(v, np.generic) else v
+                  for k, v in asdict(self).items()}
+        canonical = json.dumps(values, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:12]
 
 
@@ -312,15 +315,9 @@ def predict(up: np.ndarray, guide, cfg: PipelineConfig) -> np.ndarray:
     return np.maximum(h, 0.0)
 
 
-def _prepare(entry: DatasetEntry, s: int,
-             antialias: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Load, check, crop and degrade one entry: the grids (gt, up, guide).
-
-    Depth and guide must have the same size as loaded. Ground truth and
-    the guide's luminance are cropped bottom/right to a multiple of the
-    scale; ``up`` is the degraded-then-upsampled depth on that grid. The
-    depth grids stay in stored units.
-    """
+def _load_entry(entry: DatasetEntry) -> tuple[np.ndarray, np.ndarray]:
+    """Load and check one entry: its depth grid, in stored units, and its
+    guide's luminance grid, of the same size."""
     rgb = load_image(entry.rgb_path)
     depth = load_image(entry.depth_path)
     if not isinstance(rgb, RgbImage):
@@ -329,10 +326,23 @@ def _prepare(entry: DatasetEntry, s: int,
         raise ValueError(f"depth_path is not a grayscale image: {entry.depth_path}")
     if depth.shape != rgb.shape:
         raise ValueError(f"depth {depth.shape} and rgb {rgb.shape} differ")
+    return depth, luminance(rgb)
+
+
+def _crop_and_degrade(depth: np.ndarray, guide: np.ndarray, s: int,
+                      antialias: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grids (gt, up, guide) of one loaded entry at scale ``s``: depth
+    and luminance cropped bottom/right to a multiple of the scale, and the
+    degraded-then-upsampled depth on that grid."""
     gt = crop_to_multiple(depth, s)
-    guide = crop_to_multiple(luminance(rgb), s)
     _, up = degrade(gt, s, antialias)
-    return gt, up, guide
+    return gt, up, crop_to_multiple(guide, s)
+
+
+def _prepare(entry: DatasetEntry, s: int,
+             antialias: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Load, check, crop and degrade one entry: the grids (gt, up, guide)."""
+    return _crop_and_degrade(*_load_entry(entry), s, antialias)
 
 
 def _entry_error(entry: DatasetEntry, exc: Exception) -> RuntimeError:
@@ -398,19 +408,31 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
     configs = list(configs)
     if not configs:
         raise ValueError("no pipeline configs given")
-    tasks = [(entry, s) for entry in manifest.entries for s in scales]
+    settings = dict.fromkeys(cfg.antialias for cfg in configs)
 
-    def one(task):
-        """Records of every config on one (entry, scale), in config order.
+    def one(entry):
+        """Records of every scale and config on one entry, in canonical order.
 
-        The entry is prepared once per antialias setting; a failed
-        preparation fails every config that needs it, with its cause.
+        The entry is loaded once, then cropped and degraded once per
+        (scale, antialias). A failed step fails every record that needs
+        it, with its cause: a failed load fails the whole entry, a failed
+        crop only that scale.
         """
-        entry, s = task
+        try:
+            loaded = _load_entry(entry)
+        except Exception as exc:
+            loaded = _entry_error(entry, exc)
+        return [r for s in scales for r in scale_records(entry, loaded, s)]
+
+    def scale_records(entry, loaded, s):
+        """Records of every config at one scale; its grids die on return."""
         prepared = {}  # antialias -> (gt, up, guide), or the error preparing raised
-        for antialias in dict.fromkeys(cfg.antialias for cfg in configs):
+        for antialias in settings:
+            if isinstance(loaded, Exception):
+                prepared[antialias] = loaded
+                continue
             try:
-                prepared[antialias] = _prepare(entry, s, antialias)
+                prepared[antialias] = _crop_and_degrade(*loaded, s, antialias)
             except Exception as exc:
                 prepared[antialias] = _entry_error(entry, exc)
         records = []
@@ -426,12 +448,13 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
                                            cfg.config_hash(), None, 0.0, str(exc)))
         return records
 
-    workers = _worker_count(threads)
-    if workers == 1 or len(tasks) == 1:
-        groups = [one(t) for t in tasks]
+    entries = manifest.entries
+    workers = min(_worker_count(threads), len(entries))
+    if workers == 1:
+        groups = [one(e) for e in entries]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(one, tasks))
+            groups = list(pool.map(one, entries))
     records = [r for group in groups for r in group]
 
     if not timing:

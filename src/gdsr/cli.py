@@ -86,6 +86,13 @@ def _cmd_sr(args) -> int:
         raise SystemExit(f"--gt must be a grayscale depth file: {args.gt}")
     if gt is not None and gt.shape != rgb.shape:
         raise SystemExit(f"--gt {gt.shape} does not match the guide {rgb.shape}: {args.gt}")
+    # checked here, as rmse and save_error_map would check them after --out is written
+    border_limit = (min(rgb.shape) - 1) // 2
+    if gt is not None and not 0 <= args.crop_border <= border_limit:
+        raise SystemExit(f"--crop-border must be in [0, {border_limit}] for the guide "
+                         f"{rgb.shape}, got {args.crop_border}")
+    if args.errmap is not None and not (np.isfinite(args.max_err) and args.max_err > 0.0):
+        raise SystemExit(f"--max-err must be finite and positive, got {args.max_err}")
     up = np.maximum(bicubic_upsample(depth, s), 0.0)
     cfg = _config_from_args(args, _METHOD_ALIASES[args.method], s)
     pred = predict(up, luminance(rgb), cfg)

@@ -64,6 +64,27 @@ def brute_correlate_reflect(img, stencil) -> np.ndarray:
     return out
 
 
+def loop_correlate(img, stencil) -> np.ndarray:
+    """Whole-grid per-tap correlation: pad once, then add each nonzero tap's
+    product over the full grid in (u, v) row-major order, starting from
+    zeros. It sums the same products in the same order as the package's
+    row-blocked kernel, so the two must agree bit for bit."""
+    img = np.asarray(img, dtype=np.float64)
+    st = np.asarray(stencil, dtype=np.float64)
+    M, N = img.shape
+    ph, pw = st.shape[0] // 2, st.shape[1] // 2
+    if ph == 0 and pw == 0:
+        return st[0, 0] * img
+    padded = np.pad(img, ((ph, ph), (pw, pw)), mode="symmetric")
+    out = np.zeros((M, N), dtype=np.float64)
+    for u in range(st.shape[0]):
+        for v in range(st.shape[1]):
+            w = st[u, v]
+            if w != 0.0:
+                out += w * padded[u : u + M, v : v + N]
+    return out
+
+
 def literal_dct2(img, inverse: bool = False) -> np.ndarray:
     """Orthonormal 2-D DCT-II / DCT-III straight from the defining sums."""
     img = np.asarray(img, dtype=np.float64)

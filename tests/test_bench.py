@@ -28,6 +28,7 @@ from gdsr.feature_bank import INIT_LOG_LAMBDA, default_bank, save_params
 from gdsr.guidance import luminance
 from gdsr.image_core import RgbImage
 from gdsr.imgio import load_image, save_image
+from gdsr.resample import degrade
 
 from oracles import pixel_head
 from scenes import make_scene, write_scene_files
@@ -284,18 +285,21 @@ def test_failed_record_keeps_its_cause_out_of_the_csv(tmp_path):
         fh.write(blob[: len(blob) // 2])  # truncated PGM payload
     cfg = PipelineConfig(method="bicubic")
     out = tmp_path / "t.csv"
-    records = run_bench(manifest, [4], [cfg], out, threads=1, timing=False)
+    records = run_bench(manifest, [4, 8], [cfg], out, threads=1, timing=False)
     failed = [r for r in records if r.image_id == bad.id]
-    assert len(failed) == 1 and failed[0].rmse is None
-    assert f"entry {bad.id!r}" in failed[0].error
-    assert "ImageFormatError" in failed[0].error
+    # the entry is loaded once, and every scale's record carries the cause
+    assert [r.scale for r in failed] == [4, 8]
+    assert all(r.rmse is None for r in failed)
+    assert failed[0].error == failed[1].error
+    assert failed[0].error.startswith(f"entry {bad.id!r}: ImageFormatError: ")
     assert all(r.error is None for r in records if r.image_id != bad.id)
     # the cause is not a CSV column: the bytes equal those of cause-free records
     bare = tmp_path / "bare.csv"
     write_csv([dataclasses.replace(r, error=None) for r in records], bare)
     assert out.read_bytes() == bare.read_bytes()
-    h = cfg.with_scale(4).config_hash()
-    assert f"synth,{bad.id},4,bicubic,{h},ERROR,0.000\n" in out.read_text()
+    for s in (4, 8):
+        h = cfg.with_scale(s).config_hash()
+        assert f"synth,{bad.id},{s},bicubic,{h},ERROR,0.000\n" in out.read_text()
 
 
 def _mismatched_manifest(tmp_path, case):
@@ -367,16 +371,40 @@ def test_run_bench_prepares_each_entry_once_per_scale_and_antialias(tmp_path, mo
     configs = [PipelineConfig(method="bicubic"),
                PipelineConfig(method="image_domain", lam=2.0),
                PipelineConfig(method="image_domain", lam=2.0, antialias=False)]
-    loads = []
+    loads, degrades = [], []
     monkeypatch.setattr(bench, "load_image", lambda p: loads.append(p) or load_image(p))
+    monkeypatch.setattr(bench, "degrade",
+                        lambda gt, s, aa: degrades.append((s, aa)) or degrade(gt, s, aa))
     records = run_bench(manifest, [2, 4], configs, threads=2, timing=False)
-    # two files per (entry, scale, antialias): 2 entries x 2 scales x 2 settings
-    assert len(loads) == 2 * 2 * 2 * 2
+    # two files per entry, loaded once for both scales
+    assert sorted(loads) == sorted(p for e in manifest.entries
+                                   for p in (e.rgb_path, e.depth_path))
+    # one degrade per (entry, scale, antialias): 2 entries x 2 scales x 2 settings
+    assert sorted(degrades) == sorted([(s, aa) for s in (2, 4) for aa in (True, False)] * 2)
     # the records, in canonical order, are those run_image gives one by one
     details = [r for r in records if r.image_id != MEAN_ROW_ID]
     want = [run_image(e, cfg.with_scale(s), "synth")[1]
             for e in manifest.entries for s in (2, 4) for cfg in configs]
     assert details == [dataclasses.replace(r, runtime_ms=0.0) for r in want]
+
+
+def test_entry_smaller_than_a_scale_fails_only_that_scale(tmp_path):
+    manifest = build_manifest(tmp_path, n=1, M=12, N=12)
+    entry = manifest.entries[0]
+    configs = [PipelineConfig(method="bicubic"), PipelineConfig(method="image_domain")]
+    records = run_bench(manifest, [4, 16], configs, threads=1, timing=False)
+    details = [r for r in records if r.image_id != MEAN_ROW_ID]
+    assert [(r.scale, r.method) for r in details] == [
+        (s, cfg.method) for s in (4, 16) for cfg in configs]
+    for r in details:
+        if r.scale == 4:
+            assert r.error is None and r.rmse is not None
+        else:
+            assert r.rmse is None
+            assert r.error == (f"entry {entry.id!r}: ValueError: "
+                               f"image (12, 12) smaller than scale 16")
+    means = {r.scale: r.rmse for r in records if r.image_id == MEAN_ROW_ID}
+    assert means[4] is not None and means[16] is None
 
 
 def _write_manifest(tmp_path, doc):
@@ -418,8 +446,14 @@ def test_config_fields_are_type_checked_without_conversion():
     cfg = PipelineConfig(method="image_domain", lam=np.float64(2.0), scale=np.int64(8),
                          crop_border=np.int64(1), antialias=np.bool_(False))
     assert type(cfg.lam) is np.float64 and type(cfg.antialias) is np.bool_
-    assert (PipelineConfig(lam=np.float64(2.0)).config_hash()
-            == PipelineConfig(lam=2.0).config_hash())
+    # each numpy-typed config hashes as its Python-typed twin
+    for key, value in [("lam", np.float64(2.0)), ("lam", np.float32(0.5)),
+                       ("tau_quantile", np.float32(0.75)), ("scale", np.int64(8)),
+                       ("scale", np.int32(4)), ("crop_border", np.int64(1)),
+                       ("antialias", np.bool_(False))]:
+        cfg = PipelineConfig(**{key: value})
+        assert type(getattr(cfg, key)) is type(value)
+        assert cfg.config_hash() == PipelineConfig(**{key: value.item()}).config_hash()
     for key, value in [("scale", 8.0), ("lam", True), ("crop_border", 1.0),
                        ("antialias", 1), ("params_path", 3), ("edge_mode", None)]:
         with pytest.raises(ValueError, match=f"^{key} must be "):

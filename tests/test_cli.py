@@ -81,6 +81,28 @@ def test_sr_checks_gt_before_writing(scene_files, gt_file, match):
     assert not out.exists() and not errmap.exists()
 
 
+@pytest.mark.parametrize("flags, match", [
+    (["--crop-border", "32"], r"--crop-border must be in \[0, 31\] for the guide \(64, 64\), got 32"),
+    (["--crop-border", "-1"], r"--crop-border must be in \[0, 31\] .* got -1"),
+    (["--errmap", "err.pgm", "--max-err", "0"], "--max-err must be finite and positive, got 0.0"),
+    (["--errmap", "err.pgm", "--max-err", "nan"], "--max-err must be finite and positive"),
+], ids=["border", "negative-border", "max-err-zero", "max-err-nan"])
+def test_sr_checks_scoring_flags_before_writing(scene_files, flags, match):
+    out = scene_files / "pred.pgm"
+    flags = [str(scene_files / f) if f.endswith(".pgm") else f for f in flags]
+    with pytest.raises(SystemExit, match=match):
+        main([
+            "sr",
+            "--depth", str(scene_files / "scene_lr.pgm"),
+            "--rgb", str(scene_files / "scene_rgb.ppm"),
+            "--scale", "4",
+            "--out", str(out),
+            "--gt", str(scene_files / "scene_depth.pgm"),
+            *flags,
+        ])
+    assert not out.exists() and not (scene_files / "err.pgm").exists()
+
+
 def test_sr_validates_guide_size(scene_files):
     with pytest.raises(SystemExit, match="scale"):
         main([
