@@ -6,13 +6,7 @@ feature domain, with a bicubic degradation protocol, a quantile-based
 edge attention stand-in, and a benchmark harness around them.
 """
 
-from .image_core import (
-    RgbImage,
-    as_image,
-    as_stack,
-    dequantize,
-    quantize,
-)
+from .image_core import as_image, as_stack
 from .dct import dct2_forward, dct2_inverse
 from .spectral import (
     FIVE_POINT,
@@ -52,7 +46,7 @@ from .resample import (
     crop_to_multiple,
     degrade,
 )
-from .imgio import load_image, save_error_map, save_image
+from .imgio import load_image, quantize, save_error_map, save_image
 from .bench import (
     BenchRecord,
     DatasetEntry,

@@ -33,11 +33,11 @@ from .feature_bank import (
     spectral_predict,
     INIT_LOG_LAMBDA,
     _LambdaObjective,
+    _check_grid_points,
     _search_log_lambda,
     _solved_coeffs,
 )
 from .guidance import EdgeWeightConfig, luminance, transfer_target
-from .image_core import RgbImage
 from .imgio import load_image
 from .resample import check_scale, crop_to_multiple, degrade
 from .spectral import SYMBOL_MODES, build_rhs, solve_screened, symbol_for
@@ -255,7 +255,8 @@ def rmse(pred: np.ndarray, gt: np.ndarray, crop_border: int = 0) -> float:
     if b < 0 or 2 * b >= min(M, N):
         raise ValueError(f"crop border {b} too large for {gt.shape}")
     diff = pred[b : M - b, b : N - b] - gt[b : M - b, b : N - b]
-    return float(np.sqrt(np.mean(diff * diff)))
+    diff *= diff  # in place: no second cropped-grid temporary
+    return float(np.sqrt(np.mean(diff)))
 
 
 def _load_feature_params(cfg: PipelineConfig, bank: FilterBank):
@@ -271,10 +272,10 @@ def _load_feature_params(cfg: PipelineConfig, bank: FilterBank):
                 f"parameter file {cfg.params_path} was fit with bank "
                 f"{params.get('bank')!r}, but the pipeline uses bank {bank.name!r}"
             )
-        lambdas = np.asarray(params["lambdas"], dtype=np.float64)
+        lambdas = np.asarray(_param(params, "lambdas", cfg), dtype=np.float64)
         head = ReconstructionHead(
-            np.asarray(params["head_weights"], dtype=np.float64),
-            float(params["head_bias"]),
+            np.asarray(_param(params, "head_weights", cfg), dtype=np.float64),
+            float(_param(params, "head_bias", cfg)),
             float(params.get("head_gamma", 0.0)),
         )
         return lambdas, head
@@ -288,8 +289,15 @@ def _image_lambda(cfg: PipelineConfig) -> float:
         params = load_params(cfg.params_path)
         if params.get("method") != "image":
             raise ValueError(f"parameter file {cfg.params_path} is not an image-domain fit")
-        return float(params["lambda"])
+        return float(_param(params, "lambda", cfg))
     return cfg.lam
+
+
+def _param(params: dict, key: str, cfg: PipelineConfig):
+    """``params[key]``, or an error naming the parameter file and the key."""
+    if key not in params:
+        raise ValueError(f"parameter file {cfg.params_path} lacks key {key!r}")
+    return params[key]
 
 
 def predict(up: np.ndarray, guide, cfg: PipelineConfig) -> np.ndarray:
@@ -320,12 +328,12 @@ def _load_entry(entry: DatasetEntry) -> tuple[np.ndarray, np.ndarray]:
     guide's luminance grid, of the same size."""
     rgb = load_image(entry.rgb_path)
     depth = load_image(entry.depth_path)
-    if not isinstance(rgb, RgbImage):
+    if rgb.ndim != 3:
         raise ValueError(f"rgb_path is not a color image: {entry.rgb_path}")
-    if isinstance(depth, RgbImage):
+    if depth.ndim == 3:
         raise ValueError(f"depth_path is not a grayscale image: {entry.depth_path}")
-    if depth.shape != rgb.shape:
-        raise ValueError(f"depth {depth.shape} and rgb {rgb.shape} differ")
+    if depth.shape != rgb.shape[:2]:
+        raise ValueError(f"depth {depth.shape} and rgb {rgb.shape[:2]} differ")
     return depth, luminance(rgb)
 
 
@@ -506,6 +514,7 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     once, and every lambda costs one per-frequency division.
     """
     s = check_scale(s)
+    _check_grid_points(grid_points)
     edge_cfg = cfg.edge_config()
     prepared = []
     for entry in manifest.split("train") or manifest.entries:

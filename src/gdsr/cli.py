@@ -29,7 +29,6 @@ from .bench import (
 )
 from .feature_bank import default_bank, save_params
 from .guidance import luminance
-from .image_core import RgbImage
 from .imgio import load_image, load_pfm_grid, save_error_map, save_image
 from .dct import dct2_forward, dct2_inverse
 from .resample import bicubic_upsample, check_scale
@@ -72,25 +71,24 @@ def _cmd_sr(args) -> int:
     s = check_scale(args.scale)
     depth = load_image(args.depth)
     rgb = load_image(args.rgb)
-    if isinstance(depth, RgbImage):
+    if depth.ndim == 3:
         raise SystemExit(f"--depth must be a grayscale depth file: {args.depth}")
-    if not isinstance(rgb, RgbImage):
+    if rgb.ndim != 3:
         raise SystemExit(f"--rgb must be a color image: {args.rgb}")
     m, n = depth.shape
-    if rgb.shape != (m * s, n * s):
-        raise SystemExit(
-            f"guide {rgb.shape} is not the depth size {depth.shape} times scale {s}"
-        )
+    hr = rgb.shape[:2]
+    if hr != (m * s, n * s):
+        raise SystemExit(f"guide {hr} is not the depth size {depth.shape} times scale {s}")
     gt = None if args.gt is None else load_image(args.gt)
-    if isinstance(gt, RgbImage):
+    if gt is not None and gt.ndim == 3:
         raise SystemExit(f"--gt must be a grayscale depth file: {args.gt}")
-    if gt is not None and gt.shape != rgb.shape:
-        raise SystemExit(f"--gt {gt.shape} does not match the guide {rgb.shape}: {args.gt}")
+    if gt is not None and gt.shape != hr:
+        raise SystemExit(f"--gt {gt.shape} does not match the guide {hr}: {args.gt}")
     # checked here, as rmse and save_error_map would check them after --out is written
-    border_limit = (min(rgb.shape) - 1) // 2
+    border_limit = (min(hr) - 1) // 2
     if gt is not None and not 0 <= args.crop_border <= border_limit:
         raise SystemExit(f"--crop-border must be in [0, {border_limit}] for the guide "
-                         f"{rgb.shape}, got {args.crop_border}")
+                         f"{hr}, got {args.crop_border}")
     if args.errmap is not None and not (np.isfinite(args.max_err) and args.max_err > 0.0):
         raise SystemExit(f"--max-err must be finite and positive, got {args.max_err}")
     up = np.maximum(bicubic_upsample(depth, s), 0.0)
@@ -180,7 +178,7 @@ def _cmd_dct(args) -> int:
         out = dct2_inverse(grid)
     else:
         img = load_image(args.infile)
-        if isinstance(img, RgbImage):
+        if img.ndim == 3:
             raise SystemExit("dct expects a grayscale input")
         out = dct2_forward(img)
     save_image(out, args.out, "pfm")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dct import _dct2, _idct2
 from .image_core import as_image, as_stack
-from .filters import _correlate, correlate_reflect
+from .filters import _correlate, _stencil, correlate_reflect
 from .guidance import EdgeWeightConfig, transfer_target
 from .spectral import (
     FIVE_POINT,
@@ -65,13 +65,8 @@ LOG_LAMBDA_BOUNDS = (-4.0, 4.0)
 INIT_LOG_LAMBDA = 0.1
 
 
-def _stencil(values) -> np.ndarray:
-    st = np.asarray(values, dtype=np.float64)
-    if st.ndim != 2 or st.shape[0] % 2 == 0 or st.shape[1] % 2 == 0:
-        raise ValueError(f"stencil must be 2-D with odd dimensions, got {st.shape}")
-    if not np.all(np.isfinite(st)):
-        raise ValueError("stencil weights must be finite")
-    st = st.copy()
+def _frozen_stencil(values) -> np.ndarray:
+    st = _stencil(values).copy()
     st.setflags(write=False)
     return st
 
@@ -85,8 +80,8 @@ class FilterPair:
     shared: bool
 
     def __post_init__(self):
-        d = _stencil(self.depth_filter)
-        g = _stencil(self.guide_filter)
+        d = _frozen_stencil(self.depth_filter)
+        g = _frozen_stencil(self.guide_filter)
         if self.shared and not (d.shape == g.shape and np.array_equal(d, g)):
             raise ValueError("shared pair must carry identical stencils")
         if not (np.array_equal(d, d[::-1]) and np.array_equal(d, d[:, ::-1])):
@@ -509,6 +504,11 @@ def _golden_min(f, lo: float, hi: float, tol: float = 0.02):
     return (c, fc) if fc < fd else (d, fd)
 
 
+def _check_grid_points(grid_points: int) -> None:
+    if grid_points < 3:
+        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
+
+
 def _search_log_lambda(f, grid_points: int):
     """Minimize f over log(lambda) in LOG_LAMBDA_BOUNDS; returns (v, f(v)).
 
@@ -545,8 +545,7 @@ def fit_lambda(train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
     accepted with them, and one trace entry for the start and one per
     accepted move.
     """
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
+    _check_grid_points(grid_points)
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     obj = _LambdaObjective(train_triples, bank, edge_cfg, head_gamma, symbol_mode)
@@ -591,8 +590,17 @@ def save_params(path, params: dict) -> None:
 
 
 def load_params(path) -> dict:
+    """Read a parameter file written by :func:`save_params`. Invalid JSON,
+    a document that is not an object and a missing 'method' key raise a
+    ValueError naming the file."""
     with open(path, "r", encoding="ascii") as fh:
-        params = json.load(fh)
+        try:
+            params = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"parameter file {path}: not valid JSON: {exc}") from None
+    if not isinstance(params, dict):
+        raise ValueError(f"parameter file {path}: expected a JSON object, "
+                         f"got {type(params).__name__}")
     if "method" not in params:
         raise ValueError(f"parameter file {path} lacks a 'method' key")
     return params

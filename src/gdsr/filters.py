@@ -33,11 +33,18 @@ def correlate_reflect(img, stencil) -> np.ndarray:
     extension. No kernel flip is applied; for the flip-symmetric stencils
     used by the solver this coincides with convolution.
     """
-    img = as_image(img)
-    st = np.asarray(stencil, dtype=np.float64)
+    return _correlate(as_image(img), _stencil(stencil))
+
+
+def _stencil(values) -> np.ndarray:
+    """Validate a stencil: a 2-D float64 array with odd dimensions and
+    finite weights."""
+    st = np.asarray(values, dtype=np.float64)
     if st.ndim != 2 or st.shape[0] % 2 == 0 or st.shape[1] % 2 == 0:
         raise ValueError(f"stencil must be 2-D with odd dimensions, got {st.shape}")
-    return _correlate(img, st)
+    if not np.all(np.isfinite(st)):
+        raise ValueError("stencil weights must be finite")
+    return st
 
 
 def _correlate(img: np.ndarray, st: np.ndarray) -> np.ndarray:

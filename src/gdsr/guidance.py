@@ -1,5 +1,8 @@
 """Guide preprocessing: luminance conversion and edge attention weights.
 
+The color guide arrives as the (M, N, 3) array the decoder returns;
+everything after :func:`luminance` works on its 2-D luma grid.
+
 The weights select which guide gradients are transferred into the depth
 solution. They are classical and learning-free: the Laplacian magnitude
 of the guide is thresholded at a quantile, either hard (0/1 mask) or
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .image_core import RgbImage, as_image, as_stack
+from .image_core import as_image, as_stack
 from .spectral import _laplacian
 
 __all__ = [
@@ -48,10 +51,17 @@ class EdgeWeightConfig:
             raise ValueError(f"steepness must be positive, got {self.steepness}")
 
 
-def luminance(rgb: RgbImage) -> np.ndarray:
-    """BT.601 luma: 0.299 R + 0.587 G + 0.114 B, in [0, 1]."""
+def luminance(rgb) -> np.ndarray:
+    """BT.601 luma 0.299 R + 0.587 G + 0.114 B of an (M, N, 3) array.
+
+    Only the shape is checked: the samples are the decoder's, which has
+    already checked them.
+    """
+    rgb = np.asarray(rgb)
+    if rgb.ndim != 3 or rgb.shape[2] != 3:
+        raise ValueError(f"expected an (M, N, 3) RGB array, got shape {rgb.shape}")
     r, g, b = _LUMA
-    return r * rgb.red + g * rgb.green + b * rgb.blue
+    return r * rgb[..., 0] + g * rgb[..., 1] + b * rgb[..., 2]
 
 
 def _nearest_rank_quantile(values: np.ndarray, q: float) -> float:

@@ -1,25 +1,17 @@
-"""Grid validation, the RGB guide container and quantization.
+"""Grid validation.
 
 Everything downstream computes on 2-D float64 sample grids: depth is a
-bare grid, the color guide three of them in an :class:`RgbImage`.
-8/16-bit integers exist only at the file I/O boundary. Values are
-treated as immutable after construction, so images can be shared freely
-between workers.
+bare grid, and so is the luminance of the color guide, which decodes to
+an (M, N, 3) array. 8/16-bit integers exist only in :mod:`gdsr.imgio`.
+Values are treated as immutable after construction, so grids can be
+shared freely between workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "as_image",
-    "as_stack",
-    "RgbImage",
-    "quantize",
-    "dequantize",
-]
+__all__ = ["as_image", "as_stack"]
 
 
 def as_image(values) -> np.ndarray:
@@ -49,52 +41,3 @@ def as_stack(values) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("channel stack contains non-finite samples")
     return arr
-
-
-@dataclass(frozen=True)
-class RgbImage:
-    """Three same-sized planes with samples normalized to [0, 1]."""
-
-    red: np.ndarray
-    green: np.ndarray
-    blue: np.ndarray
-
-    def __post_init__(self):
-        for name in ("red", "green", "blue"):
-            plane = as_image(getattr(self, name))
-            if plane.min() < 0.0 or plane.max() > 1.0:
-                raise ValueError(f"{name} plane has samples outside [0, 1]")
-            object.__setattr__(self, name, plane)
-        if not (self.red.shape == self.green.shape == self.blue.shape):
-            raise ValueError("RGB planes must share identical dimensions")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.red.shape
-
-
-def quantize(img, max_value: int) -> np.ndarray:
-    """Map [0, 1] samples to integers in [0, max_value].
-
-    Samples outside [0, 1] are clamped. Rounds half away from zero so the
-    quantization rule is bit-exact and reproducible.
-    """
-    img = as_image(img)
-    if max_value not in (255, 65535):
-        raise ValueError(f"max_value must be 255 or 65535, got {max_value}")
-    scaled = np.clip(img, 0.0, 1.0) * max_value
-    # np.round would round halves to even; floor(x + 0.5) rounds them away
-    # from zero on the nonnegative range we have here.
-    ints = np.floor(scaled + 0.5)
-    dtype = np.uint8 if max_value == 255 else np.uint16
-    return np.clip(ints, 0, max_value).astype(dtype)
-
-
-def dequantize(grid, max_value: int) -> np.ndarray:
-    """Map integer samples in [0, max_value] back to floats in [0, 1]."""
-    if max_value not in (255, 65535):
-        raise ValueError(f"max_value must be 255 or 65535, got {max_value}")
-    arr = np.asarray(grid)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a 2-D grid, got shape {arr.shape}")
-    return arr.astype(np.float64) / float(max_value)

@@ -1,7 +1,9 @@
 """Bit-exact image file I/O: binary Netpbm (PGM P5 / PPM P6) and PFM.
 
 Netpbm integer samples are normalized to [0, 1] on load by the header
-maxval; 16-bit samples are two bytes big-endian (maxval > 255). PFM
+maxval, and quantized back on save: this module is the only place that
+holds 8/16-bit integers. 16-bit samples are two bytes big-endian
+(maxval > 255). A P6 guide decodes to an (M, N, 3) array. PFM
 floats are taken verbatim: header ``Pf`` (grayscale), a scale line whose
 sign encodes endianness (negative = little-endian), rows stored bottom
 to top. Writers emit deterministic bytes so identical inputs always
@@ -14,9 +16,9 @@ import re
 
 import numpy as np
 
-from .image_core import RgbImage, as_image, quantize
+from .image_core import as_image
 
-__all__ = ["load_image", "save_image", "save_error_map"]
+__all__ = ["load_image", "save_image", "save_error_map", "quantize"]
 
 
 class ImageFormatError(ValueError):
@@ -92,9 +94,7 @@ def _load_netpbm(data: bytes, magic: bytes):
         raise ImageFormatError("sample exceeds declared maxval")
     samples = raw.astype(np.float64).reshape(height, width, planes)
     samples /= maxval  # in place: no second full-size grid
-    if magic == b"P5":
-        return samples[:, :, 0]
-    return RgbImage(samples[:, :, 0], samples[:, :, 1], samples[:, :, 2])
+    return samples if magic == b"P6" else samples[:, :, 0]
 
 
 def _pfm_grid(data: bytes) -> np.ndarray:
@@ -126,10 +126,11 @@ def _pfm_grid(data: bytes) -> np.ndarray:
 def load_image(path):
     """Decode a PGM/PPM/PFM file.
 
-    P6 yields an :class:`RgbImage`; P5 and Pf yield a 2-D float64 depth
-    grid in stored units, finite and nonnegative: Netpbm samples by
-    construction, PFM samples by the checks here. Every malformed file
-    raises :class:`ImageFormatError`, including a PFM with non-finite or
+    P6 yields an (M, N, 3) float64 array of red, green and blue samples;
+    P5 and Pf yield a 2-D float64 depth grid in stored units. Samples are
+    finite and nonnegative: Netpbm samples lie in [0, 1] by the maxval
+    check, PFM samples pass the checks here. Every malformed file raises
+    :class:`ImageFormatError`, including a PFM with non-finite or
     negative samples.
     """
     with open(path, "rb") as fh:
@@ -147,29 +148,49 @@ def load_image(path):
     raise ImageFormatError(f"unrecognized magic {magic!r}")
 
 
+def quantize(img, max_value: int) -> np.ndarray:
+    """Map [0, 1] samples of any shape to integers in [0, max_value].
+
+    Samples outside [0, 1] are clamped; a non-finite one raises a
+    ValueError. Rounds half away from zero so the quantization rule is
+    bit-exact and reproducible.
+    """
+    if max_value not in (255, 65535):
+        raise ValueError(f"max_value must be 255 or 65535, got {max_value}")
+    img = np.asarray(img, dtype=np.float64)
+    if not np.all(np.isfinite(img)):
+        raise ValueError("image contains non-finite samples")
+    # One working array, updated in place: a fresh temporary per step, each
+    # the size of an (M, N, 3) guide, made a PPM write twice as slow.
+    ints = np.clip(img, 0.0, 1.0)
+    ints *= max_value
+    # np.round would round halves to even; floor(x + 0.5) rounds them away
+    # from zero on the nonnegative range we have here.
+    ints += 0.5
+    np.floor(ints, out=ints)
+    np.clip(ints, 0, max_value, out=ints)
+    return ints.astype(np.uint8 if max_value == 255 else np.uint16)
+
+
 def save_image(img, path, fmt: str) -> None:
-    """Encode to ``pgm8``/``pgm16`` (grayscale), ``ppm8``/``ppm16`` (RGB),
-    or ``pfm`` (grayscale float32, little-endian, bottom-up rows).
+    """Encode to ``pgm8``/``pgm16`` (a grayscale grid), ``ppm8``/``ppm16``
+    (an (M, N, 3) RGB array), or ``pfm`` (grayscale float32,
+    little-endian, bottom-up rows).
 
     Integer formats expect samples in [0, 1] and clamp anything outside.
     """
-    if fmt in ("pgm8", "pgm16"):
-        data = as_image(img)
-        maxval = 255 if fmt == "pgm8" else 65535
+    if fmt in ("pgm8", "pgm16", "ppm8", "ppm16"):
+        if fmt.startswith("pgm"):
+            data, magic = as_image(img), "P5"
+        else:
+            data, magic = np.asarray(img, dtype=np.float64), "P6"
+            if data.ndim != 3 or data.shape[2] != 3 or data.size == 0:
+                raise ValueError(f"ppm output requires an (M, N, 3) array, "
+                                 f"got shape {data.shape}")
+        maxval = 255 if fmt.endswith("8") else 65535
         grid = quantize(data, maxval)
         payload = grid.astype(">u2").tobytes() if maxval > 255 else grid.tobytes()
-        header = f"P5\n{data.shape[1]} {data.shape[0]}\n{maxval}\n".encode("ascii")
-        with open(path, "wb") as fh:
-            fh.write(header + payload)
-        return
-    if fmt in ("ppm8", "ppm16"):
-        if not isinstance(img, RgbImage):
-            raise ValueError("ppm output requires an RgbImage")
-        maxval = 255 if fmt == "ppm8" else 65535
-        planes = [quantize(p, maxval) for p in (img.red, img.green, img.blue)]
-        inter = np.stack(planes, axis=-1)
-        payload = inter.astype(">u2").tobytes() if maxval > 255 else inter.tobytes()
-        header = f"P6\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
+        header = f"{magic}\n{data.shape[1]} {data.shape[0]}\n{maxval}\n".encode("ascii")
         with open(path, "wb") as fh:
             fh.write(header + payload)
         return

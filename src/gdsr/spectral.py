@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dct import _dct2, _idct2
-from .filters import _correlate, correlate_reflect
+from .filters import _correlate, _stencil, correlate_reflect
 from .image_core import as_image
 
 __all__ = [
@@ -86,11 +86,7 @@ def stencil_symbol(stencil, M: int, N: int) -> np.ndarray:
     """
     if M < 1 or N < 1:
         raise ValueError(f"symbol dimensions must be >= 1, got {(M, N)}")
-    st = np.asarray(stencil, dtype=np.float64)
-    if st.ndim != 2 or st.shape[0] % 2 == 0 or st.shape[1] % 2 == 0:
-        raise ValueError(f"stencil must be 2-D with odd dimensions, got {st.shape}")
-    if not np.all(np.isfinite(st)):
-        raise ValueError("stencil weights must be finite")
+    st = _stencil(stencil)
     if not (np.array_equal(st, st[::-1]) and np.array_equal(st, st[:, ::-1])):
         raise ValueError(
             "stencil has no exact spectral symbol under the reflective extension"

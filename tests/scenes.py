@@ -9,10 +9,9 @@ discontinuities, which is the regime guided super-resolution targets.
 
 import numpy as np
 
-from gdsr import RgbImage
-
 
 def make_scene(rng, M=128, N=128, n_shapes=6):
+    """An (M, N) depth grid and its (M, N, 3) color guide, both in [0, 1]."""
     yy, xx = np.mgrid[0:M, 0:N]
     gx, gy = rng.uniform(-0.1, 0.1, 2)
     depth = 0.5 + gx * (xx / N - 0.5) + gy * (yy / M - 0.5)
@@ -41,10 +40,10 @@ def make_scene(rng, M=128, N=128, n_shapes=6):
     texture = 0.02 * np.sin(2 * np.pi * (fx * xx + fy * yy))
     planes = [np.clip(0.35 * albedo[c] + 0.65 * shading + texture, 0.0, 1.0)
               for c in range(3)]
-    return depth, RgbImage(*planes)
+    return depth, np.stack(planes, axis=-1)
 
 
-def write_scene_files(directory, scene_id, gt: np.ndarray, rgb: RgbImage):
+def write_scene_files(directory, scene_id, gt: np.ndarray, rgb: np.ndarray):
     """Store one scene as 16-bit PGM + 8-bit PPM; returns a manifest entry."""
     from gdsr.imgio import save_image
 

@@ -32,7 +32,6 @@ from gdsr.feature_bank import (
     save_params,
 )
 from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
-from gdsr.image_core import RgbImage
 from gdsr.imgio import save_error_map, save_image
 from gdsr.resample import bicubic_kernel, degrade
 from gdsr.spectral import (
@@ -137,9 +136,8 @@ def test_criterion_06_degenerate_contracts(tmp_path):
     assert np.array_equal(w, np.zeros((16, 16)))
     # constant-depth entry scores zero RMSE for every method
     depth = np.full((32, 32), 0.5)
-    plane = np.full((32, 32), 0.3)
     save_image(depth, tmp_path / "d.pgm", "pgm16")
-    save_image(RgbImage(plane, plane, plane), tmp_path / "r.ppm", "ppm8")
+    save_image(np.full((32, 32, 3), 0.3), tmp_path / "r.ppm", "ppm8")
     from gdsr.bench import DatasetEntry
 
     entry = DatasetEntry("const", str(tmp_path / "r.ppm"), str(tmp_path / "d.pgm"))

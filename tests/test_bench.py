@@ -26,7 +26,6 @@ from gdsr.bench import (
 )
 from gdsr.feature_bank import INIT_LOG_LAMBDA, default_bank, save_params
 from gdsr.guidance import luminance
-from gdsr.image_core import RgbImage
 from gdsr.imgio import load_image, save_image
 from gdsr.resample import degrade
 
@@ -118,13 +117,11 @@ def test_config_hash_deterministic_and_sensitive():
 
 
 def test_run_image_constant_depth_is_exact(tmp_path):
-    from gdsr.image_core import RgbImage
     from gdsr.imgio import save_image
 
     depth = np.full((32, 32), 0.5)
-    plane = np.full((32, 32), 0.25)
     save_image(depth, tmp_path / "d.pgm", "pgm16")
-    save_image(RgbImage(plane, plane, plane), tmp_path / "r.ppm", "ppm8")
+    save_image(np.full((32, 32, 3), 0.25), tmp_path / "r.ppm", "ppm8")
     entry = DatasetEntry("const", str(tmp_path / "r.ppm"), str(tmp_path / "d.pgm"))
     for method in ("bicubic", "image_domain", "feature_domain"):
         cfg = PipelineConfig(method=method, lam=1.0, scale=4)
@@ -181,6 +178,30 @@ def test_feature_params_bank_must_match(tmp_path):
     cfg = PipelineConfig(method="feature_domain", params_path=str(params))
     with pytest.raises(ValueError, match="bank 'id1'.*bank 'default8'"):
         predict(gt, luminance(rgb), cfg)
+
+
+_FEATURE_PARAMS = {"method": "feature", "bank": "default8", "lambdas": [1.0] * 8,
+                   "head_weights": [1.0] + [0.0] * 7, "head_bias": 0.0}
+
+
+@pytest.mark.parametrize("method, text, cause", [
+    ("feature_domain", '{"method": "feature"', "not valid JSON"),
+    ("feature_domain", '[{"method": "feature"}]', "expected a JSON object, got list"),
+    ("feature_domain", json.dumps({k: v for k, v in _FEATURE_PARAMS.items()
+                                   if k != "lambdas"}), "lacks key 'lambdas'"),
+    ("feature_domain", json.dumps({k: v for k, v in _FEATURE_PARAMS.items()
+                                   if k != "head_bias"}), "lacks key 'head_bias'"),
+    ("image_domain", '{"method": "image"}', "lacks key 'lambda'"),
+], ids=["invalid-json", "list", "no-lambdas", "no-head-bias", "no-lambda"])
+def test_params_file_errors_name_the_file_and_key(tmp_path, method, text, cause):
+    manifest = build_manifest(tmp_path, n=1)
+    params = tmp_path / "bad.params.json"
+    params.write_text(text)
+    cfg = PipelineConfig(method=method, params_path=str(params))
+    records = run_bench(manifest, [8], [cfg], threads=1, timing=False)
+    assert records[0].rmse is None
+    assert f"parameter file {params}" in records[0].error
+    assert cause in records[0].error
 
 
 def test_symbol_mode_validated_by_config():
@@ -361,7 +382,7 @@ def test_prepare_guide_is_luminance_of_the_cropped_planes(tmp_path):
     entry = manifest.entries[0]
     gt, up, guide = bench._prepare(entry, 8, True)
     rgb = load_image(entry.rgb_path)
-    want = luminance(RgbImage(*(p[:64, :48] for p in (rgb.red, rgb.green, rgb.blue))))
+    want = luminance(rgb[:64, :48])
     assert gt.shape == up.shape == guide.shape == (64, 48)
     assert guide.dtype == want.dtype and guide.tobytes() == want.tobytes()
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from gdsr import bench
 from gdsr.cli import build_parser, main
 from gdsr.feature_bank import load_params
 from gdsr.imgio import load_image, load_pfm_grid, save_image
@@ -156,6 +157,28 @@ def test_fit_image_then_sr_with_params(tmp_path, capsys):
                "--rgb", str(tmp_path / "m0_rgb.ppm"), "--scale", "4",
                "--method", "image", "--params", str(params), "--out", str(out)])
     assert rc == 0 and out.exists()
+
+
+def test_sr_bad_params_file_names_it_and_writes_nothing(scene_files):
+    params = scene_files / "bad.params.json"
+    params.write_text('{"method": "feature", "bank": "default8"')
+    out = scene_files / "pred.pgm"
+    with pytest.raises(ValueError, match=f"parameter file {re.escape(str(params))}: "
+                                         "not valid JSON"):
+        main(["sr", "--depth", str(scene_files / "scene_lr.pgm"),
+              "--rgb", str(scene_files / "scene_rgb.ppm"), "--scale", "4",
+              "--method", "feature", "--params", str(params), "--out", str(out)])
+    assert not out.exists()
+
+
+def test_fit_image_checks_grid_points_before_preparing(tmp_path, monkeypatch):
+    manifest = make_manifest(tmp_path, n=1)
+    monkeypatch.setattr(bench, "_prepare", lambda *a: pytest.fail("entry prepared"))
+    out = tmp_path / "image.params.json"
+    with pytest.raises(ValueError, match="grid_points must be >= 3, got 0"):
+        main(["fit", "--manifest", str(manifest), "--scale", "4", "--method", "image",
+              "--grid-points", "0", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_fit_feature_params_file(tmp_path, capsys):

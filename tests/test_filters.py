@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdsr import filters
+from gdsr.feature_bank import FilterPair
 from gdsr.filters import correlate_reflect
+from gdsr.spectral import stencil_symbol
 
 from oracles import brute_correlate_reflect, loop_correlate
 
@@ -54,3 +56,16 @@ def test_loop_oracle_matches_explicit_reflection():
     img, stencil = rng.random((9, 6)), rng.normal(size=(5, 3))
     assert np.abs(loop_correlate(img, stencil)
                   - brute_correlate_reflect(img, stencil)).max() < 1e-12
+
+
+@pytest.mark.parametrize("stencil", [[[np.nan]], [[0.0, np.inf, 0.0]], [[0.0, -np.inf, 0.0]],
+                                     np.ones((4, 3)), np.ones(3)],
+                         ids=["nan", "inf", "-inf", "even", "1-D"])
+def test_every_stencil_entry_point_checks_the_stencil(stencil):
+    match = "finite" if np.ndim(stencil) == 2 and np.shape(stencil)[0] % 2 else "odd"
+    with pytest.raises(ValueError, match=match):
+        correlate_reflect(np.ones((4, 4)), stencil)
+    with pytest.raises(ValueError, match=match):
+        stencil_symbol(stencil, 4, 4)
+    with pytest.raises(ValueError, match=match):
+        FilterPair(np.ones((1, 1)), stencil, shared=False)

@@ -12,14 +12,13 @@ from gdsr.guidance import (
     multichannel_edge_weight,
     transfer_target,
 )
-from gdsr.image_core import RgbImage
 from gdsr.spectral import laplacian_apply
 
 from oracles import brute_correlate_reflect
 
 
 def solid(r, g, b, shape=(4, 4)):
-    return RgbImage(np.full(shape, r), np.full(shape, g), np.full(shape, b))
+    return np.stack([np.full(shape, r), np.full(shape, g), np.full(shape, b)], axis=-1)
 
 
 def test_luminance_coefficients():
@@ -28,6 +27,12 @@ def test_luminance_coefficients():
     assert np.abs(luminance(solid(0, 1, 0)) - 0.587).max() < 1e-15
     assert np.abs(luminance(solid(1, 0, 0)) - 0.299).max() < 1e-15
     assert np.abs(luminance(solid(0, 0, 1)) - 0.114).max() < 1e-15
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4), (4, 4, 1), (3,), (2, 4, 4, 3)])
+def test_luminance_rejects_arrays_that_are_not_rgb(shape):
+    with pytest.raises(ValueError, match=r"\(M, N, 3\) RGB array"):
+        luminance(np.zeros(shape))
 
 
 def test_config_validation():

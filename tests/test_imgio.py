@@ -5,8 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdsr.image_core import RgbImage, dequantize, quantize
-from gdsr.imgio import ImageFormatError, load_image, load_pfm_grid, save_error_map, save_image
+from gdsr.imgio import (
+    ImageFormatError,
+    load_image,
+    load_pfm_grid,
+    quantize,
+    save_error_map,
+    save_image,
+)
+
+
+def _levels(values, maxval):
+    """``values`` moved onto the quantization grid, divided back as the
+    decoder divides: saving and loading them must return them bit for bit."""
+    return quantize(values, maxval) / maxval
 
 
 def test_p5_8bit_readback(tmp_path):
@@ -36,16 +48,15 @@ def test_p6_color_readback(tmp_path):
     path = tmp_path / "tiny.ppm"
     path.write_bytes(b"P6 1 1 255\n" + bytes([255, 0, 128]))
     img = load_image(path)
-    assert isinstance(img, RgbImage)
-    assert img.red[0, 0] == 1.0
-    assert img.green[0, 0] == 0.0
-    assert img.blue[0, 0] == 128 / 255
+    assert isinstance(img, np.ndarray) and img.dtype == np.float64
+    assert img.shape == (1, 1, 3)
+    assert np.array_equal(img[0, 0], [1.0, 0.0, 128 / 255])
 
 
 @pytest.mark.parametrize("fmt,maxval", [("pgm8", 255), ("pgm16", 65535)])
 def test_pgm_roundtrip_exact(tmp_path, fmt, maxval):
     rng = np.random.default_rng(80)
-    img = dequantize(quantize(rng.random((11, 7)), maxval), maxval)
+    img = _levels(rng.random((11, 7)), maxval)
     path = tmp_path / f"rt.{fmt}.pgm"
     save_image(img, path, fmt)
     back = load_image(path)
@@ -55,14 +66,31 @@ def test_pgm_roundtrip_exact(tmp_path, fmt, maxval):
 @pytest.mark.parametrize("fmt,maxval", [("ppm8", 255), ("ppm16", 65535)])
 def test_ppm_roundtrip_exact(tmp_path, fmt, maxval):
     rng = np.random.default_rng(81)
-    planes = [dequantize(quantize(rng.random((5, 9)), maxval), maxval) for _ in range(3)]
-    rgb = RgbImage(*planes)
+    rgb = np.stack([_levels(rng.random((5, 9)), maxval) for _ in range(3)], axis=-1)
     path = tmp_path / f"rt.{fmt}.ppm"
     save_image(rgb, path, fmt)
     back = load_image(path)
-    assert np.array_equal(back.red, rgb.red)
-    assert np.array_equal(back.green, rgb.green)
-    assert np.array_equal(back.blue, rgb.blue)
+    assert back.shape == (5, 9, 3)
+    assert np.array_equal(back, rgb)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 1), (4, 4, 4), (0, 4, 3), (2, 4, 4, 3)])
+def test_ppm_output_requires_rgb_array(tmp_path, shape):
+    path = tmp_path / "bad.ppm"
+    with pytest.raises(ValueError, match=r"\(M, N, 3\) array"):
+        save_image(np.zeros(shape), path, "ppm8")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["pgm8", "ppm16"])
+@pytest.mark.parametrize("sample", [np.nan, np.inf, -np.inf])
+def test_netpbm_output_rejects_non_finite_samples(tmp_path, fmt, sample):
+    img = np.full((2, 3, 3) if fmt.startswith("ppm") else (2, 3), 0.5)
+    img[1, 2] = sample
+    path = tmp_path / "bad"
+    with pytest.raises(ValueError, match="non-finite"):
+        save_image(img, path, fmt)
+    assert not path.exists()
 
 
 def test_pfm_roundtrip_exact_for_float32_values(tmp_path):
@@ -188,9 +216,8 @@ def test_netpbm_readback_any_size_and_maxval(size, maxval, color, seed):
     img = _load_blob(blob)
     want = ints / maxval
     if color:
-        assert isinstance(img, RgbImage)
-        for k, plane in enumerate((img.red, img.green, img.blue)):
-            assert np.array_equal(plane, want[:, :, k])
+        assert img.shape == (M, N, 3)
+        assert np.array_equal(img, want)
     else:
         assert isinstance(img, np.ndarray)
         assert np.array_equal(img, want[:, :, 0])
@@ -202,17 +229,13 @@ def test_netpbm_readback_any_size_and_maxval(size, maxval, color, seed):
 def test_netpbm_save_load_round_trip(size, fmt, seed):
     maxval = 255 if fmt.endswith("8") else 65535
     rng = np.random.default_rng(seed)
-    planes = [dequantize(quantize(rng.random(size), maxval), maxval) for _ in range(3)]
-    img = RgbImage(*planes) if fmt.startswith("ppm") else planes[0]
+    planes = [_levels(rng.random(size), maxval) for _ in range(3)]
+    img = np.stack(planes, axis=-1) if fmt.startswith("ppm") else planes[0]
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "rt"
         save_image(img, path, fmt)
         back = load_image(path)
-    if fmt.startswith("ppm"):
-        assert all(np.array_equal(a, b) for a, b in
-                   zip((back.red, back.green, back.blue), planes))
-    else:
-        assert np.array_equal(back, planes[0])
+    assert back.shape == img.shape and np.array_equal(back, img)
 
 
 _F32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
@@ -263,9 +286,8 @@ def _headers(draw):
 
 def _valid_files():
     rng = np.random.default_rng(84)
-    planes = [dequantize(quantize(rng.random((3, 4)), 255), 255) for _ in range(3)]
     return [
-        b"P5\n4 3\n255\n" + quantize(planes[0], 255).tobytes(),
+        b"P5\n4 3\n255\n" + quantize(rng.random((3, 4)), 255).tobytes(),
         b"P5\n2 2\n65535\n" + np.arange(4, dtype=">u2").tobytes(),
         b"P6 2 1 255\n" + bytes(range(6)),
         b"Pf\n2 2\n-1.0\n" + np.array([0.5, 1.0, 2.0, 0.0], dtype="<f4").tobytes(),
@@ -295,11 +317,7 @@ def _decodes_or_format_error(blob, loader):
         img = _load_blob(blob, loader)
     except ImageFormatError:
         return
-    if isinstance(img, RgbImage):
-        planes = (img.red, img.green, img.blue)
-    else:
-        planes = (img,)
-    assert all(np.all(np.isfinite(p)) for p in planes)
+    assert np.all(np.isfinite(img))
 
 
 @settings(max_examples=300, deadline=None)
