@@ -1,10 +1,14 @@
-"""Time gdsr's pipeline stages one by one at fixed sizes and write JSON.
+"""Time gdsr's stages one by one and its verbs end to end at fixed sizes; write JSON.
 
     python scripts/bench_stages.py --out BENCH.json --label change
 
 Each stage runs once untimed, then REPEATS times, on one seeded
 `tests.scenes.make_scene` scene at x8, at 480x640 and 1024x1376, with
-BLAS pinned to one thread. The load stage decodes the scene's 16-bit PGM
+BLAS pinned to one thread. The verb_* stages run one `gdsr` command end
+to end, in process through `gdsr.cli.main`, on that scene written to a
+temporary directory: `sr --method image`, `sr --method feature
+--params`, one `bench` of bicubic, image lambda = 20 and feature
+configs, and `fit --method feature`, at 480x640 only. The load stage decodes the scene's 16-bit PGM
 depth and 8-bit PPM guide, written once to a temporary directory. Stages
 marked cold go through no cache: the resample matrices are built from
 scratch and `stencil_symbol` is called directly, below `symbol_for`'s
@@ -27,6 +31,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -40,20 +46,20 @@ import scipy  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from gdsr.bench import PipelineConfig, predict  # noqa: E402
+from gdsr.bench import PipelineConfig, load_params, predict  # noqa: E402
+from gdsr.cli import main as gdsr_main  # noqa: E402
 from gdsr.dct import dct2_forward, dct2_inverse  # noqa: E402
 from gdsr.feature_bank import (  # noqa: E402
     ReconstructionHead,
     _LambdaObjective,
     default_bank,
     gaussian_stencil,
-    load_params,
     spectral_predict,
 )
 from gdsr.filters import correlate_reflect  # noqa: E402
 from gdsr.guidance import EdgeWeightConfig, luminance, transfer_target  # noqa: E402
-from gdsr.imgio import load_image  # noqa: E402
-from gdsr.resample import _axis_weights, degrade  # noqa: E402
+from gdsr.imgio import load_image, save_image  # noqa: E402
+from gdsr.resample import _axis_weights, bicubic_downsample, degrade  # noqa: E402
 from gdsr.spectral import FIVE_POINT, stencil_symbol  # noqa: E402
 from tests.scenes import make_scene, write_scene_files  # noqa: E402
 
@@ -61,7 +67,7 @@ SIZES = ((480, 640), (1024, 1376))
 SCALE = 8
 REPEATS = 7
 PARAMS = ROOT / "perfbench" / "feature_params.json"
-# Largest grid the fit-objective stage runs at.
+# Largest grid the fit-objective stage and the fit verb run at.
 OBJECTIVE_MAX_PIXELS = 480 * 640
 
 
@@ -120,6 +126,45 @@ def stages(M: int, N: int) -> dict:
     return timed
 
 
+def verbs(M: int, N: int) -> dict:
+    """Verb stage name -> zero-argument callable running one `gdsr` command
+    on one scene of M x N. Its files are written once to a temporary
+    directory, which is removed when the returned callables are dropped."""
+    scratch = tempfile.TemporaryDirectory()
+    root = Path(scratch.name)
+    gt, rgb = make_scene(np.random.default_rng(0), M, N)
+    entry = write_scene_files(root, "scene", gt, rgb)
+    lr = np.maximum(bicubic_downsample(load_image(root / entry["depth_path"]), SCALE), 0.0)
+    save_image(lr, root / "lr.pgm", "pgm16")
+    manifest, config = root / "manifest.json", root / "config.json"
+    manifest.write_text(json.dumps({"name": "stages", "entries": [entry]}), encoding="utf-8")
+    config.write_text(json.dumps([{"method": "bicubic"}, {"method": "image", "lam": 20.0},
+                                  {"method": "feature", "params_path": str(PARAMS)}]),
+                      encoding="utf-8")
+    sr = ["sr", "--depth", str(root / "lr.pgm"), "--rgb", str(root / entry["rgb_path"]),
+          "--scale", str(SCALE), "--out", str(root / "pred.pgm")]
+    commands = {
+        "verb_sr_image": sr + ["--method", "image", "--lambda", "20"],
+        "verb_sr_feature": sr + ["--method", "feature", "--params", str(PARAMS)],
+        "verb_bench": ["bench", "--manifest", str(manifest), "--scales", str(SCALE),
+                       "--config", str(config), "--out", str(root / "bench.csv")],
+    }
+    if M * N <= OBJECTIVE_MAX_PIXELS:
+        commands["verb_fit_feature"] = ["fit", "--manifest", str(manifest),
+                                        "--scale", str(SCALE), "--method", "feature",
+                                        "--out", str(root / "fit.json")]
+
+    def verb(argv):
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                gdsr_main(argv)
+
+        run.scratch = scratch
+        return run
+
+    return {name: verb(argv) for name, argv in commands.items()}
+
+
 def time_stage(fn) -> dict:
     fn()
     samples = []
@@ -151,7 +196,7 @@ def main() -> int:
     for M, N in SIZES:
         size = f"{M}x{N}"
         result["stages"][size] = {}
-        for name, fn in stages(M, N).items():
+        for name, fn in {**stages(M, N), **verbs(M, N)}.items():
             result["stages"][size][name] = time_stage(fn)
             print(f"{size} {name}: {result['stages'][size][name]}", flush=True)
     out = Path(args.out)

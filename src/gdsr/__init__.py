@@ -35,8 +35,6 @@ from .feature_bank import (
     extract,
     fit_head,
     fit_lambda,
-    load_params,
-    save_params,
     spectral_predict,
 )
 from .resample import (
@@ -53,10 +51,12 @@ from .bench import (
     DatasetManifest,
     PipelineConfig,
     load_manifest,
+    load_params,
     predict,
     rmse,
     run_bench,
     run_image,
+    save_params,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,5 @@
-"""Benchmark harness: manifests, pipeline orchestration, RMSE, CSV tables.
+"""Benchmark harness: the JSON documents (manifests, bench configs and
+parameter files), pipeline orchestration, RMSE, CSV tables.
 
 A bench run crosses manifest entries with scale factors and pipeline
 configurations, producing one record per combination plus one aggregate
@@ -29,11 +30,11 @@ from .feature_bank import (
     ReconstructionHead,
     default_bank,
     fit_lambda,
-    load_params,
     spectral_predict,
     INIT_LOG_LAMBDA,
     _LambdaObjective,
-    _check_grid_points,
+    _check_gamma,
+    _check_search,
     _search_log_lambda,
     _solved_coeffs,
 )
@@ -46,6 +47,9 @@ __all__ = [
     "DatasetEntry",
     "DatasetManifest",
     "load_manifest",
+    "load_configs",
+    "save_params",
+    "load_params",
     "PipelineConfig",
     "BenchRecord",
     "rmse",
@@ -62,7 +66,9 @@ CSV_HEADER = "dataset,image_id,scale,method,config_hash,rmse,runtime_ms"
 MEAN_ROW_ID = "__mean__"
 ERROR_MARKER = "ERROR"
 
-_METHODS = ("bicubic", "image_domain", "feature_domain")
+# CLI and bench-config method names -> PipelineConfig methods
+_METHOD_ALIASES = {"bicubic": "bicubic", "image": "image_domain", "feature": "feature_domain"}
+_METHODS = tuple(_METHOD_ALIASES.values())
 _CSV_UNSAFE = (",", "\n", "\r")
 
 
@@ -110,18 +116,37 @@ class DatasetManifest:
         return tuple(e for e in self.entries if e.split == tag)
 
 
-def _manifest_field(obj: dict, key: str, kinds, where: str, path, default=None):
+def _read_json(path, what: str):
+    """The document in the JSON file at ``path``. Bytes that are not UTF-8
+    and text that is not JSON raise a ValueError naming ``what`` and the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{what} {path}: not valid JSON: {exc}") from None
+
+
+def _object(value, what: str, path, entry: int | None = None) -> dict:
+    """``value`` if it is a JSON object, else a ValueError naming the file
+    and, for an element of a list, its index."""
+    if not isinstance(value, dict):
+        place = "expected a JSON object" if entry is None else f"entry {entry} must be an object"
+        raise ValueError(f"{what} {path}: {place}, got {type(value).__name__}")
+    return value
+
+
+def _field(obj: dict, key: str, kinds, where: str, default=None):
     """``obj[key]`` checked against ``kinds``; ``default`` when the key is
-    absent, or an error naming the manifest if the key is required."""
+    absent, or an error if the key is required. ``where`` names the file
+    and the object in it."""
     if key not in obj:
         if default is None:
-            raise ValueError(f"manifest {path}: {where} lacks key {key!r}")
+            raise ValueError(f"{where} lacks key {key!r}")
         return default
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, kinds):
         names = " or ".join(k.__name__ for k in kinds)
-        raise ValueError(f"manifest {path}: {where} key {key!r} must be {names}, "
-                         f"got {type(value).__name__}")
+        raise ValueError(f"{where} key {key!r} must be {names}, got {type(value).__name__}")
     return value
 
 
@@ -131,30 +156,60 @@ def load_manifest(path) -> DatasetManifest:
     against the manifest's directory. A missing key or a value of the
     wrong type raises a ValueError naming the manifest."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"manifest {path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"manifest {path}: expected a JSON object, got {type(doc).__name__}")
+    doc = _object(_read_json(path, "manifest"), "manifest", path)
     base = path.parent
     entries = []
-    for k, raw in enumerate(_manifest_field(doc, "entries", (list,), "top level", path)):
-        where = f"entry {k}"
-        if not isinstance(raw, dict):
-            raise ValueError(f"manifest {path}: {where} must be an object, "
-                             f"got {type(raw).__name__}")
+    for k, raw in enumerate(_field(doc, "entries", (list,), f"manifest {path}: top level")):
+        raw = _object(raw, "manifest", path, k)
+        where = f"manifest {path}: entry {k}"
         entries.append(DatasetEntry(
-            id=str(_manifest_field(raw, "id", (str, int), where, path)),
-            rgb_path=str(base / _manifest_field(raw, "rgb_path", (str,), where, path)),
-            depth_path=str(base / _manifest_field(raw, "depth_path", (str,), where, path)),
-            depth_unit_scale=float(_manifest_field(raw, "depth_unit_scale", (int, float),
-                                                   where, path, 1.0)),
-            split=_manifest_field(raw, "split", (str,), where, path, "test"),
+            id=str(_field(raw, "id", (str, int), where)),
+            rgb_path=str(base / _field(raw, "rgb_path", (str,), where)),
+            depth_path=str(base / _field(raw, "depth_path", (str,), where)),
+            depth_unit_scale=float(_field(raw, "depth_unit_scale", (int, float), where, 1.0)),
+            split=_field(raw, "split", (str,), where, "test"),
         ))
-    name = _manifest_field(doc, "name", (str,), "top level", path, path.stem)
+    name = _field(doc, "name", (str,), f"manifest {path}: top level", path.stem)
     return DatasetManifest(name, tuple(entries))
+
+
+def load_configs(path) -> list[PipelineConfig]:
+    """Read a JSON bench config: one object or a list of objects, each
+    holding PipelineConfig fields. A method may be given by its short
+    name ("image", "feature"). Errors name the file and the entry."""
+    doc = _read_json(path, "config")
+    configs = []
+    for k, raw in enumerate(doc if isinstance(doc, list) else [doc]):
+        raw = _object(raw, "config", path, k)
+        method = raw.get("method", "bicubic")
+        raw = dict(raw, method=_METHOD_ALIASES.get(method, method))
+        try:  # an unknown key's TypeError names the key
+            configs.append(PipelineConfig(**raw))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config {path}: entry {k}: {exc}") from None
+    return configs
+
+
+def save_params(path, params: dict) -> None:
+    """Write fitted parameters as flat key-value JSON text.
+
+    Keys for the feature-domain pipeline: method, bank, lambdas,
+    head_weights, head_bias, head_gamma, config_hash. The image-domain
+    pipeline stores method, lambda, config_hash. Numpy arrays and scalars
+    are written as the Python values they hold.
+    """
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(params, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
+        fh.write("\n")
+
+
+def load_params(path) -> dict:
+    """Read a parameter file written by :func:`save_params`. Bytes that are
+    not UTF-8, invalid JSON, a document that is not an object and a
+    missing or non-string 'method' key raise a ValueError naming the file."""
+    params = _object(_read_json(path, "parameter file"), "parameter file", path)
+    _field(params, "method", (str,), f"parameter file {path}")
+    return params
 
 
 # PipelineConfig field annotation -> accepted types. Numpy scalars pass;
@@ -265,18 +320,18 @@ def _load_feature_params(cfg: PipelineConfig, bank: FilterBank):
     parameter file is configured."""
     if cfg.params_path is not None:
         params = load_params(cfg.params_path)
-        if params.get("method") != "feature":
-            raise ValueError(f"parameter file {cfg.params_path} is not a feature fit")
-        if params.get("bank") != bank.name:
-            raise ValueError(
-                f"parameter file {cfg.params_path} was fit with bank "
-                f"{params.get('bank')!r}, but the pipeline uses bank {bank.name!r}"
-            )
-        lambdas = np.asarray(_param(params, "lambdas", cfg), dtype=np.float64)
+        where = f"parameter file {cfg.params_path}"
+        if params["method"] != "feature":
+            raise ValueError(f"{where} is not a feature fit")
+        fit_bank = _field(params, "bank", (str,), where)
+        if fit_bank != bank.name:
+            raise ValueError(f"{where} was fit with bank {fit_bank!r}, "
+                             f"but the pipeline uses bank {bank.name!r}")
+        lambdas = np.asarray(_field(params, "lambdas", (list,), where), dtype=np.float64)
         head = ReconstructionHead(
-            np.asarray(_param(params, "head_weights", cfg), dtype=np.float64),
-            float(_param(params, "head_bias", cfg)),
-            float(params.get("head_gamma", 0.0)),
+            np.asarray(_field(params, "head_weights", (list,), where), dtype=np.float64),
+            float(_field(params, "head_bias", (int, float), where)),
+            float(_field(params, "head_gamma", (int, float), where, 0.0)),
         )
         return lambdas, head
     weights = np.zeros(len(bank))
@@ -287,17 +342,11 @@ def _load_feature_params(cfg: PipelineConfig, bank: FilterBank):
 def _image_lambda(cfg: PipelineConfig) -> float:
     if cfg.params_path is not None:
         params = load_params(cfg.params_path)
-        if params.get("method") != "image":
-            raise ValueError(f"parameter file {cfg.params_path} is not an image-domain fit")
-        return float(_param(params, "lambda", cfg))
+        where = f"parameter file {cfg.params_path}"
+        if params["method"] != "image":
+            raise ValueError(f"{where} is not an image-domain fit")
+        return float(_field(params, "lambda", (int, float), where))
     return cfg.lam
-
-
-def _param(params: dict, key: str, cfg: PipelineConfig):
-    """``params[key]``, or an error naming the parameter file and the key."""
-    if key not in params:
-        raise ValueError(f"parameter file {cfg.params_path} lacks key {key!r}")
-    return params[key]
 
 
 def predict(up: np.ndarray, guide, cfg: PipelineConfig) -> np.ndarray:
@@ -514,7 +563,7 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     once, and every lambda costs one per-frequency division.
     """
     s = check_scale(s)
-    _check_grid_points(grid_points)
+    _check_search(grid_points)
     edge_cfg = cfg.edge_config()
     prepared = []
     for entry in manifest.split("train") or manifest.entries:
@@ -554,6 +603,8 @@ def fit_feature_params(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     :func:`default_bank`, the one prediction uses.
     """
     s = check_scale(s)
+    _check_search(grid_points, sweeps)
+    _check_gamma(head_gamma)
     bank = default_bank()
     edge_cfg = cfg.edge_config()
     triples = []

@@ -13,21 +13,25 @@ environment variable (default: logical cores).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from .bench import (
+    ERROR_MARKER,
+    MEAN_ROW_ID,
     PipelineConfig,
     fit_feature_params,
     fit_image_lambda,
+    load_configs,
     load_manifest,
     predict,
     rmse,
     run_bench,
+    save_params,
+    _METHOD_ALIASES,
 )
-from .feature_bank import default_bank, save_params
+from .feature_bank import default_bank
 from .guidance import luminance
 from .imgio import load_image, load_pfm_grid, save_error_map, save_image
 from .dct import dct2_forward, dct2_inverse
@@ -60,9 +64,6 @@ def _config_from_args(args, method: str, scale: int | None) -> PipelineConfig:
         crop_border=getattr(args, "crop_border", 0),
         antialias=not args.no_antialias,
     )
-
-
-_METHOD_ALIASES = {"bicubic": "bicubic", "image": "image_domain", "feature": "feature_domain"}
 
 
 def _cmd_sr(args) -> int:
@@ -105,23 +106,7 @@ def _cmd_sr(args) -> int:
 def _cmd_bench(args) -> int:
     manifest = load_manifest(args.manifest)
     scales = [check_scale(int(tok)) for tok in args.scales.split(",") if tok]
-    path = args.config
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config {path}: not valid JSON: {exc}") from None
-    configs = []
-    for k, raw in enumerate(doc if isinstance(doc, list) else [doc]):
-        if not isinstance(raw, dict):
-            raise ValueError(f"config {path}: entry {k} must be an object, "
-                             f"got {type(raw).__name__}")
-        method = raw.get("method", "bicubic")
-        raw = dict(raw, method=_METHOD_ALIASES.get(method, method))
-        try:  # an unknown key's TypeError names the key
-            configs.append(PipelineConfig(**raw))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config {path}: entry {k}: {exc}") from None
+    configs = load_configs(args.config)
     records = run_bench(manifest, scales, configs, args.out,
                         threads=args.threads, timing=not args.no_timing)
     for r in records:
@@ -129,9 +114,9 @@ def _cmd_bench(args) -> int:
             cause = " ".join(r.error.splitlines())
             print(f"{r.dataset} {r.image_id} x{r.scale} {r.method} [{r.config_hash}] "
                   f"failed: {cause}", file=sys.stderr)
-    means = [r for r in records if r.image_id == "__mean__"]
+    means = [r for r in records if r.image_id == MEAN_ROW_ID]
     for r in means:
-        shown = "ERROR" if r.rmse is None else f"{r.rmse:.4f}"
+        shown = ERROR_MARKER if r.rmse is None else f"{r.rmse:.4f}"
         print(f"{r.dataset} x{r.scale} {r.method} [{r.config_hash}] mean rmse {shown}")
     return 0
 

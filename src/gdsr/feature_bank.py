@@ -23,7 +23,6 @@ channel coefficients, so fit and prediction are one model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,8 +53,6 @@ __all__ = [
     "apply_head",
     "spectral_predict",
     "fit_lambda",
-    "save_params",
-    "load_params",
     "LOG_LAMBDA_BOUNDS",
     "INIT_LOG_LAMBDA",
 ]
@@ -215,8 +212,7 @@ class ReconstructionHead:
             raise ValueError("head weights must be a nonempty finite vector")
         if not np.isfinite(self.bias):
             raise ValueError("head bias must be finite")
-        if not (np.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        _check_gamma(self.gamma)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", float(self.bias))
@@ -357,8 +353,7 @@ def fit_head(features_list, targets_list, gamma: float) -> ReconstructionHead:
     all pixels of all pairs; the bias is excluded from the penalty so
     constant depth offsets are not shrunk.
     """
-    if not (np.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _check_gamma(gamma)
     G, b, _ = _normal_equations(features_list, targets_list)
     w = _ridge_solve(G, b, gamma)
     return ReconstructionHead(w[:-1], float(w[-1]), gamma)
@@ -398,8 +393,7 @@ class _LambdaObjective:
                  head_gamma, symbol_mode):
         if len(train_triples) == 0:
             raise ValueError("empty training set")
-        if not (np.isfinite(head_gamma) and head_gamma >= 0.0):
-            raise ValueError(f"gamma must be >= 0, got {head_gamma}")
+        _check_gamma(head_gamma)
         self.gamma = head_gamma
         triples = [tuple(map(as_image, triple)) for triple in train_triples]
         for l_up, guide, target in triples:
@@ -504,9 +498,16 @@ def _golden_min(f, lo: float, hi: float, tol: float = 0.02):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _check_grid_points(grid_points: int) -> None:
+def _check_gamma(gamma: float) -> None:
+    if not (np.isfinite(gamma) and gamma >= 0.0):
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+
+
+def _check_search(grid_points: int, sweeps: int = 1) -> None:
     if grid_points < 3:
         raise ValueError(f"grid_points must be >= 3, got {grid_points}")
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
 
 
 def _search_log_lambda(f, grid_points: int):
@@ -545,9 +546,7 @@ def fit_lambda(train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
     accepted with them, and one trace entry for the start and one per
     accepted move.
     """
-    _check_grid_points(grid_points)
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    _check_search(grid_points, sweeps)
     obj = _LambdaObjective(train_triples, bank, edge_cfg, head_gamma, symbol_mode)
     best = obj.evaluate(0, obj.lambdas[0])
     trace = [best]
@@ -569,38 +568,3 @@ def fit_lambda(train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
             break
     return (obj.lambdas, obj.head()), trace
 
-
-def save_params(path, params: dict) -> None:
-    """Write fitted parameters as flat key-value JSON text.
-
-    Keys for the feature-domain pipeline: method, bank, lambdas,
-    head_weights, head_bias, head_gamma, config_hash. The image-domain
-    pipeline stores method, lambda, config_hash.
-    """
-    clean = {}
-    for key, value in params.items():
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        clean[key] = value
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(clean, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_params(path) -> dict:
-    """Read a parameter file written by :func:`save_params`. Invalid JSON,
-    a document that is not an object and a missing 'method' key raise a
-    ValueError naming the file."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            params = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"parameter file {path}: not valid JSON: {exc}") from None
-    if not isinstance(params, dict):
-        raise ValueError(f"parameter file {path}: expected a JSON object, "
-                         f"got {type(params).__name__}")
-    if "method" not in params:
-        raise ValueError(f"parameter file {path} lacks a 'method' key")
-    return params

@@ -19,6 +19,7 @@ from gdsr.bench import (
     load_manifest,
     run_bench,
     run_image,
+    save_params,
 )
 from gdsr.dct import dct2_forward, dct2_inverse
 from gdsr.feature_bank import (
@@ -29,7 +30,6 @@ from gdsr.feature_bank import (
     extract,
     fit_head,
     fit_lambda,
-    save_params,
 )
 from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, multichannel_edge_weight
 from gdsr.imgio import save_error_map, save_image

@@ -19,12 +19,13 @@ from gdsr.bench import (
     rmse,
     run_bench,
     run_image,
+    save_params,
     write_csv,
     CSV_HEADER,
     MEAN_ROW_ID,
     ERROR_MARKER,
 )
-from gdsr.feature_bank import INIT_LOG_LAMBDA, default_bank, save_params
+from gdsr.feature_bank import INIT_LOG_LAMBDA, default_bank
 from gdsr.guidance import luminance
 from gdsr.imgio import load_image, save_image
 from gdsr.resample import degrade
@@ -192,11 +193,12 @@ _FEATURE_PARAMS = {"method": "feature", "bank": "default8", "lambdas": [1.0] * 8
     ("feature_domain", json.dumps({k: v for k, v in _FEATURE_PARAMS.items()
                                    if k != "head_bias"}), "lacks key 'head_bias'"),
     ("image_domain", '{"method": "image"}', "lacks key 'lambda'"),
-], ids=["invalid-json", "list", "no-lambdas", "no-head-bias", "no-lambda"])
+    ("feature_domain", b'{"method": "feature", "bank": "d\xe9fault8"}', "not valid JSON"),
+], ids=["invalid-json", "list", "no-lambdas", "no-head-bias", "no-lambda", "non-utf8"])
 def test_params_file_errors_name_the_file_and_key(tmp_path, method, text, cause):
     manifest = build_manifest(tmp_path, n=1)
     params = tmp_path / "bad.params.json"
-    params.write_text(text)
+    params.write_bytes(text if isinstance(text, bytes) else text.encode())
     cfg = PipelineConfig(method=method, params_path=str(params))
     records = run_bench(manifest, [8], [cfg], threads=1, timing=False)
     assert records[0].rmse is None
@@ -483,6 +485,7 @@ def test_config_fields_are_type_checked_without_conversion():
 
 def test_load_manifest_rejects_invalid_json(tmp_path):
     path = tmp_path / "m.json"
-    path.write_text("{\"entries\": [")
-    with pytest.raises(ValueError, match=re.escape(f"manifest {path}: not valid JSON")):
-        load_manifest(path)
+    for data in (b'{"entries": [', b'{"name": "caf\xe9", "entries": []}'):
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"manifest {path}: not valid JSON")):
+            load_manifest(path)

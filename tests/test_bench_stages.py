@@ -1,6 +1,6 @@
 """The stage script runs outside the suite, so a change to an API it
-calls would go unseen; this loads it and runs each of its stages once
-at a small size."""
+calls would go unseen; this loads it and runs each of its stages and
+verbs once at a small size."""
 
 import os
 import sys
@@ -32,4 +32,11 @@ def test_every_stage_runs_once(stage_script):
     stages = stage_script.stages(64, 64)
     assert {"load", "luminance", "predict_image_lam20", "lambda_objective_evaluate"} <= set(stages)
     for fn in stages.values():
+        fn()
+
+
+def test_every_verb_runs_once(stage_script):
+    verbs = stage_script.verbs(64, 64)
+    assert set(verbs) == {"verb_sr_image", "verb_sr_feature", "verb_bench", "verb_fit_feature"}
+    for fn in verbs.values():
         fn()

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from gdsr import bench
+from gdsr.bench import load_params
 from gdsr.cli import build_parser, main
-from gdsr.feature_bank import load_params
 from gdsr.imgio import load_image, load_pfm_grid, save_image
 from gdsr.resample import bicubic_downsample
 
@@ -181,6 +181,24 @@ def test_fit_image_checks_grid_points_before_preparing(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, match", [
+    (["--grid-points", "0"], "grid_points must be >= 3, got 0"),
+    (["--sweeps", "0"], "sweeps must be >= 1, got 0"),
+    (["--gamma", "-1"], "gamma must be >= 0, got -1.0"),
+    (["--mode", "head", "--sweeps", "0"], "sweeps must be >= 1, got 0"),
+], ids=["grid-points", "sweeps", "gamma", "head-sweeps"])
+def test_fit_feature_checks_settings_before_preparing(tmp_path, monkeypatch, flags, match):
+    manifest = make_manifest(tmp_path, n=1)
+    prepared, prepare = [], bench._prepare
+    monkeypatch.setattr(bench, "_prepare", lambda *a: prepared.append(a) or prepare(*a))
+    out = tmp_path / "feature.params.json"
+    with pytest.raises(ValueError, match=match):
+        main(["fit", "--manifest", str(manifest), "--scale", "4", "--method", "feature",
+              *flags, "--out", str(out)])
+    assert len(prepared) == 0
+    assert not out.exists()
+
+
 def test_fit_feature_params_file(tmp_path, capsys):
     manifest = make_manifest(tmp_path, n=1)
     params = tmp_path / "feature.params.json"
@@ -237,11 +255,12 @@ def test_bench_command_reports_failed_entries_on_stderr(tmp_path, capsys):
     ('[{"method": "bicubic"}, {"method": "bicubic", "lamda": 2}]', "entry 1: .*'lamda'"),
     ('[{"method": "bicubic"}, "bicubic"]', "entry 1 must be an object, got str"),
     ('[{"method": "bicubic"', "not valid JSON"),
+    (b'[{"method": "bicubic", "edge_mode": "h\xe9rd"}]', "not valid JSON"),
 ])
 def test_bench_config_errors_name_file_entry_and_key(tmp_path, text, where):
     manifest = make_manifest(tmp_path)
     config = tmp_path / "config.json"
-    config.write_text(text)
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
     out = tmp_path / "r.csv"
     with pytest.raises(ValueError, match=f"config {re.escape(str(config))}: {where}"):
         main(["bench", "--manifest", str(manifest), "--scales", "4",

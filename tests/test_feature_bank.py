@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdsr import feature_bank
+from gdsr.bench import load_params, save_params
 from gdsr.dct import dct2_forward
 from gdsr.feature_bank import (
     FilterBank,
@@ -18,9 +19,7 @@ from gdsr.feature_bank import (
     fit_head,
     fit_lambda,
     gaussian_stencil,
-    load_params,
     log_stencil,
-    save_params,
     spectral_predict,
     _LambdaObjective,
 )
