@@ -8,11 +8,11 @@ BLAS pinned to one thread. The verb_* stages run one `gdsr` command end
 to end, in process through `gdsr.cli.main`, on that scene written to a
 temporary directory: `sr --method image`, `sr --method feature
 --params`, one `bench` of bicubic, image lambda = 20 and feature
-configs, and `fit --method feature`, at 480x640 only. The load stage decodes the scene's 16-bit PGM
-depth and 8-bit PPM guide, written once to a temporary directory. Stages
-marked cold go through no cache: the resample matrices are built from
-scratch and `stencil_symbol` is called directly, below `symbol_for`'s
-cache. `lambda_objective_evaluate` is one fit-objective evaluation, at
+configs, and `fit --method feature`, at 480x640 only. The load stage
+decodes the scene's 16-bit PGM depth and 8-bit PPM guide, written once
+to a temporary directory. Stages marked cold go through no cache: the
+resample matrices are built from scratch and `stencil_symbol` is called
+directly, below `symbol_for`'s cache. `lambda_objective_evaluate` is one fit-objective evaluation, at
 480x640 only: at 1024x1376 the objective's coefficient rows alone take
 about 270 MB. The result for --label is stored under that key of --out, next
 to any other labels already in the file, so runs of two checkouts can

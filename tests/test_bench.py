@@ -194,7 +194,10 @@ _FEATURE_PARAMS = {"method": "feature", "bank": "default8", "lambdas": [1.0] * 8
                                    if k != "head_bias"}), "lacks key 'head_bias'"),
     ("image_domain", '{"method": "image"}', "lacks key 'lambda'"),
     ("feature_domain", b'{"method": "feature", "bank": "d\xe9fault8"}', "not valid JSON"),
-], ids=["invalid-json", "list", "no-lambdas", "no-head-bias", "no-lambda", "non-utf8"])
+    ("image_domain", '{"method": "image", "lambda": "20"}',
+     "key 'lambda' must be int or float, got str"),
+], ids=["invalid-json", "list", "no-lambdas", "no-head-bias", "no-lambda", "non-utf8",
+        "lambda-str"])
 def test_params_file_errors_name_the_file_and_key(tmp_path, method, text, cause):
     manifest = build_manifest(tmp_path, n=1)
     params = tmp_path / "bad.params.json"
