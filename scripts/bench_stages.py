@@ -8,7 +8,8 @@ BLAS pinned to one thread. The verb_* stages run one `gdsr` command end
 to end, in process through `gdsr.cli.main`, on that scene written to a
 temporary directory: `sr --method image`, `sr --method feature
 --params`, one `bench` of bicubic, image lambda = 20 and feature
-configs, and `fit --method feature`, at 480x640 only. The load stage
+configs, one `bench --scales 4,8,16` of the bicubic and image configs,
+and `fit --method feature`, at 480x640 only. The load stage
 decodes the scene's 16-bit PGM depth and 8-bit PPM guide, written once
 to a temporary directory. Stages marked cold go through no cache: the
 resample matrices are built from scratch and `stencil_symbol` is called
@@ -138,9 +139,12 @@ def verbs(M: int, N: int) -> dict:
     save_image(lr, root / "lr.pgm", "pgm16")
     manifest, config = root / "manifest.json", root / "config.json"
     manifest.write_text(json.dumps({"name": "stages", "entries": [entry]}), encoding="utf-8")
-    config.write_text(json.dumps([{"method": "bicubic"}, {"method": "image", "lam": 20.0},
-                                  {"method": "feature", "params_path": str(PARAMS)}]),
+    image_configs = [{"method": "bicubic"}, {"method": "image", "lam": 20.0}]
+    config.write_text(json.dumps(image_configs + [{"method": "feature",
+                                                   "params_path": str(PARAMS)}]),
                       encoding="utf-8")
+    image_config = root / "image_config.json"
+    image_config.write_text(json.dumps(image_configs), encoding="utf-8")
     sr = ["sr", "--depth", str(root / "lr.pgm"), "--rgb", str(root / entry["rgb_path"]),
           "--scale", str(SCALE), "--out", str(root / "pred.pgm")]
     commands = {
@@ -148,6 +152,9 @@ def verbs(M: int, N: int) -> dict:
         "verb_sr_feature": sr + ["--method", "feature", "--params", str(PARAMS)],
         "verb_bench": ["bench", "--manifest", str(manifest), "--scales", str(SCALE),
                        "--config", str(config), "--out", str(root / "bench.csv")],
+        "verb_bench_scales": ["bench", "--manifest", str(manifest), "--scales", "4,8,16",
+                              "--config", str(image_config),
+                              "--out", str(root / "bench_scales.csv")],
     }
     if M * N <= OBJECTIVE_MAX_PIXELS:
         commands["verb_fit_feature"] = ["fit", "--manifest", str(manifest),

@@ -39,9 +39,10 @@ from .feature_bank import (
     _solved_coeffs,
 )
 from .guidance import EdgeWeightConfig, luminance, transfer_target
+from .image_core import as_image
 from .imgio import load_image
-from .resample import check_scale, crop_to_multiple, degrade
-from .spectral import SYMBOL_MODES, build_rhs, solve_screened, symbol_for
+from .resample import _crop, check_scale, degrade
+from .spectral import SYMBOL_MODES, _laplacian, _rhs, _solve, symbol_for
 
 __all__ = [
     "DatasetEntry",
@@ -327,9 +328,9 @@ def _load_feature_params(cfg: PipelineConfig, bank: FilterBank):
         if fit_bank != bank.name:
             raise ValueError(f"{where} was fit with bank {fit_bank!r}, "
                              f"but the pipeline uses bank {bank.name!r}")
-        lambdas = np.asarray(_field(params, "lambdas", (list,), where), dtype=np.float64)
+        lambdas = _numbers(params, "lambdas", len(bank), where)
         head = ReconstructionHead(
-            np.asarray(_field(params, "head_weights", (list,), where), dtype=np.float64),
+            _numbers(params, "head_weights", len(bank), where),
             float(_field(params, "head_bias", (int, float), where)),
             float(_field(params, "head_gamma", (int, float), where, 0.0)),
         )
@@ -339,14 +340,41 @@ def _load_feature_params(cfg: PipelineConfig, bank: FilterBank):
     return np.full(len(bank), math.exp(INIT_LOG_LAMBDA)), ReconstructionHead(weights, 0.0)
 
 
+def _numbers(obj: dict, key: str, length: int, where: str) -> np.ndarray:
+    """``obj[key]``, a list of ``length`` ints or floats, as a float64 vector."""
+    values = _field(obj, key, (list,), where)
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{where} key {key!r} must hold ints or floats, "
+                             f"got {type(value).__name__}")
+    if len(values) != length:
+        raise ValueError(f"{where} key {key!r} must hold {length} values, got {len(values)}")
+    return np.asarray(values, dtype=np.float64)
+
+
 def _image_lambda(cfg: PipelineConfig) -> float:
     if cfg.params_path is not None:
         params = load_params(cfg.params_path)
         where = f"parameter file {cfg.params_path}"
         if params["method"] != "image":
             raise ValueError(f"{where} is not an image-domain fit")
-        return float(_field(params, "lambda", (int, float), where))
+        lam = float(_field(params, "lambda", (int, float), where))
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise ValueError(f"{where} key 'lambda' must be finite and >= 0, got {lam}")
+        return lam
     return cfg.lam
+
+
+def _model(cfg: PipelineConfig):
+    """What ``cfg``'s method needs besides the grids, with its parameter
+    file read and checked: None for bicubic, the lambda for the image
+    domain, (bank, lambdas, head) for the feature domain."""
+    if cfg.method == "image_domain":
+        return _image_lambda(cfg)
+    if cfg.method == "feature_domain":
+        bank = default_bank()
+        return (bank, *_load_feature_params(cfg, bank))
+    return None
 
 
 def predict(up: np.ndarray, guide, cfg: PipelineConfig) -> np.ndarray:
@@ -360,16 +388,31 @@ def predict(up: np.ndarray, guide, cfg: PipelineConfig) -> np.ndarray:
         raise ValueError(f"depth {up.shape} does not match guide {np.shape(guide)}")
     if cfg.method == "bicubic":
         return up
+    return _predict(as_image(up), guide, cfg, _model(cfg), {})
+
+
+def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, memo: dict) -> np.ndarray:
+    """:func:`predict` of a checked ``up`` under ``cfg`` and its
+    :func:`_model`.
+
+    ``memo`` holds the image-domain guide side lap(T) of one guide, keyed
+    by (shape, edge config): the crops of one entry's guide that share a
+    shape are equal, and T depends on neither the scale nor lambda. A
+    record that finds no entry builds it and stores it for the next.
+    """
+    if cfg.method == "bicubic":
+        return up
     edge_cfg = cfg.edge_config()
     if cfg.method == "image_domain":
-        lam = _image_lambda(cfg)
-        e = build_rhs(up, transfer_target(guide, edge_cfg), lam)
-        h = solve_screened(e, lam, symbol_for(cfg.symbol_mode, up.shape))
+        lam, key = model, (up.shape, edge_cfg)
+        if lam and key not in memo:  # lam = 0 reads no guide side
+            memo[key] = _laplacian(transfer_target(guide, edge_cfg))
+        h = _solve(_rhs(up, memo.get(key), lam), lam, symbol_for(cfg.symbol_mode, up.shape),
+                   own=True)
     else:
-        bank = default_bank()
-        lambdas, head = _load_feature_params(cfg, bank)
+        bank, lambdas, head = model
         h = spectral_predict(up, guide, bank, lambdas, head, edge_cfg, cfg.symbol_mode)
-    return np.maximum(h, 0.0)
+    return np.maximum(h, 0.0, out=h)
 
 
 def _load_entry(entry: DatasetEntry) -> tuple[np.ndarray, np.ndarray]:
@@ -388,12 +431,13 @@ def _load_entry(entry: DatasetEntry) -> tuple[np.ndarray, np.ndarray]:
 
 def _crop_and_degrade(depth: np.ndarray, guide: np.ndarray, s: int,
                       antialias: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grids (gt, up, guide) of one loaded entry at scale ``s``: depth
-    and luminance cropped bottom/right to a multiple of the scale, and the
-    degraded-then-upsampled depth on that grid."""
-    gt = crop_to_multiple(depth, s)
+    """The grids (gt, up, guide) of one loaded entry at a checked scale
+    ``s``: depth and luminance cropped bottom/right to a multiple of the
+    scale, and the degraded-then-upsampled depth on that grid. The crops
+    do not rescan the grids, which the decoder has checked."""
+    gt = _crop(depth, s)
     _, up = degrade(gt, s, antialias)
-    return gt, up, crop_to_multiple(guide, s)
+    return gt, up, _crop(guide, s)
 
 
 def _prepare(entry: DatasetEntry, s: int,
@@ -406,14 +450,15 @@ def _entry_error(entry: DatasetEntry, exc: Exception) -> RuntimeError:
     return RuntimeError(f"entry {entry.id!r}: {type(exc).__name__}: {exc}")
 
 
-def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig,
-              dataset: str) -> tuple[np.ndarray, BenchRecord]:
-    """Super-resolve one prepared entry under ``cfg`` and score it in
-    metric units."""
+def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig, dataset: str,
+              model, memo: dict) -> tuple[np.ndarray, BenchRecord]:
+    """Super-resolve one prepared entry under ``cfg`` and its
+    :func:`_model`, and score it in metric units. ``memo`` is the entry's
+    :func:`_predict` memo."""
     gt, up, guide = prepared
     try:
         t0 = time.perf_counter()
-        pred = predict(up, guide, cfg)
+        pred = _predict(up, guide, cfg, model, memo)
         runtime_ms = (time.perf_counter() - t0) * 1e3
         value = rmse(pred, gt, cfg.crop_border) * entry.depth_unit_scale
     except Exception as exc:
@@ -435,9 +480,10 @@ def run_image(entry: DatasetEntry, cfg: PipelineConfig,
         raise ValueError("config carries no scale; use cfg.with_scale(s)")
     try:
         prepared = _prepare(entry, cfg.scale, cfg.antialias)
+        model = _model(cfg)
     except Exception as exc:
         raise _entry_error(entry, exc) from exc
-    return _evaluate(entry, prepared, cfg, dataset)
+    return _evaluate(entry, prepared, cfg, dataset, model, {})
 
 
 def _worker_count(threads: int | None) -> int:
@@ -466,22 +512,31 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
     if not configs:
         raise ValueError("no pipeline configs given")
     settings = dict.fromkeys(cfg.antialias for cfg in configs)
+    models = []  # per config, its _model or the error reading it raised
+    for cfg in configs:
+        try:
+            models.append(_model(cfg))
+        except Exception as exc:
+            models.append(exc)
 
     def one(entry):
         """Records of every scale and config on one entry, in canonical order.
 
         The entry is loaded once, then cropped and degraded once per
-        (scale, antialias). A failed step fails every record that needs
-        it, with its cause: a failed load fails the whole entry, a failed
-        crop only that scale.
+        (scale, antialias), and its image-domain guide side is built once
+        per (cropped shape, edge config). A failed step fails every record
+        that needs it, with its cause: a failed load fails the whole
+        entry, a failed crop only that scale, and a parameter file that
+        could not be read every record of its config.
         """
         try:
             loaded = _load_entry(entry)
         except Exception as exc:
             loaded = _entry_error(entry, exc)
-        return [r for s in scales for r in scale_records(entry, loaded, s)]
+        memo = {}
+        return [r for s in scales for r in scale_records(entry, loaded, s, memo)]
 
-    def scale_records(entry, loaded, s):
+    def scale_records(entry, loaded, s, memo):
         """Records of every config at one scale; its grids die on return."""
         prepared = {}  # antialias -> (gt, up, guide), or the error preparing raised
         for antialias in settings:
@@ -493,13 +548,15 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
             except Exception as exc:
                 prepared[antialias] = _entry_error(entry, exc)
         records = []
-        for cfg in configs:
+        for cfg, model in zip(configs, models):
             cfg = cfg.with_scale(s)
             inputs = prepared[cfg.antialias]
             try:
                 if isinstance(inputs, Exception):
                     raise inputs
-                records.append(_evaluate(entry, inputs, cfg, manifest.name)[1])
+                if isinstance(model, Exception):
+                    raise _entry_error(entry, model)
+                records.append(_evaluate(entry, inputs, cfg, manifest.name, model, memo)[1])
             except Exception as exc:
                 records.append(BenchRecord(manifest.name, entry.id, s, cfg.method,
                                            cfg.config_hash(), None, 0.0, str(exc)))

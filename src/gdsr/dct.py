@@ -34,9 +34,11 @@ def dct2_inverse(coeffs) -> np.ndarray:
 
 
 # Unchecked forms for package-internal grids that are already validated.
-def _dct2(img: np.ndarray) -> np.ndarray:
-    return _fft.dctn(img, type=2, norm="ortho")
+# With ``overwrite`` the caller gives its grid up: scipy may transform in
+# that buffer, with the same bits.
+def _dct2(img: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    return _fft.dctn(img, type=2, norm="ortho", overwrite_x=overwrite)
 
 
-def _idct2(coeffs: np.ndarray) -> np.ndarray:
-    return _fft.idctn(coeffs, type=2, norm="ortho")
+def _idct2(coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    return _fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=overwrite)

@@ -119,7 +119,11 @@ def degrade(gt, s: int, antialias: bool = True) -> tuple[np.ndarray, np.ndarray]
 def crop_to_multiple(img, s: int) -> np.ndarray:
     """Crop from the bottom/right to the largest size divisible by s."""
     img = as_image(img)
-    s = check_scale(s)
+    return _crop(img, check_scale(s))
+
+
+def _crop(img: np.ndarray, s: int) -> np.ndarray:
+    """:func:`crop_to_multiple` of a checked grid by a checked scale: a view."""
     M, N = img.shape
     if M < s or N < s:
         raise ValueError(f"image {img.shape} smaller than scale {s}")

@@ -162,9 +162,15 @@ def build_rhs(l_up, guide_lap_masked, lam: float) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {l_up.shape} vs {t.shape}")
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    return _rhs(l_up, _laplacian(t) if lam else None, lam)
+
+
+def _rhs(l_up: np.ndarray, lap_t, lam: float) -> np.ndarray:
+    """:func:`build_rhs` from checked inputs and the Laplacian ``lap_t`` of
+    T, which is not read (and may be None) when lam = 0."""
     if lam == 0.0:
         return l_up.copy()
-    return lam * _laplacian(t) + l_up
+    return lam * lap_t + l_up
 
 
 def solve_screened(E, lam: float, symbol) -> np.ndarray:
@@ -173,7 +179,8 @@ def solve_screened(E, lam: float, symbol) -> np.ndarray:
     H = idct( dct(E) / (1 + lam * Lambda^2) ), the division taken against
     the all-ones grid plus the squared symbol. With lam = 0 the solve is
     the identity and E is returned unchanged (bit for bit). ``symbol`` is
-    the (M, N) grid Lambda, as :func:`symbol_for` returns it.
+    the (M, N) grid Lambda, as :func:`symbol_for` returns it. E itself is
+    never written.
     """
     E = as_image(E)
     if not (np.isfinite(lam) and lam >= 0.0):
@@ -181,9 +188,20 @@ def solve_screened(E, lam: float, symbol) -> np.ndarray:
     symbol = np.asarray(symbol, dtype=np.float64)
     if symbol.shape != E.shape:
         raise ValueError(f"symbol shape {symbol.shape} does not match input {E.shape}")
+    return _solve(E, lam, symbol, own=False)
+
+
+def _solve(E: np.ndarray, lam: float, symbol: np.ndarray, own: bool) -> np.ndarray:
+    """:func:`solve_screened` on checked inputs. With ``own`` the caller
+    gives E up: both transforms run in its buffer, and with lam = 0 E
+    itself is returned."""
     if lam == 0.0:
-        return E.copy()
-    denom = 1.0 + lam * symbol * symbol
+        return E if own else E.copy()
+    denom = np.multiply(symbol, lam)
+    denom *= symbol
+    denom += 1.0
     if not np.all(denom > 0.0):  # impossible for real finite symbols and lam >= 0
         raise ValueError("non-positive or NaN sample in spectral denominator")
-    return _idct2(_dct2(E) / denom)
+    coeffs = _dct2(E, overwrite=own)
+    coeffs /= denom
+    return _idct2(coeffs, overwrite=True)

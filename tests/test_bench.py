@@ -196,8 +196,16 @@ _FEATURE_PARAMS = {"method": "feature", "bank": "default8", "lambdas": [1.0] * 8
     ("feature_domain", b'{"method": "feature", "bank": "d\xe9fault8"}', "not valid JSON"),
     ("image_domain", '{"method": "image", "lambda": "20"}',
      "key 'lambda' must be int or float, got str"),
+    ("image_domain", '{"method": "image", "lambda": -1}',
+     "key 'lambda' must be finite and >= 0, got -1.0"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, lambdas=["x"] + [1.0] * 7)),
+     "key 'lambdas' must hold ints or floats, got str"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, lambdas=[1.0] * 3)),
+     "key 'lambdas' must hold 8 values, got 3"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, head_weights=[True] + [0.0] * 7)),
+     "key 'head_weights' must hold ints or floats, got bool"),
 ], ids=["invalid-json", "list", "no-lambdas", "no-head-bias", "no-lambda", "non-utf8",
-        "lambda-str"])
+        "lambda-str", "lambda-negative", "lambdas-str", "lambdas-short", "head-weights-bool"])
 def test_params_file_errors_name_the_file_and_key(tmp_path, method, text, cause):
     manifest = build_manifest(tmp_path, n=1)
     params = tmp_path / "bad.params.json"
@@ -207,6 +215,21 @@ def test_params_file_errors_name_the_file_and_key(tmp_path, method, text, cause)
     assert records[0].rmse is None
     assert f"parameter file {params}" in records[0].error
     assert cause in records[0].error
+
+
+def test_run_bench_reads_each_params_file_once(tmp_path, monkeypatch):
+    manifest = build_manifest(tmp_path, n=4, M=32, N=32)
+    feature, image = tmp_path / "feature.json", tmp_path / "image.json"
+    save_params(feature, _FEATURE_PARAMS)
+    save_params(image, {"method": "image", "lambda": 2.0})
+    configs = [PipelineConfig(method="feature_domain", params_path=str(feature)),
+               PipelineConfig(method="image_domain", params_path=str(image))]
+    reads = []
+    load_params = bench.load_params
+    monkeypatch.setattr(bench, "load_params", lambda p: reads.append(p) or load_params(p))
+    records = run_bench(manifest, [2, 4], configs, threads=2, timing=False)
+    assert all(r.rmse is not None for r in records)
+    assert sorted(reads) == sorted([str(feature), str(image)])
 
 
 def test_symbol_mode_validated_by_config():
@@ -412,6 +435,38 @@ def test_run_bench_prepares_each_entry_once_per_scale_and_antialias(tmp_path, mo
     want = [run_image(e, cfg.with_scale(s), "synth")[1]
             for e in manifest.entries for s in (2, 4) for cfg in configs]
     assert details == [dataclasses.replace(r, runtime_ms=0.0) for r in want]
+
+
+def test_run_bench_builds_each_guide_side_once_per_shape_and_edge_config(tmp_path,
+                                                                         monkeypatch):
+    # img00 crops to 64x64 at x4 and x8; img01 to 64x68 at x4 and to img00's
+    # 64x64 at x8, so a memo shared across entries would mix their guides.
+    rng = np.random.default_rng(93)
+    entries = [write_scene_files(tmp_path, name, *make_scene(rng, M, N, n_shapes=3))
+               for name, M, N in [("img00", 64, 64), ("img01", 67, 70)]]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"name": "synth", "entries": entries}))
+    manifest = load_manifest(path)
+    configs = [PipelineConfig(method="image_domain", lam=2.0),
+               PipelineConfig(method="image_domain", lam=2.0, antialias=False),
+               PipelineConfig(method="image_domain", lam=2.0, tau_quantile=0.8)]
+    want = [run_image(e, cfg.with_scale(s), "synth")
+            for e in manifest.entries for s in (4, 8) for cfg in configs]
+    targets, preds = [], []
+    transfer_target, score = bench.transfer_target, bench.rmse
+    monkeypatch.setattr(bench, "transfer_target", lambda guide, edge_cfg: (
+        targets.append((guide.shape, edge_cfg.tau_quantile)) or transfer_target(guide, edge_cfg)))
+    monkeypatch.setattr(bench, "rmse", lambda pred, gt, border: (
+        preds.append(pred.copy()) or score(pred, gt, border)))
+    records = run_bench(manifest, [4, 8], configs, threads=1, timing=False)
+    # one call per (entry, cropped shape, edge config), in canonical order
+    assert targets == [((64, 64), 0.9), ((64, 64), 0.8),
+                       ((64, 68), 0.9), ((64, 68), 0.8), ((64, 64), 0.9), ((64, 64), 0.8)]
+    details = [r for r in records if r.image_id != MEAN_ROW_ID]
+    assert details == [dataclasses.replace(rec, runtime_ms=0.0) for _, rec in want]
+    assert len(preds) == len(want)
+    for pred, (want_pred, _) in zip(preds, want):
+        assert pred.tobytes() == want_pred.tobytes()
 
 
 def test_entry_smaller_than_a_scale_fails_only_that_scale(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gdsr.dct import dct2_forward, dct2_inverse
+from gdsr.dct import _dct2, _idct2, dct2_forward, dct2_inverse
 from gdsr.filters import correlate_reflect
 from gdsr.spectral import (
     FIVE_POINT,
@@ -14,6 +14,7 @@ from gdsr.spectral import (
     solve_screened,
     stencil_symbol,
     symbol_for,
+    _solve,
 )
 
 from oracles import ConvergenceError, brute_correlate_reflect, cg_solve, dense_screened_solve, energy
@@ -243,6 +244,20 @@ def test_solve_residual_exactness(lam):
     h = solve_screened(e, lam, sym)
     residual = h + lam * lap2(h) - e
     assert np.abs(residual).max() < 1e-6 * np.abs(e).max()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 30.0])
+def test_solve_never_writes_the_callers_grid_and_the_given_up_form_agrees(lam):
+    rng = np.random.default_rng(27)
+    e = rng.standard_normal((33, 20))
+    kept = e.copy()
+    sym = symbol_for("derived", e.shape)
+    h = solve_screened(e, lam, sym)
+    assert np.array_equal(e, kept)
+    # the in-place arithmetic keeps the bits of the plain formula
+    want = e if lam == 0.0 else _idct2(_dct2(e) / (1.0 + lam * sym * sym))
+    assert h.tobytes() == want.tobytes()
+    assert _solve(e.copy(), lam, sym, own=True).tobytes() == want.tobytes()
 
 
 def test_solve_shape_guard():
