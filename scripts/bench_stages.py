@@ -21,7 +21,10 @@ share one file:
 
     stage -> {"median_ms", "iqr_ms", "n"}, per size,
 
-plus the commit, the numpy and scipy versions and os.cpu_count().
+plus the commit, the numpy and scipy versions and os.cpu_count(). The
+MEMORY_STAGES also record "peak_mb": the tracemalloc peak of one more
+call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
+what the call allocates and holds at once, caches filled beforehand.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -70,6 +74,8 @@ REPEATS = 7
 PARAMS = ROOT / "perfbench" / "feature_params.json"
 # Largest grid the fit-objective stage and the fit verb run at.
 OBJECTIVE_MAX_PIXELS = 480 * 640
+# Stages whose working set is recorded too.
+MEMORY_STAGES = ("transfer_target_hard", "spectral_predict")
 
 
 def load_stage(gt, rgb):
@@ -172,6 +178,16 @@ def verbs(M: int, N: int) -> dict:
     return {name: verb(argv) for name, argv in commands.items()}
 
 
+def peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of fn, in MB of 2^20 bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 3)
+    finally:
+        tracemalloc.stop()
+
+
 def time_stage(fn) -> dict:
     fn()
     samples = []
@@ -205,6 +221,8 @@ def main() -> int:
         result["stages"][size] = {}
         for name, fn in {**stages(M, N), **verbs(M, N)}.items():
             result["stages"][size][name] = time_stage(fn)
+            if name in MEMORY_STAGES:
+                result["stages"][size][name]["peak_mb"] = peak_mb(fn)
             print(f"{size} {name}: {result['stages'][size][name]}", flush=True)
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}

@@ -238,7 +238,12 @@ def _channel_coeffs(l_up, guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, c
     K_c is pair c's depth stencil, diagonal in the DCT, and T_c the transfer
     target of pair c's guide feature. Pairs with one guide stencil share
     one dct(T_c), which is kept only until its last pair is yielded. The
-    callers validate the inputs."""
+    callers validate the inputs.
+
+    The guide side comes first and T_c is transformed in its own buffer,
+    so the guide feature and its target are freed before d_hat exists;
+    d_hat is not kept here past its yield.
+    """
     shape = np.shape(l_up)
     l_hat = _dct2(l_up)
     # ddx and ddy have the same bytes, so the shape is part of the key
@@ -246,14 +251,13 @@ def _channel_coeffs(l_up, guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, c
     shared = {}
     for k, c in enumerate(channels):
         pair = bank.pairs[c]
-        d_hat = symbol_for("derived", shape, pair.depth_filter) * l_hat
         t_hat = shared.pop(keys[k], None)
         if t_hat is None:
-            phi_r = _correlate(guide, pair.guide_filter)
-            t_hat = _dct2(transfer_target(phi_r, edge_cfg))
+            t_hat = _dct2(transfer_target(_correlate(guide, pair.guide_filter), edge_cfg),
+                          overwrite=True)
         if keys[k] in keys[k + 1:]:
             shared[keys[k]] = t_hat
-        yield c, d_hat, t_hat
+        yield c, symbol_for("derived", shape, pair.depth_filter) * l_hat, t_hat
 
 
 def _solved_coeffs(d_hat, t_hat, lap_symbol, symbol_sq, lam: float, out=None,
@@ -305,9 +309,15 @@ def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: Reconstructio
     h_hat = np.zeros(shape)
     for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg,
                                            np.flatnonzero(head.weights)):
-        h_hat += head.weights[c] * _solved_coeffs(d_hat, t_hat, lap_symbol, mode_sq, lam[c])
+        # a fresh grid each channel (d_hat itself when lam_c = 0), so it
+        # is scaled in place
+        solved = _solved_coeffs(d_hat, t_hat, lap_symbol, mode_sq, lam[c])
+        solved *= head.weights[c]
+        h_hat += solved
+        # freed before the generator builds the next channel's guide side
+        del d_hat, t_hat, solved
     h_hat[0, 0] += head.bias * math.sqrt(l_up.size)
-    return _idct2(h_hat)
+    return _idct2(h_hat, overwrite=True)
 
 
 def _normal_equations(features_list, targets_list):

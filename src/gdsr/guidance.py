@@ -74,14 +74,20 @@ def _nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     return float(np.partition(values, rank - 1, axis=None)[rank - 1])
 
 
+def _hard_mask(g: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarray:
+    """The hard edges of a magnitude grid g: g >= tau and g > 0."""
+    mask = g >= _nearest_rank_quantile(g, cfg.tau_quantile)
+    mask &= g > 0.0
+    return mask
+
+
 def _weights_from_laplacian(lap: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarray:
     if cfg.mode == "none":
         return np.ones_like(lap)
     g = np.abs(lap)
-    tau = _nearest_rank_quantile(g, cfg.tau_quantile)
     if cfg.mode == "hard":
-        return np.where((g >= tau) & (g > 0.0), 1.0, 0.0)
-    return expit(cfg.steepness * (g - tau))
+        return np.where(_hard_mask(g, cfg), 1.0, 0.0)
+    return expit(cfg.steepness * (g - _nearest_rank_quantile(g, cfg.tau_quantile)))
 
 
 def edge_weight(guide_lum, cfg: EdgeWeightConfig) -> np.ndarray:
@@ -101,10 +107,19 @@ def edge_weight(guide_lum, cfg: EdgeWeightConfig) -> np.ndarray:
 def transfer_target(guide, cfg: EdgeWeightConfig) -> np.ndarray:
     """Gradient-transfer target T = lap(guide) * edge_weight(guide, cfg).
 
-    The guide Laplacian is computed once and serves both factors.
+    The guide Laplacian is computed once and serves both factors. In hard
+    mode T is built in the |lap| buffer: the mask is copied in as 1.0 and
+    0.0 and multiplied by lap, so T has the bits of the product, signed
+    zeros included. (Multiplying by the bool mask directly casts it
+    through a buffer, which is slower.)
     """
     lap = _laplacian(as_image(guide))
-    return lap * _weights_from_laplacian(lap, cfg)
+    if cfg.mode != "hard":
+        return lap * _weights_from_laplacian(lap, cfg)
+    g = np.abs(lap)
+    np.copyto(g, _hard_mask(g, cfg))
+    g *= lap
+    return g
 
 
 def multichannel_edge_weight(phi_r, cfg: EdgeWeightConfig) -> np.ndarray:

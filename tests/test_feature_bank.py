@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gdsr.feature_bank import (
 )
 from gdsr.filters import correlate_reflect
 from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, transfer_target
+from gdsr.resample import degrade
 from gdsr.spectral import (
     FIVE_POINT,
     SYMBOL_MODES,
@@ -449,7 +451,25 @@ def test_channel_coeffs_share_one_target_per_guide_stencil(monkeypatch):
     assert got[7][2] is got[0][2] and got[5][2] is not got[4][2]
     for c, _, t_hat in got:
         phi_r = correlate_reflect(guide, bank.pairs[c].guide_filter)
-        assert np.array_equal(t_hat, dct2_forward(transfer_target(phi_r, HARD)))
+        want = dct2_forward(transfer_target(phi_r, HARD))
+        assert np.array_equal(t_hat.view(np.uint64), want.view(np.uint64))
+
+
+def test_spectral_predict_working_set_is_eight_grids():
+    gt, rgb = make_scene(np.random.default_rng(0), 192, 256)
+    _, up = degrade(gt, 8)
+    guide = luminance(rgb)
+    bank = default_bank()
+    lambdas = np.full(len(bank), 2.0)
+    head = ReconstructionHead(np.linspace(0.25, 1.0, len(bank)), 0.5)
+    spectral_predict(up, guide, bank, lambdas, head, HARD)  # fills symbol_for's cache
+    tracemalloc.start()
+    try:
+        spectral_predict(up, guide, bank, lambdas, head, HARD)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.1 * up.nbytes, f"peak {peak / up.nbytes:.2f} grids"
 
 
 def test_fit_lambda_input_validation():

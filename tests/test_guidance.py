@@ -166,3 +166,26 @@ def test_transfer_target_is_masked_laplacian(mode):
     cfg = EdgeWeightConfig(mode, tau_quantile=0.7)
     want = laplacian_apply(g) * edge_weight(g, cfg)
     assert np.array_equal(transfer_target(g, cfg), want)
+
+
+@st.composite
+def laplacian_tie_grids(draw):
+    """Grids whose Laplacians hold ties at the quantile, zeros and negative
+    values: a few levels give Laplacians of few distinct values, and
+    floats fill the rest."""
+    rows = draw(st.integers(1, 10))
+    cols = draw(st.integers(1, 10))
+    levels = st.sampled_from([-2.0, -0.5, 0.0, 0.0, 1.0, 3.0])
+    values = st.one_of(levels, st.floats(-10.0, 10.0))
+    n = rows * cols
+    return np.array(draw(st.lists(values, min_size=n, max_size=n))).reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=laplacian_tie_grids(),
+       q=st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.1, 0.5, 0.7, 0.9])))
+def test_hard_transfer_target_has_the_bits_of_the_product(x, q):
+    # compared as uint64, so -0.0 (a masked negative Laplacian) must stay -0.0
+    cfg = EdgeWeightConfig("hard", tau_quantile=q)
+    want = laplacian_apply(x) * edge_weight(x, cfg)
+    assert np.array_equal(transfer_target(x, cfg).view(np.uint64), want.view(np.uint64))
