@@ -82,11 +82,15 @@ def _hard_mask(g: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarray:
 
 
 def _weights_from_laplacian(lap: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarray:
+    """The edge weights of a Laplacian grid, in a fresh grid the caller
+    may write (in hard mode, the |lap| buffer)."""
     if cfg.mode == "none":
         return np.ones_like(lap)
     g = np.abs(lap)
     if cfg.mode == "hard":
-        return np.where(_hard_mask(g, cfg), 1.0, 0.0)
+        # a bool mask copies in as exactly 1.0 and 0.0
+        np.copyto(g, _hard_mask(g, cfg))
+        return g
     return expit(cfg.steepness * (g - _nearest_rank_quantile(g, cfg.tau_quantile)))
 
 
@@ -107,19 +111,16 @@ def edge_weight(guide_lum, cfg: EdgeWeightConfig) -> np.ndarray:
 def transfer_target(guide, cfg: EdgeWeightConfig) -> np.ndarray:
     """Gradient-transfer target T = lap(guide) * edge_weight(guide, cfg).
 
-    The guide Laplacian is computed once and serves both factors. In hard
-    mode T is built in the |lap| buffer: the mask is copied in as 1.0 and
-    0.0 and multiplied by lap, so T has the bits of the product, signed
-    zeros included. (Multiplying by the bool mask directly casts it
-    through a buffer, which is slower.)
+    The guide Laplacian is computed once and serves both factors. T is
+    built in the weights' buffer; products commute bit for bit, so T has
+    the bits of lap * w, signed zeros included. (Multiplying lap by the
+    hard mode's bool mask directly casts it through a buffer, which is
+    slower.)
     """
     lap = _laplacian(as_image(guide))
-    if cfg.mode != "hard":
-        return lap * _weights_from_laplacian(lap, cfg)
-    g = np.abs(lap)
-    np.copyto(g, _hard_mask(g, cfg))
-    g *= lap
-    return g
+    w = _weights_from_laplacian(lap, cfg)
+    w *= lap
+    return w
 
 
 def multichannel_edge_weight(phi_r, cfg: EdgeWeightConfig) -> np.ndarray:

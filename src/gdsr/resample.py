@@ -111,10 +111,8 @@ def degrade(gt, s: int, antialias: bool = True) -> tuple[np.ndarray, np.ndarray]
     to zero (depth is nonnegative).
     """
     s = check_scale(s)
-    lr = bicubic_downsample(gt, s, antialias)
-    np.maximum(lr, 0.0, out=lr)
-    up = bicubic_upsample(lr, s)
-    np.maximum(up, 0.0, out=up)
+    lr = np.maximum(bicubic_downsample(gt, s, antialias), 0.0)
+    up = np.maximum(bicubic_upsample(lr, s), 0.0)
     return lr, up
 
 

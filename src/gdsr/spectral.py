@@ -170,9 +170,7 @@ def _rhs(l_up: np.ndarray, lap_t, lam: float) -> np.ndarray:
     T, which is not read (and may be None) when lam = 0."""
     if lam == 0.0:
         return l_up.copy()
-    e = np.multiply(lap_t, lam)
-    e += l_up
-    return e
+    return lam * lap_t + l_up
 
 
 def solve_screened(E, lam: float, symbol) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from gdsr.guidance import (
     EdgeWeightConfig,
@@ -165,7 +166,9 @@ def test_transfer_target_is_masked_laplacian(mode):
     g = np.random.default_rng(14).random((11, 13))
     cfg = EdgeWeightConfig(mode, tau_quantile=0.7)
     want = laplacian_apply(g) * edge_weight(g, cfg)
-    assert np.array_equal(transfer_target(g, cfg), want)
+    # compared as uint64, so -0.0 (a masked negative Laplacian) cannot
+    # pass for 0.0
+    assert np.array_equal(transfer_target(g, cfg).view(np.uint64), want.view(np.uint64))
 
 
 @st.composite
@@ -182,10 +185,26 @@ def laplacian_tie_grids(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(x=laplacian_tie_grids(),
+@given(x=laplacian_tie_grids(), mode=st.sampled_from(["hard", "soft"]),
        q=st.one_of(st.floats(0.01, 0.99), st.sampled_from([0.1, 0.5, 0.7, 0.9])))
-def test_hard_transfer_target_has_the_bits_of_the_product(x, q):
-    # compared as uint64, so -0.0 (a masked negative Laplacian) must stay -0.0
-    cfg = EdgeWeightConfig("hard", tau_quantile=q)
-    want = laplacian_apply(x) * edge_weight(x, cfg)
+def test_weights_and_target_have_the_bits_of_the_formulas(x, mode, q):
+    """The weights, against the documented formulas with a sort-based
+    tau, and T, against lap * w, as uint64 (so -0.0 cannot pass for 0.0).
+
+    Beyond test_transfer_target_is_masked_laplacian, which compares T to
+    the weights the module itself builds on one grid of distinct
+    magnitudes, the weights here meet an oracle on grids with many ties
+    at tau and zero-magnitude pixels, where the hard rule's g >= tau and
+    g > 0 decide, and on one-row and one-column grids.
+    """
+    cfg = EdgeWeightConfig(mode, tau_quantile=q, steepness=7.0)
+    lap = laplacian_apply(x)
+    g = np.abs(lap)
+    tau = sorted_nearest_rank(g, q)
+    if mode == "hard":
+        w = np.where((g >= tau) & (g > 0.0), 1.0, 0.0)
+    else:
+        w = expit(cfg.steepness * (g - tau))
+    assert np.array_equal(edge_weight(x, cfg).view(np.uint64), w.view(np.uint64))
+    want = lap * w
     assert np.array_equal(transfer_target(x, cfg).view(np.uint64), want.view(np.uint64))
