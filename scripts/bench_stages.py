@@ -22,7 +22,8 @@ share one file:
     stage -> {"median_ms", "iqr_ms", "n"}, per size,
 
 plus the commit, the numpy and scipy versions and os.cpu_count(). The
-MEMORY_STAGES also record "peak_mb": the tracemalloc peak of one more
+MEMORY_STAGES, two stages and the `bench --scales 4,8,16` verb, also
+record "peak_mb": the tracemalloc peak of one more
 call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
 what the call allocates and holds at once, caches filled beforehand.
 """
@@ -74,8 +75,8 @@ REPEATS = 7
 PARAMS = ROOT / "perfbench" / "feature_params.json"
 # Largest grid the fit-objective stage and the fit verb run at.
 OBJECTIVE_MAX_PIXELS = 480 * 640
-# Stages whose working set is recorded too.
-MEMORY_STAGES = ("transfer_target_hard", "spectral_predict")
+# Stages and verbs whose working set is recorded too.
+MEMORY_STAGES = ("transfer_target_hard", "spectral_predict", "verb_bench_scales")
 
 
 def load_stage(gt, rgb):

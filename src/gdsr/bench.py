@@ -26,7 +26,6 @@ import numpy as np
 
 from .dct import dct2_forward
 from .feature_bank import (
-    FilterBank,
     ReconstructionHead,
     default_bank,
     fit_lambda,
@@ -42,7 +41,7 @@ from .guidance import EdgeWeightConfig, luminance, transfer_target
 from .image_core import as_image
 from .imgio import load_image
 from .resample import _crop, check_scale, degrade
-from .spectral import SYMBOL_MODES, _laplacian, _rhs, _solve, symbol_for
+from .spectral import SYMBOL_MODES, _laplacian, _rhs, _solve, _squared_symbol, symbol_for
 
 __all__ = [
     "DatasetEntry",
@@ -263,11 +262,7 @@ class PipelineConfig:
         return EdgeWeightConfig(self.edge_mode, self.tau_quantile, self.steepness)
 
     def with_scale(self, s: int) -> "PipelineConfig":
-        if self.scale == s:
-            return self
-        d = asdict(self)
-        d["scale"] = s
-        return PipelineConfig(**d)
+        return self if self.scale == s else replace(self, scale=s)
 
     def config_hash(self) -> str:
         # numpy scalars hash as the Python values they hold
@@ -315,33 +310,10 @@ def rmse(pred: np.ndarray, gt: np.ndarray, crop_border: int = 0) -> float:
     return float(np.sqrt(np.mean(diff)))
 
 
-def _load_feature_params(cfg: PipelineConfig, bank: FilterBank):
-    """Fitted lambdas and head for the feature pipeline, or passthrough
-    defaults (lambda_c = e^0.1, head = channel 0 verbatim) when no
-    parameter file is configured."""
-    if cfg.params_path is not None:
-        params = load_params(cfg.params_path)
-        where = f"parameter file {cfg.params_path}"
-        if params["method"] != "feature":
-            raise ValueError(f"{where} is not a feature fit")
-        fit_bank = _field(params, "bank", (str,), where)
-        if fit_bank != bank.name:
-            raise ValueError(f"{where} was fit with bank {fit_bank!r}, "
-                             f"but the pipeline uses bank {bank.name!r}")
-        lambdas = _numbers(params, "lambdas", len(bank), where)
-        head = ReconstructionHead(
-            _numbers(params, "head_weights", len(bank), where),
-            float(_field(params, "head_bias", (int, float), where)),
-            float(_field(params, "head_gamma", (int, float), where, 0.0)),
-        )
-        return lambdas, head
-    weights = np.zeros(len(bank))
-    weights[0] = 1.0
-    return np.full(len(bank), math.exp(INIT_LOG_LAMBDA)), ReconstructionHead(weights, 0.0)
-
-
-def _numbers(obj: dict, key: str, length: int, where: str) -> np.ndarray:
-    """``obj[key]``, a list of ``length`` ints or floats, as a float64 vector."""
+def _numbers(obj: dict, key: str, length: int, where: str,
+             nonnegative: bool = False) -> np.ndarray:
+    """``obj[key]``, a list of ``length`` ints or floats, as a float64
+    vector checked by :func:`_check_range`."""
     values = _field(obj, key, (list,), where)
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -349,32 +321,60 @@ def _numbers(obj: dict, key: str, length: int, where: str) -> np.ndarray:
                              f"got {type(value).__name__}")
     if len(values) != length:
         raise ValueError(f"{where} key {key!r} must hold {length} values, got {len(values)}")
-    return np.asarray(values, dtype=np.float64)
+    return _check_range(np.asarray(values, dtype=np.float64), key, where, nonnegative)
 
 
-def _image_lambda(cfg: PipelineConfig) -> float:
-    if cfg.params_path is not None:
-        params = load_params(cfg.params_path)
-        where = f"parameter file {cfg.params_path}"
-        if params["method"] != "image":
-            raise ValueError(f"{where} is not an image-domain fit")
-        lam = float(_field(params, "lambda", (int, float), where))
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise ValueError(f"{where} key 'lambda' must be finite and >= 0, got {lam}")
-        return lam
-    return cfg.lam
+def _number(obj: dict, key: str, where: str, default=None, nonnegative: bool = False) -> float:
+    """``obj[key]``, an int or float, as a float checked by :func:`_check_range`."""
+    value = float(_field(obj, key, (int, float), where, default))
+    return _check_range(value, key, where, nonnegative)
+
+
+def _check_range(values, key: str, where: str, nonnegative: bool):
+    """``values``, a float or a vector, if each is finite and, with
+    ``nonnegative``, >= 0, else a ValueError naming the file and the key:
+    json reads NaN and Infinity, so a parameter file can carry them."""
+    for value in np.ravel(values):
+        if not (math.isfinite(value) and (value >= 0.0 or not nonnegative)):
+            rule = "finite and >= 0" if nonnegative else "finite"
+            raise ValueError(f"{where} key {key!r} must be {rule}, got {value}")
+    return values
 
 
 def _model(cfg: PipelineConfig):
     """What ``cfg``'s method needs besides the grids, with its parameter
     file read and checked: None for bicubic, the lambda for the image
-    domain, (bank, lambdas, head) for the feature domain."""
+    domain, (bank, lambdas, head) for the feature domain. With no
+    parameter file the lambda is ``cfg.lam``, and the feature domain
+    passes channel 0 through, at lambda_c = e^0.1."""
+    if cfg.method == "bicubic":
+        return None
+    params = None if cfg.params_path is None else load_params(cfg.params_path)
+    where = f"parameter file {cfg.params_path}"
     if cfg.method == "image_domain":
-        return _image_lambda(cfg)
-    if cfg.method == "feature_domain":
-        bank = default_bank()
-        return (bank, *_load_feature_params(cfg, bank))
-    return None
+        if params is None:
+            return cfg.lam
+        if params["method"] != "image":
+            raise ValueError(f"{where} is not an image-domain fit")
+        return _number(params, "lambda", where, nonnegative=True)
+    bank = default_bank()
+    if params is None:
+        weights = np.zeros(len(bank))
+        weights[0] = 1.0
+        lambdas = np.full(len(bank), math.exp(INIT_LOG_LAMBDA))
+        return bank, lambdas, ReconstructionHead(weights, 0.0)
+    if params["method"] != "feature":
+        raise ValueError(f"{where} is not a feature fit")
+    fit_bank = _field(params, "bank", (str,), where)
+    if fit_bank != bank.name:
+        raise ValueError(f"{where} was fit with bank {fit_bank!r}, "
+                         f"but the pipeline uses bank {bank.name!r}")
+    lambdas = _numbers(params, "lambdas", len(bank), where, nonnegative=True)
+    return bank, lambdas, ReconstructionHead(
+        _numbers(params, "head_weights", len(bank), where),
+        _number(params, "head_bias", where),
+        _number(params, "head_gamma", where, 0.0, nonnegative=True),
+    )
 
 
 def predict(up: np.ndarray, guide, cfg: PipelineConfig) -> np.ndarray:
@@ -407,8 +407,7 @@ def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, memo: dict) -> n
         lam, key = model, (up.shape, edge_cfg)
         if lam and key not in memo:  # lam = 0 reads no guide side
             memo[key] = _laplacian(transfer_target(guide, edge_cfg))
-        h = _solve(_rhs(up, memo.get(key), lam), lam, symbol_for(cfg.symbol_mode, up.shape),
-                   own=True)
+        h = _solve(_rhs(up, memo.get(key), lam), lam, symbol_for(cfg.symbol_mode, up.shape))
     else:
         bank, lambdas, head = model
         h = spectral_predict(up, guide, bank, lambdas, head, edge_cfg, cfg.symbol_mode)
@@ -446,26 +445,27 @@ def _prepare(entry: DatasetEntry, s: int,
     return _crop_and_degrade(*_load_entry(entry), s, antialias)
 
 
-def _entry_error(entry: DatasetEntry, exc: Exception) -> RuntimeError:
-    return RuntimeError(f"entry {entry.id!r}: {type(exc).__name__}: {exc}")
+def _cause(exc: Exception) -> str:
+    """The text of a failure: its exception's type and message."""
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig, dataset: str,
+def _entry_error(entry: DatasetEntry, cause: str) -> str:
+    """The error of a record of ``entry`` that failed with ``cause``."""
+    return f"entry {entry.id!r}: {cause}"
+
+
+def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig, key: str, dataset: str,
               model, memo: dict) -> tuple[np.ndarray, BenchRecord]:
-    """Super-resolve one prepared entry under ``cfg`` and its
-    :func:`_model`, and score it in metric units. ``memo`` is the entry's
-    :func:`_predict` memo."""
+    """Super-resolve one prepared entry under ``cfg``, whose hash is
+    ``key``, and its :func:`_model`, and score it in metric units.
+    ``memo`` is the entry's :func:`_predict` memo."""
     gt, up, guide = prepared
-    try:
-        t0 = time.perf_counter()
-        pred = _predict(up, guide, cfg, model, memo)
-        runtime_ms = (time.perf_counter() - t0) * 1e3
-        value = rmse(pred, gt, cfg.crop_border) * entry.depth_unit_scale
-    except Exception as exc:
-        raise _entry_error(entry, exc) from exc
-    rec = BenchRecord(dataset, entry.id, cfg.scale, cfg.method, cfg.config_hash(), value,
-                      runtime_ms)
-    return pred, rec
+    t0 = time.perf_counter()
+    pred = _predict(up, guide, cfg, model, memo)
+    runtime_ms = (time.perf_counter() - t0) * 1e3
+    value = rmse(pred, gt, cfg.crop_border) * entry.depth_unit_scale
+    return pred, BenchRecord(dataset, entry.id, cfg.scale, cfg.method, key, value, runtime_ms)
 
 
 def run_image(entry: DatasetEntry, cfg: PipelineConfig,
@@ -475,117 +475,104 @@ def run_image(entry: DatasetEntry, cfg: PipelineConfig,
     The ground truth is cropped bottom/right to a multiple of the scale
     before degradation and the RMSE is evaluated on the cropped grid.
     Runtime covers the reconstruction only, not file I/O or degradation.
+    A failure raises a RuntimeError naming the entry and the cause.
     """
     if cfg.scale is None:
         raise ValueError("config carries no scale; use cfg.with_scale(s)")
     try:
         prepared = _prepare(entry, cfg.scale, cfg.antialias)
         model = _model(cfg)
+        return _evaluate(entry, prepared, cfg, cfg.config_hash(), dataset, model, {})
     except Exception as exc:
-        raise _entry_error(entry, exc) from exc
-    return _evaluate(entry, prepared, cfg, dataset, model, {})
+        raise RuntimeError(_entry_error(entry, _cause(exc))) from exc
 
 
-def _worker_count(threads: int | None) -> int:
-    if threads is not None:
-        n = int(threads)
-    else:
-        env = os.environ.get("GDSR_THREADS", "")
-        n = int(env) if env else (os.cpu_count() or 1)
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    return n
+def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]:
+    """Records of one entry at every scale and config of ``grid``, in
+    canonical order; ``grid`` pairs each scale with one (scaled config,
+    hash, :func:`_model`, cause the model could not be read) per config.
+
+    The entry is loaded once, cropped and degraded once per (scale,
+    antialias), and its image-domain guide side built once per (cropped
+    shape, edge config). A failed load fails every record, a failed crop
+    those of its scale, an unreadable parameter file those of its config.
+    Causes are kept as text: a kept exception's traceback would hold this
+    task's grids. A scale's grids die before the next scale's are made.
+    """
+    records, memo = [], {}
+    loaded = load_cause = None
+    for s, row in grid:
+        prepared, crop_causes = {}, {}  # antialias -> grids (gt, up, guide) / failed crop
+        for cfg, key, model, model_cause in row:
+            cause = load_cause or crop_causes.get(cfg.antialias)
+            if cause is None:
+                try:
+                    if loaded is None:
+                        loaded = _load_entry(entry)
+                    if cfg.antialias not in prepared:
+                        prepared[cfg.antialias] = _crop_and_degrade(*loaded, s, cfg.antialias)
+                    if model_cause is None:
+                        records.append(_evaluate(entry, prepared[cfg.antialias], cfg, key,
+                                                 dataset, model, memo)[1])
+                        continue
+                    cause = model_cause
+                except Exception as exc:
+                    cause = _cause(exc)  # a step whose result is missing is the one that failed
+                    if loaded is None:
+                        load_cause = cause
+                    elif cfg.antialias not in prepared:
+                        crop_causes[cfg.antialias] = cause
+            records.append(BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0,
+                                       _entry_error(entry, cause)))
+    return records
 
 
 def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
               threads: int | None = None, timing: bool = True) -> list[BenchRecord]:
     """Evaluate every (entry, scale, config) combination.
 
-    Per-entry failures never abort the run; they become records with
-    rmse None, written with an error marker, that keep the cause in
-    ``error``. Detail records come first in canonical order, followed
-    by one mean record per (scale, config) group. With ``timing`` off,
-    runtimes are reported as 0 so repeated runs emit identical bytes.
+    Each entry is one task on a pool of ``threads`` workers (default:
+    the logical core count), never more workers than entries. Per-entry
+    failures never abort the run; they become records with rmse None,
+    written with an error marker, that keep the cause in ``error``.
+    Detail records come first in canonical order, followed by one mean
+    record per (scale, config) group. With ``timing`` off, runtimes are
+    reported as 0 so repeated runs emit identical bytes.
     """
     scales = [check_scale(s) for s in scales]
     configs = list(configs)
     if not configs:
         raise ValueError("no pipeline configs given")
-    settings = dict.fromkeys(cfg.antialias for cfg in configs)
-    models = []  # per config, its _model or the error reading it raised
+    workers = (os.cpu_count() or 1) if threads is None else int(threads)
+    if workers < 1:
+        raise ValueError(f"thread count must be >= 1, got {workers}")
+    models = []  # per config, (its _model, None) or (None, why it could not be read)
     for cfg in configs:
         try:
-            models.append(_model(cfg))
+            models.append((_model(cfg), None))
         except Exception as exc:
-            models.append(exc)
-
-    def one(entry):
-        """Records of every scale and config on one entry, in canonical order.
-
-        The entry is loaded once, then cropped and degraded once per
-        (scale, antialias), and its image-domain guide side is built once
-        per (cropped shape, edge config). A failed step fails every record
-        that needs it, with its cause: a failed load fails the whole
-        entry, a failed crop only that scale, and a parameter file that
-        could not be read every record of its config.
-        """
-        try:
-            loaded = _load_entry(entry)
-        except Exception as exc:
-            loaded = _entry_error(entry, exc)
-        memo = {}
-        return [r for s in scales for r in scale_records(entry, loaded, s, memo)]
-
-    def scale_records(entry, loaded, s, memo):
-        """Records of every config at one scale; its grids die on return."""
-        prepared = {}  # antialias -> (gt, up, guide), or the error preparing raised
-        for antialias in settings:
-            if isinstance(loaded, Exception):
-                prepared[antialias] = loaded
-                continue
-            try:
-                prepared[antialias] = _crop_and_degrade(*loaded, s, antialias)
-            except Exception as exc:
-                prepared[antialias] = _entry_error(entry, exc)
-        records = []
-        for cfg, model in zip(configs, models):
-            cfg = cfg.with_scale(s)
-            inputs = prepared[cfg.antialias]
-            try:
-                if isinstance(inputs, Exception):
-                    raise inputs
-                if isinstance(model, Exception):
-                    raise _entry_error(entry, model)
-                records.append(_evaluate(entry, inputs, cfg, manifest.name, model, memo)[1])
-            except Exception as exc:
-                records.append(BenchRecord(manifest.name, entry.id, s, cfg.method,
-                                           cfg.config_hash(), None, 0.0, str(exc)))
-        return records
+            models.append((None, _cause(exc)))
+    grid = []
+    for s in scales:
+        scaled = [cfg.with_scale(s) for cfg in configs]
+        grid.append((s, [(cfg, cfg.config_hash(), *m) for cfg, m in zip(scaled, models)]))
 
     entries = manifest.entries
-    workers = min(_worker_count(threads), len(entries))
-    if workers == 1:
-        groups = [one(e) for e in entries]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(one, entries))
+    with ThreadPoolExecutor(max_workers=min(workers, len(entries))) as pool:
+        groups = list(pool.map(lambda e: _entry_records(e, manifest.name, grid), entries))
     records = [r for group in groups for r in group]
-
     if not timing:
         records = [replace(r, runtime_ms=0.0) for r in records]
 
-    aggregates = []
-    for s in scales:
-        for cfg in configs:
-            eff = cfg.with_scale(s)
-            group = [r for r in records
-                     if r.scale == s and r.config_hash == eff.config_hash()]
-            ok = [r for r in group if r.rmse is not None]
-            mean_rmse = float(np.mean([r.rmse for r in ok])) if ok else None
-            mean_rt = float(np.mean([r.runtime_ms for r in ok])) if ok else 0.0
-            aggregates.append(BenchRecord(manifest.name, MEAN_ROW_ID, s, eff.method,
-                                          eff.config_hash(), mean_rmse, mean_rt))
-    records = records + aggregates
+    means = []
+    for s, row in grid:
+        for cfg, key, *_ in row:
+            ok = [r for r in records
+                  if r.scale == s and r.config_hash == key and r.rmse is not None]
+            means.append(BenchRecord(manifest.name, MEAN_ROW_ID, s, cfg.method, key,
+                                     float(np.mean([r.rmse for r in ok])) if ok else None,
+                                     float(np.mean([r.runtime_ms for r in ok])) if ok else 0.0))
+    records += means
     if out_csv is not None:
         write_csv(records, out_csv)
     return records
@@ -626,9 +613,9 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     for entry in manifest.split("train") or manifest.entries:
         gt, up, guide = _prepare(entry, s, cfg.antialias)
         target = transfer_target(guide, edge_cfg)
-        symbol = symbol_for(cfg.symbol_mode, gt.shape)
         prepared.append((dct2_forward(up), dct2_forward(target),
-                         symbol_for("derived", gt.shape), symbol * symbol,
+                         symbol_for("derived", gt.shape),
+                         _squared_symbol(cfg.symbol_mode, *gt.shape),
                          dct2_forward(gt), entry.depth_unit_scale**2))
     n_pixels = sum(y_hat.size for *_, y_hat, _ in prepared)
 

@@ -6,8 +6,8 @@ Subcommands:
   fit    fit lambda / head parameters on a manifest's train split
   dct    dump forward or inverse transform coefficients to PFM
 
-Worker count for bench comes from --threads or the GDSR_THREADS
-environment variable (default: logical cores).
+bench runs its entries on a pool of --threads workers (default: logical
+cores), never more workers than entries.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON pipeline config (object or list of objects)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker count (default: GDSR_THREADS or logical cores)")
+                   help="worker count, at least 1 (default: logical cores)")
     p.add_argument("--no-timing", action="store_true",
                    help="report runtimes as 0 for byte-reproducible CSV")
     p.set_defaults(func=_cmd_bench)

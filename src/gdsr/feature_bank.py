@@ -34,6 +34,7 @@ from .filters import _correlate, _stencil, correlate_reflect
 from .guidance import EdgeWeightConfig, transfer_target
 from .spectral import (
     FIVE_POINT,
+    _squared_symbol,
     build_rhs,
     laplacian_apply,
     solve_screened,
@@ -305,7 +306,7 @@ def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: Reconstructio
         raise ValueError(f"head expects {head.channels} channels, bank has {len(bank)}")
     shape = l_up.shape
     lap_symbol = symbol_for("derived", shape)
-    mode_sq = np.square(symbol_for(symbol_mode, shape))
+    mode_sq = _squared_symbol(symbol_mode, *shape)
     h_hat = np.zeros(shape)
     for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg,
                                            np.flatnonzero(head.weights)):
@@ -422,8 +423,7 @@ class _LambdaObjective:
         self.sym_sq = np.empty(self.n_pixels)
         self.y_hat = np.empty(self.n_pixels)
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
-            symbol = symbol_for(symbol_mode, target.shape)
-            self.sym_sq[lo:hi] = (symbol * symbol).ravel()
+            self.sym_sq[lo:hi] = _squared_symbol(symbol_mode, *target.shape).ravel()
             self.lap_symbol[lo:hi] = symbol_for("derived", target.shape).ravel()
             self.y_hat[lo:hi] = _dct2(target).ravel()
             for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg, range(C)):

@@ -150,6 +150,15 @@ def _cached_symbol(mode: str, M: int, N: int, weights: bytes, kshape) -> np.ndar
     return stencil_symbol(np.frombuffer(weights, dtype=np.float64).reshape(kshape), M, N)
 
 
+@lru_cache(maxsize=16)
+def _squared_symbol(mode: str, M: int, N: int) -> np.ndarray:
+    """The ``mode`` symbol of the 5-point stencil on an (M, N) grid, squared:
+    Lambda^2 of the feature-domain solves, cached and read-only."""
+    values = np.square(symbol_for(mode, (M, N)))
+    values.setflags(write=False)
+    return values
+
+
 def build_rhs(l_up, guide_lap_masked, lam: float) -> np.ndarray:
     """Right-hand side E = lam * lap(T) + L of the screened equation.
 
@@ -188,20 +197,20 @@ def solve_screened(E, lam: float, symbol) -> np.ndarray:
     symbol = np.asarray(symbol, dtype=np.float64)
     if symbol.shape != E.shape:
         raise ValueError(f"symbol shape {symbol.shape} does not match input {E.shape}")
-    return _solve(E, lam, symbol, own=False)
+    return _solve(E.copy(), lam, symbol)
 
 
-def _solve(E: np.ndarray, lam: float, symbol: np.ndarray, own: bool) -> np.ndarray:
-    """:func:`solve_screened` on checked inputs. With ``own`` the caller
-    gives E up: both transforms run in its buffer, and with lam = 0 E
-    itself is returned."""
+def _solve(E: np.ndarray, lam: float, symbol: np.ndarray) -> np.ndarray:
+    """:func:`solve_screened` on checked inputs. The caller gives E up:
+    both transforms run in its buffer, and with lam = 0 E itself is
+    returned."""
     if lam == 0.0:
-        return E if own else E.copy()
+        return E
     denom = np.multiply(symbol, lam)
     denom *= symbol
     denom += 1.0
     if not np.all(denom > 0.0):  # impossible for real finite symbols and lam >= 0
         raise ValueError("non-positive or NaN sample in spectral denominator")
-    coeffs = _dct2(E, overwrite=own)
+    coeffs = _dct2(E, overwrite=True)
     coeffs /= denom
     return _idct2(coeffs, overwrite=True)

@@ -204,8 +204,20 @@ _FEATURE_PARAMS = {"method": "feature", "bank": "default8", "lambdas": [1.0] * 8
      "key 'lambdas' must hold 8 values, got 3"),
     ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, head_weights=[True] + [0.0] * 7)),
      "key 'head_weights' must hold ints or floats, got bool"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, lambdas=[1.0] * 7 + [math.nan])),
+     "key 'lambdas' must be finite and >= 0, got nan"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, lambdas=[1.0, -0.5] + [1.0] * 6)),
+     "key 'lambdas' must be finite and >= 0, got -0.5"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, head_weights=[1, -math.inf] + [0] * 6)),
+     "key 'head_weights' must be finite, got -inf"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, head_bias=math.nan)),
+     "key 'head_bias' must be finite, got nan"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, head_gamma=-1)),
+     "key 'head_gamma' must be finite and >= 0, got -1.0"),
 ], ids=["invalid-json", "list", "no-lambdas", "no-head-bias", "no-lambda", "non-utf8",
-        "lambda-str", "lambda-negative", "lambdas-str", "lambdas-short", "head-weights-bool"])
+        "lambda-str", "lambda-negative", "lambdas-str", "lambdas-short", "head-weights-bool",
+        "lambdas-nan", "lambdas-negative", "head-weights-inf", "head-bias-nan",
+        "head-gamma-negative"])
 def test_params_file_errors_name_the_file_and_key(tmp_path, method, text, cause):
     manifest = build_manifest(tmp_path, n=1)
     params = tmp_path / "bad.params.json"
@@ -486,6 +498,43 @@ def test_entry_smaller_than_a_scale_fails_only_that_scale(tmp_path):
                                f"image (12, 12) smaller than scale 16")
     means = {r.scale: r.rmse for r in records if r.image_id == MEAN_ROW_ID}
     assert means[4] is not None and means[16] is None
+
+
+def test_load_and_crop_failures_outrank_an_unreadable_params_file(tmp_path):
+    manifest = build_manifest(tmp_path, n=2, M=12, N=12)
+    good, bad = manifest.entries
+    blob = open(bad.depth_path, "rb").read()
+    with open(bad.depth_path, "wb") as fh:
+        fh.write(blob[: len(blob) // 2])  # truncated PGM payload
+    params = tmp_path / "bad.params.json"
+    params.write_text('{"method": "feature"')
+    configs = [PipelineConfig(method="feature_domain", params_path=str(params)),
+               PipelineConfig(method="bicubic")]
+    records = run_bench(manifest, [4, 16], configs, threads=1, timing=False)
+    errors = {(r.image_id, r.scale, r.method): r.error
+              for r in records if r.image_id != MEAN_ROW_ID}
+    # the load failure fails every record of its entry
+    load_error = errors[(bad.id, 4, "feature_domain")]
+    assert load_error.startswith(f"entry {bad.id!r}: ImageFormatError: ")
+    assert {errors[(bad.id, s, cfg.method)] for s in (4, 16) for cfg in configs} == {load_error}
+    # the crop failure fails every record of its scale
+    crop_error = f"entry {good.id!r}: ValueError: image (12, 12) smaller than scale 16"
+    assert {errors[(good.id, 16, cfg.method)] for cfg in configs} == {crop_error}
+    # only where the entry is loaded and cropped does the params file fail a record
+    assert errors[(good.id, 4, "feature_domain")].startswith(
+        f"entry {good.id!r}: ValueError: parameter file {params}: not valid JSON")
+    assert errors[(good.id, 4, "bicubic")] is None
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_run_bench_rejects_a_thread_count_below_one_before_loading(tmp_path, monkeypatch,
+                                                                   threads):
+    manifest = build_manifest(tmp_path, n=1)
+    loads = []
+    monkeypatch.setattr(bench, "load_image", lambda p: loads.append(p) or load_image(p))
+    with pytest.raises(ValueError, match=f"thread count must be >= 1, got {threads}"):
+        run_bench(manifest, [4], [PipelineConfig()], threads=threads)
+    assert loads == []
 
 
 def _write_manifest(tmp_path, doc):

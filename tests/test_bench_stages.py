@@ -44,7 +44,7 @@ def test_every_verb_runs_once(stage_script):
 
 
 def test_memory_stages_have_a_traced_peak(stage_script):
-    stages = stage_script.stages(64, 64)
+    stages = {**stage_script.stages(64, 64), **stage_script.verbs(64, 64)}
     for name in stage_script.MEMORY_STAGES:
-        # one 64x64 grid is 1/32 MB, and both stages hold more than one
+        # one 64x64 grid is 1/32 MB, and every memory stage holds more than one
         assert stage_script.peak_mb(stages[name]) > 1 / 32

@@ -251,6 +251,19 @@ def test_bench_command_reports_failed_entries_on_stderr(tmp_path, capsys):
         assert "entry 'm1'" in line and "ImageFormatError" in line
 
 
+def test_bench_command_rejects_zero_threads_before_loading(tmp_path, monkeypatch):
+    manifest = make_manifest(tmp_path, n=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method": "bicubic"}))
+    out = tmp_path / "r.csv"
+    loads = []
+    monkeypatch.setattr(bench, "load_image", lambda p: loads.append(p) or load_image(p))
+    with pytest.raises(ValueError, match="thread count must be >= 1, got 0"):
+        main(["bench", "--manifest", str(manifest), "--scales", "4",
+              "--config", str(config), "--out", str(out), "--threads", "0"])
+    assert loads == [] and not out.exists()
+
+
 @pytest.mark.parametrize("text, where", [
     ('[{"method": "bicubic"}, {"method": "bicubic", "lamda": 2}]', "entry 1: .*'lamda'"),
     ('[{"method": "bicubic"}, "bicubic"]', "entry 1 must be an object, got str"),

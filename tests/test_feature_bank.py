@@ -455,21 +455,21 @@ def test_channel_coeffs_share_one_target_per_guide_stencil(monkeypatch):
         assert np.array_equal(t_hat.view(np.uint64), want.view(np.uint64))
 
 
-def test_spectral_predict_working_set_is_eight_grids():
+def test_spectral_predict_working_set_is_seven_grids():
     gt, rgb = make_scene(np.random.default_rng(0), 192, 256)
     _, up = degrade(gt, 8)
     guide = luminance(rgb)
     bank = default_bank()
     lambdas = np.full(len(bank), 2.0)
     head = ReconstructionHead(np.linspace(0.25, 1.0, len(bank)), 0.5)
-    spectral_predict(up, guide, bank, lambdas, head, HARD)  # fills symbol_for's cache
+    spectral_predict(up, guide, bank, lambdas, head, HARD)  # fills the symbol caches
     tracemalloc.start()
     try:
         spectral_predict(up, guide, bank, lambdas, head, HARD)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8.1 * up.nbytes, f"peak {peak / up.nbytes:.2f} grids"
+    assert peak <= 7.1 * up.nbytes, f"peak {peak / up.nbytes:.2f} grids"
 
 
 def test_fit_lambda_input_validation():

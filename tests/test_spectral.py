@@ -257,7 +257,7 @@ def test_solve_never_writes_the_callers_grid_and_the_given_up_form_agrees(lam):
     # the in-place arithmetic keeps the bits of the plain formula
     want = e if lam == 0.0 else _idct2(_dct2(e) / (1.0 + lam * sym * sym))
     assert h.tobytes() == want.tobytes()
-    assert _solve(e.copy(), lam, sym, own=True).tobytes() == want.tobytes()
+    assert _solve(e.copy(), lam, sym).tobytes() == want.tobytes()
 
 
 def test_solve_shape_guard():
