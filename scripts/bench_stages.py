@@ -52,16 +52,10 @@ import scipy  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from gdsr.bench import PipelineConfig, load_params, predict  # noqa: E402
+from gdsr.bench import PipelineConfig, _model, predict  # noqa: E402
 from gdsr.cli import main as gdsr_main  # noqa: E402
 from gdsr.dct import dct2_forward, dct2_inverse  # noqa: E402
-from gdsr.feature_bank import (  # noqa: E402
-    ReconstructionHead,
-    _LambdaObjective,
-    default_bank,
-    gaussian_stencil,
-    spectral_predict,
-)
+from gdsr.feature_bank import _LambdaObjective, gaussian_stencil, spectral_predict  # noqa: E402
 from gdsr.filters import correlate_reflect  # noqa: E402
 from gdsr.guidance import EdgeWeightConfig, luminance, transfer_target  # noqa: E402
 from gdsr.imgio import load_image, save_image  # noqa: E402
@@ -102,10 +96,7 @@ def stages(M: int, N: int) -> dict:
     _, up = degrade(gt, SCALE)
     guide = luminance(rgb)
     coeffs = dct2_forward(up)
-    bank = default_bank()
-    params = load_params(PARAMS)
-    lambdas = np.asarray(params["lambdas"])
-    head = ReconstructionHead(params["head_weights"], params["head_bias"], params["head_gamma"])
+    bank, lambdas, head = _model(PipelineConfig("feature_domain", params_path=str(PARAMS)))
     edge = EdgeWeightConfig()
     g1, g2 = gaussian_stencil(1.0, 5), gaussian_stencil(2.0, 7)
     m, n = M // SCALE, N // SCALE

@@ -117,12 +117,13 @@ class DatasetManifest:
 
 
 def _read_json(path, what: str):
-    """The document in the JSON file at ``path``. Bytes that are not UTF-8
-    and text that is not JSON raise a ValueError naming ``what`` and the file."""
+    """The document in the JSON file at ``path``. Bytes that are not UTF-8,
+    text that is not JSON and an integer of more digits than Python converts
+    raise a ValueError naming ``what`` and the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ValueError(f"{what} {path}: not valid JSON: {exc}") from None
 
 
@@ -190,17 +191,31 @@ def load_configs(path) -> list[PipelineConfig]:
     return configs
 
 
-def save_params(path, params: dict) -> None:
-    """Write fitted parameters as flat key-value JSON text.
+def save_params(path, cfg: PipelineConfig, model) -> None:
+    """Write ``model``, fitted under ``cfg``, as the parameter file that
+    :func:`_model` reads back: the lambda for the image domain, or
+    (lambdas, head) over :func:`default_bank` for the feature domain.
 
-    Keys for the feature-domain pipeline: method, bank, lambdas,
-    head_weights, head_bias, head_gamma, config_hash. The image-domain
-    pipeline stores method, lambda, config_hash. Numpy arrays and scalars
-    are written as the Python values they hold.
+    Keys, sorted, in flat JSON text: ``method`` ("image" or "feature"),
+    ``config_hash`` (``cfg``'s), and ``lambda``, or ``bank``, ``lambdas``,
+    ``head_weights``, ``head_bias`` and ``head_gamma``. A bicubic ``cfg``,
+    or a model that does not fit ``cfg.method``, raises before the file
+    is opened.
     """
+    if cfg.method == "image_domain":
+        doc = {"method": "image", "lambda": float(model)}
+    elif cfg.method == "feature_domain":
+        lambdas, head = model
+        doc = {"method": "feature", "bank": default_bank().name,
+               "lambdas": np.asarray(lambdas, dtype=np.float64).tolist(),
+               "head_weights": head.weights.tolist(),
+               "head_bias": head.bias, "head_gamma": head.gamma}
+    else:
+        raise ValueError(f"method {cfg.method!r} has no parameter file")
+    doc["config_hash"] = cfg.config_hash()
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(params, fh, indent=2, sort_keys=True, default=lambda v: v.tolist())
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_params(path) -> dict:
@@ -310,35 +325,32 @@ def rmse(pred: np.ndarray, gt: np.ndarray, crop_border: int = 0) -> float:
     return float(np.sqrt(np.mean(diff)))
 
 
-def _numbers(obj: dict, key: str, length: int, where: str,
-             nonnegative: bool = False) -> np.ndarray:
-    """``obj[key]``, a list of ``length`` ints or floats, as a float64
-    vector checked by :func:`_check_range`."""
-    values = _field(obj, key, (list,), where)
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{where} key {key!r} must hold ints or floats, "
-                             f"got {type(value).__name__}")
-    if len(values) != length:
-        raise ValueError(f"{where} key {key!r} must hold {length} values, got {len(values)}")
-    return _check_range(np.asarray(values, dtype=np.float64), key, where, nonnegative)
-
-
-def _number(obj: dict, key: str, where: str, default=None, nonnegative: bool = False) -> float:
-    """``obj[key]``, an int or float, as a float checked by :func:`_check_range`."""
-    value = float(_field(obj, key, (int, float), where, default))
-    return _check_range(value, key, where, nonnegative)
-
-
-def _check_range(values, key: str, where: str, nonnegative: bool):
-    """``values``, a float or a vector, if each is finite and, with
+def _number(obj: dict, key: str, where: str, default=None, nonnegative: bool = False,
+            length: int | None = None):
+    """``obj[key]``, an int or float as a float, or with ``length`` a list
+    of that many as a float64 vector. Each must be finite and, with
     ``nonnegative``, >= 0, else a ValueError naming the file and the key:
-    json reads NaN and Infinity, so a parameter file can carry them."""
-    for value in np.ravel(values):
+    json reads NaN, Infinity and integers too large for a float."""
+    if length is None:
+        values = [_field(obj, key, (int, float), where, default)]
+    else:
+        values = _field(obj, key, (list,), where)
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{where} key {key!r} must hold ints or floats, "
+                                 f"got {type(value).__name__}")
+        if len(values) != length:
+            raise ValueError(f"{where} key {key!r} must hold {length} values, got {len(values)}")
+    rule = "finite and >= 0" if nonnegative else "finite"
+    try:
+        floats = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{where} key {key!r} must be {rule}, "
+                         f"got an integer too large for a float") from None
+    for value in floats:
         if not (math.isfinite(value) and (value >= 0.0 or not nonnegative)):
-            rule = "finite and >= 0" if nonnegative else "finite"
             raise ValueError(f"{where} key {key!r} must be {rule}, got {value}")
-    return values
+    return float(floats[0]) if length is None else floats
 
 
 def _model(cfg: PipelineConfig):
@@ -369,9 +381,9 @@ def _model(cfg: PipelineConfig):
     if fit_bank != bank.name:
         raise ValueError(f"{where} was fit with bank {fit_bank!r}, "
                          f"but the pipeline uses bank {bank.name!r}")
-    lambdas = _numbers(params, "lambdas", len(bank), where, nonnegative=True)
+    lambdas = _number(params, "lambdas", where, nonnegative=True, length=len(bank))
     return bank, lambdas, ReconstructionHead(
-        _numbers(params, "head_weights", len(bank), where),
+        _number(params, "head_weights", where, length=len(bank)),
         _number(params, "head_bias", where),
         _number(params, "head_gamma", where, 0.0, nonnegative=True),
     )

@@ -31,7 +31,6 @@ from .bench import (
     save_params,
     _METHOD_ALIASES,
 )
-from .feature_bank import default_bank
 from .guidance import luminance
 from .imgio import load_image, load_pfm_grid, save_error_map, save_image
 from .dct import dct2_forward, dct2_inverse
@@ -127,11 +126,7 @@ def _cmd_fit(args) -> int:
     cfg = _config_from_args(args, _METHOD_ALIASES[args.method], s)
     if args.method == "image":
         lam = fit_image_lambda(manifest, cfg, s, grid_points=args.grid_points)
-        save_params(args.out, {
-            "method": "image",
-            "lambda": lam,
-            "config_hash": cfg.config_hash(),
-        })
+        save_params(args.out, cfg, lam)
         print(f"fitted lambda {lam!r}")
         return 0
     lambdas, head, trace = fit_feature_params(
@@ -141,15 +136,7 @@ def _cmd_fit(args) -> int:
         sweeps=args.sweeps,
         fit_lambdas=args.mode == "both",
     )
-    save_params(args.out, {
-        "method": "feature",
-        "bank": default_bank().name,
-        "lambdas": lambdas,
-        "head_weights": head.weights,
-        "head_bias": head.bias,
-        "head_gamma": head.gamma,
-        "config_hash": cfg.config_hash(),
-    })
+    save_params(args.out, cfg, (lambdas, head))
     if trace:
         print(f"fit rmse {trace[0]!r} -> {trace[-1]!r} over {len(trace) - 1} accepted moves")
     else:

@@ -181,16 +181,8 @@ def test_criterion_07_end_to_end_improvement(scene_manifest, tmp_path):
     # feature pipeline fitted on the same (held-in) split
     lambdas, head, _ = fit_feature_params(scene_manifest, base_cfg, s)
     params = tmp_path / "feature.params.json"
-    save_params(params, {
-        "method": "feature",
-        "bank": "default8",
-        "lambdas": lambdas,
-        "head_weights": head.weights,
-        "head_bias": head.bias,
-        "head_gamma": head.gamma,
-        "config_hash": base_cfg.config_hash(),
-    })
     cfg_feat = PipelineConfig(method="feature_domain", params_path=str(params), scale=s)
+    save_params(params, cfg_feat, (lambdas, head))
     feat_sq = [run_image(e, cfg_feat, "t")[1].rmse ** 2 for e in scene_manifest.entries]
     pooled_feat = float(np.sqrt(np.mean(feat_sq)))
     pooled_img = float(np.sqrt(np.mean(img_sq)))

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gdsr import bench
 from gdsr.bench import (
@@ -25,7 +26,7 @@ from gdsr.bench import (
     MEAN_ROW_ID,
     ERROR_MARKER,
 )
-from gdsr.feature_bank import INIT_LOG_LAMBDA, default_bank
+from gdsr.feature_bank import INIT_LOG_LAMBDA, ReconstructionHead, default_bank
 from gdsr.guidance import luminance
 from gdsr.imgio import load_image, save_image
 from gdsr.resample import degrade
@@ -147,16 +148,8 @@ def test_feature_identity_params_reduce_to_image_domain(tmp_path):
     entry = manifest.entries[0]
     lam = 1.3
     params = tmp_path / "p.json"
-    save_params(params, {
-        "method": "feature",
-        "bank": "default8",
-        "lambdas": [lam] + [0.0] * 7,
-        "head_weights": [1.0] + [0.0] * 7,
-        "head_bias": 0.0,
-        "head_gamma": 0.0,
-        "config_hash": "manual",
-    })
     cfg_f = PipelineConfig(method="feature_domain", params_path=str(params), scale=4)
+    save_params(params, cfg_f, ([lam] + [0.0] * 7, ReconstructionHead([1.0] + [0.0] * 7, 0.0)))
     cfg_i = PipelineConfig(method="image_domain", lam=lam, scale=4)
     pred_f, rec_f = run_image(entry, cfg_f, "t")
     pred_i, rec_i = run_image(entry, cfg_i, "t")
@@ -166,7 +159,7 @@ def test_feature_identity_params_reduce_to_image_domain(tmp_path):
 
 def test_feature_params_bank_must_match(tmp_path):
     params = tmp_path / "p.json"
-    save_params(params, {
+    params.write_text(json.dumps({
         "method": "feature",
         "bank": "id1",
         "lambdas": [1.0] * 8,
@@ -174,7 +167,7 @@ def test_feature_params_bank_must_match(tmp_path):
         "head_bias": 0.0,
         "head_gamma": 0.0,
         "config_hash": "manual",
-    })
+    }))
     gt, rgb = make_scene(np.random.default_rng(92), 16, 16)
     cfg = PipelineConfig(method="feature_domain", params_path=str(params))
     with pytest.raises(ValueError, match="bank 'id1'.*bank 'default8'"):
@@ -214,10 +207,18 @@ _FEATURE_PARAMS = {"method": "feature", "bank": "default8", "lambdas": [1.0] * 8
      "key 'head_bias' must be finite, got nan"),
     ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, head_gamma=-1)),
      "key 'head_gamma' must be finite and >= 0, got -1.0"),
+    ("image_domain", '{"method": "image", "lambda": 1%s}' % ("0" * 399),
+     "key 'lambda' must be finite and >= 0, got an integer too large for a float"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, head_bias=-10**399)),
+     "key 'head_bias' must be finite, got an integer too large for a float"),
+    ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, lambdas=[1.0] * 7 + [10**399])),
+     "key 'lambdas' must be finite and >= 0, got an integer too large for a float"),
+    ("image_domain", '{"method": "image", "lambda": 1%s}' % ("0" * 5000), "not valid JSON"),
 ], ids=["invalid-json", "list", "no-lambdas", "no-head-bias", "no-lambda", "non-utf8",
         "lambda-str", "lambda-negative", "lambdas-str", "lambdas-short", "head-weights-bool",
         "lambdas-nan", "lambdas-negative", "head-weights-inf", "head-bias-nan",
-        "head-gamma-negative"])
+        "head-gamma-negative", "lambda-huge", "head-bias-huge", "lambdas-huge",
+        "lambda-too-many-digits"])
 def test_params_file_errors_name_the_file_and_key(tmp_path, method, text, cause):
     manifest = build_manifest(tmp_path, n=1)
     params = tmp_path / "bad.params.json"
@@ -229,13 +230,58 @@ def test_params_file_errors_name_the_file_and_key(tmp_path, method, text, cause)
     assert cause in records[0].error
 
 
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1.7976931348623157e308]
+_NONNEGATIVE = st.sampled_from(_EDGE_FLOATS) | st.floats(min_value=0.0, allow_infinity=False)
+_FINITE = _NONNEGATIVE | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=_NONNEGATIVE, lambdas=st.lists(_NONNEGATIVE, min_size=8, max_size=8),
+       weights=st.lists(_FINITE, min_size=8, max_size=8), bias=_FINITE, gamma=_NONNEGATIVE)
+@example(lam=-0.0, lambdas=_EDGE_FLOATS * 2, weights=[-w for w in _EDGE_FLOATS] * 2,
+         bias=-0.0, gamma=5e-324)
+@example(lam=1.7976931348623157e308, lambdas=_EDGE_FLOATS[::-1] * 2, weights=_EDGE_FLOATS * 2,
+         bias=-1.7976931348623157e308, gamma=1.7976931348623157e308)
+def test_save_params_is_the_inverse_of_model(tmp_path_factory, lam, lambdas, weights, bias,
+                                             gamma):
+    path = str(tmp_path_factory.mktemp("params") / "p.json")
+    image = PipelineConfig(method="image_domain")
+    save_params(path, image, lam)
+    assert np.array_equal(_bits(bench._model(dataclasses.replace(image, params_path=path))),
+                          _bits(lam))
+    feature = PipelineConfig(method="feature_domain")
+    save_params(path, feature, (lambdas, ReconstructionHead(weights, bias, gamma)))
+    bank, got, head = bench._model(dataclasses.replace(feature, params_path=path))
+    assert bank.name == default_bank().name
+    assert np.array_equal(_bits(got), _bits(lambdas))
+    assert np.array_equal(_bits(head.weights), _bits(weights))
+    assert np.array_equal(_bits([head.bias, head.gamma]), _bits([bias, gamma]))
+
+
+@pytest.mark.parametrize("method, model, error", [
+    ("bicubic", 1.0, ValueError),
+    ("image_domain", ([1.0] * 8, ReconstructionHead([1.0] * 8, 0.0)), TypeError),
+    ("feature_domain", 1.0, TypeError),
+], ids=["bicubic", "image-given-feature", "feature-given-image"])
+def test_save_params_rejects_a_model_that_does_not_fit_the_config(tmp_path, method, model,
+                                                                 error):
+    path = tmp_path / "p.json"
+    with pytest.raises(error):
+        save_params(path, PipelineConfig(method=method), model)
+    assert not path.exists()
+
+
 def test_run_bench_reads_each_params_file_once(tmp_path, monkeypatch):
     manifest = build_manifest(tmp_path, n=4, M=32, N=32)
     feature, image = tmp_path / "feature.json", tmp_path / "image.json"
-    save_params(feature, _FEATURE_PARAMS)
-    save_params(image, {"method": "image", "lambda": 2.0})
     configs = [PipelineConfig(method="feature_domain", params_path=str(feature)),
                PipelineConfig(method="image_domain", params_path=str(image))]
+    feature.write_text(json.dumps(_FEATURE_PARAMS))
+    save_params(image, configs[1], 2.0)
     reads = []
     load_params = bench.load_params
     monkeypatch.setattr(bench, "load_params", lambda p: reads.append(p) or load_params(p))

@@ -4,9 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from gdsr import bench
+from gdsr import bench, cli
 from gdsr.bench import load_params
 from gdsr.cli import build_parser, main
+from gdsr.feature_bank import ReconstructionHead
 from gdsr.imgio import load_image, load_pfm_grid, save_image
 from gdsr.resample import bicubic_downsample
 
@@ -210,6 +211,30 @@ def test_fit_feature_params_file(tmp_path, capsys):
     assert fitted["bank"] == "default8"
     assert len(fitted["lambdas"]) == 8
     assert len(fitted["head_weights"]) == 8
+
+
+def test_fit_feature_calls_fit_feature_params_once_and_reports_its_trace(
+        tmp_path, capsys, monkeypatch):
+    # the benchmark's fit workload wraps gdsr.cli.fit_feature_params and
+    # reads the rmse trace from index 2 of its result
+    manifest = make_manifest(tmp_path, n=1)
+    lambdas, head = np.linspace(0.5, 4.0, 8), ReconstructionHead(np.linspace(-1, 1, 8), 0.25)
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(args)
+        return lambdas, head, [0.5, 0.375, 0.25]
+
+    monkeypatch.setattr(cli, "fit_feature_params", fake)
+    params = tmp_path / "feature.params.json"
+    rc = main(["fit", "--manifest", str(manifest), "--scale", "8", "--method", "feature",
+               "--mode", "both", "--out", str(params)])
+    assert rc == 0
+    assert len(calls) == 1
+    assert "fit rmse 0.5 -> 0.25 over 2 accepted moves" in capsys.readouterr().out
+    fitted = load_params(params)
+    assert fitted["lambdas"] == lambdas.tolist()
+    assert fitted["head_weights"] == head.weights.tolist()
 
 
 def test_bench_command_deterministic(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdsr import feature_bank
-from gdsr.bench import load_params, save_params
+from gdsr.bench import PipelineConfig, load_params, save_params
 from gdsr.dct import dct2_forward
 from gdsr.feature_bank import (
     FilterBank,
@@ -487,15 +487,9 @@ def test_fit_lambda_input_validation():
 
 def test_params_roundtrip(tmp_path):
     path = tmp_path / "params.json"
-    save_params(path, {
-        "method": "feature",
-        "bank": "default8",
-        "lambdas": np.array([1.0, 2.0]),
-        "head_weights": np.array([0.5, 0.5]),
-        "head_bias": 0.125,
-        "head_gamma": 1e-6,
-        "config_hash": "abc123",
-    })
+    head = ReconstructionHead(np.array([0.5, 0.5]), 0.125, 1e-6)
+    save_params(path, PipelineConfig(method="feature_domain", params_path=str(path)),
+                (np.array([1.0, 2.0]), head))
     params = load_params(path)
     assert params["method"] == "feature"
     assert params["lambdas"] == [1.0, 2.0]
