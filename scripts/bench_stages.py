@@ -21,7 +21,10 @@ share one file:
 
     stage -> {"median_ms", "iqr_ms", "n"}, per size,
 
-plus the commit, the numpy and scipy versions and os.cpu_count(). The
+plus the commit, the numpy and scipy versions and os.cpu_count(). A
+"startup" block, recorded once per run rather than per size, holds
+`import_gdsr`: the wall time of a fresh `python -c "import gdsr"` with
+the same BLAS pinning and PYTHONPATH=src, in the same median/IQR form. The
 MEMORY_STAGES, two stages and the `bench --scales 4,8,16` verb, also
 record "peak_mb": the tracemalloc peak of one more
 call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
@@ -192,6 +195,13 @@ def time_stage(fn) -> dict:
             "n": REPEATS}
 
 
+def startup() -> dict:
+    """The startup block: fresh interpreters importing the package."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, "-c", "import gdsr"]
+    return {"import_gdsr": time_stage(lambda: subprocess.run(cmd, env=env, check=True))}
+
+
 def commit() -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
@@ -207,7 +217,8 @@ def main() -> int:
     ap.add_argument("--label", required=True, help="key of this run in the file")
     args = ap.parse_args()
     result = {"commit": commit(), "numpy": np.__version__, "scipy": scipy.__version__,
-              "cpu_count": os.cpu_count(), "scale": SCALE, "stages": {}}
+              "cpu_count": os.cpu_count(), "scale": SCALE, "startup": startup(), "stages": {}}
+    print(f"startup: {result['startup']}", flush=True)
     for M, N in SIZES:
         size = f"{M}x{N}"
         result["stages"][size] = {}

@@ -552,6 +552,8 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
     reported as 0 so repeated runs emit identical bytes.
     """
     scales = [check_scale(s) for s in scales]
+    if not scales:
+        raise ValueError("no scale factors given")
     configs = list(configs)
     if not configs:
         raise ValueError("no pipeline configs given")

@@ -103,8 +103,11 @@ def _cmd_sr(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    try:
+        scales = [int(tok) for tok in args.scales.split(",") if tok]
+    except ValueError:
+        raise SystemExit(f"--scales must be comma-separated integers, got {args.scales!r}")
     manifest = load_manifest(args.manifest)
-    scales = [check_scale(int(tok)) for tok in args.scales.split(",") if tok]
     configs = load_configs(args.config)
     records = run_bench(manifest, scales, configs, args.out,
                         threads=args.threads, timing=not args.no_timing)

@@ -10,13 +10,13 @@ so the transform matrix is orthogonal: the inverse is the transpose,
 round trips are exact to rounding, and Parseval's identity holds.
 
 Both directions wrap scipy.fft, which handles any length, not just
-powers of two.
+powers of two. scipy is imported at the first transform, not with this
+module, so a process that never transforms does not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as _fft
 
 from .image_core import as_image
 
@@ -37,8 +37,12 @@ def dct2_inverse(coeffs) -> np.ndarray:
 # With ``overwrite`` the caller gives its grid up: scipy may transform in
 # that buffer, with the same bits.
 def _dct2(img: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    return _fft.dctn(img, type=2, norm="ortho", overwrite_x=overwrite)
+    from scipy import fft
+
+    return fft.dctn(img, type=2, norm="ortho", overwrite_x=overwrite)
 
 
 def _idct2(coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    return _fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=overwrite)
+    from scipy import fft
+
+    return fft.idctn(coeffs, type=2, norm="ortho", overwrite_x=overwrite)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .image_core import as_image, as_stack
 from .spectral import _laplacian
@@ -91,6 +90,8 @@ def _weights_from_laplacian(lap: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarra
         # a bool mask copies in as exactly 1.0 and 0.0
         np.copyto(g, _hard_mask(g, cfg))
         return g
+    from scipy.special import expit  # loaded on first soft use, not at import
+
     return expit(cfg.steepness * (g - _nearest_rank_quantile(g, cfg.tau_quantile)))
 
 

@@ -583,6 +583,21 @@ def test_run_bench_rejects_a_thread_count_below_one_before_loading(tmp_path, mon
     assert loads == []
 
 
+@pytest.mark.parametrize("scales, configs, match", [
+    ([], [PipelineConfig()], "no scale factors given"),
+    ([4], [], "no pipeline configs given"),
+], ids=["no-scales", "no-configs"])
+def test_run_bench_rejects_an_empty_grid_before_loading(tmp_path, monkeypatch, scales, configs,
+                                                        match):
+    manifest = build_manifest(tmp_path, n=1)
+    loads = []
+    monkeypatch.setattr(bench, "load_image", lambda p: loads.append(p) or load_image(p))
+    out = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=match):
+        run_bench(manifest, scales, configs, out, threads=1)
+    assert loads == [] and not out.exists()
+
+
 def _write_manifest(tmp_path, doc):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))

@@ -48,3 +48,9 @@ def test_memory_stages_have_a_traced_peak(stage_script):
     for name in stage_script.MEMORY_STAGES:
         # one 64x64 grid is 1/32 MB, and every memory stage holds more than one
         assert stage_script.peak_mb(stages[name]) > 1 / 32
+
+
+def test_startup_times_a_fresh_import(stage_script):
+    stage_script.REPEATS = 1
+    timed = stage_script.startup()["import_gdsr"]
+    assert timed["n"] == 1 and timed["median_ms"] > 0

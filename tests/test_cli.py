@@ -289,6 +289,22 @@ def test_bench_command_rejects_zero_threads_before_loading(tmp_path, monkeypatch
     assert loads == [] and not out.exists()
 
 
+@pytest.mark.parametrize("scales, error, match", [
+    ("", ValueError, "no scale factors given"),
+    (",", ValueError, "no scale factors given"),
+    ("4,x", SystemExit, "--scales must be comma-separated integers, got '4,x'"),
+], ids=["empty", "comma", "not-int"])
+def test_bench_command_rejects_a_bad_scale_list(tmp_path, scales, error, match):
+    manifest = make_manifest(tmp_path, n=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"method": "bicubic"}))
+    out = tmp_path / "r.csv"
+    with pytest.raises(error, match=match):
+        main(["bench", "--manifest", str(manifest), "--scales", scales,
+              "--config", str(config), "--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, where", [
     ('[{"method": "bicubic"}, {"method": "bicubic", "lamda": 2}]', "entry 1: .*'lamda'"),
     ('[{"method": "bicubic"}, "bicubic"]', "entry 1 must be an object, got str"),
