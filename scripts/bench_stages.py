@@ -11,9 +11,12 @@ temporary directory: `sr --method image`, `sr --method feature
 configs, one `bench --scales 4,8,16` of the bicubic and image configs,
 and `fit --method feature`, at 480x640 only. The load stage
 decodes the scene's 16-bit PGM depth and 8-bit PPM guide, written once
-to a temporary directory. Stages marked cold go through no cache: the
-resample matrices are built from scratch and `stencil_symbol` is called
-directly, below `symbol_for`'s cache. `lambda_objective_evaluate` is one fit-objective evaluation, at
+to a temporary directory, with `load_image`; the load_entry stage reads
+the same files as the bench does: the depth grid and the guide's
+luminance, checked against each other. Stages marked cold go through no
+cache: the resample matrices are built by the uncached
+`_axis_weights.__wrapped__` and `stencil_symbol` is called directly,
+below `symbol_for`'s cache. `lambda_objective_evaluate` is one fit-objective evaluation, at
 480x640 only: at 1024x1376 the objective's coefficient rows alone take
 about 270 MB. The result for --label is stored under that key of --out, next
 to any other labels already in the file, so runs of two checkouts can
@@ -55,7 +58,7 @@ import scipy  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from gdsr.bench import PipelineConfig, _model, predict  # noqa: E402
+from gdsr.bench import DatasetEntry, PipelineConfig, _load_entry, _model, predict  # noqa: E402
 from gdsr.cli import main as gdsr_main  # noqa: E402
 from gdsr.dct import dct2_forward, dct2_inverse  # noqa: E402
 from gdsr.feature_bank import _LambdaObjective, gaussian_stencil, spectral_predict  # noqa: E402
@@ -76,21 +79,27 @@ OBJECTIVE_MAX_PIXELS = 480 * 640
 MEMORY_STAGES = ("transfer_target_hard", "spectral_predict", "verb_bench_scales")
 
 
-def load_stage(gt, rgb):
-    """The load stage: ``load_image`` of the scene's depth and guide files.
+def load_stages(gt, rgb) -> dict:
+    """The load stages: ``load_image`` of the scene's depth and guide files,
+    and the bench's ``_load_entry`` of the same files.
 
     They are written once to a temporary directory, which is removed when
-    the returned callable is dropped.
+    the returned callables are dropped.
     """
     scratch = tempfile.TemporaryDirectory()
-    entry = write_scene_files(Path(scratch.name), "scene", gt, rgb)
-    paths = [Path(scratch.name) / entry[key] for key in ("depth_path", "rgb_path")]
+    root = Path(scratch.name)
+    files = write_scene_files(root, "scene", gt, rgb)
+    paths = [root / files[key] for key in ("depth_path", "rgb_path")]
+    entry = DatasetEntry("scene", str(root / files["rgb_path"]), str(root / files["depth_path"]))
 
     def load():
         return [load_image(p) for p in paths]
 
-    load.scratch = scratch
-    return load
+    def load_entry():
+        return _load_entry(entry)
+
+    load.scratch = load_entry.scratch = scratch
+    return {"load": load, "load_entry": load_entry}
 
 
 def stages(M: int, N: int) -> dict:
@@ -104,11 +113,12 @@ def stages(M: int, N: int) -> dict:
     g1, g2 = gaussian_stencil(1.0, 5), gaussian_stencil(2.0, 7)
     m, n = M // SCALE, N // SCALE
     image_cfg = PipelineConfig("image_domain", lam=20.0, scale=SCALE)
+    cold_weights = _axis_weights.__wrapped__
     timed = {
-        "load": load_stage(gt, rgb),
+        **load_stages(gt, rgb),
         "degrade": lambda: degrade(gt, SCALE),
-        "axis_weights_cold": lambda: (_axis_weights(M, m, True), _axis_weights(N, n, True),
-                                      _axis_weights(m, M, False), _axis_weights(n, N, False)),
+        "axis_weights_cold": lambda: (cold_weights(M, m, True), cold_weights(N, n, True),
+                                      cold_weights(m, M, False), cold_weights(n, N, False)),
         "stencil_symbol_7x7_cold": lambda: stencil_symbol(g2, M, N),
         "stencil_symbol_3x3_cold": lambda: stencil_symbol(FIVE_POINT, M, N),
         "luminance": lambda: luminance(rgb),

@@ -44,7 +44,7 @@ from .resample import (
     crop_to_multiple,
     degrade,
 )
-from .imgio import load_image, quantize, save_error_map, save_image
+from .imgio import load_image, load_luminance, quantize, save_error_map, save_image
 from .bench import (
     BenchRecord,
     DatasetEntry,

@@ -37,11 +37,12 @@ from .feature_bank import (
     _search_log_lambda,
     _solved_coeffs,
 )
-from .guidance import EdgeWeightConfig, luminance, transfer_target
+from .guidance import EdgeWeightConfig, transfer_target
 from .image_core import as_image
-from .imgio import load_image
+from .imgio import load_image, load_luminance
 from .resample import _crop, check_scale, degrade
-from .spectral import SYMBOL_MODES, _laplacian, _rhs, _solve, _squared_symbol, symbol_for
+from .spectral import (SYMBOL_MODES, _denominator, _laplacian, _rhs, _solve, _squared_symbol,
+                       symbol_for)
 
 __all__ = [
     "DatasetEntry",
@@ -419,7 +420,8 @@ def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, memo: dict) -> n
         lam, key = model, (up.shape, edge_cfg)
         if lam and key not in memo:  # lam = 0 reads no guide side
             memo[key] = _laplacian(transfer_target(guide, edge_cfg))
-        h = _solve(_rhs(up, memo.get(key), lam), lam, symbol_for(cfg.symbol_mode, up.shape))
+        denom = _denominator(cfg.symbol_mode, *up.shape, lam) if lam else None
+        h = _solve(_rhs(up, memo.get(key), lam), denom)
     else:
         bank, lambdas, head = model
         h = spectral_predict(up, guide, bank, lambdas, head, edge_cfg, cfg.symbol_mode)
@@ -429,15 +431,15 @@ def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, memo: dict) -> n
 def _load_entry(entry: DatasetEntry) -> tuple[np.ndarray, np.ndarray]:
     """Load and check one entry: its depth grid, in stored units, and its
     guide's luminance grid, of the same size."""
-    rgb = load_image(entry.rgb_path)
+    guide = load_luminance(entry.rgb_path)
     depth = load_image(entry.depth_path)
-    if rgb.ndim != 3:
+    if guide is None:
         raise ValueError(f"rgb_path is not a color image: {entry.rgb_path}")
     if depth.ndim == 3:
         raise ValueError(f"depth_path is not a grayscale image: {entry.depth_path}")
-    if depth.shape != rgb.shape[:2]:
-        raise ValueError(f"depth {depth.shape} and rgb {rgb.shape[:2]} differ")
-    return depth, luminance(rgb)
+    if depth.shape != guide.shape:
+        raise ValueError(f"depth {depth.shape} and rgb {guide.shape} differ")
+    return depth, guide
 
 
 def _crop_and_degrade(depth: np.ndarray, guide: np.ndarray, s: int,
@@ -544,7 +546,9 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
     """Evaluate every (entry, scale, config) combination.
 
     Each entry is one task on a pool of ``threads`` workers (default:
-    the logical core count), never more workers than entries. Per-entry
+    the logical core count), never more workers than entries. A scale
+    given twice, or two configs that are equal once scaled, raise a
+    ValueError before anything is read, as their rows would repeat. Per-entry
     failures never abort the run; they become records with rmse None,
     written with an error marker, that keep the cause in ``error``.
     Detail records come first in canonical order, followed by one mean
@@ -554,9 +558,16 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
     scales = [check_scale(s) for s in scales]
     if not scales:
         raise ValueError("no scale factors given")
+    for k, s in enumerate(scales):
+        if s in scales[:k]:
+            raise ValueError(f"scale {s} is given twice")
     configs = list(configs)
     if not configs:
         raise ValueError("no pipeline configs given")
+    keys = [cfg.with_scale(scales[0]).config_hash() for cfg in configs]
+    for k, key in enumerate(keys):
+        if key in keys[:k]:
+            raise ValueError(f"config {k} repeats config {keys.index(key)} [{key}]")
     workers = (os.cpu_count() or 1) if threads is None else int(threads)
     if workers < 1:
         raise ValueError(f"thread count must be >= 1, got {workers}")

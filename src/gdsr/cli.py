@@ -31,8 +31,7 @@ from .bench import (
     save_params,
     _METHOD_ALIASES,
 )
-from .guidance import luminance
-from .imgio import load_image, load_pfm_grid, save_error_map, save_image
+from .imgio import load_image, load_luminance, load_pfm_grid, save_error_map, save_image
 from .dct import dct2_forward, dct2_inverse
 from .resample import bicubic_upsample, check_scale
 
@@ -70,13 +69,13 @@ def _cmd_sr(args) -> int:
         raise SystemExit("--errmap requires --gt")
     s = check_scale(args.scale)
     depth = load_image(args.depth)
-    rgb = load_image(args.rgb)
+    guide = load_luminance(args.rgb)
     if depth.ndim == 3:
         raise SystemExit(f"--depth must be a grayscale depth file: {args.depth}")
-    if rgb.ndim != 3:
+    if guide is None:
         raise SystemExit(f"--rgb must be a color image: {args.rgb}")
     m, n = depth.shape
-    hr = rgb.shape[:2]
+    hr = guide.shape
     if hr != (m * s, n * s):
         raise SystemExit(f"guide {hr} is not the depth size {depth.shape} times scale {s}")
     gt = None if args.gt is None else load_image(args.gt)
@@ -93,7 +92,7 @@ def _cmd_sr(args) -> int:
         raise SystemExit(f"--max-err must be finite and positive, got {args.max_err}")
     up = np.maximum(bicubic_upsample(depth, s), 0.0)
     cfg = _config_from_args(args, _METHOD_ALIASES[args.method], s)
-    pred = predict(up, luminance(rgb), cfg)
+    pred = predict(up, guide, cfg)
     save_image(pred, args.out, args.format)
     if gt is not None:
         print(f"rmse {rmse(pred, gt, args.crop_border)!r}")

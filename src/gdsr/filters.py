@@ -5,12 +5,14 @@ boundary pixel (... b a | a b c ...). It is the extension under which
 the orthonormal DCT-II diagonalizes flip-symmetric stencils, so every
 filter in the pipeline uses it.
 
-The image is padded once, then the output is filled in row blocks of
-about 256 KB, so the taps of one block stay in cache. Within a block
-each nonzero tap is added in row-major order through one reused
-product buffer. Every pixel is therefore 0.0 plus the same products in
-the same order as a per-tap loop over the whole grid, and has the same
-bits.
+The output is filled in row blocks of about 256 KB, so the taps of one
+block stay in cache. Each block first copies the rows it reads, with
+their reflected halo, into one reused buffer, so no padded copy of the
+whole grid is made. Within a block each nonzero tap is added in
+row-major order through one reused product buffer, or directly for a
+tap of weight 1.0. Every pixel is therefore 0.0 plus the same products
+in the same order as a per-tap loop over the padded grid, and has the
+same bits.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ def _stencil(values) -> np.ndarray:
     return st
 
 
+def _reflected(n: int, p: int) -> np.ndarray:
+    """The source index of each sample of a length-n signal padded by p on
+    both sides: the extension repeats with period 2n, mirrored in its
+    second half (np.pad's "symmetric" mode)."""
+    i = np.arange(-p, n + p) % (2 * n)
+    return np.where(i < n, i, 2 * n - 1 - i)
+
+
 def _correlate(img: np.ndarray, st: np.ndarray) -> np.ndarray:
     """:func:`correlate_reflect` without its checks: ``img`` a validated
     grid, ``st`` a 2-D float64 stencil with odd dimensions."""
@@ -54,15 +64,26 @@ def _correlate(img: np.ndarray, st: np.ndarray) -> np.ndarray:
     ph, pw = st.shape[0] // 2, st.shape[1] // 2
     if ph == 0 and pw == 0:
         return st[0, 0] * img
-    padded = np.pad(img, ((ph, ph), (pw, pw)), mode="symmetric")
+    ri, ci = _reflected(M, ph), _reflected(N, pw)
     taps = [(u, v, st[u, v]) for u, v in np.ndindex(st.shape) if st[u, v] != 0.0]
     out = np.zeros((M, N), dtype=np.float64)
     rows = max(1, _BLOCK_BYTES // (8 * N))
     buf = np.empty((min(rows, M), N), dtype=np.float64)
+    pad_buf = np.empty((min(rows, M) + 2 * ph, N + 2 * pw), dtype=np.float64)
     for r0 in range(0, M, rows):
         acc = out[r0 : r0 + rows]
         prod = buf[: len(acc)]
+        padded = pad_buf[: len(acc) + 2 * ph]
+        # the indices are in range; "clip" lets take write to out unbuffered
+        np.take(img, ri[r0 : r0 + len(acc) + 2 * ph], axis=0, out=padded[:, pw : pw + N],
+                mode="clip")
+        padded[:, :pw] = padded[:, pw + ci[:pw]]
+        padded[:, pw + N :] = padded[:, pw + ci[pw + N :]]
         for u, v, w in taps:
-            np.multiply(w, padded[r0 + u : r0 + u + len(acc), v : v + N], out=prod)
-            acc += prod
+            view = padded[u : u + len(acc), v : v + N]
+            if w == 1.0:  # 1.0 * x == x, signed zeros included: no product pass
+                acc += view
+            else:
+                np.multiply(w, view, out=prod)
+                acc += prod
     return out

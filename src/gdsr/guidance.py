@@ -1,7 +1,8 @@
 """Guide preprocessing: luminance conversion and edge attention weights.
 
-The color guide arrives as the (M, N, 3) array the decoder returns;
-everything after :func:`luminance` works on its 2-D luma grid.
+Everything here works on the guide's 2-D luma grid: the pipeline reads
+it straight from the file with :func:`gdsr.imgio.load_luminance`, which
+has the bits of :func:`luminance` of the decoded (M, N, 3) array.
 
 The weights select which guide gradients are transferred into the depth
 solution. They are classical and learning-free: the Laplacian magnitude

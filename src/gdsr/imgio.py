@@ -3,7 +3,8 @@
 Netpbm integer samples are normalized to [0, 1] on load by the header
 maxval, and quantized back on save: this module is the only place that
 holds 8/16-bit integers. 16-bit samples are two bytes big-endian
-(maxval > 255). A P6 guide decodes to an (M, N, 3) array. PFM
+(maxval > 255). A P6 guide decodes to an (M, N, 3) array, or with
+:func:`load_luminance` straight to its luminance grid. PFM
 floats are taken verbatim: header ``Pf`` (grayscale), a scale line whose
 sign encodes endianness (negative = little-endian), rows stored bottom
 to top. Writers emit deterministic bytes so identical inputs always
@@ -16,9 +17,10 @@ import re
 
 import numpy as np
 
+from .guidance import _LUMA
 from .image_core import as_image
 
-__all__ = ["load_image", "save_image", "save_error_map", "quantize"]
+__all__ = ["load_image", "load_luminance", "save_image", "save_error_map", "quantize"]
 
 
 class ImageFormatError(ValueError):
@@ -72,7 +74,9 @@ def _parse_int(token: bytes, what: str) -> int:
     raise ImageFormatError(f"bad {what}: {token!r}")
 
 
-def _load_netpbm(data: bytes, magic: bytes):
+def _netpbm_samples(data: bytes, magic: bytes) -> tuple[np.ndarray, int, int, int]:
+    """The checked integer samples of a P5 or P6 file, flat in file order,
+    and its height, width and maxval."""
     tokens, offset = _read_tokens(data[2:], 3)
     width = _parse_int(tokens[0], "width")
     height = _parse_int(tokens[1], "height")
@@ -92,7 +96,12 @@ def _load_netpbm(data: bytes, magic: bytes):
     raw = np.frombuffer(payload[:expected], dtype=dtype)
     if raw.max(initial=0) > maxval:
         raise ImageFormatError("sample exceeds declared maxval")
-    samples = raw.astype(np.float64).reshape(height, width, planes)
+    return raw, height, width, maxval
+
+
+def _load_netpbm(data: bytes, magic: bytes):
+    raw, height, width, maxval = _netpbm_samples(data, magic)
+    samples = raw.astype(np.float64).reshape(height, width, -1)
     samples /= maxval  # in place: no second full-size grid
     return samples if magic == b"P6" else samples[:, :, 0]
 
@@ -123,18 +132,12 @@ def _pfm_grid(data: bytes) -> np.ndarray:
     return raw.astype(np.float64).reshape(height, width)[::-1]  # bottom-up rows
 
 
-def load_image(path):
-    """Decode a PGM/PPM/PFM file.
-
-    P6 yields an (M, N, 3) float64 array of red, green and blue samples;
-    P5 and Pf yield a 2-D float64 depth grid in stored units. Samples are
-    finite and nonnegative: Netpbm samples lie in [0, 1] by the maxval
-    check, PFM samples pass the checks here. Every malformed file raises
-    :class:`ImageFormatError`, including a PFM with non-finite or
-    negative samples.
-    """
+def _read(path) -> bytes:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return fh.read()
+
+
+def _decode(data: bytes):
     magic = data[:2]
     if magic in (b"P5", b"P6"):
         return _load_netpbm(data, magic)
@@ -146,6 +149,46 @@ def load_image(path):
     if magic == b"PF":
         raise ImageFormatError("color PFM not supported; convert to grayscale Pf")
     raise ImageFormatError(f"unrecognized magic {magic!r}")
+
+
+def load_image(path):
+    """Decode a PGM/PPM/PFM file.
+
+    P6 yields an (M, N, 3) float64 array of red, green and blue samples;
+    P5 and Pf yield a 2-D float64 depth grid in stored units. Samples are
+    finite and nonnegative: Netpbm samples lie in [0, 1] by the maxval
+    check, PFM samples pass the checks here. Every malformed file raises
+    :class:`ImageFormatError`, including a PFM with non-finite or
+    negative samples.
+    """
+    return _decode(_read(path))
+
+
+def load_luminance(path):
+    """The BT.601 luminance grid of a P6 guide, with the bits of
+    ``guidance.luminance(load_image(path))``; None for a well-formed P5 or
+    Pf file, which is not a color image.
+
+    Each plane is divided by maxval as :func:`load_image` divides it,
+    weighted, and added in the order (r R + g G) + b B, through one plane
+    buffer. So the (M, N, 3) float array is never built, and no float
+    plane is read at a stride. A malformed file raises what
+    :func:`load_image` raises.
+    """
+    data = _read(path)
+    if data[:2] != b"P6":
+        _decode(data)
+        return None
+    raw, height, width, maxval = _netpbm_samples(data, b"P6")
+    rgb = raw.reshape(-1, 3)
+    luma = np.divide(rgb[:, 0], maxval, dtype=np.float64)
+    luma *= _LUMA[0]
+    plane = np.empty_like(luma)
+    for c in (1, 2):
+        np.divide(rgb[:, c], maxval, out=plane, dtype=np.float64)
+        plane *= _LUMA[c]
+        luma += plane
+    return luma.reshape(height, width)
 
 
 def quantize(img, max_value: int) -> np.ndarray:
@@ -220,8 +263,7 @@ def save_error_map(pred: np.ndarray, gt: np.ndarray, path, max_err: float) -> No
 
 def load_pfm_grid(path) -> np.ndarray:
     """Verbatim float grid of a PFM file (no nonnegativity check)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    data = _read(path)
     if data[:2] != b"Pf":
         raise ImageFormatError(f"not a grayscale PFM: magic {data[:2]!r}")
     return _pfm_grid(data)

@@ -151,6 +151,18 @@ def _cached_symbol(mode: str, M: int, N: int, weights: bytes, kshape) -> np.ndar
 
 
 @lru_cache(maxsize=16)
+def _denominator(mode: str, M: int, N: int, lam: float) -> np.ndarray:
+    """The image-domain solve's divisor 1 + lam * Lambda^2 for the ``mode``
+    symbol of the 5-point stencil on an (M, N) grid, lam > 0: cached,
+    checked and read-only. Lambda is built here rather than taken from
+    :func:`symbol_for`, so the cache holds one grid per key, not two."""
+    symbol = paper_symbol(M, N) if mode == "paper" else stencil_symbol(FIVE_POINT, M, N)
+    denom = _screened_denominator(symbol, lam)
+    denom.setflags(write=False)
+    return denom
+
+
+@lru_cache(maxsize=16)
 def _squared_symbol(mode: str, M: int, N: int) -> np.ndarray:
     """The ``mode`` symbol of the 5-point stencil on an (M, N) grid, squared:
     Lambda^2 of the feature-domain solves, cached and read-only."""
@@ -179,7 +191,9 @@ def _rhs(l_up: np.ndarray, lap_t, lam: float) -> np.ndarray:
     T, which is not read (and may be None) when lam = 0."""
     if lam == 0.0:
         return l_up.copy()
-    return lam * lap_t + l_up
+    E = np.multiply(lap_t, lam)  # one buffer: products and sums commute bit for bit
+    E += l_up
+    return E
 
 
 def solve_screened(E, lam: float, symbol) -> np.ndarray:
@@ -197,20 +211,27 @@ def solve_screened(E, lam: float, symbol) -> np.ndarray:
     symbol = np.asarray(symbol, dtype=np.float64)
     if symbol.shape != E.shape:
         raise ValueError(f"symbol shape {symbol.shape} does not match input {E.shape}")
-    return _solve(E.copy(), lam, symbol)
+    return _solve(E.copy(), _screened_denominator(symbol, lam) if lam else None)
 
 
-def _solve(E: np.ndarray, lam: float, symbol: np.ndarray) -> np.ndarray:
-    """:func:`solve_screened` on checked inputs. The caller gives E up:
-    both transforms run in its buffer, and with lam = 0 E itself is
-    returned."""
-    if lam == 0.0:
-        return E
+def _screened_denominator(symbol: np.ndarray, lam: float) -> np.ndarray:
+    """1 + lam * Lambda^2, computed as (Lambda * lam) * Lambda + 1 in a
+    fresh grid; a sample that is not positive raises."""
     denom = np.multiply(symbol, lam)
     denom *= symbol
     denom += 1.0
     if not np.all(denom > 0.0):  # impossible for real finite symbols and lam >= 0
         raise ValueError("non-positive or NaN sample in spectral denominator")
+    return denom
+
+
+def _solve(E: np.ndarray, denom) -> np.ndarray:
+    """:func:`solve_screened` on a checked E and its checked divisor
+    ``denom``, 1 + lam * Lambda^2, which is None when lam = 0. The caller
+    gives E up: both transforms run in its buffer, and with lam = 0 E
+    itself is returned."""
+    if denom is None:
+        return E
     coeffs = _dct2(E, overwrite=True)
     coeffs /= denom
     return _idct2(coeffs, overwrite=True)

@@ -28,7 +28,7 @@ from gdsr.bench import (
 )
 from gdsr.feature_bank import INIT_LOG_LAMBDA, ReconstructionHead, default_bank
 from gdsr.guidance import luminance
-from gdsr.imgio import load_image, save_image
+from gdsr.imgio import load_image, load_luminance, save_image
 from gdsr.resample import degrade
 
 from oracles import pixel_head
@@ -480,6 +480,8 @@ def test_run_bench_prepares_each_entry_once_per_scale_and_antialias(tmp_path, mo
                PipelineConfig(method="image_domain", lam=2.0, antialias=False)]
     loads, degrades = [], []
     monkeypatch.setattr(bench, "load_image", lambda p: loads.append(p) or load_image(p))
+    monkeypatch.setattr(bench, "load_luminance",
+                        lambda p: loads.append(p) or load_luminance(p))
     monkeypatch.setattr(bench, "degrade",
                         lambda gt, s, aa: degrades.append((s, aa)) or degrade(gt, s, aa))
     records = run_bench(manifest, [2, 4], configs, threads=2, timing=False)
@@ -592,6 +594,27 @@ def test_run_bench_rejects_an_empty_grid_before_loading(tmp_path, monkeypatch, s
     manifest = build_manifest(tmp_path, n=1)
     loads = []
     monkeypatch.setattr(bench, "load_image", lambda p: loads.append(p) or load_image(p))
+    out = tmp_path / "r.csv"
+    with pytest.raises(ValueError, match=match):
+        run_bench(manifest, scales, configs, out, threads=1)
+    assert loads == [] and not out.exists()
+
+
+@pytest.mark.parametrize("scales, configs, match", [
+    ([4, 4], [PipelineConfig()], "scale 4 is given twice"),
+    ([4, 8, 16, 8], [PipelineConfig()], "scale 8 is given twice"),
+    ([4], [PipelineConfig(), PipelineConfig(method="image_domain"), PipelineConfig()],
+     r"config 2 repeats config 0 \[[0-9a-f]{12}\]"),
+    ([4, 8], [PipelineConfig(scale=4), PipelineConfig(scale=8)],
+     r"config 1 repeats config 0 \[[0-9a-f]{12}\]"),
+], ids=["scale", "scale-later", "config", "config-once-scaled"])
+def test_run_bench_rejects_a_repeated_scale_or_config_before_loading(tmp_path, monkeypatch,
+                                                                     scales, configs, match):
+    # a repeat would write every row of its group twice
+    manifest = build_manifest(tmp_path, n=1)
+    loads = []
+    monkeypatch.setattr(bench, "load_image", lambda p: loads.append(p) or load_image(p))
+    monkeypatch.setattr(bench, "load_luminance", lambda p: loads.append(p) or load_luminance(p))
     out = tmp_path / "r.csv"
     with pytest.raises(ValueError, match=match):
         run_bench(manifest, scales, configs, out, threads=1)

@@ -30,7 +30,8 @@ def stage_script():
 
 def test_every_stage_runs_once(stage_script):
     stages = stage_script.stages(64, 64)
-    assert {"load", "luminance", "predict_image_lam20", "lambda_objective_evaluate"} <= set(stages)
+    assert {"load", "load_entry", "luminance", "predict_image_lam20",
+            "lambda_objective_evaluate"} <= set(stages)
     for fn in stages.values():
         fn()
 

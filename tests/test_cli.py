@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from gdsr.imgio import load_image, load_pfm_grid, save_image
 from gdsr.resample import bicubic_downsample
 
 from scenes import make_scene, write_scene_files
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -302,6 +308,30 @@ def test_bench_command_rejects_a_bad_scale_list(tmp_path, scales, error, match):
     with pytest.raises(error, match=match):
         main(["bench", "--manifest", str(manifest), "--scales", scales,
               "--config", str(config), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scales, configs, match", [
+    ("4,4", [{"method": "bicubic"}], "scale 4 is given twice"),
+    ("4", [{"method": "bicubic"}, {"method": "bicubic"}], "config 1 repeats config 0"),
+], ids=["scale", "config"])
+def test_bench_command_rejects_a_repeated_scale_or_config(tmp_path, scales, configs, match):
+    manifest = make_manifest(tmp_path, n=1)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(configs))
+    out = tmp_path / "r.csv"
+    argv = ["bench", "--manifest", str(manifest), "--scales", scales,
+            "--config", str(config), "--out", str(out)]
+    with pytest.raises(ValueError, match=match):
+        main(argv)
+    assert not out.exists()
+    # run as a command, it ends with the error's text on stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gdsr.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert re.search(f"ValueError: {match}", proc.stderr.splitlines()[-1])
     assert not out.exists()
 
 

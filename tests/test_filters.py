@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gdsr import filters
 from gdsr.feature_bank import FilterPair
 from gdsr.filters import correlate_reflect
-from gdsr.spectral import stencil_symbol
+from gdsr.spectral import FIVE_POINT, stencil_symbol
 
 from oracles import brute_correlate_reflect, loop_correlate
 
@@ -69,3 +69,35 @@ def test_every_stencil_entry_point_checks_the_stencil(stencil):
         stencil_symbol(stencil, 4, 4)
     with pytest.raises(ValueError, match=match):
         FilterPair(np.ones((1, 1)), stencil, shared=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(1, 9), N=st.integers(1, 9), data=st.data(),
+       stencil=st.one_of(st.sampled_from([FIVE_POINT, np.ones((3, 3)), np.ones((1, 5))]),
+                         stencils().filter(lambda k: 1 < k.size <= 25)))
+def test_unit_taps_keep_the_bits_of_the_brute_force_oracle(M, N, data, stencil):
+    # a tap of weight 1.0 adds the grid itself, with no product; 1.0 * x
+    # is x, so -0.0 samples keep the oracle's bits. (A 1x1 stencil is one
+    # product, w * img, with no sum from 0.0, so it keeps -0.0 and is left out.)
+    value = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0]),
+                      st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    img = np.array(data.draw(st.lists(value, min_size=M * N, max_size=M * N))).reshape(M, N)
+    assert correlate_reflect(img, stencil).tobytes() == \
+        brute_correlate_reflect(img, stencil).tobytes()
+
+
+def test_unit_taps_on_a_negative_zero_grid():
+    img = np.full((6, 5), -0.0)
+    img[2, 3] = -2.5
+    for stencil in (FIVE_POINT, np.ones((3, 3)), np.ones((1, 3)), -np.ones((3, 1))):
+        got = correlate_reflect(img, stencil)
+        assert got.tobytes() == brute_correlate_reflect(img, stencil).tobytes()
+
+
+def test_reflected_indices_are_np_pad_symmetric():
+    # the halo of every row block is gathered by these indices, for pads
+    # longer than the signal too
+    for n in range(1, 20):
+        for p in range(0, 9):
+            want = np.pad(np.arange(n), p, mode="symmetric")
+            assert np.array_equal(filters._reflected(n, p), want)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gdsr.guidance import luminance
 from gdsr.imgio import (
     ImageFormatError,
     load_image,
+    load_luminance,
     load_pfm_grid,
     quantize,
     save_error_map,
@@ -325,3 +327,81 @@ def _decodes_or_format_error(blob, loader):
        loader=st.sampled_from([load_image, load_pfm_grid]))
 def test_fuzzed_files_raise_only_format_errors(blob, loader):
     _decodes_or_format_error(blob, loader)
+
+
+def _outcome(blob, loader):
+    """What ``loader`` makes of ``blob``: what it returns, or the text of
+    the ImageFormatError it raises."""
+    try:
+        return _load_blob(blob, loader)
+    except ImageFormatError as exc:
+        return f"ImageFormatError: {exc}"
+
+
+def _luminance_of_load_image(blob):
+    """The oracle of load_luminance: the luminance of the decoded P6 array,
+    None for a decoded grayscale grid, or load_image's error text."""
+    img = _outcome(blob, load_image)
+    if isinstance(img, str):
+        return img
+    return luminance(img) if img.ndim == 3 else None
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+
+
+_HEADER_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# a comment\n",
+                                      b" # inline 1 2 3\n"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(size=_SIZES, maxval=st.one_of(st.sampled_from([1, 255, 256, 65535]),
+                                     st.integers(1, 65535)),
+       seps=st.lists(_HEADER_SEPARATORS, min_size=4, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_load_luminance_is_luminance_of_load_image(size, maxval, seps, seed):
+    # 8-bit samples for maxval <= 255, 16-bit big-endian ones above
+    M, N = size
+    ints = np.random.default_rng(seed).integers(0, maxval + 1, size=(M, N, 3))
+    ints[0, 0] = maxval
+    dtype = ">u2" if maxval > 255 else "u1"
+    header = b"P6" + seps[0] + b"%d" % N + seps[1] + b"%d" % M + seps[2] + b"%d" % maxval
+    blob = header + seps[3][-1:] + ints.astype(dtype).tobytes()
+    got = _outcome(blob, load_luminance)
+    assert isinstance(got, np.ndarray) and got.shape == (M, N)
+    _assert_same_outcome(got, _luminance_of_load_image(blob))
+
+
+@pytest.mark.parametrize("blob", [
+    b"P6 2 1 255\n" + bytes(range(5)),
+    b"P6 1 1 65535\n" + bytes(5),
+    b"P6 1 1 100\n" + bytes([1, 200, 3]),
+    b"P6 1 1 300\n" + np.array([1, 2, 301], dtype=">u2").tobytes(),
+    b"P9 1 1 255\n" + bytes(3),
+    b"PF\n1 1\n-1.0\n" + bytes(12),
+    b"P3 1 1 255\n1 2 3\n",
+    b"P6",
+    b"",
+    b"P5 2 1 255\n\x07",
+    b"Pf\n1 1\n-1.0\n" + np.array([-1.0], dtype="<f4").tobytes(),
+    b"P5 2 1 255\n\x07\x09",
+    b"Pf\n1 1\n-1.0\n" + np.array([0.5], dtype="<f4").tobytes(),
+], ids=["p6-truncated", "p6-16bit-truncated", "p6-over-maxval", "p6-16bit-over-maxval",
+        "bad-magic", "color-pfm", "ascii-ppm", "magic-only", "empty", "p5-truncated",
+        "pfm-negative", "p5", "pfm"])
+def test_load_luminance_fails_as_load_image_does(blob):
+    # a malformed file raises load_image's error; a grayscale one gives None
+    want = _luminance_of_load_image(blob)
+    assert isinstance(want, str) or want is None
+    assert _outcome(blob, load_luminance) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(_headers(), _mutated_files(), st.binary(max_size=40)))
+def test_fuzzed_files_decode_to_the_luminance_of_load_image(blob):
+    _assert_same_outcome(_outcome(blob, load_luminance), _luminance_of_load_image(blob))

@@ -43,6 +43,20 @@ def test_axis_weights_bytes_match_loop_oracle(n_hr, s, upsample, antialias):
     assert got.tobytes() == loop_axis_weights(n_in, n_out, antialias).tobytes()
 
 
+@pytest.mark.parametrize("first", [True, False])
+def test_cached_axis_weights_are_read_only_and_keyed_by_antialias(first):
+    # each (n_in, n_out) downsampling matrix is cached once per antialias
+    # setting, whichever is built first
+    _axis_weights.cache_clear()
+    for antialias in (first, not first, first):
+        W = _axis_weights(40, 5, antialias)
+        assert W is _axis_weights(40, 5, antialias)
+        assert W.tobytes() == loop_axis_weights(40, 5, antialias).tobytes()
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("s", [4, 8])
 def test_degrade_bytes_match_loop_oracle_products(s):
     gt, _ = make_scene(np.random.default_rng(54), 96, 136)

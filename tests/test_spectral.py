@@ -14,6 +14,7 @@ from gdsr.spectral import (
     solve_screened,
     stencil_symbol,
     symbol_for,
+    _denominator,
     _solve,
 )
 
@@ -158,6 +159,21 @@ def test_symbols_are_read_only_arrays():
             sym[0, 0] = 1.0
 
 
+def test_cached_denominators_are_read_only_and_keyed_by_mode_shape_and_lambda():
+    # every key gets the plain formula's bits, in any order of filling
+    _denominator.cache_clear()
+    keys = [(mode, M, N, lam) for mode in ("derived", "paper") for M, N in ((9, 7), (7, 9))
+            for lam in (0.5, 20.0)]
+    for mode, M, N, lam in keys + keys[::-1]:
+        denom = _denominator(mode, M, N, lam)
+        sym = symbol_for(mode, (M, N))
+        assert denom.tobytes() == (sym * lam * sym + 1.0).tobytes()
+        assert denom is _denominator(mode, M, N, lam)
+        assert not denom.flags.writeable
+        with pytest.raises(ValueError):
+            denom[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_stencil_symbol_rejects_non_finite_stencils(bad):
     # symmetric, so only the finiteness check can reject the inf stencils
@@ -257,7 +273,8 @@ def test_solve_never_writes_the_callers_grid_and_the_given_up_form_agrees(lam):
     # the in-place arithmetic keeps the bits of the plain formula
     want = e if lam == 0.0 else _idct2(_dct2(e) / (1.0 + lam * sym * sym))
     assert h.tobytes() == want.tobytes()
-    assert _solve(e.copy(), lam, sym).tobytes() == want.tobytes()
+    denom = _denominator("derived", *e.shape, lam) if lam else None
+    assert _solve(e.copy(), denom).tobytes() == want.tobytes()
 
 
 def test_solve_shape_guard():
