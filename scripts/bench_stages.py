@@ -61,12 +61,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from gdsr.bench import DatasetEntry, PipelineConfig, _load_entry, _model, predict  # noqa: E402
 from gdsr.cli import main as gdsr_main  # noqa: E402
 from gdsr.dct import dct2_forward, dct2_inverse  # noqa: E402
-from gdsr.feature_bank import _LambdaObjective, gaussian_stencil, spectral_predict  # noqa: E402
+from gdsr.feature_bank import (HEAD_GAMMA, _LambdaObjective, gaussian_stencil,  # noqa: E402
+                               spectral_predict)
 from gdsr.filters import correlate_reflect  # noqa: E402
 from gdsr.guidance import EdgeWeightConfig, luminance, transfer_target  # noqa: E402
 from gdsr.imgio import load_image, save_image  # noqa: E402
 from gdsr.resample import _axis_weights, bicubic_downsample, degrade  # noqa: E402
-from gdsr.spectral import FIVE_POINT, stencil_symbol  # noqa: E402
+from gdsr.spectral import DEFAULT_SYMBOL_MODE, FIVE_POINT, stencil_symbol  # noqa: E402
 from tests.scenes import make_scene, write_scene_files  # noqa: E402
 
 SIZES = ((480, 640), (1024, 1376))
@@ -133,7 +134,8 @@ def stages(M: int, N: int) -> dict:
     }
     if M * N <= OBJECTIVE_MAX_PIXELS:
         # one candidate move of channel 3 against the e^0.1 start
-        objective = _LambdaObjective([(up, guide, gt)], bank, edge, 1e-6, "derived")
+        objective = _LambdaObjective([(up, guide, gt)], bank, edge, HEAD_GAMMA,
+                                     DEFAULT_SYMBOL_MODE)
         timed["lambda_objective_evaluate"] = lambda: objective.evaluate(3, 2.0)
     return timed
 

@@ -30,7 +30,10 @@ from .feature_bank import (
     default_bank,
     fit_lambda,
     spectral_predict,
+    GRID_POINTS,
+    HEAD_GAMMA,
     INIT_LOG_LAMBDA,
+    SWEEPS,
     _LambdaObjective,
     _check_gamma,
     _check_search,
@@ -41,8 +44,8 @@ from .guidance import EdgeWeightConfig, transfer_target
 from .image_core import as_image
 from .imgio import load_image, load_luminance
 from .resample import _crop, check_scale, degrade
-from .spectral import (SYMBOL_MODES, _denominator, _laplacian, _rhs, _solve, _squared_symbol,
-                       symbol_for)
+from .spectral import (DEFAULT_SYMBOL_MODE, SYMBOL_MODES, _denominator, _laplacian, _rhs,
+                       _solve, _squared_symbol, symbol_for)
 
 __all__ = [
     "DatasetEntry",
@@ -247,10 +250,10 @@ class PipelineConfig:
     method: str = "bicubic"
     lam: float = 1.0
     params_path: str | None = None
-    edge_mode: str = "hard"
-    tau_quantile: float = 0.9
-    steepness: float = 50.0
-    symbol_mode: str = "derived"
+    edge_mode: str = EdgeWeightConfig.mode
+    tau_quantile: float = EdgeWeightConfig.tau_quantile
+    steepness: float = EdgeWeightConfig.steepness
+    symbol_mode: str = DEFAULT_SYMBOL_MODE
     scale: int | None = None
     crop_border: int = 0
     antialias: bool = True
@@ -459,6 +462,13 @@ def _prepare(entry: DatasetEntry, s: int,
     return _crop_and_degrade(*_load_entry(entry), s, antialias)
 
 
+def _scale(cfg: PipelineConfig) -> int:
+    """``cfg.scale``; a config with no scale raises a ValueError."""
+    if cfg.scale is None:
+        raise ValueError("config carries no scale; use cfg.with_scale(s)")
+    return cfg.scale
+
+
 def _cause(exc: Exception) -> str:
     """The text of a failure: its exception's type and message."""
     return f"{type(exc).__name__}: {exc}"
@@ -491,10 +501,9 @@ def run_image(entry: DatasetEntry, cfg: PipelineConfig,
     Runtime covers the reconstruction only, not file I/O or degradation.
     A failure raises a RuntimeError naming the entry and the cause.
     """
-    if cfg.scale is None:
-        raise ValueError("config carries no scale; use cfg.with_scale(s)")
+    s = _scale(cfg)
     try:
-        prepared = _prepare(entry, cfg.scale, cfg.antialias)
+        prepared = _prepare(entry, s, cfg.antialias)
         model = _model(cfg)
         return _evaluate(entry, prepared, cfg, cfg.config_hash(), dataset, model, {})
     except Exception as exc:
@@ -514,28 +523,28 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
     task's grids. A scale's grids die before the next scale's are made.
     """
     records, memo = [], {}
-    loaded = load_cause = None
+    try:
+        loaded, load_cause = _load_entry(entry), None
+    except Exception as exc:
+        loaded, load_cause = None, _cause(exc)
     for s, row in grid:
-        prepared, crop_causes = {}, {}  # antialias -> grids (gt, up, guide) / failed crop
-        for cfg, key, model, model_cause in row:
-            cause = load_cause or crop_causes.get(cfg.antialias)
+        prepared = {}  # antialias -> grids (gt, up, guide), or the cause they are missing
+        for cfg, key, model, cause in row:
+            aa = cfg.antialias
+            if aa not in prepared:
+                try:  # a failed load fails every crop with its cause
+                    prepared[aa] = load_cause or _crop_and_degrade(*loaded, s, aa)
+                except Exception as exc:
+                    prepared[aa] = _cause(exc)
+            if isinstance(prepared[aa], str):
+                cause = prepared[aa]
             if cause is None:
                 try:
-                    if loaded is None:
-                        loaded = _load_entry(entry)
-                    if cfg.antialias not in prepared:
-                        prepared[cfg.antialias] = _crop_and_degrade(*loaded, s, cfg.antialias)
-                    if model_cause is None:
-                        records.append(_evaluate(entry, prepared[cfg.antialias], cfg, key,
-                                                 dataset, model, memo)[1])
-                        continue
-                    cause = model_cause
+                    records.append(_evaluate(entry, prepared[aa], cfg, key, dataset, model,
+                                             memo)[1])
+                    continue
                 except Exception as exc:
-                    cause = _cause(exc)  # a step whose result is missing is the one that failed
-                    if loaded is None:
-                        load_cause = cause
-                    elif cfg.antialias not in prepared:
-                        crop_causes[cfg.antialias] = cause
+                    cause = _cause(exc)
             records.append(BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0,
                                        _entry_error(entry, cause)))
     return records
@@ -619,9 +628,22 @@ def write_csv(records, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
-                     grid_points: int = 17) -> float:
-    """Fit the single image-domain lambda on the manifest's train split.
+def _train_grids(manifest: DatasetManifest, cfg: PipelineConfig):
+    """Yield each train entry of ``manifest`` (all, if none is) with its
+    grids (gt, up, guide) at ``cfg.scale``, which must be set. A ValueError
+    from an entry's load, crop or degrade is raised again, naming it."""
+    s = _scale(cfg)
+    for entry in manifest.split("train") or manifest.entries:
+        try:
+            grids = _prepare(entry, s, cfg.antialias)
+        except ValueError as exc:
+            raise ValueError(_entry_error(entry, _cause(exc))) from exc
+        yield entry, grids
+
+
+def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig,
+                     grid_points: int = GRID_POINTS) -> float:
+    """Fit the single image-domain lambda on the train split at ``cfg.scale``.
 
     Same derivative-free search as the channel fit (log-grid bracket plus
     golden-section refinement, accept only strict improvements from the
@@ -631,12 +653,10 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     evaluated on DCT coefficients (Parseval): each entry is transformed
     once, and every lambda costs one per-frequency division.
     """
-    s = check_scale(s)
     _check_search(grid_points)
     edge_cfg = cfg.edge_config()
     prepared = []
-    for entry in manifest.split("train") or manifest.entries:
-        gt, up, guide = _prepare(entry, s, cfg.antialias)
+    for entry, (gt, up, guide) in _train_grids(manifest, cfg):
         target = transfer_target(guide, edge_cfg)
         prepared.append((dct2_forward(up), dct2_forward(target),
                          symbol_for("derived", gt.shape),
@@ -661,25 +681,21 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
     return best_lam
 
 
-def fit_feature_params(manifest: DatasetManifest, cfg: PipelineConfig, s: int,
-                       head_gamma: float = 1e-6, grid_points: int = 9,
-                       sweeps: int = 2, fit_lambdas: bool = True):
-    """Fit channel lambdas and/or the reconstruction head on the train split.
+def fit_feature_params(manifest: DatasetManifest, cfg: PipelineConfig,
+                       head_gamma: float = HEAD_GAMMA, grid_points: int = GRID_POINTS,
+                       sweeps: int = SWEEPS, fit_lambdas: bool = True):
+    """Fit channel lambdas and/or the head on the train split at ``cfg.scale``.
 
     Returns (lambdas, head, rmse_trace); the head solves the lambda
     search's own normal equations. With ``fit_lambdas`` off, the lambdas
     stay at the e^0.1 start and the trace is empty. The bank is
     :func:`default_bank`, the one prediction uses.
     """
-    s = check_scale(s)
     _check_search(grid_points, sweeps)
     _check_gamma(head_gamma)
     bank = default_bank()
     edge_cfg = cfg.edge_config()
-    triples = []
-    for entry in manifest.split("train") or manifest.entries:
-        gt, up, guide = _prepare(entry, s, cfg.antialias)
-        triples.append((up, guide, gt))
+    triples = [(up, guide, gt) for _, (gt, up, guide) in _train_grids(manifest, cfg)]
 
     if fit_lambdas:
         (lambdas, head), trace = fit_lambda(triples, bank, edge_cfg, head_gamma, grid_points,

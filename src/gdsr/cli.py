@@ -13,6 +13,7 @@ cores), never more workers than entries.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -31,37 +32,36 @@ from .bench import (
     save_params,
     _METHOD_ALIASES,
 )
+from .feature_bank import GRID_POINTS, HEAD_GAMMA, SWEEPS
+from .guidance import EDGE_MODES
 from .imgio import load_image, load_luminance, load_pfm_grid, save_error_map, save_image
 from .dct import dct2_forward, dct2_inverse
 from .resample import bicubic_upsample, check_scale
+from .spectral import SYMBOL_MODES
 
 
-def _add_edge_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--edge", choices=("none", "hard", "soft"), default="hard",
-                   help="edge attention mode (default: hard)")
-    p.add_argument("--tau-q", type=float, default=0.9,
-                   help="edge threshold quantile in (0,1) (default: 0.9)")
-    p.add_argument("--alpha", type=float, default=50.0,
-                   help="soft-mode logistic steepness (default: 50)")
-    p.add_argument("--symbol", choices=("derived", "paper"), default="derived",
-                   help="spectral symbol mode (default: derived)")
-    p.add_argument("--no-antialias", action="store_true",
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of PipelineConfig fields, each stored under its field's name."""
+    p.add_argument("--edge", dest="edge_mode", choices=EDGE_MODES,
+                   default=PipelineConfig.edge_mode,
+                   help="edge attention mode (default: %(default)s)")
+    p.add_argument("--tau-q", dest="tau_quantile", type=float,
+                   default=PipelineConfig.tau_quantile,
+                   help="edge threshold quantile in (0,1) (default: %(default)s)")
+    p.add_argument("--alpha", dest="steepness", type=float, default=PipelineConfig.steepness,
+                   help="soft-mode logistic steepness (default: %(default)s)")
+    p.add_argument("--symbol", dest="symbol_mode", choices=SYMBOL_MODES,
+                   default=PipelineConfig.symbol_mode,
+                   help="spectral symbol mode (default: %(default)s)")
+    p.add_argument("--no-antialias", dest="antialias", action="store_false",
                    help="disable antialiasing in bicubic downsampling")
 
 
 def _config_from_args(args, method: str, scale: int | None) -> PipelineConfig:
-    return PipelineConfig(
-        method=method,
-        lam=getattr(args, "lam", 1.0),
-        params_path=getattr(args, "params", None),
-        edge_mode=args.edge,
-        tau_quantile=args.tau_q,
-        steepness=args.alpha,
-        symbol_mode=args.symbol,
-        scale=scale,
-        crop_border=getattr(args, "crop_border", 0),
-        antialias=not args.no_antialias,
-    )
+    """``method``'s config at ``scale``, from the fields ``args`` has flags for."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)
+             if hasattr(args, f.name)}
+    return PipelineConfig(**dict(given, method=method, scale=scale))
 
 
 def _cmd_sr(args) -> int:
@@ -127,12 +127,12 @@ def _cmd_fit(args) -> int:
     s = check_scale(args.scale)
     cfg = _config_from_args(args, _METHOD_ALIASES[args.method], s)
     if args.method == "image":
-        lam = fit_image_lambda(manifest, cfg, s, grid_points=args.grid_points)
+        lam = fit_image_lambda(manifest, cfg, grid_points=args.grid_points)
         save_params(args.out, cfg, lam)
         print(f"fitted lambda {lam!r}")
         return 0
     lambdas, head, trace = fit_feature_params(
-        manifest, cfg, s,
+        manifest, cfg,
         head_gamma=args.gamma,
         grid_points=args.grid_points,
         sweeps=args.sweeps,
@@ -169,17 +169,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rgb", required=True, help="HR color guide (PPM)")
     p.add_argument("--scale", type=int, required=True)
     p.add_argument("--method", choices=sorted(_METHOD_ALIASES), default="image")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                   help="regularization weight for --method image")
-    p.add_argument("--params", default=None, help="fitted parameter file")
-    _add_edge_flags(p)
+    p.add_argument("--lambda", dest="lam", type=float, default=PipelineConfig.lam,
+                   help="regularization weight for --method image (default: %(default)s)")
+    p.add_argument("--params", dest="params_path", help="fitted parameter file")
+    _add_config_flags(p)
     p.add_argument("--out", required=True, help="prediction output path")
     p.add_argument("--format", choices=("pgm8", "pgm16", "pfm"), default="pgm16")
     p.add_argument("--gt", default=None, help="ground truth for RMSE / error map")
     p.add_argument("--errmap", default=None, help="error map output path (PGM)")
     p.add_argument("--max-err", type=float, default=0.1,
-                   help="error map saturation level (default: 0.1)")
-    p.add_argument("--crop-border", type=int, default=0)
+                   help="error map saturation level (default: %(default)s)")
+    p.add_argument("--crop-border", type=int, default=PipelineConfig.crop_border)
     p.set_defaults(func=_cmd_sr)
 
     p = sub.add_parser("bench", help="run the degradation benchmark")
@@ -198,13 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--mode", choices=("head", "both"), default="both",
                    help="feature fits: both = channel lambdas and their ridge head; "
-                        "head = the head alone, lambdas at e^0.1 (default: both)")
+                        "head = the head alone, lambdas at e^0.1 (default: %(default)s)")
     p.add_argument("--scale", type=int, required=True)
     p.add_argument("--method", choices=("image", "feature"), default="feature")
-    p.add_argument("--gamma", type=float, default=1e-6, help="ridge penalty")
-    p.add_argument("--grid-points", type=int, default=9)
-    p.add_argument("--sweeps", type=int, default=2)
-    _add_edge_flags(p)
+    p.add_argument("--gamma", type=float, default=HEAD_GAMMA,
+                   help="ridge penalty (default: %(default)s)")
+    p.add_argument("--grid-points", type=int, default=GRID_POINTS)
+    p.add_argument("--sweeps", type=int, default=SWEEPS)
+    _add_config_flags(p)
     p.add_argument("--out", required=True, help="parameter file output path")
     p.set_defaults(func=_cmd_fit)
 

@@ -33,6 +33,7 @@ from .image_core import as_image, as_stack
 from .filters import _correlate, _stencil, correlate_reflect
 from .guidance import EdgeWeightConfig, transfer_target
 from .spectral import (
+    DEFAULT_SYMBOL_MODE,
     FIVE_POINT,
     _squared_symbol,
     build_rhs,
@@ -61,6 +62,10 @@ __all__ = [
 # Search interval for log(lambda_c) and the fixed starting point e^0.1.
 LOG_LAMBDA_BOUNDS = (-4.0, 4.0)
 INIT_LOG_LAMBDA = 0.1
+# Default search settings: head ridge penalty, samples per scan, most passes.
+HEAD_GAMMA = 1e-6
+GRID_POINTS = 9
+SWEEPS = 2
 
 
 def _frozen_stencil(values) -> np.ndarray:
@@ -279,7 +284,8 @@ def _solved_coeffs(d_hat, t_hat, lap_symbol, symbol_sq, lam: float, out=None,
 
 
 def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: ReconstructionHead,
-                     edge_cfg: EdgeWeightConfig, symbol_mode: str = "derived") -> np.ndarray:
+                     edge_cfg: EdgeWeightConfig,
+                     symbol_mode: str = DEFAULT_SYMBOL_MODE) -> np.ndarray:
     """The feature-domain prediction as one sum over DCT frequencies.
 
     Equals ``apply_head(channel_solve(extract(l_up, bank, "depth"), phi_r,
@@ -538,8 +544,8 @@ def _search_log_lambda(f, grid_points: int):
 
 
 def fit_lambda(train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
-               head_gamma: float = 1e-6, grid_points: int = 9, sweeps: int = 2,
-               symbol_mode: str = "derived"):
+               head_gamma: float = HEAD_GAMMA, grid_points: int = GRID_POINTS,
+               sweeps: int = SWEEPS, symbol_mode: str = DEFAULT_SYMBOL_MODE):
     """Coordinate search for the per-channel regularization weights.
 
     ``train_triples`` is a sequence of (l_up, guide, target_hr) grids, the

@@ -33,6 +33,8 @@ __all__ = [
 # BT.601 luma weights, the conventional choice for 8-bit image files.
 _LUMA = (0.299, 0.587, 0.114)
 
+EDGE_MODES = ("none", "hard", "soft")
+
 
 @dataclass(frozen=True)
 class EdgeWeightConfig:
@@ -43,8 +45,8 @@ class EdgeWeightConfig:
     steepness: float = 50.0
 
     def __post_init__(self):
-        if self.mode not in ("none", "hard", "soft"):
-            raise ValueError(f"mode must be none/hard/soft, got {self.mode!r}")
+        if self.mode not in EDGE_MODES:
+            raise ValueError(f"mode must be one of {EDGE_MODES}, got {self.mode!r}")
         if not (0.0 < self.tau_quantile < 1.0):
             raise ValueError(f"tau_quantile must lie in (0, 1), got {self.tau_quantile}")
         if not (np.isfinite(self.steepness) and self.steepness > 0.0):

@@ -52,6 +52,7 @@ FIVE_POINT.setflags(write=False)
 
 
 SYMBOL_MODES = ("derived", "paper")
+DEFAULT_SYMBOL_MODE = "derived"
 
 
 def laplacian_apply(img) -> np.ndarray:

@@ -165,7 +165,7 @@ def scene_manifest(tmp_path_factory):
 def test_criterion_07_end_to_end_improvement(scene_manifest, tmp_path):
     s = 8
     base_cfg = PipelineConfig(method="image_domain", scale=s)
-    lam = fit_image_lambda(scene_manifest, base_cfg, s)
+    lam = fit_image_lambda(scene_manifest, base_cfg)
     cfg_img = PipelineConfig(method="image_domain", lam=lam, scale=s)
     cfg_bic = PipelineConfig(method="bicubic", scale=s)
     wins = 0
@@ -179,7 +179,7 @@ def test_criterion_07_end_to_end_improvement(scene_manifest, tmp_path):
     assert wins >= 4
 
     # feature pipeline fitted on the same (held-in) split
-    lambdas, head, _ = fit_feature_params(scene_manifest, base_cfg, s)
+    lambdas, head, _ = fit_feature_params(scene_manifest, base_cfg)
     params = tmp_path / "feature.params.json"
     cfg_feat = PipelineConfig(method="feature_domain", params_path=str(params), scale=s)
     save_params(params, cfg_feat, (lambdas, head))

@@ -295,10 +295,16 @@ def test_symbol_mode_validated_by_config():
         PipelineConfig(symbol_mode="exact")
 
 
-def test_run_image_requires_scale(tmp_path):
+def test_run_image_requires_scale(tmp_path, monkeypatch):
     manifest = build_manifest(tmp_path, n=1)
-    with pytest.raises(ValueError, match="scale"):
+    monkeypatch.setattr(bench, "_prepare", lambda *a: pytest.fail("entry prepared"))
+    with pytest.raises(ValueError, match="config carries no scale"):
         run_image(manifest.entries[0], PipelineConfig(method="bicubic"), "t")
+    # the fits take their scale from the config too
+    with pytest.raises(ValueError, match="config carries no scale"):
+        fit_image_lambda(manifest, PipelineConfig(method="image_domain"))
+    with pytest.raises(ValueError, match="config carries no scale"):
+        fit_feature_params(manifest, PipelineConfig(method="feature_domain"))
 
 
 def test_run_bench_counting_and_aggregates(tmp_path):
@@ -367,7 +373,7 @@ def test_csv_roundtrip_mean_exact(tmp_path):
 def test_fit_image_lambda_never_worse_than_unguided(tmp_path):
     manifest = build_manifest(tmp_path, n=3, M=64, N=64, seed=91)
     cfg = PipelineConfig(method="image_domain", scale=8)
-    lam = fit_image_lambda(manifest, cfg, 8, grid_points=9)
+    lam = fit_image_lambda(manifest, cfg)
 
     def pooled(lam_value):
         cfg_l = PipelineConfig(method="image_domain", lam=lam_value, scale=8)
@@ -436,10 +442,12 @@ def _mismatched_manifest(tmp_path, case):
 def test_fits_and_run_image_share_the_entry_checks(tmp_path, case, match):
     manifest = _mismatched_manifest(tmp_path, case)
     cfg = PipelineConfig(method="image_domain", scale=8)
-    with pytest.raises(ValueError, match=match):
-        fit_image_lambda(manifest, cfg, 8, grid_points=3)
-    with pytest.raises(ValueError, match=match):
-        fit_feature_params(manifest, cfg, 8, grid_points=3, sweeps=1)
+    match = f"^entry 'bad': ValueError: {match}"  # the text of the bench's ERROR rows
+    for fit in (lambda: fit_image_lambda(manifest, cfg, grid_points=3),
+                lambda: fit_feature_params(manifest, cfg, grid_points=3, sweeps=1)):
+        with pytest.raises(ValueError, match=match) as info:
+            fit()
+        assert isinstance(info.value.__cause__, ValueError)
     with pytest.raises(RuntimeError, match=match) as info:
         run_image(manifest.entries[0], cfg, "t")
     assert isinstance(info.value.__cause__, ValueError)
@@ -450,7 +458,7 @@ def test_head_only_fit_matches_pixel_head(tmp_path):
     # equations at the e^0.1 start equals the pixel-domain ridge fit
     manifest = build_manifest(tmp_path, n=2)
     cfg = PipelineConfig(method="feature_domain", scale=8)
-    lambdas, head, trace = fit_feature_params(manifest, cfg, 8, fit_lambdas=False)
+    lambdas, head, trace = fit_feature_params(manifest, cfg, fit_lambdas=False)
     assert trace == [] and np.all(lambdas == math.exp(INIT_LOG_LAMBDA))
     triples = []
     for entry in manifest.entries:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import os
 import re
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from gdsr import bench, cli
-from gdsr.bench import load_params
+from gdsr.bench import PipelineConfig, fit_feature_params, fit_image_lambda, load_params
 from gdsr.cli import build_parser, main
 from gdsr.feature_bank import ReconstructionHead
 from gdsr.imgio import load_image, load_pfm_grid, save_image
@@ -204,6 +206,25 @@ def test_fit_feature_checks_settings_before_preparing(tmp_path, monkeypatch, fla
               *flags, "--out", str(out)])
     assert len(prepared) == 0
     assert not out.exists()
+
+
+def test_parser_defaults_are_the_package_defaults():
+    parser = build_parser()
+    sr = parser.parse_args(["sr", "--depth", "d", "--rgb", "r", "--scale", "4", "--out", "o"])
+    fit = parser.parse_args(["fit", "--manifest", "m", "--scale", "4", "--out", "o"])
+    defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+    flags = ["edge_mode", "tau_quantile", "steepness", "symbol_mode", "antialias"]
+    want = PipelineConfig(method="image_domain", scale=4)
+    for args, names in [(sr, flags + ["lam", "params_path", "crop_border"]), (fit, flags)]:
+        for name in names:
+            assert getattr(args, name) == defaults[name], name
+        # the fields a subcommand has no flag for keep the config's defaults
+        assert cli._config_from_args(args, "image_domain", 4) == want
+    for fit_fn in (fit_feature_params, fit_image_lambda):
+        for name, param in inspect.signature(fit_fn).parameters.items():
+            flag = {"head_gamma": "gamma"}.get(name, name)
+            if flag in ("gamma", "grid_points", "sweeps"):
+                assert getattr(fit, flag) == param.default, (fit_fn.__name__, name)
 
 
 def test_fit_feature_params_file(tmp_path, capsys):
