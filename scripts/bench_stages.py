@@ -27,7 +27,11 @@ share one file:
 plus the commit, the numpy and scipy versions and os.cpu_count(). A
 "startup" block, recorded once per run rather than per size, holds
 `import_gdsr`: the wall time of a fresh `python -c "import gdsr"` with
-the same BLAS pinning and PYTHONPATH=src, in the same median/IQR form. The
+the same BLAS pinning and PYTHONPATH=src, in the same median/IQR form,
+and `first_transform`: the same for a fresh interpreter that imports gdsr
+and runs one 480x640 `dct2_forward`, which loads the transform's
+library. Both also record "maxrss_mb", the median of the children's own
+peak resident set (ru_maxrss), in MB of 2^20 bytes. The
 MEMORY_STAGES, two stages and the `bench --scales 4,8,16` verb, also
 record "peak_mb": the tracemalloc peak of one more
 call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
@@ -76,6 +80,8 @@ REPEATS = 7
 PARAMS = ROOT / "perfbench" / "feature_params.json"
 # Largest grid the fit-objective stage and the fit verb run at.
 OBJECTIVE_MAX_PIXELS = 480 * 640
+# Grid of the startup block's first transform.
+FIRST_TRANSFORM_SIZE = (480, 640)
 # Stages and verbs whose working set is recorded too.
 MEMORY_STAGES = ("transfer_target_hard", "spectral_predict", "verb_bench_scales")
 
@@ -207,11 +213,30 @@ def time_stage(fn) -> dict:
             "n": REPEATS}
 
 
-def startup() -> dict:
-    """The startup block: fresh interpreters importing the package."""
+def time_fresh(code: str) -> dict:
+    """time_stage of a fresh interpreter running code, plus "maxrss_mb":
+    the median of the timed children's own ru_maxrss, in MB of 2^20 bytes."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    cmd = [sys.executable, "-c", "import gdsr"]
-    return {"import_gdsr": time_stage(lambda: subprocess.run(cmd, env=env, check=True))}
+    report = "; import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    maxrss_kb = []
+
+    def run():
+        out = subprocess.run([sys.executable, "-c", code + report], env=env, check=True,
+                             capture_output=True, text=True)
+        maxrss_kb.append(int(out.stdout))
+
+    timed = time_stage(run)
+    timed["maxrss_mb"] = round(float(np.median(maxrss_kb[1:])) / 1024, 3)
+    return timed
+
+
+def startup() -> dict:
+    """The startup block: fresh interpreters importing the package, and
+    importing it and running one FIRST_TRANSFORM_SIZE forward transform."""
+    M, N = FIRST_TRANSFORM_SIZE
+    return {"import_gdsr": time_fresh("import gdsr"),
+            "first_transform": time_fresh(f"import gdsr, numpy; "
+                                          f"gdsr.dct2_forward(numpy.zeros(({M}, {N})))")}
 
 
 def commit() -> str:

@@ -19,7 +19,13 @@ config hash or printed line holds a temporary path:
 
 Each case records its printed lines and the sha256 of every file it
 wrote. The hashes depend on the numpy and scipy builds, so the file also
-records their versions.
+records their versions. They depend on OpenBLAS's thread count too:
+tests/golden.json holds the default threading of a 2-core machine. Under
+OPENBLAS_NUM_THREADS=1 the wide scene's `degrade` outputs (the
+low-resolution grid and the upsample, at x4 and x8) move in the last
+bits, and with them its image rows at x4 and x8, its feature row at x4
+and the x4 image and feature mean rows of both bench CSVs, and the
+feature fit's params file and final RMSE.
 """
 
 from __future__ import annotations

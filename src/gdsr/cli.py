@@ -123,6 +123,12 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.method == "image":
+        for flag, value, default in (("--gamma", args.gamma, HEAD_GAMMA),
+                                     ("--sweeps", args.sweeps, SWEEPS),
+                                     ("--mode", args.mode, "both")):
+            if value != default:
+                raise SystemExit(f"{flag} applies to --method feature only, got {value!r}")
     manifest = load_manifest(args.manifest)
     s = check_scale(args.scale)
     cfg = _config_from_args(args, _METHOD_ALIASES[args.method], s)

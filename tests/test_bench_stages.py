@@ -7,6 +7,10 @@ import sys
 import types
 from pathlib import Path
 
+# Imported before the script pins OPENBLAS_NUM_THREADS=1, so that OpenBLAS
+# starts with the default threading that tests/golden.json was made with
+# even when this module is the first in the run to load numpy.
+import numpy  # noqa: F401
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_stages.py"
@@ -55,3 +59,14 @@ def test_startup_times_a_fresh_import(stage_script):
     stage_script.REPEATS = 1
     timed = stage_script.startup()["import_gdsr"]
     assert timed["n"] == 1 and timed["median_ms"] > 0
+
+
+def test_startup_times_a_fresh_first_transform(stage_script):
+    stage_script.REPEATS = 1
+    stage_script.FIRST_TRANSFORM_SIZE = (8, 8)
+    startup = stage_script.startup()
+    timed = startup["first_transform"]
+    assert timed["n"] == 1 and timed["median_ms"] > 0
+    # the child holds at least the interpreter and numpy
+    assert startup["import_gdsr"]["maxrss_mb"] > 1
+    assert timed["maxrss_mb"] >= startup["import_gdsr"]["maxrss_mb"] - 1

@@ -13,7 +13,7 @@ import pytest
 from gdsr import bench, cli
 from gdsr.bench import PipelineConfig, fit_feature_params, fit_image_lambda, load_params
 from gdsr.cli import build_parser, main
-from gdsr.feature_bank import ReconstructionHead
+from gdsr.feature_bank import HEAD_GAMMA, SWEEPS, ReconstructionHead
 from gdsr.imgio import load_image, load_pfm_grid, save_image
 from gdsr.resample import bicubic_downsample
 
@@ -188,6 +188,32 @@ def test_fit_image_checks_grid_points_before_preparing(tmp_path, monkeypatch):
         main(["fit", "--manifest", str(manifest), "--scale", "4", "--method", "image",
               "--grid-points", "0", "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--gamma", "-1"], "--gamma applies to --method feature only, got -1.0"),
+    (["--gamma", "nan"], "--gamma applies to --method feature only, got nan"),
+    (["--sweeps", "3"], "--sweeps applies to --method feature only, got 3"),
+    (["--mode", "head"], "--mode applies to --method feature only, got 'head'"),
+], ids=["gamma", "gamma-nan", "sweeps", "mode"])
+def test_fit_image_rejects_feature_flags_before_loading(tmp_path, monkeypatch, flags, match):
+    manifest = make_manifest(tmp_path, n=1)
+    monkeypatch.setattr(cli, "load_manifest", lambda *a: pytest.fail("manifest loaded"))
+    out = tmp_path / "image.params.json"
+    with pytest.raises(SystemExit, match=re.escape(match)):
+        main(["fit", "--manifest", str(manifest), "--scale", "4", "--method", "image",
+              *flags, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_fit_image_accepts_feature_flags_at_their_defaults(tmp_path):
+    manifest = make_manifest(tmp_path, n=1)
+    out = tmp_path / "image.params.json"
+    assert main(["fit", "--manifest", str(manifest), "--scale", "4", "--method", "image",
+                 "--grid-points", "3", "--gamma", str(HEAD_GAMMA), "--sweeps", str(SWEEPS),
+                 "--mode", "both",
+                 "--out", str(out)]) == 0
+    assert load_params(out)["method"] == "image"
 
 
 @pytest.mark.parametrize("flags, match", [

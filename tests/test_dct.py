@@ -1,6 +1,15 @@
+import os
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import fft
 
+from gdsr import dct
 from gdsr.dct import dct2_forward, dct2_inverse
 
 from oracles import dct2_naive, literal_dct2
@@ -84,3 +93,72 @@ def test_naive_size_guard():
 def test_naive_rejects_unknown_direction():
     with pytest.raises(ValueError, match="direction"):
         dct2_naive(np.zeros((2, 2)), "backward")
+
+
+# (unchecked form, public form, the scipy.fft function whose bytes both must give)
+TRANSFORMS = [(dct._dct2, dct2_forward, fft.dctn), (dct._idct2, dct2_inverse, fft.idctn)]
+
+
+def grid_source(seed, M, N, sliced):
+    """A callable giving a fresh copy of one seeded M x N grid per call:
+    C-contiguous, or a column-sliced view of a wider grid."""
+    base = np.random.default_rng(seed).standard_normal((M, N + 3 if sliced else N)) * 10.0
+    cols = slice(1, N + 1) if sliced else slice(None)
+    return lambda: base.copy()[:, cols]
+
+
+def assert_scipy_fft_bytes(fresh, overwrite):
+    for unchecked, public, oracle in TRANSFORMS:
+        want = oracle(fresh(), type=2, norm="ortho", overwrite_x=overwrite)
+        for got in (unchecked(fresh(), overwrite), public(fresh())):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(1, 64), N=st.integers(1, 64), sliced=st.booleans(),
+       overwrite=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_transforms_give_the_bytes_of_scipy_fft(M, N, sliced, overwrite, seed):
+    assert_scipy_fft_bytes(grid_source(seed, M, N, sliced), overwrite)
+
+
+@pytest.mark.parametrize("overwrite", [False, True])
+def test_missing_binding_falls_back_to_scipy_fft(monkeypatch, overwrite):
+    monkeypatch.setattr(dct, "_BINDING_FILE", os.path.join("fft", "_pocketfft", "missing"))
+    monkeypatch.delitem(sys.modules, dct._BINDING, raising=False)
+    monkeypatch.setattr(dct, "_r2r", None)
+    assert dct._binding() is None
+    assert_scipy_fft_bytes(grid_source(15, 37, 53, sliced=True), overwrite)
+    assert dct._r2r is dct._scipy_fft_r2r
+
+
+def test_first_transform_on_many_threads_loads_once(monkeypatch):
+    threads = 8
+    monkeypatch.setattr(dct, "_r2r", None)
+    calls, binding = [], dct._binding
+
+    def slow_binding():
+        # as slow as loading the file, so that racing threads meet here
+        calls.append(1)
+        time.sleep(0.05)
+        return binding()
+
+    monkeypatch.setattr(dct, "_binding", slow_binding)
+    fresh = grid_source(16, 24, 40, sliced=False)
+    barrier = threading.Barrier(threads)
+
+    def transform(x):
+        barrier.wait(timeout=30)
+        return dct._dct2(x)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(transform, fresh()) for _ in range(threads)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1
+    want = fft.dctn(fresh(), type=2, norm="ortho")
+    assert all(r.tobytes() == want.tobytes() for r in results)

@@ -1,7 +1,8 @@
 """What a fresh interpreter loads: `import gdsr` brings numpy and the
-standard library only, and scipy comes in at the first transform or soft
-edge weight. The test process already holds scipy, so each check runs
-`gdsr.cli.main` in a new interpreter."""
+standard library only. The first transform loads scipy's pocketfft
+binding alone, not scipy.fft or scipy.special, and the first soft edge
+weight imports scipy.special. The test process already holds scipy, so
+each check runs `gdsr.cli.main` in a new interpreter."""
 
 import json
 import os
@@ -20,18 +21,31 @@ from scenes import make_scene, write_scene_files
 
 ROOT = Path(__file__).resolve().parent.parent
 PARAMS = ROOT / "perfbench" / "feature_params.json"
+BINDING = "scipy.fft._pocketfft.pypocketfft"
 
 # Runs each argv of the JSON list in argv[1] through gdsr.cli.main and
 # prints one JSON line before the first and after each: the error it
-# raised, if any, and the scipy.fft / scipy.special modules then loaded.
+# raised, if any, the scipy.fft / scipy.special modules then loaded, and
+# how often the pocketfft binding's extension file has been loaded so far.
 RUNNER = """
-import contextlib, json, sys
+import contextlib, importlib.machinery, json, sys
 import gdsr, gdsr.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith(("scipy.fft", "scipy.special")))
+loads = []
+create_module = importlib.machinery.ExtensionFileLoader.create_module
 
-print(json.dumps({"error": None, "scipy": scipy_modules()}), flush=True)
+def counted(self, spec):
+    if spec.name == "scipy.fft._pocketfft.pypocketfft":
+        loads.append(spec.origin)
+    return create_module(self, spec)
+
+importlib.machinery.ExtensionFileLoader.create_module = counted
+
+def state(error):
+    scipy = sorted(m for m in sys.modules if m.startswith(("scipy.fft", "scipy.special")))
+    return json.dumps({"error": error, "scipy": scipy, "binding_loads": len(loads)})
+
+print(state(None), flush=True)
 for argv in json.loads(sys.argv[1]):
     error = None
     try:
@@ -39,7 +53,7 @@ for argv in json.loads(sys.argv[1]):
             gdsr.cli.main(argv)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
-    print(json.dumps({"error": error, "scipy": scipy_modules()}), flush=True)
+    print(state(error), flush=True)
 """
 
 
@@ -78,15 +92,25 @@ def test_import_and_untransformed_commands_load_no_scipy(tmp_path):
              "--out", str(tmp_path / "r.csv")]
     sr = ["sr", "--depth", str(lr), "--rgb", str(tmp_path / "s0_rgb.ppm"), "--scale", "4",
           "--out", str(tmp_path / "pred.pgm")]
+    feature = ["--method", "feature", "--params", str(PARAMS)]
     lines = run_fresh([bench + ["--no-timing"], sr + ["--method", "bicubic"],
-                       bench + ["--threads", "0"], sr + ["--method", "image"]])
-    imported, bench_done, sr_done, zero_threads, image_done = lines
+                       bench + ["--threads", "0"], sr + ["--method", "image"], sr + feature,
+                       sr + feature + ["--edge", "none"],
+                       sr + ["--method", "image", "--edge", "soft"]])
+    (imported, bench_done, sr_done, zero_threads,
+     image_done, feature_done, none_done, soft_done) = lines
     for line in (imported, bench_done, sr_done, zero_threads):
-        assert line["scipy"] == []
+        assert line["scipy"] == [] and line["binding_loads"] == 0
     assert bench_done["error"] is sr_done["error"] is None
     assert zero_threads["error"] == "ValueError: thread count must be >= 1, got 0"
-    # the first transform loads it, so the checks above are not vacuous
-    assert image_done["error"] is None and "scipy.fft" in image_done["scipy"]
+    # the first transform loads scipy's pocketfft binding and nothing else of
+    # scipy.fft or scipy.special, so the checks above are not vacuous
+    for line in (image_done, feature_done, none_done):
+        assert line["error"] is None
+        assert line["scipy"] == [BINDING] and line["binding_loads"] == 1
+    # a soft edge weight imports scipy.special for expit, and still no scipy.fft
+    assert soft_done["error"] is None and "scipy.special" in soft_done["scipy"]
+    assert [m for m in soft_done["scipy"] if m.startswith("scipy.fft")] == [BINDING]
 
 
 def test_first_scipy_import_on_two_pool_threads_gives_the_same_csv(tmp_path):
@@ -105,7 +129,9 @@ def test_first_scipy_import_on_two_pool_threads_gives_the_same_csv(tmp_path):
              "--threads", "2", "--no-timing", "--out"]
     imported, done = run_fresh([bench + [str(fresh)]])
     assert imported["scipy"] == [] and done["error"] is None
-    assert {"scipy.fft", "scipy.special"} <= set(done["scipy"])
+    # both workers transform first together, and the binding is loaded once
+    assert done["binding_loads"] == 1
+    assert {BINDING, "scipy.special"} <= set(done["scipy"]) and "scipy.fft" not in done["scipy"]
     assert main(bench + [str(here)]) == 0
     assert fresh.read_bytes() == here.read_bytes()
     assert ERROR_MARKER not in here.read_text()
