@@ -16,9 +16,11 @@ the same files as the bench does: the depth grid and the guide's
 luminance, checked against each other. Stages marked cold go through no
 cache: the resample matrices are built by the uncached
 `_axis_weights.__wrapped__` and `stencil_symbol` is called directly,
-below `symbol_for`'s cache. `lambda_objective_evaluate` is one fit-objective evaluation, at
-480x640 only: at 1024x1376 the objective's coefficient rows alone take
-about 270 MB. The result for --label is stored under that key of --out, next
+below `symbol_for`'s cache. `lambda_objective_evaluate` is one fit-objective evaluation
+and `lambda_objective_build` the objective's construction on two triples
+of the scene, both at 480x640 only: the objective holds 176 bytes per
+training pixel, about 236 MB for one 1024x1376 triple, and two 480x640
+triples peak at 108 MB. The result for --label is stored under that key of --out, next
 to any other labels already in the file, so runs of two checkouts can
 share one file:
 
@@ -32,7 +34,7 @@ and `first_transform`: the same for a fresh interpreter that imports gdsr
 and runs one 480x640 `dct2_forward`, which loads the transform's
 library. Both also record "maxrss_mb", the median of the children's own
 peak resident set (ru_maxrss), in MB of 2^20 bytes. The
-MEMORY_STAGES, two stages and the `bench --scales 4,8,16` verb, also
+MEMORY_STAGES, three stages and the `bench --scales 4,8,16` verb, also
 record "peak_mb": the tracemalloc peak of one more
 call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
 what the call allocates and holds at once, caches filled beforehand.
@@ -83,7 +85,8 @@ OBJECTIVE_MAX_PIXELS = 480 * 640
 # Grid of the startup block's first transform.
 FIRST_TRANSFORM_SIZE = (480, 640)
 # Stages and verbs whose working set is recorded too.
-MEMORY_STAGES = ("transfer_target_hard", "spectral_predict", "verb_bench_scales")
+MEMORY_STAGES = ("transfer_target_hard", "spectral_predict", "lambda_objective_build",
+                 "verb_bench_scales")
 
 
 def load_stages(gt, rgb) -> dict:
@@ -143,6 +146,8 @@ def stages(M: int, N: int) -> dict:
         objective = _LambdaObjective([(up, guide, gt)], bank, edge, HEAD_GAMMA,
                                      DEFAULT_SYMBOL_MODE)
         timed["lambda_objective_evaluate"] = lambda: objective.evaluate(3, 2.0)
+        timed["lambda_objective_build"] = lambda: _LambdaObjective(
+            [(up, guide, gt)] * 2, bank, edge, HEAD_GAMMA, DEFAULT_SYMBOL_MODE)
     return timed
 
 

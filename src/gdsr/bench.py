@@ -43,7 +43,7 @@ from .feature_bank import (
 from .guidance import EdgeWeightConfig, transfer_target
 from .image_core import as_image
 from .imgio import load_image, load_luminance
-from .resample import _crop, check_scale, degrade
+from .resample import _crop, _degrade, check_scale
 from .spectral import (DEFAULT_SYMBOL_MODE, SYMBOL_MODES, _denominator, _laplacian, _rhs,
                        _solve, _squared_symbol, symbol_for)
 
@@ -449,10 +449,10 @@ def _crop_and_degrade(depth: np.ndarray, guide: np.ndarray, s: int,
                       antialias: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The grids (gt, up, guide) of one loaded entry at a checked scale
     ``s``: depth and luminance cropped bottom/right to a multiple of the
-    scale, and the degraded-then-upsampled depth on that grid. The crops
-    do not rescan the grids, which the decoder has checked."""
+    scale, and the degraded-then-upsampled depth on that grid. Neither the
+    crops nor the resamples rescan the grids, which the decoder has checked."""
     gt = _crop(depth, s)
-    _, up = degrade(gt, s, antialias)
+    _, up = _degrade(gt, s, antialias)
     return gt, up, _crop(guide, s)
 
 

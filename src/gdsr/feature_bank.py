@@ -239,6 +239,14 @@ def apply_head(features, head: ReconstructionHead) -> np.ndarray:
     return np.tensordot(head.weights, features, axes=(0, 0)) + head.bias
 
 
+def _row_index(stencils) -> list[int]:
+    """Each stencil's index among the distinct ones, in order of first use:
+    its row in the fit objective, its shared target in :func:`_channel_coeffs`.
+    ddx and ddy have the same bytes, so the shape is part of the key."""
+    rows = {}
+    return [rows.setdefault((st.shape, st.tobytes()), len(rows)) for st in stencils]
+
+
 def _channel_coeffs(l_up, guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, channels):
     """Yield (c, Lambda_Kc dct(l_up), dct(T_c)) for each c in ``channels``:
     K_c is pair c's depth stencil, diagonal in the DCT, and T_c the transfer
@@ -252,8 +260,7 @@ def _channel_coeffs(l_up, guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, c
     """
     shape = np.shape(l_up)
     l_hat = _dct2(l_up)
-    # ddx and ddy have the same bytes, so the shape is part of the key
-    keys = [(g.shape, g.tobytes()) for g in (bank.pairs[c].guide_filter for c in channels)]
+    keys = _row_index([bank.pairs[c].guide_filter for c in channels])
     shared = {}
     for k, c in enumerate(channels):
         pair = bank.pairs[c]
@@ -396,14 +403,21 @@ class _LambdaObjective:
     needs: <H_c, H_d> = <dct H_c, dct H_d>, <H_c, y> = <dct H_c, dct y>
     and <H_c, 1> = sqrt(MN) * dct(H_c)[0, 0]. The training triples are
     validated and transformed once here, through the same
-    :func:`_channel_coeffs` as prediction, into one flattened coefficient
-    row per channel that spans all triples.
+    :func:`_channel_coeffs` as prediction, into flattened coefficient rows
+    that span all triples: one d_hat row per distinct depth stencil and
+    one t_hat row per distinct guide stencil (:func:`_row_index`), with
+    the symbols kept once per shape.
 
     The accepted state starts at lambda_c = e^0.1 for every channel and
     is the solved coefficient stack at the accepted weights plus its
     normal equations (G, b), which also give the fitted head. Moving
     channel c changes only row and column c of G and entry c of b, so one
     evaluation costs O(C * pixels): no transform, no copy, no rebuild.
+
+    The default bank needs 4 depth rows, 7 guide rows, 8 solved rows, the
+    target row and 2 work rows: 22 rows, 176 bytes per training pixel. Two
+    triples of 480x640 hold 103 MB and peak at 108 MB while they are built
+    (MB of 2^20 bytes).
     """
 
     def __init__(self, train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
@@ -423,27 +437,39 @@ class _LambdaObjective:
         sizes = [target.size for *_, target in triples]
         bounds = np.cumsum([0] + sizes)
         self.n_pixels = int(bounds[-1])
-        self.d_hat = np.empty((C, self.n_pixels))
-        self.t_hat = np.empty((C, self.n_pixels))
-        self.lap_symbol = np.empty(self.n_pixels)
-        self.sym_sq = np.empty(self.n_pixels)
+        self.d_row = _row_index([p.depth_filter for p in bank.pairs])
+        self.t_row = _row_index([p.guide_filter for p in bank.pairs])
+        self.d_hat = np.empty((max(self.d_row) + 1, self.n_pixels))
+        self.t_hat = np.empty((max(self.t_row) + 1, self.n_pixels))
         self.y_hat = np.empty(self.n_pixels)
+        # (lo, hi, lap_symbol, sym_sq) per run of consecutive triples of one
+        # shape, in triple order: the flat row order fixes the bits of every
+        # product over the rows, so triples are never regrouped by shape.
+        symbols, self._runs, last = {}, [], None
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
-            self.sym_sq[lo:hi] = _squared_symbol(symbol_mode, *target.shape).ravel()
-            self.lap_symbol[lo:hi] = symbol_for("derived", target.shape).ravel()
+            shape = target.shape
+            if shape not in symbols:
+                symbols[shape] = (symbol_for("derived", shape).ravel(),
+                                  _squared_symbol(symbol_mode, *shape).ravel())
+            if shape == last:
+                self._runs[-1][1] = hi
+            else:
+                self._runs.append([lo, hi, *symbols[shape]])
+            last = shape
             self.y_hat[lo:hi] = _dct2(target).ravel()
             for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg, range(C)):
-                self.d_hat[c, lo:hi] = d_hat.ravel()
-                self.t_hat[c, lo:hi] = t_hat.ravel()
+                self.d_hat[self.d_row[c], lo:hi] = d_hat.ravel()
+                self.t_hat[self.t_row[c], lo:hi] = t_hat.ravel()
         # dct(1) = sqrt(MN) e_0: the bias column lives in each triple's DC slot
         self.dc_idx = bounds[:-1]
         self.dc_scale = np.sqrt(sizes)
         # Work rows reused by every evaluation: fresh pixel-sized temporaries
-        # would cost page faults on each allocation.
-        self._coeffs, self._scratch, self._resid = np.empty((3, self.n_pixels))
+        # would cost page faults on each allocation. The divisor row is dead
+        # once solve returns, so the residual reuses it.
+        self._coeffs, self._den = np.empty((2, self.n_pixels))
 
         self.lambdas = np.full(C, math.exp(INIT_LOG_LAMBDA))
-        self.h_hat = np.empty_like(self.d_hat)
+        self.h_hat = np.empty((C, self.n_pixels))
         for c in range(C):
             self.h_hat[c] = self.solve(c, self.lambdas[c])
         self.G = np.empty((C + 1, C + 1))
@@ -453,9 +479,20 @@ class _LambdaObjective:
         self.b = np.append(self.h_hat @ self.y_hat, self.y_hat[self.dc_idx] @ self.dc_scale)
 
     def solve(self, c: int, lam: float) -> np.ndarray:
-        """Channel c's coefficients at lam; valid until the next call."""
-        return _solved_coeffs(self.d_hat[c], self.t_hat[c], self.lap_symbol, self.sym_sq,
-                              lam, self._coeffs, self._scratch)
+        """Channel c's coefficients at lam; valid until the next call. At
+        lam = 0 they are channel c's depth row itself, which callers must
+        not write."""
+        d_hat = self.d_hat[self.d_row[c]]
+        if lam == 0.0:
+            return d_hat
+        t_hat = self.t_hat[self.t_row[c]]
+        for lo, hi, lap_symbol, sym_sq in self._runs:
+            # the run's rows as (triples, M*N), each shape's symbols broadcast
+            rows = (-1, lap_symbol.size)
+            _solved_coeffs(d_hat[lo:hi].reshape(rows), t_hat[lo:hi].reshape(rows),
+                           lap_symbol, sym_sq, lam, self._coeffs[lo:hi].reshape(rows),
+                           self._den[lo:hi].reshape(rows))
+        return self._coeffs
 
     def head(self) -> ReconstructionHead:
         """The ridge head of the accepted state's normal equations."""
@@ -483,8 +520,10 @@ class _LambdaObjective:
         weights = coef[:-1]
         w_c = weights[c]
         weights[c] = 0.0
-        resid = np.dot(weights, self.h_hat, out=self._resid)
-        resid += np.multiply(h, w_c, out=self._scratch)
+        resid = np.dot(weights, self.h_hat, out=self._den)
+        # h * w_c goes into the coefficient row, in place unless h is a
+        # depth row (lam = 0), which is never written
+        resid += np.multiply(h, w_c, out=self._coeffs)
         resid -= self.y_hat
         resid[self.dc_idx] += coef[-1] * self.dc_scale
         return math.sqrt(float(resid @ resid) / self.n_pixels)

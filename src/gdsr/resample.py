@@ -14,6 +14,10 @@ antialias), so each is built once and cached, read-only: building one is
 cheap, but a fresh one is a fresh allocation of up to a few MB whose
 pages fault in again on every resample. The cache holds the 12 matrices
 of a three-scale benchmark of one shape, about 20 MB at 1024x1376.
+
+The public functions check their inputs. The bench and the fits degrade
+grids that the decoder has already checked, through :func:`_degrade`,
+which does not scan them again.
 """
 
 from __future__ import annotations
@@ -93,9 +97,15 @@ def bicubic_downsample(img, s: int, antialias: bool = True) -> np.ndarray:
     """
     img = as_image(img)
     s = check_scale(s)
-    M, N = img.shape
-    if M % s or N % s:
+    if img.shape[0] % s or img.shape[1] % s:
         raise ValueError(f"dimensions {img.shape} not divisible by scale {s}")
+    return _downsample(img, s, antialias)
+
+
+def _downsample(img: np.ndarray, s: int, antialias: bool) -> np.ndarray:
+    """:func:`bicubic_downsample` of a checked grid by a checked scale that
+    divides it, with no scan of the grid."""
+    M, N = img.shape
     wr = _axis_weights(M, M // s, antialias)
     wc = _axis_weights(N, N // s, antialias)
     return wr @ img @ wc.T
@@ -103,8 +113,11 @@ def bicubic_downsample(img, s: int, antialias: bool = True) -> np.ndarray:
 
 def bicubic_upsample(img, s: int) -> np.ndarray:
     """Bicubic interpolation by an integer factor, output (M*s, N*s)."""
-    img = as_image(img)
-    s = check_scale(s)
+    return _upsample(as_image(img), check_scale(s))
+
+
+def _upsample(img: np.ndarray, s: int) -> np.ndarray:
+    """:func:`bicubic_upsample` of a checked grid by a checked scale."""
     M, N = img.shape
     wr = _axis_weights(M, M * s, False)
     wc = _axis_weights(N, N * s, False)
@@ -123,6 +136,18 @@ def degrade(gt, s: int, antialias: bool = True) -> tuple[np.ndarray, np.ndarray]
     lr = bicubic_downsample(gt, s, antialias)
     np.maximum(lr, 0.0, out=lr)
     up = bicubic_upsample(lr, s)
+    np.maximum(up, 0.0, out=up)
+    return lr, up
+
+
+def _degrade(gt: np.ndarray, s: int, antialias: bool) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`degrade` of a checked grid by a checked scale that divides it:
+    the same products with no scan of ``gt`` or of the reduced grid. Its
+    callers pass decoded grids, whose samples lie in float32's range, so
+    no product can overflow."""
+    lr = _downsample(gt, s, antialias)
+    np.maximum(lr, 0.0, out=lr)
+    up = _upsample(lr, s)
     np.maximum(up, 0.0, out=up)
     return lr, up
 

@@ -14,6 +14,11 @@ each checked against its own oracle, as the references for the
 prediction, the lambda search and the fitted head, which all work on
 DCT coefficients instead. The pixel chain is reference-only: no fit or
 prediction in the package runs it.
+
+The last, :class:`RowObjective`, shares the package's coefficient
+machinery on purpose: it is the fit objective with one coefficient row
+per channel, the reference that the package's shared-row layout must
+match bit for bit.
 """
 
 import math
@@ -21,18 +26,25 @@ from functools import lru_cache
 
 import numpy as np
 
+from gdsr.dct import _dct2
 from gdsr.feature_bank import (
     INIT_LOG_LAMBDA,
+    FilterBank,
+    ReconstructionHead,
+    _channel_coeffs,
+    _check_gamma,
+    _ridge_solve,
     _search_log_lambda,
+    _solved_coeffs,
     apply_head,
     channel_solve,
     extract,
     fit_head,
 )
-from gdsr.guidance import multichannel_edge_weight
+from gdsr.guidance import EdgeWeightConfig, multichannel_edge_weight
 from gdsr.image_core import as_image
 from gdsr.resample import bicubic_kernel
-from gdsr.spectral import laplacian_apply, symbol_for
+from gdsr.spectral import _squared_symbol, laplacian_apply, symbol_for
 
 
 def reflect_index(i: int, n: int) -> int:
@@ -344,3 +356,113 @@ def pixel_fit_lambda(train_triples, bank, edge_cfg, gamma, grid_points, sweeps,
         if not accepted:
             break
     return lambdas
+
+
+# The fit objective's earlier layout, kept as the bitwise reference for
+# _LambdaObjective: one d_hat and one t_hat row per channel and both symbols
+# repeated per pixel. Every evaluation has the same operands in the same order.
+class RowObjective:
+    """Training RMSE of the full pipeline as a function of one channel weight.
+
+    Everything is evaluated on DCT coefficients. The transform is
+    orthonormal, so Parseval gives every inner product the head fit
+    needs: <H_c, H_d> = <dct H_c, dct H_d>, <H_c, y> = <dct H_c, dct y>
+    and <H_c, 1> = sqrt(MN) * dct(H_c)[0, 0]. The training triples are
+    validated and transformed once here, through the same
+    :func:`_channel_coeffs` as prediction, into one flattened coefficient
+    row per channel that spans all triples.
+
+    The accepted state starts at lambda_c = e^0.1 for every channel and
+    is the solved coefficient stack at the accepted weights plus its
+    normal equations (G, b), which also give the fitted head. Moving
+    channel c changes only row and column c of G and entry c of b, so one
+    evaluation costs O(C * pixels): no transform, no copy, no rebuild.
+    """
+
+    def __init__(self, train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
+                 head_gamma, symbol_mode):
+        if len(train_triples) == 0:
+            raise ValueError("empty training set")
+        _check_gamma(head_gamma)
+        self.gamma = head_gamma
+        triples = [tuple(map(as_image, triple)) for triple in train_triples]
+        for l_up, guide, target in triples:
+            if not (l_up.shape == guide.shape == target.shape):
+                raise ValueError(f"training triple shapes differ: depth {l_up.shape}, "
+                                 f"guide {guide.shape}, target {target.shape}")
+
+        # Filled in place, triple by triple: the rows are the bulk of the memory.
+        C = self.channels = len(bank)
+        sizes = [target.size for *_, target in triples]
+        bounds = np.cumsum([0] + sizes)
+        self.n_pixels = int(bounds[-1])
+        self.d_hat = np.empty((C, self.n_pixels))
+        self.t_hat = np.empty((C, self.n_pixels))
+        self.lap_symbol = np.empty(self.n_pixels)
+        self.sym_sq = np.empty(self.n_pixels)
+        self.y_hat = np.empty(self.n_pixels)
+        for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
+            self.sym_sq[lo:hi] = _squared_symbol(symbol_mode, *target.shape).ravel()
+            self.lap_symbol[lo:hi] = symbol_for("derived", target.shape).ravel()
+            self.y_hat[lo:hi] = _dct2(target).ravel()
+            for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg, range(C)):
+                self.d_hat[c, lo:hi] = d_hat.ravel()
+                self.t_hat[c, lo:hi] = t_hat.ravel()
+        # dct(1) = sqrt(MN) e_0: the bias column lives in each triple's DC slot
+        self.dc_idx = bounds[:-1]
+        self.dc_scale = np.sqrt(sizes)
+        # Work rows reused by every evaluation: fresh pixel-sized temporaries
+        # would cost page faults on each allocation.
+        self._coeffs, self._scratch, self._resid = np.empty((3, self.n_pixels))
+
+        self.lambdas = np.full(C, math.exp(INIT_LOG_LAMBDA))
+        self.h_hat = np.empty_like(self.d_hat)
+        for c in range(C):
+            self.h_hat[c] = self.solve(c, self.lambdas[c])
+        self.G = np.empty((C + 1, C + 1))
+        self.G[:C, :C] = self.h_hat @ self.h_hat.T
+        self.G[:C, C] = self.G[C, :C] = self.h_hat[:, self.dc_idx] @ self.dc_scale
+        self.G[C, C] = self.n_pixels
+        self.b = np.append(self.h_hat @ self.y_hat, self.y_hat[self.dc_idx] @ self.dc_scale)
+
+    def solve(self, c: int, lam: float) -> np.ndarray:
+        """Channel c's coefficients at lam; valid until the next call."""
+        return _solved_coeffs(self.d_hat[c], self.t_hat[c], self.lap_symbol, self.sym_sq,
+                              lam, self._coeffs, self._scratch)
+
+    def head(self) -> ReconstructionHead:
+        """The ridge head of the accepted state's normal equations."""
+        coef = _ridge_solve(self.G, self.b, self.gamma)
+        return ReconstructionHead(coef[:-1], float(coef[-1]), self.gamma)
+
+    def _candidate(self, c: int, lam: float):
+        """Channel c's coefficients at lam and the normal equations with them."""
+        h = self.solve(c, lam)
+        row = self.h_hat @ h
+        row[c] = h @ h
+        G = self.G.copy()
+        G[c, :-1] = G[:-1, c] = row
+        G[c, -1] = G[-1, c] = h[self.dc_idx] @ self.dc_scale
+        b = self.b.copy()
+        b[c] = h @ self.y_hat
+        return h, G, b
+
+    def evaluate(self, c: int, lam: float) -> float:
+        """Training RMSE with channel c moved to lam, the others as accepted."""
+        h, G, b = self._candidate(c, lam)
+        coef = _ridge_solve(G, b, self.gamma)
+        # Residual sum_c w_c H_c + bias - y taken directly in coefficients:
+        # y'y - 2w'b + w'Gw would cancel badly near a good fit.
+        weights = coef[:-1]
+        w_c = weights[c]
+        weights[c] = 0.0
+        resid = np.dot(weights, self.h_hat, out=self._resid)
+        resid += np.multiply(h, w_c, out=self._scratch)
+        resid -= self.y_hat
+        resid[self.dc_idx] += coef[-1] * self.dc_scale
+        return math.sqrt(float(resid @ resid) / self.n_pixels)
+
+    def accept(self, c: int, lam: float) -> None:
+        h, self.G, self.b = self._candidate(c, lam)
+        self.h_hat[c] = h
+        self.lambdas[c] = lam

@@ -490,7 +490,7 @@ def test_run_bench_prepares_each_entry_once_per_scale_and_antialias(tmp_path, mo
     monkeypatch.setattr(bench, "load_image", lambda p: loads.append(p) or load_image(p))
     monkeypatch.setattr(bench, "load_luminance",
                         lambda p: loads.append(p) or load_luminance(p))
-    monkeypatch.setattr(bench, "degrade",
+    monkeypatch.setattr(bench, "_degrade",
                         lambda gt, s, aa: degrades.append((s, aa)) or degrade(gt, s, aa))
     records = run_bench(manifest, [2, 4], configs, threads=2, timing=False)
     # two files per entry, loaded once for both scales

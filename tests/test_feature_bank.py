@@ -37,7 +37,8 @@ from gdsr.spectral import (
     symbol_for,
 )
 
-from oracles import brute_correlate_reflect, pixel_fit_lambda, pixel_objective, pixel_predict
+from oracles import (RowObjective, brute_correlate_reflect, pixel_fit_lambda, pixel_objective,
+                     pixel_predict)
 from scenes import make_scene
 
 
@@ -353,6 +354,76 @@ def test_coefficient_solve_at_zero_lambda_is_bitwise():
     want = np.concatenate([(symbol_for("derived", l_up.shape, stencil)
                             * dct2_forward(l_up)).ravel() for l_up, *_ in triples])
     assert np.array_equal(obj.solve(3, 0.0), want)
+
+
+# Stencils that banks are drawn from. Each pool holds two stencils with the
+# same bytes and different shapes, so their rows must stay apart.
+_ROW = np.array([[0.25, 0.5, 0.25]])
+_DDX = np.array([[-0.5, 0.0, 0.5]])
+_DEPTH_POOL = (IDENTITY, gaussian_stencil(1.0, 5), FIVE_POINT, _ROW, _ROW.T)
+_GUIDE_POOL = (IDENTITY, gaussian_stencil(1.0, 5), _DDX, _DDX.T, log_stencil(1.0, 7))
+_ODD = st.integers(1, 6).map(lambda k: 2 * k + 1)
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(SYMBOL_MODES),
+       edge=st.sampled_from(["none", "hard", "soft"]), gamma=st.sampled_from([1e-8, 1e-6]))
+def test_shared_rows_keep_the_bits_of_one_row_per_channel(data, seed, mode, edge, gamma):
+    pairs = data.draw(st.one_of(st.none(), st.lists(st.tuples(st.integers(0, 4),
+                                                              st.integers(0, 4)),
+                                                    min_size=1, max_size=5)))
+    bank = default_bank() if pairs is None else FilterBank(tuple(
+        FilterPair(_DEPTH_POOL[d], _GUIDE_POOL[g], shared=False) for d, g in pairs))
+    # runs of one shape may interleave: shapes A, B, A are three runs
+    shapes = data.draw(st.lists(st.tuples(_ODD, _ODD), min_size=2, max_size=3, unique=True))
+    order = data.draw(st.lists(st.integers(0, len(shapes) - 1), min_size=1, max_size=4))
+    rng = np.random.default_rng(seed)
+    triples = []
+    for k in order:
+        l_up, guide = rng.random((2, *shapes[k]))
+        triples.append((l_up, guide, l_up + 0.1 * rng.standard_normal(shapes[k])))
+    cfg = EdgeWeightConfig(edge, tau_quantile=0.8)
+    got = _LambdaObjective(triples, bank, cfg, gamma, mode)
+    want = RowObjective(triples, bank, cfg, gamma, mode)
+    steps = st.tuples(st.sampled_from(["evaluate", "accept", "solve"]),
+                      st.integers(0, len(bank) - 1), _LAMBDA)
+    for op, c, lam in data.draw(st.lists(steps, min_size=1, max_size=8)):
+        if op == "accept":
+            got.accept(c, lam)
+            want.accept(c, lam)
+        else:
+            _assert_same_bits(getattr(got, op)(c, lam), getattr(want, op)(c, lam))
+        for name in ("h_hat", "G", "b", "lambdas"):
+            _assert_same_bits(getattr(got, name), getattr(want, name))
+    # the depth rows that solve returns at lambda = 0 were never written
+    for c in range(len(bank)):
+        _assert_same_bits(got.solve(c, 0.0), want.solve(c, 0.0))
+    head, want_head = got.head(), want.head()
+    _assert_same_bits(head.weights, want_head.weights)
+    _assert_same_bits([head.bias, head.gamma], [want_head.bias, want_head.gamma])
+
+
+def test_objective_holds_twenty_two_rows():
+    # default bank, one shape: 4 depth rows, 7 guide rows, 8 solved rows,
+    # the target row and 2 work rows
+    gt, rgb = make_scene(np.random.default_rng(0), 96, 128)
+    _, up = degrade(gt, 8)
+    triples = [(up, luminance(rgb), gt)] * 2
+    _LambdaObjective(triples, default_bank(), HARD, 1e-6, "derived")  # fills the symbol caches
+    tracemalloc.start()
+    try:
+        obj = _LambdaObjective(triples, default_bank(), HARD, 1e-6, "derived")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = 8 * obj.n_pixels
+    # plus the shape's two symbols, were they not cached, and a little slack
+    assert held <= 22 * row + 2 * gt.nbytes + 65536, f"{held / row:.2f} rows"
 
 
 def test_fit_lambda_matches_pixel_oracle_search():

@@ -10,6 +10,7 @@ from gdsr.resample import (
     crop_to_multiple,
     degrade,
     _axis_weights,
+    _degrade,
 )
 
 from oracles import loop_axis_weights, ref_resample_2d
@@ -68,6 +69,16 @@ def test_degrade_bytes_match_loop_oracle_products(s):
         loop_axis_weights(m, M, False) @ want_lr @ loop_axis_weights(n, N, False).T, 0.0)
     assert lr.tobytes() == want_lr.tobytes()
     assert up.tobytes() == want_up.tobytes()
+
+
+@pytest.mark.parametrize("antialias", [True, False])
+def test_private_degrade_keeps_the_public_bits(antialias):
+    # the bench passes cropped views of decoded grids, which are not contiguous
+    gt, _ = make_scene(np.random.default_rng(55), 101, 139)
+    for s in (4, 8):
+        crop = gt[: gt.shape[0] // s * s, : gt.shape[1] // s * s]
+        for got, want in zip(_degrade(crop, s, antialias), degrade(crop, s, antialias)):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("s", SCALE_FACTORS)
