@@ -34,7 +34,7 @@ and `first_transform`: the same for a fresh interpreter that imports gdsr
 and runs one 480x640 `dct2_forward`, which loads the transform's
 library. Both also record "maxrss_mb", the median of the children's own
 peak resident set (ru_maxrss), in MB of 2^20 bytes. The
-MEMORY_STAGES, three stages and the `bench --scales 4,8,16` verb, also
+MEMORY_STAGES, three stages and the two `bench` verbs, also
 record "peak_mb": the tracemalloc peak of one more
 call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
 what the call allocates and holds at once, caches filled beforehand.
@@ -86,7 +86,7 @@ OBJECTIVE_MAX_PIXELS = 480 * 640
 FIRST_TRANSFORM_SIZE = (480, 640)
 # Stages and verbs whose working set is recorded too.
 MEMORY_STAGES = ("transfer_target_hard", "spectral_predict", "lambda_objective_build",
-                 "verb_bench_scales")
+                 "verb_bench", "verb_bench_scales")
 
 
 def load_stages(gt, rgb) -> dict:

@@ -29,7 +29,6 @@ from .feature_bank import (
     ReconstructionHead,
     default_bank,
     fit_lambda,
-    spectral_predict,
     GRID_POINTS,
     HEAD_GAMMA,
     INIT_LOG_LAMBDA,
@@ -39,8 +38,9 @@ from .feature_bank import (
     _check_search,
     _search_log_lambda,
     _solved_coeffs,
+    _spectral_predict,
 )
-from .guidance import EdgeWeightConfig, transfer_target
+from .guidance import EdgeWeightConfig, _transfer_target
 from .image_core import as_image
 from .imgio import load_image, load_luminance
 from .resample import _crop, _degrade, check_scale
@@ -320,13 +320,40 @@ def rmse(pred: np.ndarray, gt: np.ndarray, crop_border: int = 0) -> float:
     unit scale to report metric units."""
     if pred.shape != gt.shape:
         raise ValueError(f"dimension mismatch: {pred.shape} vs {gt.shape}")
-    b = int(crop_border)
+    b = _border(gt.shape, crop_border)
     M, N = gt.shape
-    if b < 0 or 2 * b >= min(M, N):
-        raise ValueError(f"crop border {b} too large for {gt.shape}")
-    diff = pred[b : M - b, b : N - b] - gt[b : M - b, b : N - b]
-    diff *= diff  # in place: no second cropped-grid temporary
+    return _root_mean_square(pred[b : M - b, b : N - b] - gt[b : M - b, b : N - b])
+
+
+def _border(shape, crop_border: int) -> int:
+    """``crop_border`` as an int, checked to leave part of a grid of ``shape``."""
+    b = int(crop_border)
+    if b < 0 or 2 * b >= min(shape):
+        raise ValueError(f"crop border {b} too large for {shape}")
+    return b
+
+
+def _root_mean_square(diff: np.ndarray) -> float:
+    """sqrt(mean(diff^2)) of a C-contiguous grid, squared in place."""
+    diff *= diff
     return float(np.sqrt(np.mean(diff)))
+
+
+def _rmse_into(pred: np.ndarray, gt: np.ndarray, crop_border: int) -> float:
+    """:func:`rmse` of a prediction of gt's shape, taken in pred's own
+    buffer, which it overwrites. With a border, the cropped difference is
+    packed row by row at the start of the buffer; row i lands before the
+    first sample of source row i + b, so nothing is overwritten unread. The
+    mean then sums a C-contiguous grid of the same shape and samples as
+    rmse's fresh difference, so the result has its bits."""
+    b = _border(gt.shape, crop_border)
+    if b == 0:
+        return _root_mean_square(np.subtract(pred, gt, out=pred))
+    M, N = gt.shape
+    diff = pred.reshape(-1)[: (M - 2 * b) * (N - 2 * b)].reshape(M - 2 * b, N - 2 * b)
+    for i, row in enumerate(diff):
+        np.subtract(pred[b + i, b : N - b], gt[b + i, b : N - b], out=row)
+    return _root_mean_square(diff)
 
 
 def _number(obj: dict, key: str, where: str, default=None, nonnegative: bool = False,
@@ -404,30 +431,34 @@ def predict(up: np.ndarray, guide, cfg: PipelineConfig) -> np.ndarray:
         raise ValueError(f"depth {up.shape} does not match guide {np.shape(guide)}")
     if cfg.method == "bicubic":
         return up
-    return _predict(as_image(up), guide, cfg, _model(cfg), {})
+    return _predict(as_image(up), as_image(guide), cfg, _model(cfg))
 
 
-def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, memo: dict) -> np.ndarray:
-    """:func:`predict` of a checked ``up`` under ``cfg`` and its
-    :func:`_model`.
+def _guide_side(guide: np.ndarray, edge_cfg: EdgeWeightConfig) -> np.ndarray:
+    """The image-domain guide side lap(T) of a checked guide grid."""
+    return _laplacian(_transfer_target(guide, edge_cfg))
 
-    ``memo`` holds the image-domain guide side lap(T) of one guide, keyed
-    by (shape, edge config): the crops of one entry's guide that share a
-    shape are equal, and T depends on neither the scale nor lambda. A
-    record that finds no entry builds it and stores it for the next.
+
+def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, side=None) -> np.ndarray:
+    """:func:`predict` of checked grids under ``cfg`` and its :func:`_model`.
+
+    ``side`` is the image-domain guide side lap(T) of ``guide`` under
+    cfg's edge config, built here when it is None. The bench builds it
+    once per entry, cropped shape and edge config, and then may pass no
+    guide: an image-domain prediction reads none but through its side.
     """
     if cfg.method == "bicubic":
         return up
-    edge_cfg = cfg.edge_config()
     if cfg.method == "image_domain":
-        lam, key = model, (up.shape, edge_cfg)
-        if lam and key not in memo:  # lam = 0 reads no guide side
-            memo[key] = _laplacian(transfer_target(guide, edge_cfg))
+        lam = model
+        if lam and side is None:  # lam = 0 reads no guide side
+            side = _guide_side(guide, cfg.edge_config())
         denom = _denominator(cfg.symbol_mode, *up.shape, lam) if lam else None
-        h = _solve(_rhs(up, memo.get(key), lam), denom)
+        h = _solve(_rhs(up, side, lam), denom)
     else:
         bank, lambdas, head = model
-        h = spectral_predict(up, guide, bank, lambdas, head, edge_cfg, cfg.symbol_mode)
+        h = _spectral_predict(up, guide, bank, lambdas, head, cfg.edge_config(),
+                              cfg.symbol_mode)
     return np.maximum(h, 0.0, out=h)
 
 
@@ -445,21 +476,22 @@ def _load_entry(entry: DatasetEntry) -> tuple[np.ndarray, np.ndarray]:
     return depth, guide
 
 
-def _crop_and_degrade(depth: np.ndarray, guide: np.ndarray, s: int,
-                      antialias: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The grids (gt, up, guide) of one loaded entry at a checked scale
-    ``s``: depth and luminance cropped bottom/right to a multiple of the
-    scale, and the degraded-then-upsampled depth on that grid. Neither the
-    crops nor the resamples rescan the grids, which the decoder has checked."""
+def _crop_and_degrade(depth: np.ndarray, s: int, antialias: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The grids (gt, up) of a loaded depth grid at a checked scale ``s``:
+    the depth cropped bottom/right to a multiple of the scale, and its
+    degraded-then-upsampled grid. Neither the crop nor the resamples
+    rescan the grid, which the decoder has checked."""
     gt = _crop(depth, s)
     _, up = _degrade(gt, s, antialias)
-    return gt, up, _crop(guide, s)
+    return gt, up
 
 
 def _prepare(entry: DatasetEntry, s: int,
              antialias: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Load, check, crop and degrade one entry: the grids (gt, up, guide)."""
-    return _crop_and_degrade(*_load_entry(entry), s, antialias)
+    """Load, check, crop and degrade one entry: the grids (gt, up, guide),
+    the guide's luminance cropped as the depth is."""
+    depth, guide = _load_entry(entry)
+    return (*_crop_and_degrade(depth, s, antialias), _crop(guide, s))
 
 
 def _scale(cfg: PipelineConfig) -> int:
@@ -479,19 +511,6 @@ def _entry_error(entry: DatasetEntry, cause: str) -> str:
     return f"entry {entry.id!r}: {cause}"
 
 
-def _evaluate(entry: DatasetEntry, prepared, cfg: PipelineConfig, key: str, dataset: str,
-              model, memo: dict) -> tuple[np.ndarray, BenchRecord]:
-    """Super-resolve one prepared entry under ``cfg``, whose hash is
-    ``key``, and its :func:`_model`, and score it in metric units.
-    ``memo`` is the entry's :func:`_predict` memo."""
-    gt, up, guide = prepared
-    t0 = time.perf_counter()
-    pred = _predict(up, guide, cfg, model, memo)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
-    value = rmse(pred, gt, cfg.crop_border) * entry.depth_unit_scale
-    return pred, BenchRecord(dataset, entry.id, cfg.scale, cfg.method, key, value, runtime_ms)
-
-
 def run_image(entry: DatasetEntry, cfg: PipelineConfig,
               dataset: str = "") -> tuple[np.ndarray, BenchRecord]:
     """Degrade one manifest entry, super-resolve it, and measure RMSE.
@@ -503,11 +522,59 @@ def run_image(entry: DatasetEntry, cfg: PipelineConfig,
     """
     s = _scale(cfg)
     try:
-        prepared = _prepare(entry, s, cfg.antialias)
+        gt, up, guide = _prepare(entry, s, cfg.antialias)
         model = _model(cfg)
-        return _evaluate(entry, prepared, cfg, cfg.config_hash(), dataset, model, {})
+        t0 = time.perf_counter()
+        pred = _predict(up, guide, cfg, model)
+        runtime_ms = (time.perf_counter() - t0) * 1e3
+        value = rmse(pred, gt, cfg.crop_border) * entry.depth_unit_scale
+        return pred, BenchRecord(dataset, entry.id, s, cfg.method, cfg.config_hash(), value,
+                                 runtime_ms)
     except Exception as exc:
         raise RuntimeError(_entry_error(entry, _cause(exc))) from exc
+
+
+def _guide_sides(guide: np.ndarray, grid) -> dict:
+    """The image-domain guide sides of one entry's luminance grid, one per
+    (cropped shape, edge config) that a config of ``grid`` with lambda > 0
+    reads, built in canonical order: key -> [lap(T), or the cause of its
+    failed build, the ms its build took]. A scale the grid is too small
+    for reads none; its crop fails its records."""
+    sides = {}
+    for s, row in grid:
+        for cfg, _, model, _ in row:
+            if cfg.method != "image_domain" or not model:  # no lambda, or lambda = 0
+                continue
+            try:
+                cropped = _crop(guide, s)
+            except ValueError:
+                break
+            key = (cropped.shape, cfg.edge_config())
+            if key not in sides:
+                t0 = time.perf_counter()
+                try:
+                    side = _guide_side(cropped, key[1])
+                except Exception as exc:
+                    side = _cause(exc)
+                sides[key] = [side, (time.perf_counter() - t0) * 1e3]
+    return sides
+
+
+def _record(entry: DatasetEntry, dataset: str, prepared, cfg: PipelineConfig, key: str, model,
+            side, build_ms: float) -> BenchRecord:
+    """The bench record of one prepared entry, (gt, up, guide), under
+    ``cfg``, whose hash is ``key``, and its :func:`_model`: ``side`` is its
+    prebuilt image-domain guide side or None, and ``build_ms`` the build
+    time it still has to count. The error is taken in the prediction's own
+    buffer, which nothing keeps, except for bicubic: its prediction is
+    ``up`` itself, which the scale's other configs read."""
+    gt, up, guide = prepared
+    t0 = time.perf_counter()
+    pred = _predict(up, guide, cfg, model, side)
+    runtime_ms = (time.perf_counter() - t0) * 1e3 + build_ms
+    error = (rmse if pred is up else _rmse_into)(pred, gt, cfg.crop_border)
+    return BenchRecord(dataset, entry.id, cfg.scale, cfg.method, key,
+                       error * entry.depth_unit_scale, runtime_ms)
 
 
 def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]:
@@ -515,33 +582,53 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
     canonical order; ``grid`` pairs each scale with one (scaled config,
     hash, :func:`_model`, cause the model could not be read) per config.
 
-    The entry is loaded once, cropped and degraded once per (scale,
-    antialias), and its image-domain guide side built once per (cropped
-    shape, edge config). A failed load fails every record, a failed crop
-    those of its scale, an unreadable parameter file those of its config.
-    Causes are kept as text: a kept exception's traceback would hold this
-    task's grids. A scale's grids die before the next scale's are made.
+    The entry is loaded once. Its image-domain guide sides are built next,
+    before any degrade (:func:`_guide_sides`), and the luminance grid is
+    dropped unless a feature-domain config reads it. Each build's time
+    counts toward the first record that reads it. The depth is then
+    cropped and degraded once per (scale, antialias). A failed load fails
+    every record, a failed crop those of its scale, an unreadable
+    parameter file those of its config, and a failed guide side those
+    that read it. Causes are kept as text: a kept exception's traceback
+    would hold this task's grids. A scale's grids die before the next
+    scale's are made, and each record's error is taken in its own
+    prediction, so an image-domain entry at one cropped shape holds about
+    four grids at once: depth, guide side, up and prediction.
     """
-    records, memo = [], {}
     try:
-        loaded, load_cause = _load_entry(entry), None
+        depth, guide = _load_entry(entry)
     except Exception as exc:
-        loaded, load_cause = None, _cause(exc)
+        error = _entry_error(entry, _cause(exc))
+        return [BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0, error)
+                for s, row in grid for cfg, key, *_ in row]
+    sides = _guide_sides(guide, grid)
+    if not any(cfg.method == "feature_domain" and cause is None
+               for _, row in grid for cfg, _, _, cause in row):
+        guide = None
+    records = []
     for s, row in grid:
         prepared = {}  # antialias -> grids (gt, up, guide), or the cause they are missing
         for cfg, key, model, cause in row:
             aa = cfg.antialias
             if aa not in prepared:
-                try:  # a failed load fails every crop with its cause
-                    prepared[aa] = load_cause or _crop_and_degrade(*loaded, s, aa)
+                try:
+                    prepared[aa] = (*_crop_and_degrade(depth, s, aa),
+                                    None if guide is None else _crop(guide, s))
                 except Exception as exc:
                     prepared[aa] = _cause(exc)
             if isinstance(prepared[aa], str):
                 cause = prepared[aa]
+            side, build_ms = None, 0.0
+            if cause is None and cfg.method == "image_domain" and model:
+                built = sides[(prepared[aa][0].shape, cfg.edge_config())]
+                side, build_ms = built
+                built[1] = 0.0
+                if isinstance(side, str):
+                    cause = side
             if cause is None:
                 try:
-                    records.append(_evaluate(entry, prepared[aa], cfg, key, dataset, model,
-                                             memo)[1])
+                    records.append(_record(entry, dataset, prepared[aa], cfg, key, model, side,
+                                           build_ms))
                     continue
                 except Exception as exc:
                     cause = _cause(exc)
@@ -657,7 +744,7 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig,
     edge_cfg = cfg.edge_config()
     prepared = []
     for entry, (gt, up, guide) in _train_grids(manifest, cfg):
-        target = transfer_target(guide, edge_cfg)
+        target = _transfer_target(guide, edge_cfg)
         prepared.append((dct2_forward(up), dct2_forward(target),
                          symbol_for("derived", gt.shape),
                          _squared_symbol(cfg.symbol_mode, *gt.shape),
@@ -695,11 +782,15 @@ def fit_feature_params(manifest: DatasetManifest, cfg: PipelineConfig,
     _check_gamma(head_gamma)
     bank = default_bank()
     edge_cfg = cfg.edge_config()
-    triples = [(up, guide, gt) for _, (gt, up, guide) in _train_grids(manifest, cfg)]
+
+    def triples():
+        # passed as a temporary, so the grids die once the objective holds
+        # their coefficients, before the lambda search
+        return [(up, guide, gt) for _, (gt, up, guide) in _train_grids(manifest, cfg)]
 
     if fit_lambdas:
-        (lambdas, head), trace = fit_lambda(triples, bank, edge_cfg, head_gamma, grid_points,
+        (lambdas, head), trace = fit_lambda(triples(), bank, edge_cfg, head_gamma, grid_points,
                                             sweeps, cfg.symbol_mode)
         return lambdas, head, trace
-    obj = _LambdaObjective(triples, bank, edge_cfg, head_gamma, cfg.symbol_mode)
+    obj = _LambdaObjective(triples(), bank, edge_cfg, head_gamma, cfg.symbol_mode)
     return obj.lambdas, obj.head(), []

@@ -31,7 +31,7 @@ import numpy as np
 from .dct import _dct2, _idct2
 from .image_core import as_image, as_stack
 from .filters import _correlate, _stencil, correlate_reflect
-from .guidance import EdgeWeightConfig, transfer_target
+from .guidance import EdgeWeightConfig, _transfer_target
 from .spectral import (
     DEFAULT_SYMBOL_MODE,
     FIVE_POINT,
@@ -247,38 +247,38 @@ def _row_index(stencils) -> list[int]:
     return [rows.setdefault((st.shape, st.tobytes()), len(rows)) for st in stencils]
 
 
-def _channel_coeffs(l_up, guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, channels):
-    """Yield (c, Lambda_Kc dct(l_up), dct(T_c)) for each c in ``channels``:
-    K_c is pair c's depth stencil, diagonal in the DCT, and T_c the transfer
-    target of pair c's guide feature. Pairs with one guide stencil share
-    one dct(T_c), which is kept only until its last pair is yielded. The
-    callers validate the inputs.
+def _channel_coeffs(guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, channels):
+    """Yield (c, dct(T_c), kept) for each c in ``channels``: T_c is the
+    transfer target of pair c's guide feature. Pairs with one guide stencil
+    share one dct(T_c), which is kept only until its last pair is yielded;
+    ``kept`` says a later pair will be yielded it too, so the caller may
+    write it only when ``kept`` is False. The callers validate the inputs.
 
-    The guide side comes first and T_c is transformed in its own buffer,
-    so the guide feature and its target are freed before d_hat exists;
-    d_hat is not kept here past its yield.
+    The guide feature is freed once its Laplacian exists and T_c is
+    transformed in its own buffer, so a channel's guide side holds at most
+    two grids besides the kept targets. A target is not kept here past its
+    pair's yield: the next pair's lookup drops it before the next build.
     """
-    shape = np.shape(l_up)
-    l_hat = _dct2(l_up)
     keys = _row_index([bank.pairs[c].guide_filter for c in channels])
     shared = {}
     for k, c in enumerate(channels):
-        pair = bank.pairs[c]
         t_hat = shared.pop(keys[k], None)
         if t_hat is None:
-            t_hat = _dct2(transfer_target(_correlate(guide, pair.guide_filter), edge_cfg),
-                          overwrite=True)
-        if keys[k] in keys[k + 1:]:
+            t_hat = _dct2(_transfer_target(_correlate(guide, bank.pairs[c].guide_filter),
+                                           edge_cfg), overwrite=True)
+        kept = keys[k] in keys[k + 1:]
+        if kept:
             shared[keys[k]] = t_hat
-        yield c, symbol_for("derived", shape, pair.depth_filter) * l_hat, t_hat
+        yield c, t_hat, kept
 
 
 def _solved_coeffs(d_hat, t_hat, lap_symbol, symbol_sq, lam: float, out=None,
                    den=None) -> np.ndarray:
     """One channel's solved coefficients (d_hat + (lam Lambda_lap) t_hat) /
-    (1 + lam Lambda^2), in this operation order, which prediction's bits
-    depend on; lam = 0 returns ``d_hat``. ``out`` and ``den`` are optional
-    buffers shaped like ``d_hat``."""
+    (1 + lam Lambda^2), in this operation order, which
+    :func:`_spectral_predict` follows in its own buffers and prediction's
+    bits depend on; lam = 0 returns ``d_hat``. ``out`` and ``den`` are
+    optional buffers shaped like ``d_hat``."""
     if lam == 0.0:
         return d_hat
     den = np.multiply(symbol_sq, lam, out=den)
@@ -317,19 +317,44 @@ def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: Reconstructio
     lam = _check_lambdas(lambdas, len(bank))
     if head.channels != len(bank):
         raise ValueError(f"head expects {head.channels} channels, bank has {len(bank)}")
+    return _spectral_predict(l_up, guide, bank, lam, head, edge_cfg, symbol_mode)
+
+
+def _spectral_predict(l_up: np.ndarray, guide: np.ndarray, bank: FilterBank, lam: np.ndarray,
+                      head: ReconstructionHead, edge_cfg: EdgeWeightConfig,
+                      symbol_mode: str) -> np.ndarray:
+    """:func:`spectral_predict` of checked grids of one shape, one float64
+    lambda per pair and a head of the bank's width.
+
+    Besides its inputs it holds about five grids: the sum, dct(l_up), the
+    target kept for a later pair, and the channel's guide side, then its
+    target and one scratch grid. Each channel's coefficients are solved
+    in its target's buffer, in :func:`_solved_coeffs`'s operation order
+    with Lambda_Kc L^ formed in the scratch grid, so they have its bits;
+    a target that a later pair reads is solved into a fresh grid instead.
+    """
     shape = l_up.shape
     lap_symbol = symbol_for("derived", shape)
     mode_sq = _squared_symbol(symbol_mode, *shape)
+    l_hat = _dct2(l_up)
     h_hat = np.zeros(shape)
-    for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg,
-                                           np.flatnonzero(head.weights)):
-        # a fresh grid each channel (d_hat itself when lam_c = 0), so it
-        # is scaled in place
-        solved = _solved_coeffs(d_hat, t_hat, lap_symbol, mode_sq, lam[c])
-        solved *= head.weights[c]
-        h_hat += solved
+    for c, t_hat, kept in _channel_coeffs(guide, bank, edge_cfg, np.flatnonzero(head.weights)):
+        out = np.empty(shape) if kept else t_hat
+        d_symbol = symbol_for("derived", shape, bank.pairs[c].depth_filter)
+        if lam[c] == 0.0:
+            np.multiply(d_symbol, l_hat, out=out)
+        else:
+            scratch = np.empty(shape)  # made once the channel's guide side is built
+            np.multiply(t_hat, np.multiply(lap_symbol, lam[c], out=scratch), out=out)
+            out += np.multiply(d_symbol, l_hat, out=scratch)
+            np.multiply(mode_sq, lam[c], out=scratch)
+            scratch += 1.0
+            out /= scratch
+            del scratch
+        out *= head.weights[c]
+        h_hat += out
         # freed before the generator builds the next channel's guide side
-        del d_hat, t_hat, solved
+        del t_hat, out
     h_hat[0, 0] += head.bias * math.sqrt(l_up.size)
     return _idct2(h_hat, overwrite=True)
 
@@ -457,8 +482,10 @@ class _LambdaObjective:
                 self._runs.append([lo, hi, *symbols[shape]])
             last = shape
             self.y_hat[lo:hi] = _dct2(target).ravel()
-            for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg, range(C)):
-                self.d_hat[self.d_row[c], lo:hi] = d_hat.ravel()
+            l_hat = _dct2(l_up)
+            for c, t_hat, _ in _channel_coeffs(guide, bank, edge_cfg, range(C)):
+                np.multiply(symbol_for("derived", shape, bank.pairs[c].depth_filter), l_hat,
+                            out=self.d_hat[self.d_row[c], lo:hi].reshape(shape))
                 self.t_hat[self.t_row[c], lo:hi] = t_hat.ravel()
         # dct(1) = sqrt(MN) e_0: the bias column lives in each triple's DC slot
         self.dc_idx = bounds[:-1]
@@ -603,6 +630,9 @@ def fit_lambda(train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
     """
     _check_search(grid_points, sweeps)
     obj = _LambdaObjective(train_triples, bank, edge_cfg, head_gamma, symbol_mode)
+    # The search reads the objective's rows only: triples passed as a
+    # temporary die here, not after the search.
+    del train_triples
     best = obj.evaluate(0, obj.lambdas[0])
     trace = [best]
 

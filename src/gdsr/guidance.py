@@ -70,32 +70,35 @@ def _nearest_rank_quantile(values: np.ndarray, q: float) -> float:
     """Nearest-rank quantile: the element at 1-based rank ceil(q * n).
 
     A partial sort places exactly that element; the full order is never
-    needed.
+    needed. A C-contiguous ``values`` is partitioned in its own buffer,
+    which is left reordered; any other is partitioned in a flat copy.
     """
     rank = max(1, math.ceil(q * values.size))
-    return float(np.partition(values, rank - 1, axis=None)[rank - 1])
-
-
-def _hard_mask(g: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarray:
-    """The hard edges of a magnitude grid g: g >= tau and g > 0."""
-    mask = g >= _nearest_rank_quantile(g, cfg.tau_quantile)
-    mask &= g > 0.0
-    return mask
+    flat = values.reshape(-1)
+    flat.partition(rank - 1)
+    return float(flat[rank - 1])
 
 
 def _weights_from_laplacian(lap: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarray:
     """The edge weights of a Laplacian grid, in a fresh grid the caller
-    may write (in hard mode, the |lap| buffer)."""
+    may write: the |lap| buffer, which tau is first found in by partition,
+    then refilled with |lap|, so no other grid-sized copy is made."""
     if cfg.mode == "none":
         return np.ones_like(lap)
     g = np.abs(lap)
+    tau = _nearest_rank_quantile(g, cfg.tau_quantile)
+    np.abs(lap, out=g)
     if cfg.mode == "hard":
-        # a bool mask copies in as exactly 1.0 and 0.0
-        np.copyto(g, _hard_mask(g, cfg))
-        return g
+        # g >= tau and g > 0, one comparison: tau is a sample of g, so at
+        # tau = 0 the first test holds wherever the second does, and above
+        # 0 the first implies the second. Its bools go in as 1.0 and 0.0.
+        return np.greater(g, 0.0, out=g) if tau == 0.0 else np.greater_equal(g, tau, out=g)
     from scipy.special import expit  # loaded on first soft use, not at import
 
-    return expit(cfg.steepness * (g - _nearest_rank_quantile(g, cfg.tau_quantile)))
+    # steepness * (g - tau), in g: products commute bit for bit
+    g -= tau
+    g *= cfg.steepness
+    return expit(g, out=g)
 
 
 def edge_weight(guide_lum, cfg: EdgeWeightConfig) -> np.ndarray:
@@ -121,7 +124,15 @@ def transfer_target(guide, cfg: EdgeWeightConfig) -> np.ndarray:
     hard mode's bool mask directly casts it through a buffer, which is
     slower.)
     """
-    lap = _laplacian(as_image(guide))
+    return _transfer_target(as_image(guide), cfg)
+
+
+def _transfer_target(guide: np.ndarray, cfg: EdgeWeightConfig) -> np.ndarray:
+    """:func:`transfer_target` of a checked grid, which is not kept: a
+    grid the caller passes as its last reference, such as a fresh guide
+    feature, is freed once its Laplacian exists."""
+    lap = _laplacian(guide)
+    del guide
     w = _weights_from_laplacian(lap, cfg)
     w *= lap
     return w

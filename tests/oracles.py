@@ -405,8 +405,10 @@ class RowObjective:
             self.sym_sq[lo:hi] = _squared_symbol(symbol_mode, *target.shape).ravel()
             self.lap_symbol[lo:hi] = symbol_for("derived", target.shape).ravel()
             self.y_hat[lo:hi] = _dct2(target).ravel()
-            for c, d_hat, t_hat in _channel_coeffs(l_up, guide, bank, edge_cfg, range(C)):
-                self.d_hat[c, lo:hi] = d_hat.ravel()
+            l_hat = _dct2(l_up)
+            for c, t_hat, _ in _channel_coeffs(guide, bank, edge_cfg, range(C)):
+                d_symbol = symbol_for("derived", target.shape, bank.pairs[c].depth_filter)
+                self.d_hat[c, lo:hi] = (d_symbol * l_hat).ravel()
                 self.t_hat[c, lo:hi] = t_hat.ravel()
         # dct(1) = sqrt(MN) e_0: the bias column lives in each triple's DC slot
         self.dc_idx = bounds[:-1]

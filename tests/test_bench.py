@@ -2,12 +2,14 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gdsr import bench
+from gdsr import bench, dct, feature_bank, filters, guidance, resample, spectral
 from gdsr.bench import (
     BenchRecord,
     DatasetEntry,
@@ -453,6 +455,32 @@ def test_fits_and_run_image_share_the_entry_checks(tmp_path, case, match):
     assert isinstance(info.value.__cause__, ValueError)
 
 
+def test_fit_feature_params_frees_the_training_grids_before_the_search(tmp_path,
+                                                                       monkeypatch):
+    manifest = build_manifest(tmp_path, n=2, M=32, N=32)
+    refs, alive = [], []
+    train_grids = bench._train_grids
+
+    def recorded(manifest, cfg):
+        for entry, grids in train_grids(manifest, cfg):
+            for grid in grids:  # each grid and the arrays it views
+                while isinstance(grid, np.ndarray):
+                    refs.append(weakref.ref(grid))
+                    grid = grid.base
+            yield entry, grids
+
+    evaluate = bench._LambdaObjective.evaluate
+
+    def counted(obj, c, lam):
+        alive.append(sum(ref() is not None for ref in refs))
+        return evaluate(obj, c, lam)
+
+    monkeypatch.setattr(bench, "_train_grids", recorded)
+    monkeypatch.setattr(bench._LambdaObjective, "evaluate", counted)
+    fit_feature_params(manifest, PipelineConfig(method="feature_domain", scale=4), sweeps=1)
+    assert len(refs) >= 6 and alive and alive[0] == 0
+
+
 def test_head_only_fit_matches_pixel_head(tmp_path):
     # --mode head: the head solved from the search objective's normal
     # equations at the e^0.1 start equals the pixel-domain ridge fit
@@ -521,10 +549,11 @@ def test_run_bench_builds_each_guide_side_once_per_shape_and_edge_config(tmp_pat
     want = [run_image(e, cfg.with_scale(s), "synth")
             for e in manifest.entries for s in (4, 8) for cfg in configs]
     targets, preds = [], []
-    transfer_target, score = bench.transfer_target, bench.rmse
-    monkeypatch.setattr(bench, "transfer_target", lambda guide, edge_cfg: (
+    transfer_target, score = bench._transfer_target, bench._rmse_into
+    monkeypatch.setattr(bench, "_transfer_target", lambda guide, edge_cfg: (
         targets.append((guide.shape, edge_cfg.tau_quantile)) or transfer_target(guide, edge_cfg)))
-    monkeypatch.setattr(bench, "rmse", lambda pred, gt, border: (
+    # image records score their prediction in its own buffer: copy it first
+    monkeypatch.setattr(bench, "_rmse_into", lambda pred, gt, border: (
         preds.append(pred.copy()) or score(pred, gt, border)))
     records = run_bench(manifest, [4, 8], configs, threads=1, timing=False)
     # one call per (entry, cropped shape, edge config), in canonical order
@@ -535,6 +564,93 @@ def test_run_bench_builds_each_guide_side_once_per_shape_and_edge_config(tmp_pat
     assert len(preds) == len(want)
     for pred, (want_pred, _) in zip(preds, want):
         assert pred.tobytes() == want_pred.tobytes()
+
+
+def test_a_failed_guide_side_fails_only_the_records_that_read_it(tmp_path, monkeypatch):
+    manifest = build_manifest(tmp_path, n=2)
+    configs = [PipelineConfig(method="bicubic"),
+               PipelineConfig(method="image_domain", lam=2.0),
+               PipelineConfig(method="image_domain", lam=2.0, tau_quantile=0.8),
+               PipelineConfig(method="image_domain", lam=0.0, tau_quantile=0.8)]
+    want = [run_image(e, cfg.with_scale(s), "synth")[1]
+            for e in manifest.entries for s in (2, 4) for cfg in configs]
+    transfer_target = bench._transfer_target
+
+    def failing(guide, edge_cfg):
+        if edge_cfg.tau_quantile == 0.8:
+            raise FloatingPointError("no threshold")
+        return transfer_target(guide, edge_cfg)
+
+    monkeypatch.setattr(bench, "_transfer_target", failing)
+    out = tmp_path / "bench.csv"
+    records = run_bench(manifest, [2, 4], configs, out, threads=2, timing=False)
+    details = [r for r in records if r.image_id != MEAN_ROW_ID]
+    assert len(details) == len(want)
+    for got, rec in zip(details, want):
+        if got.config_hash == configs[2].with_scale(got.scale).config_hash():
+            # lambda > 0 reads the failed side; lambda = 0 (configs[3]) reads none
+            assert got.rmse is None
+            assert got.error == f"entry {got.image_id!r}: FloatingPointError: no threshold"
+        else:
+            assert got == dataclasses.replace(rec, runtime_ms=0.0)
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert len(rows) == len(records)
+    assert [r[5] == ERROR_MARKER for r in rows] == [r.rmse is None for r in records]
+
+
+def test_run_bench_scans_no_grid_the_decoder_checked(tmp_path, monkeypatch):
+    # the decoder checks every sample; the bench's image and feature paths
+    # go through the unchecked forms, while the public ones keep their checks
+    manifest = build_manifest(tmp_path, n=1)
+    configs = [PipelineConfig(method="bicubic"), PipelineConfig(method="image_domain", lam=2.0),
+               PipelineConfig(method="feature_domain")]
+    want = run_bench(manifest, [4], configs, threads=1, timing=False)
+    for module in (bench, feature_bank, guidance, spectral, filters, dct, resample):
+        if hasattr(module, "as_image"):
+            monkeypatch.setattr(module, "as_image", lambda *a: pytest.fail("grid scanned"))
+    assert run_bench(manifest, [4], configs, threads=1, timing=False) == want
+
+
+def test_entry_records_hold_about_four_grids(tmp_path):
+    # bicubic and image lambda = 20 at x4, x8 and x16, which crop 512x704 to one
+    # shape: the depth, the guide side, up and the prediction, plus the filters'
+    # row buffers. Building the side after the first degrade, keeping the
+    # guide and a fresh error grid made six.
+    M, N = 512, 704
+    gt, rgb = make_scene(np.random.default_rng(96), M, N)
+    doc = {"name": "big", "entries": [write_scene_files(tmp_path, "big", gt, rgb)]}
+    entry = load_manifest(_write_manifest(tmp_path, doc)).entries[0]
+    configs = [PipelineConfig(method="bicubic"), PipelineConfig(method="image_domain", lam=20.0)]
+    grid = [(s, [(c.with_scale(s), c.with_scale(s).config_hash(), bench._model(c), None)
+                 for c in configs]) for s in (4, 8, 16)]
+    first = bench._entry_records(entry, "big", grid)  # fills the resample and divisor caches
+    tracemalloc.start()
+    try:
+        records = bench._entry_records(entry, "big", grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.error is None for r in records) and records == [
+        dataclasses.replace(r, runtime_ms=q.runtime_ms) for r, q in zip(first, records)]
+    assert peak <= 4.4 * gt.nbytes, f"peak {peak / gt.nbytes:.2f} grids"
+
+
+# numpy sums a cropped view and a C-contiguous grid in different orders
+# once they hold more than 8192 samples, so the grids reach past that.
+@settings(max_examples=40, deadline=None)
+@given(M=st.integers(1, 160), N=st.integers(1, 240), border=st.integers(0, 20),
+       seed=st.integers(0, 2**32 - 1))
+@example(M=150, N=230, border=3, seed=0)
+def test_rmse_into_has_the_bits_of_rmse(M, N, border, seed):
+    rng = np.random.default_rng(seed)
+    pred, gt = rng.random((2, M, N)) * rng.choice([1e-3, 1.0, 1e4])
+    if 2 * border >= min(M, N):
+        with pytest.raises(ValueError, match="border"):
+            bench._rmse_into(pred.copy(), gt, border)
+        return
+    want = rmse(pred, gt, border)
+    got = bench._rmse_into(pred, gt, border)
+    assert got.hex() == want.hex()
 
 
 def test_entry_smaller_than_a_scale_fails_only_that_scale(tmp_path):

@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -501,7 +502,7 @@ def test_spectral_predict_skips_zero_weight_channels(monkeypatch):
     pair0 = FilterBank(bank.pairs[:1], name="pair0")
     want = spectral_predict(l_up, guide, pair0, lambdas[:1], ReconstructionHead([1.0], 0.25), HARD)
     targets = []
-    monkeypatch.setattr(feature_bank, "transfer_target",
+    monkeypatch.setattr(feature_bank, "_transfer_target",
                         lambda phi, cfg: targets.append(phi) or transfer_target(phi, cfg))
     head = ReconstructionHead([1.0] + [0.0] * 7, 0.25)
     assert np.array_equal(spectral_predict(l_up, guide, bank, lambdas, head, HARD), want)
@@ -513,21 +514,26 @@ def test_channel_coeffs_share_one_target_per_guide_stencil(monkeypatch):
     l_up, guide = rng.random((2, 24, 18))
     bank = default_bank()
     targets = []
-    monkeypatch.setattr(feature_bank, "transfer_target",
+    monkeypatch.setattr(feature_bank, "_transfer_target",
                         lambda phi, cfg: targets.append(phi) or transfer_target(phi, cfg))
-    got = list(feature_bank._channel_coeffs(l_up, guide, bank, HARD, range(len(bank))))
+    got = list(feature_bank._channel_coeffs(guide, bank, HARD, range(len(bank))))
     # pairs 0 and 7 share the identity guide stencil; ddx and ddy share
     # their bytes but not their shape
     assert len(targets) == 7
-    assert got[7][2] is got[0][2] and got[5][2] is not got[4][2]
-    for c, _, t_hat in got:
+    assert got[7][1] is got[0][1] and got[5][1] is not got[4][1]
+    # only pair 0's target is yielded again later, so only it is kept
+    assert [kept for *_, kept in got] == [True] + [False] * 7
+    for c, t_hat, _ in got:
         phi_r = correlate_reflect(guide, bank.pairs[c].guide_filter)
         want = dct2_forward(transfer_target(phi_r, HARD))
         assert np.array_equal(t_hat.view(np.uint64), want.view(np.uint64))
 
 
-def test_spectral_predict_working_set_is_seven_grids():
-    gt, rgb = make_scene(np.random.default_rng(0), 192, 256)
+def test_spectral_predict_working_set_is_five_grids():
+    # the sum, dct(l_up), the target kept for pair 7, and the channel's
+    # guide side or its target and one scratch grid, plus the filters' row
+    # buffers: 480x640, so that those 256 KB buffers are small next to a grid
+    gt, rgb = make_scene(np.random.default_rng(0), 480, 640)
     _, up = degrade(gt, 8)
     guide = luminance(rgb)
     bank = default_bank()
@@ -540,7 +546,28 @@ def test_spectral_predict_working_set_is_seven_grids():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 7.1 * up.nbytes, f"peak {peak / up.nbytes:.2f} grids"
+    assert peak <= 5.5 * up.nbytes, f"peak {peak / up.nbytes:.2f} grids"
+
+
+def test_fit_lambda_frees_triples_passed_as_a_temporary(monkeypatch):
+    refs, alive = [], []
+
+    def triples():
+        rng = np.random.default_rng(72)
+        out = [tuple(rng.random((24, 32)) for _ in range(3)) for _ in range(2)]
+        refs.extend(weakref.ref(grid) for triple in out for grid in triple)
+        return out
+
+    evaluate = _LambdaObjective.evaluate
+
+    def counted(obj, c, lam):
+        alive.append(sum(ref() is not None for ref in refs))
+        return evaluate(obj, c, lam)
+
+    monkeypatch.setattr(_LambdaObjective, "evaluate", counted)
+    fit_lambda(triples(), default_bank(), HARD, sweeps=1)
+    # the search reads the objective's rows only
+    assert len(refs) == 6 and alive and alive[0] == 0
 
 
 def test_fit_lambda_input_validation():
