@@ -13,7 +13,6 @@ from .spectral import (
     build_rhs,
     derived_symbol,
     laplacian_apply,
-    paper_symbol,
     solve_screened,
     stencil_symbol,
     symbol_for,

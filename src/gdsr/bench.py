@@ -642,14 +642,15 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
     """Evaluate every (entry, scale, config) combination.
 
     Each entry is one task on a pool of ``threads`` workers (default:
-    the logical core count), never more workers than entries. A scale
-    given twice, or two configs that are equal once scaled, raise a
-    ValueError before anything is read, as their rows would repeat. Per-entry
-    failures never abort the run; they become records with rmse None,
-    written with an error marker, that keep the cause in ``error``.
-    Detail records come first in canonical order, followed by one mean
-    record per (scale, config) group. With ``timing`` off, runtimes are
-    reported as 0 so repeated runs emit identical bytes.
+    the logical core count), never more workers than entries; one worker
+    runs every entry on the calling thread. A scale given twice, or two
+    configs that are equal once scaled, raise a ValueError before anything
+    is read, as their rows would repeat. Per-entry failures never abort
+    the run; they become records with rmse None, written with an error
+    marker, that keep the cause in ``error``. Detail records come first
+    in canonical order, followed by one mean record per (scale, config)
+    group. With ``timing`` off, runtimes are reported as 0 so repeated
+    runs emit identical bytes.
     """
     scales = [check_scale(s) for s in scales]
     if not scales:
@@ -679,8 +680,13 @@ def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
         grid.append((s, [(cfg, cfg.config_hash(), *m) for cfg, m in zip(scaled, models)]))
 
     entries = manifest.entries
-    with ThreadPoolExecutor(max_workers=min(workers, len(entries))) as pool:
-        groups = list(pool.map(lambda e: _entry_records(e, manifest.name, grid), entries))
+    workers = min(workers, len(entries))
+    run = lambda e: _entry_records(e, manifest.name, grid)
+    if workers == 1:  # no pool thread, whose own malloc arena would grow the heap
+        groups = list(map(run, entries))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(run, entries))
     records = [r for group in groups for r in group]
     if not timing:
         records = [replace(r, runtime_ms=0.0) for r in records]
@@ -746,7 +752,7 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig,
     for entry, (gt, up, guide) in _train_grids(manifest, cfg):
         target = _transfer_target(guide, edge_cfg)
         prepared.append((dct2_forward(up), dct2_forward(target),
-                         symbol_for("derived", gt.shape),
+                         symbol_for(gt.shape),
                          _squared_symbol(cfg.symbol_mode, *gt.shape),
                          dct2_forward(gt), entry.depth_unit_scale**2))
     n_pixels = sum(y_hat.size for *_, y_hat, _ in prepared)

@@ -52,7 +52,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="soft-mode logistic steepness (default: %(default)s)")
     p.add_argument("--symbol", dest="symbol_mode", choices=SYMBOL_MODES,
                    default=PipelineConfig.symbol_mode,
-                   help="spectral symbol mode (default: %(default)s)")
+                   help="solve stencil: derived = 5-point, paper = cross (default: %(default)s)")
     p.add_argument("--no-antialias", dest="antialias", action="store_false",
                    help="disable antialiasing in bicubic downsampling")
 

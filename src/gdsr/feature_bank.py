@@ -306,9 +306,10 @@ def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: Reconstructio
                            / (1 + lam_c Lambda^2)  +  bias sqrt(MN) e_0.
 
     Lambda_lap is the 5-point Laplacian's own symbol, since the right-hand
-    side holds a pixel Laplacian of T_c; Lambda is the ``symbol_mode``
-    symbol of the solve. Channels with head weight 0 add only zeros and are
-    skipped; each other channel costs one guide filtering and transform.
+    side holds a pixel Laplacian of T_c; Lambda is the symbol of the
+    ``symbol_mode`` solve's stencil. Channels with head weight 0 add only
+    zeros and are skipped; each other channel costs one guide filtering
+    and transform.
     """
     l_up = as_image(l_up)
     guide = as_image(guide)
@@ -334,13 +335,13 @@ def _spectral_predict(l_up: np.ndarray, guide: np.ndarray, bank: FilterBank, lam
     a target that a later pair reads is solved into a fresh grid instead.
     """
     shape = l_up.shape
-    lap_symbol = symbol_for("derived", shape)
+    lap_symbol = symbol_for(shape)
     mode_sq = _squared_symbol(symbol_mode, *shape)
     l_hat = _dct2(l_up)
     h_hat = np.zeros(shape)
     for c, t_hat, kept in _channel_coeffs(guide, bank, edge_cfg, np.flatnonzero(head.weights)):
         out = np.empty(shape) if kept else t_hat
-        d_symbol = symbol_for("derived", shape, bank.pairs[c].depth_filter)
+        d_symbol = symbol_for(shape, bank.pairs[c].depth_filter)
         if lam[c] == 0.0:
             np.multiply(d_symbol, l_hat, out=out)
         else:
@@ -474,7 +475,7 @@ class _LambdaObjective:
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
             shape = target.shape
             if shape not in symbols:
-                symbols[shape] = (symbol_for("derived", shape).ravel(),
+                symbols[shape] = (symbol_for(shape).ravel(),
                                   _squared_symbol(symbol_mode, *shape).ravel())
             if shape == last:
                 self._runs[-1][1] = hi
@@ -484,7 +485,7 @@ class _LambdaObjective:
             self.y_hat[lo:hi] = _dct2(target).ravel()
             l_hat = _dct2(l_up)
             for c, t_hat, _ in _channel_coeffs(guide, bank, edge_cfg, range(C)):
-                np.multiply(symbol_for("derived", shape, bank.pairs[c].depth_filter), l_hat,
+                np.multiply(symbol_for(shape, bank.pairs[c].depth_filter), l_hat,
                             out=self.d_hat[self.d_row[c], lo:hi].reshape(shape))
                 self.t_hat[self.t_row[c], lo:hi] = t_hat.ravel()
         # dct(1) = sqrt(MN) e_0: the bias column lives in each triple's DC slot

@@ -99,29 +99,21 @@ def bicubic_downsample(img, s: int, antialias: bool = True) -> np.ndarray:
     s = check_scale(s)
     if img.shape[0] % s or img.shape[1] % s:
         raise ValueError(f"dimensions {img.shape} not divisible by scale {s}")
-    return _downsample(img, s, antialias)
-
-
-def _downsample(img: np.ndarray, s: int, antialias: bool) -> np.ndarray:
-    """:func:`bicubic_downsample` of a checked grid by a checked scale that
-    divides it, with no scan of the grid."""
     M, N = img.shape
-    wr = _axis_weights(M, M // s, antialias)
-    wc = _axis_weights(N, N // s, antialias)
-    return wr @ img @ wc.T
+    return _resample(img, (M // s, N // s), antialias)
 
 
 def bicubic_upsample(img, s: int) -> np.ndarray:
     """Bicubic interpolation by an integer factor, output (M*s, N*s)."""
-    return _upsample(as_image(img), check_scale(s))
+    img, s = as_image(img), check_scale(s)
+    return _resample(img, (img.shape[0] * s, img.shape[1] * s), False)
 
 
-def _upsample(img: np.ndarray, s: int) -> np.ndarray:
-    """:func:`bicubic_upsample` of a checked grid by a checked scale."""
-    M, N = img.shape
-    wr = _axis_weights(M, M * s, False)
-    wc = _axis_weights(N, N * s, False)
-    return wr @ img @ wc.T
+def _resample(img: np.ndarray, out_shape, antialias: bool) -> np.ndarray:
+    """The separable resample of a checked grid to ``out_shape``, through
+    each axis's cached matrix, with no scan of the grid."""
+    (M, N), (m, n) = img.shape, out_shape
+    return _axis_weights(M, m, antialias) @ img @ _axis_weights(N, n, antialias).T
 
 
 def degrade(gt, s: int, antialias: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -145,9 +137,10 @@ def _degrade(gt: np.ndarray, s: int, antialias: bool) -> tuple[np.ndarray, np.nd
     the same products with no scan of ``gt`` or of the reduced grid. Its
     callers pass decoded grids, whose samples lie in float32's range, so
     no product can overflow."""
-    lr = _downsample(gt, s, antialias)
+    M, N = gt.shape
+    lr = _resample(gt, (M // s, N // s), antialias)
     np.maximum(lr, 0.0, out=lr)
-    up = _upsample(lr, s)
+    up = _resample(lr, (M, N), False)
     np.maximum(up, 0.0, out=up)
     return lr, up
 

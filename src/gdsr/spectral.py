@@ -15,12 +15,13 @@ diagonal in the orthonormal DCT basis, so the solve reduces to one
 forward transform, a per-frequency division by (1 + lam * Lambda^2),
 and one inverse transform.
 
-Two spectral symbols are available. ``derived`` is the exact eigenvalue
-grid of the 5-point stencil, 2cos(pi i/M) + 2cos(pi j/N) - 4, and makes
-the solve an exact inverse of the screened operator. ``paper`` is the
-plain cosine-sum variant cos(pi i/M) + cos(pi j/N) seen with DCT Poisson
-solvers; it is kept as a literal alternative but is not the symbol of
-the discrete stencil, so no residual guarantee is made in that mode.
+Each symbol mode names the stencil whose exact symbol the solve divides
+by (:func:`solve_stencil`). ``derived`` takes the 5-point stencil: the
+solve exactly inverts (Id + lam * lap^2), so it minimizes F(H). ``paper``
+takes the cross stencil K = [[0, 1/2, 0], [1/2, 0, 1/2], [0, 1/2, 0]],
+whose symbol is the cosine sum cos(pi i/M) + cos(pi j/N) of DCT Poisson
+solvers: that solve exactly inverts (Id + lam * K^2), but it does not
+minimize F(H), whose right-hand side holds the 5-point lap(T).
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from .image_core import as_image
 
 __all__ = [
     "FIVE_POINT",
+    "CROSS",
     "laplacian_apply",
     "stencil_symbol",
     "derived_symbol",
-    "paper_symbol",
     "symbol_for",
     "SYMBOL_MODES",
+    "solve_stencil",
     "build_rhs",
     "solve_screened",
 ]
@@ -50,9 +52,21 @@ __all__ = [
 FIVE_POINT = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 FIVE_POINT.setflags(write=False)
 
+# The cross stencil, whose symbol is the cosine sum cos(pi i/M) + cos(pi j/N).
+CROSS = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.0]])
+CROSS.setflags(write=False)
 
-SYMBOL_MODES = ("derived", "paper")
+# Each symbol mode names the stencil its solve divides by.
+_SOLVE_STENCILS = {"derived": FIVE_POINT, "paper": CROSS}
+SYMBOL_MODES = tuple(_SOLVE_STENCILS)
 DEFAULT_SYMBOL_MODE = "derived"
+
+
+def solve_stencil(mode: str) -> np.ndarray:
+    """The read-only stencil whose symbol the ``mode`` solve divides by."""
+    if mode not in SYMBOL_MODES:
+        raise ValueError(f"symbol mode must be one of {SYMBOL_MODES}, got {mode!r}")
+    return _SOLVE_STENCILS[mode]
 
 
 def laplacian_apply(img) -> np.ndarray:
@@ -119,55 +133,36 @@ def derived_symbol(kernel, M: int, N: int) -> np.ndarray:
     return stencil_symbol(kernel, M, N)
 
 
-def paper_symbol(M: int, N: int) -> np.ndarray:
-    """Cosine-sum symbol cos(pi i/M) + cos(pi j/N), zero-based indices, read-only."""
-    if M < 1 or N < 1:
-        raise ValueError(f"symbol dimensions must be >= 1, got {(M, N)}")
-    ci = np.cos(np.pi * np.arange(M) / M)[:, None]
-    cj = np.cos(np.pi * np.arange(N) / N)[None, :]
-    values = ci + cj
-    values.setflags(write=False)
-    return values
-
-
-def symbol_for(mode: str, shape, stencil=FIVE_POINT) -> np.ndarray:
-    """The ``mode`` symbol on an (M, N) grid, cached per (mode, shape, stencil).
-
-    ``stencil`` is any odd, flip-symmetric stencil array; the ``paper``
-    symbol ignores it. Symbols are read-only arrays, so one instance
-    serves every caller.
-    """
-    if mode not in SYMBOL_MODES:
-        raise ValueError(f"symbol mode must be one of {SYMBOL_MODES}, got {mode!r}")
+def symbol_for(shape, stencil=FIVE_POINT) -> np.ndarray:
+    """:func:`stencil_symbol` of an odd, flip-symmetric ``stencil`` on an
+    (M, N) grid, cached per (shape, stencil); read-only, so one instance
+    serves every caller. :func:`solve_stencil` names each mode's stencil."""
     M, N = shape
     st = np.asarray(stencil, dtype=np.float64)
-    return _cached_symbol(mode, int(M), int(N), st.tobytes(), st.shape)
+    return _cached_symbol(int(M), int(N), st.tobytes(), st.shape)
 
 
 @lru_cache(maxsize=16)
-def _cached_symbol(mode: str, M: int, N: int, weights: bytes, kshape) -> np.ndarray:
-    if mode == "paper":
-        return paper_symbol(M, N)
+def _cached_symbol(M: int, N: int, weights: bytes, kshape) -> np.ndarray:
     return stencil_symbol(np.frombuffer(weights, dtype=np.float64).reshape(kshape), M, N)
 
 
 @lru_cache(maxsize=16)
 def _denominator(mode: str, M: int, N: int, lam: float) -> np.ndarray:
-    """The image-domain solve's divisor 1 + lam * Lambda^2 for the ``mode``
-    symbol of the 5-point stencil on an (M, N) grid, lam > 0: cached,
-    checked and read-only. Lambda is built here rather than taken from
-    :func:`symbol_for`, so the cache holds one grid per key, not two."""
-    symbol = paper_symbol(M, N) if mode == "paper" else stencil_symbol(FIVE_POINT, M, N)
-    denom = _screened_denominator(symbol, lam)
+    """The image-domain solve's divisor 1 + lam * Lambda^2 on an (M, N)
+    grid, lam > 0, with Lambda the symbol of the ``mode`` solve's stencil:
+    cached, checked and read-only. Lambda is built here rather than taken
+    from :func:`symbol_for`, so the cache holds one grid per key, not two."""
+    denom = _screened_denominator(stencil_symbol(solve_stencil(mode), M, N), lam)
     denom.setflags(write=False)
     return denom
 
 
 @lru_cache(maxsize=16)
 def _squared_symbol(mode: str, M: int, N: int) -> np.ndarray:
-    """The ``mode`` symbol of the 5-point stencil on an (M, N) grid, squared:
+    """The symbol of the ``mode`` solve's stencil on an (M, N) grid, squared:
     Lambda^2 of the feature-domain solves, cached and read-only."""
-    values = np.square(symbol_for(mode, (M, N)))
+    values = np.square(symbol_for((M, N), solve_stencil(mode)))
     values.setflags(write=False)
     return values
 

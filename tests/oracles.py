@@ -44,7 +44,7 @@ from gdsr.feature_bank import (
 from gdsr.guidance import EdgeWeightConfig, multichannel_edge_weight
 from gdsr.image_core import as_image
 from gdsr.resample import bicubic_kernel
-from gdsr.spectral import _squared_symbol, laplacian_apply, symbol_for
+from gdsr.spectral import _squared_symbol, laplacian_apply, solve_stencil, symbol_for
 
 
 def reflect_index(i: int, n: int) -> int:
@@ -179,6 +179,14 @@ def dense_screened_solve(E, lam, apply_laplacian) -> np.ndarray:
     return np.linalg.solve(A, E.ravel()).reshape(E.shape)
 
 
+def cosine_sum_symbol(M: int, N: int) -> np.ndarray:
+    """The closed form cos(pi i/M) + cos(pi j/N), zero-based indices, as DCT
+    Poisson solvers write it: the paper symbol mode's divisor."""
+    ci = np.cos(np.pi * np.arange(M) / M)[:, None]
+    cj = np.cos(np.pi * np.arange(N) / N)[None, :]
+    return ci + cj
+
+
 def energy(h, l_up, target_grad, lam: float) -> float:
     """Gradient-transfer energy 0.5||H - L||^2 + 0.5 lam ||lap(H) - T||^2."""
     h = as_image(h)
@@ -301,7 +309,8 @@ def _pixel_features(l_up, guide, bank, lambdas, edge_cfg, symbol_mode):
     phi_l = extract(l_up, bank, "depth")
     phi_r = extract(guide, bank, "guide")
     w = multichannel_edge_weight(phi_r, edge_cfg)
-    return channel_solve(phi_l, phi_r, w, lambdas, symbol_for(symbol_mode, np.shape(l_up)))
+    symbol = symbol_for(np.shape(l_up), solve_stencil(symbol_mode))
+    return channel_solve(phi_l, phi_r, w, lambdas, symbol)
 
 
 def pixel_predict(l_up, guide, bank, lambdas, head, edge_cfg, symbol_mode="derived"):
@@ -403,11 +412,11 @@ class RowObjective:
         self.y_hat = np.empty(self.n_pixels)
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
             self.sym_sq[lo:hi] = _squared_symbol(symbol_mode, *target.shape).ravel()
-            self.lap_symbol[lo:hi] = symbol_for("derived", target.shape).ravel()
+            self.lap_symbol[lo:hi] = symbol_for(target.shape).ravel()
             self.y_hat[lo:hi] = _dct2(target).ravel()
             l_hat = _dct2(l_up)
             for c, t_hat, _ in _channel_coeffs(guide, bank, edge_cfg, range(C)):
-                d_symbol = symbol_for("derived", target.shape, bank.pairs[c].depth_filter)
+                d_symbol = symbol_for(target.shape, bank.pairs[c].depth_filter)
                 self.d_hat[c, lo:hi] = (d_symbol * l_hat).ravel()
                 self.t_hat[c, lo:hi] = t_hat.ravel()
         # dct(1) = sqrt(MN) e_0: the bias column lives in each triple's DC slot

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import threading
 import tracemalloc
 import weakref
 
@@ -297,6 +298,19 @@ def test_symbol_mode_validated_by_config():
         PipelineConfig(symbol_mode="exact")
 
 
+def test_an_unknown_symbol_mode_keeps_each_boundarys_error():
+    modes = re.escape(str(spectral.SYMBOL_MODES))
+    with pytest.raises(ValueError, match=rf"^symbol mode must be one of {modes}, got 'exact'$"):
+        spectral.solve_stencil("exact")
+    with pytest.raises(ValueError, match=rf"^symbol_mode must be one of {modes}, got 'exact'$"):
+        PipelineConfig(symbol_mode="exact")
+    grid = np.ones((8, 8))
+    with pytest.raises(ValueError, match=rf"^symbol mode must be one of {modes}, got 'exact'$"):
+        feature_bank.spectral_predict(grid, grid, default_bank(), np.ones(8),
+                                      ReconstructionHead(np.ones(8), 0.0),
+                                      PipelineConfig().edge_config(), "exact")
+
+
 def test_run_image_requires_scale(tmp_path, monkeypatch):
     manifest = build_manifest(tmp_path, n=1)
     monkeypatch.setattr(bench, "_prepare", lambda *a: pytest.fail("entry prepared"))
@@ -342,6 +356,22 @@ def test_run_bench_thread_count_does_not_change_results(tmp_path):
     r1 = run_bench(manifest, [4], configs, threads=1, timing=False)
     r4 = run_bench(manifest, [4], configs, threads=4, timing=False)
     assert [(r.image_id, r.rmse) for r in r1] == [(r.image_id, r.rmse) for r in r4]
+
+
+def test_one_worker_bench_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    # a pool thread would run the entries in its own malloc arena
+    manifest = build_manifest(tmp_path, n=2)
+    configs = [PipelineConfig(method="bicubic"), PipelineConfig(method="image_domain", lam=1.0)]
+    pooled = tmp_path / "pooled.csv"
+    run_bench(manifest, [4], configs, pooled, threads=2, timing=False)
+    threads = []
+    entry_records = bench._entry_records
+    monkeypatch.setattr(bench, "_entry_records", lambda *a: (
+        threads.append(threading.get_ident()) or entry_records(*a)))
+    alone = tmp_path / "alone.csv"
+    run_bench(manifest, [4], configs, alone, threads=1, timing=False)
+    assert threads == [threading.get_ident()] * 2
+    assert alone.read_bytes() == pooled.read_bytes()
 
 
 def test_run_bench_error_rows_do_not_abort(tmp_path):

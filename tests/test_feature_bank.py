@@ -352,7 +352,7 @@ def test_coefficient_solve_at_zero_lambda_is_bitwise():
     bank, triples = _random_bank_triples()
     obj = _LambdaObjective(triples, bank, HARD, 1e-6, "derived")
     stencil = bank.pairs[3].depth_filter
-    want = np.concatenate([(symbol_for("derived", l_up.shape, stencil)
+    want = np.concatenate([(symbol_for(l_up.shape, stencil)
                             * dct2_forward(l_up)).ravel() for l_up, *_ in triples])
     assert np.array_equal(obj.solve(3, 0.0), want)
 

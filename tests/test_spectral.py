@@ -1,24 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gdsr.dct import _dct2, _idct2, dct2_forward, dct2_inverse
 from gdsr.filters import correlate_reflect
 from gdsr.spectral import (
+    CROSS,
     FIVE_POINT,
+    SYMBOL_MODES,
     build_rhs,
     derived_symbol,
     laplacian_apply,
-    paper_symbol,
     solve_screened,
+    solve_stencil,
     stencil_symbol,
     symbol_for,
     _denominator,
     _solve,
 )
 
-from oracles import ConvergenceError, brute_correlate_reflect, cg_solve, dense_screened_solve, energy
+from oracles import (ConvergenceError, brute_correlate_reflect, cg_solve, cosine_sum_symbol,
+                     dense_screened_solve, energy)
 
 
 def lap2(x):
@@ -140,19 +143,19 @@ def test_stencil_symbol_rejects_odd_asymmetric_stencils():
 
 def test_symbol_for_caches_general_stencils():
     g = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 16.0
-    sym = symbol_for("derived", (9, 7), g)
-    assert symbol_for("derived", (9, 7), g.copy()) is sym
+    sym = symbol_for((9, 7), g)
+    assert symbol_for((9, 7), g.copy()) is sym
     # a row and a column with the same bytes are different stencils
-    assert symbol_for("derived", (9, 7), g[1:2]) is not symbol_for("derived", (9, 7), g[:, 1:2])
+    assert symbol_for((9, 7), g[1:2]) is not symbol_for((9, 7), g[:, 1:2])
     # a copy of the 5-point Laplacian shares the default stencil's entry
-    five = symbol_for("derived", (9, 7))
-    assert symbol_for("derived", (9, 7), np.array(FIVE_POINT)) is five
+    five = symbol_for((9, 7))
+    assert symbol_for((9, 7), np.array(FIVE_POINT)) is five
 
 
 def test_symbols_are_read_only_arrays():
     # symbol_for's cache hands one array to every bench thread
-    for sym in (symbol_for("derived", (9, 7)), symbol_for("paper", (9, 7)),
-                stencil_symbol(FIVE_POINT, 9, 7), paper_symbol(9, 7)):
+    for sym in (symbol_for((9, 7)), symbol_for((9, 7), CROSS),
+                stencil_symbol(FIVE_POINT, 9, 7), stencil_symbol(CROSS, 9, 7), CROSS):
         assert isinstance(sym, np.ndarray) and sym.dtype == np.float64
         assert not sym.flags.writeable
         with pytest.raises(ValueError):
@@ -166,7 +169,7 @@ def test_cached_denominators_are_read_only_and_keyed_by_mode_shape_and_lambda():
             for lam in (0.5, 20.0)]
     for mode, M, N, lam in keys + keys[::-1]:
         denom = _denominator(mode, M, N, lam)
-        sym = symbol_for(mode, (M, N))
+        sym = symbol_for((M, N), solve_stencil(mode))
         assert denom.tobytes() == (sym * lam * sym + 1.0).tobytes()
         assert denom is _denominator(mode, M, N, lam)
         assert not denom.flags.writeable
@@ -183,29 +186,45 @@ def test_stencil_symbol_rejects_non_finite_stencils(bad):
 
 
 def test_paper_symbol_values():
-    sym = paper_symbol(4, 4)
+    sym = symbol_for((4, 4), solve_stencil("paper"))
     assert sym[0, 0] == 2.0
     assert abs(sym[2, 2]) < 1e-15  # cos(pi/2) + cos(pi/2)
-    K = paper_symbol(9, 7)
+    K = symbol_for((9, 7), CROSS)
     for i in (1, 4):
         for j in (2, 5):
             assert abs(K[i, 0] + K[0, j] - (K[i, j] + 2.0)) < 1e-14
+
+
+# The paper mode's closed form is the cross stencil's exact symbol, bit for
+# bit: the fit and bench outputs of that mode rest on these bytes.
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(1, 64), N=st.integers(1, 64))
+@example(M=480, N=640)
+@example(M=1024, N=1376)
+def test_cross_stencil_symbol_is_the_cosine_sum(M, N):
+    assert stencil_symbol(CROSS, M, N).tobytes() == cosine_sum_symbol(M, N).tobytes()
 
 
 def test_symbol_for_caches_per_mode_shape_and_kernel():
     kernel = np.array([[0.25, 0.5, 0.25],
                        [0.5, -3.0, 0.5],
                        [0.25, 0.5, 0.25]])
-    sym = symbol_for("derived", (9, 7), kernel)
-    assert symbol_for("derived", (9, 7), kernel) is sym
+    sym = symbol_for((9, 7), kernel)
+    assert symbol_for((9, 7), kernel) is sym
     assert np.array_equal(sym, derived_symbol(kernel, 9, 7))
-    five = symbol_for("derived", (9, 7))
+    five = symbol_for((9, 7))
     assert five is not sym
     assert np.array_equal(five, derived_symbol(FIVE_POINT, 9, 7))
-    paper = symbol_for("paper", (9, 7))
-    assert np.array_equal(paper, paper_symbol(9, 7))
-    with pytest.raises(ValueError, match="symbol mode"):
-        symbol_for("exact", (9, 7))
+    # each mode names one stencil, and its symbol is that stencil's entry
+    assert SYMBOL_MODES == ("derived", "paper")
+    assert solve_stencil("derived") is FIVE_POINT and solve_stencil("paper") is CROSS
+    assert symbol_for((9, 7), solve_stencil("derived")) is five
+    paper = symbol_for((9, 7), solve_stencil("paper"))
+    assert paper is symbol_for((9, 7), np.array(CROSS))
+    assert paper.tobytes() == cosine_sum_symbol(9, 7).tobytes()
+    with pytest.raises(ValueError, match=r"symbol mode must be one of \('derived', 'paper'\), "
+                                         r"got 'exact'"):
+        solve_stencil("exact")
 
 
 def test_build_rhs_degenerate():
@@ -267,7 +286,7 @@ def test_solve_never_writes_the_callers_grid_and_the_given_up_form_agrees(lam):
     rng = np.random.default_rng(27)
     e = rng.standard_normal((33, 20))
     kept = e.copy()
-    sym = symbol_for("derived", e.shape)
+    sym = symbol_for(e.shape)
     h = solve_screened(e, lam, sym)
     assert np.array_equal(e, kept)
     # the in-place arithmetic keeps the bits of the plain formula
@@ -292,14 +311,20 @@ def test_solve_rejects_a_nan_symbol():
 
 
 def test_paper_mode_runs_but_differs():
-    # the cosine-sum symbol is not the stencil's eigenvalue grid, so the
-    # residual guarantee holds only in derived mode
+    # the paper mode divides by the cross stencil K's symbol: it exactly
+    # inverts (Id + lam K^2), not the 5-point screened operator, so its
+    # solve differs from the derived one
     rng = np.random.default_rng(27)
     e = rng.random((16, 16))
-    h_paper = solve_screened(e, 1.0, paper_symbol(16, 16))
+    h_paper = solve_screened(e, 1.0, symbol_for(e.shape, solve_stencil("paper")))
     h_derived = solve_screened(e, 1.0, derived_symbol(FIVE_POINT, 16, 16))
     assert np.all(np.isfinite(h_paper))
     assert np.abs(h_paper - h_derived).max() > 1e-3
+    for lam in (0.01, 1.0, 20.0):
+        h = solve_screened(e, lam, symbol_for(e.shape, CROSS))
+        want = dense_screened_solve(e, lam, lambda x: correlate_reflect(x, CROSS))
+        assert np.abs(h - want).max() <= 1e-12 * np.abs(want).max()
+        assert h.tobytes() == solve_screened(e, lam, cosine_sum_symbol(16, 16)).tobytes()
 
 
 def test_energy_zero_at_exact_fit():
@@ -383,20 +408,20 @@ _LAMS = st.one_of(st.just(0.0), st.floats(-8.0, 4.0).map(np.exp), st.floats(0.0,
 @given(shape=_GRIDS, lam=_LAMS, seed=st.integers(0, 2**32 - 1))
 def test_solve_agrees_with_cg_oracle(shape, lam, seed):
     e = np.random.default_rng(seed).standard_normal(shape)
-    h = solve_screened(e, lam, symbol_for("derived", shape))
+    h = solve_screened(e, lam, symbol_for(shape))
     want = cg_solve(e, lam, tol=1e-13)
     assert np.abs(h - want).max() <= 1e-11 * np.abs(e).max()
 
 
 @settings(max_examples=60, deadline=None)
-@given(shape=_GRIDS, seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["derived", "paper"]))
+@given(shape=_GRIDS, seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(SYMBOL_MODES))
 def test_solve_lambda_zero_is_bitwise_identity(shape, seed, mode):
     e = np.random.default_rng(seed).standard_normal(shape) * 10.0
-    assert np.array_equal(solve_screened(e, 0.0, symbol_for(mode, shape)), e)
+    assert np.array_equal(solve_screened(e, 0.0, symbol_for(shape, solve_stencil(mode))), e)
 
 
 @settings(max_examples=60, deadline=None)
 @given(shape=_GRIDS, lam=_LAMS, value=st.floats(-1e3, 1e3))
 def test_solve_preserves_constants_on_any_grid(shape, lam, value):
-    h = solve_screened(np.full(shape, value), lam, symbol_for("derived", shape))
+    h = solve_screened(np.full(shape, value), lam, symbol_for(shape))
     assert np.abs(h - value).max() <= 1e-12 * max(1.0, abs(value))
