@@ -8,8 +8,10 @@ BLAS pinned to one thread. The verb_* stages run one `gdsr` command end
 to end, in process through `gdsr.cli.main`, on that scene written to a
 temporary directory: `sr --method image`, `sr --method feature
 --params`, one `bench` of bicubic, image lambda = 20 and feature
-configs, one `bench --scales 4,8,16` of the bicubic and image configs,
-and `fit --method feature`, at 480x640 only. The load stage
+configs, one `bench` of the bicubic and feature configs alone, as
+perfbench's bench-feature runs them (`verb_bench_feature`), one `bench
+--scales 4,8,16` of the bicubic and image configs, and `fit --method
+feature`, at 480x640 only. The load stage
 decodes the scene's 16-bit PGM depth and 8-bit PPM guide, written once
 to a temporary directory, with `load_image`; the load_entry stage reads
 the same files as the bench does: the depth grid and the guide's
@@ -34,7 +36,7 @@ and `first_transform`: the same for a fresh interpreter that imports gdsr
 and runs one 480x640 `dct2_forward`, which loads the transform's
 library. Both also record "maxrss_mb", the median of the children's own
 peak resident set (ru_maxrss), in MB of 2^20 bytes. The
-MEMORY_STAGES, three stages and the two `bench` verbs, also
+MEMORY_STAGES, three stages and the three `bench` verbs, also
 record "peak_mb": the tracemalloc peak of one more
 call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
 what the call allocates and holds at once, caches filled beforehand.
@@ -86,7 +88,7 @@ OBJECTIVE_MAX_PIXELS = 480 * 640
 FIRST_TRANSFORM_SIZE = (480, 640)
 # Stages and verbs whose working set is recorded too.
 MEMORY_STAGES = ("transfer_target_hard", "spectral_predict", "lambda_objective_build",
-                 "verb_bench", "verb_bench_scales")
+                 "verb_bench", "verb_bench_feature", "verb_bench_scales")
 
 
 def load_stages(gt, rgb) -> dict:
@@ -163,12 +165,13 @@ def verbs(M: int, N: int) -> dict:
     save_image(lr, root / "lr.pgm", "pgm16")
     manifest, config = root / "manifest.json", root / "config.json"
     manifest.write_text(json.dumps({"name": "stages", "entries": [entry]}), encoding="utf-8")
-    image_configs = [{"method": "bicubic"}, {"method": "image", "lam": 20.0}]
-    config.write_text(json.dumps(image_configs + [{"method": "feature",
-                                                   "params_path": str(PARAMS)}]),
-                      encoding="utf-8")
+    bicubic, image = {"method": "bicubic"}, {"method": "image", "lam": 20.0}
+    feature = {"method": "feature", "params_path": str(PARAMS)}
+    config.write_text(json.dumps([bicubic, image, feature]), encoding="utf-8")
     image_config = root / "image_config.json"
-    image_config.write_text(json.dumps(image_configs), encoding="utf-8")
+    image_config.write_text(json.dumps([bicubic, image]), encoding="utf-8")
+    feature_config = root / "feature_config.json"
+    feature_config.write_text(json.dumps([bicubic, feature]), encoding="utf-8")
     sr = ["sr", "--depth", str(root / "lr.pgm"), "--rgb", str(root / entry["rgb_path"]),
           "--scale", str(SCALE), "--out", str(root / "pred.pgm")]
     commands = {
@@ -176,6 +179,9 @@ def verbs(M: int, N: int) -> dict:
         "verb_sr_feature": sr + ["--method", "feature", "--params", str(PARAMS)],
         "verb_bench": ["bench", "--manifest", str(manifest), "--scales", str(SCALE),
                        "--config", str(config), "--out", str(root / "bench.csv")],
+        "verb_bench_feature": ["bench", "--manifest", str(manifest), "--scales", str(SCALE),
+                               "--config", str(feature_config),
+                               "--out", str(root / "bench_feature.csv")],
         "verb_bench_scales": ["bench", "--manifest", str(manifest), "--scales", "4,8,16",
                               "--config", str(image_config),
                               "--out", str(root / "bench_scales.csv")],

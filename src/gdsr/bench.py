@@ -439,13 +439,16 @@ def _guide_side(guide: np.ndarray, edge_cfg: EdgeWeightConfig) -> np.ndarray:
     return _laplacian(_transfer_target(guide, edge_cfg))
 
 
-def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, side=None) -> np.ndarray:
+def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, side=None,
+             overwrite: bool = False) -> np.ndarray:
     """:func:`predict` of checked grids under ``cfg`` and its :func:`_model`.
 
     ``side`` is the image-domain guide side lap(T) of ``guide`` under
     cfg's edge config, built here when it is None. The bench builds it
     once per entry, cropped shape and edge config, and then may pass no
     guide: an image-domain prediction reads none but through its side.
+    With ``overwrite`` the caller gives ``up`` up, and a feature-domain
+    prediction transforms it in place; the other methods never write it.
     """
     if cfg.method == "bicubic":
         return up
@@ -458,7 +461,7 @@ def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, side=None) -> np
     else:
         bank, lambdas, head = model
         h = _spectral_predict(up, guide, bank, lambdas, head, cfg.edge_config(),
-                              cfg.symbol_mode)
+                              cfg.symbol_mode, overwrite)
     return np.maximum(h, 0.0, out=h)
 
 
@@ -561,18 +564,20 @@ def _guide_sides(guide: np.ndarray, grid) -> dict:
 
 
 def _record(entry: DatasetEntry, dataset: str, prepared, cfg: PipelineConfig, key: str, model,
-            side, build_ms: float) -> BenchRecord:
+            side, build_ms: float, last: bool) -> BenchRecord:
     """The bench record of one prepared entry, (gt, up, guide), under
     ``cfg``, whose hash is ``key``, and its :func:`_model`: ``side`` is its
     prebuilt image-domain guide side or None, and ``build_ms`` the build
-    time it still has to count. The error is taken in the prediction's own
-    buffer, which nothing keeps, except for bicubic: its prediction is
-    ``up`` itself, which the scale's other configs read."""
+    time it still has to count. ``last`` says no later record reads
+    ``up``, so this one may write it: a feature prediction transforms it
+    in place. The error is taken in the prediction's own buffer, which
+    nothing keeps. A bicubic prediction is ``up`` itself, so its error
+    takes a fresh grid unless the record is ``last``."""
     gt, up, guide = prepared
     t0 = time.perf_counter()
-    pred = _predict(up, guide, cfg, model, side)
+    pred = _predict(up, guide, cfg, model, side, last)
     runtime_ms = (time.perf_counter() - t0) * 1e3 + build_ms
-    error = (rmse if pred is up else _rmse_into)(pred, gt, cfg.crop_border)
+    error = (rmse if pred is up and not last else _rmse_into)(pred, gt, cfg.crop_border)
     return BenchRecord(dataset, entry.id, cfg.scale, cfg.method, key,
                        error * entry.depth_unit_scale, runtime_ms)
 
@@ -593,7 +598,11 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
     would hold this task's grids. A scale's grids die before the next
     scale's are made, and each record's error is taken in its own
     prediction, so an image-domain entry at one cropped shape holds about
-    four grids at once: depth, guide side, up and prediction.
+    four grids at once: depth, guide side, up and prediction. The last
+    record of each (scale, antialias) whose parameter file was read may
+    write that group's ``up`` (:func:`_record`): a feature record then
+    takes dct(up) in up's buffer, so a [bicubic, feature] entry holds
+    about seven grids, not eight. Image records never write it.
     """
     try:
         depth, guide = _load_entry(entry)
@@ -608,7 +617,9 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
     records = []
     for s, row in grid:
         prepared = {}  # antialias -> grids (gt, up, guide), or the cause they are missing
-        for cfg, key, model, cause in row:
+        # antialias -> index of the last config that may read its up
+        last = {cfg.antialias: k for k, (cfg, _, _, cause) in enumerate(row) if cause is None}
+        for k, (cfg, key, model, cause) in enumerate(row):
             aa = cfg.antialias
             if aa not in prepared:
                 try:
@@ -628,7 +639,7 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
             if cause is None:
                 try:
                     records.append(_record(entry, dataset, prepared[aa], cfg, key, model, side,
-                                           build_ms))
+                                           build_ms, k == last[aa]))
                     continue
                 except Exception as exc:
                     cause = _cause(exc)

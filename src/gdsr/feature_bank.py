@@ -39,6 +39,7 @@ from .spectral import (
     build_rhs,
     laplacian_apply,
     solve_screened,
+    solve_stencil,
     symbol_for,
 )
 
@@ -272,6 +273,16 @@ def _channel_coeffs(guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, channel
         yield c, t_hat, kept
 
 
+def _depth_symbol(shape, stencil: np.ndarray):
+    """The symbol of a depth stencil on a grid of ``shape``, as
+    :func:`symbol_for` gives it, but 1.0 for the 1x1 identity: its symbol
+    is all ones, and 1.0 * x has x's bits, so a product with L^ keeps them
+    and no all-ones grid is built or cached."""
+    if stencil.shape == (1, 1) and stencil[0, 0] == 1.0:
+        return 1.0
+    return symbol_for(shape, stencil)
+
+
 def _solved_coeffs(d_hat, t_hat, lap_symbol, symbol_sq, lam: float, out=None,
                    den=None) -> np.ndarray:
     """One channel's solved coefficients (d_hat + (lam Lambda_lap) t_hat) /
@@ -323,32 +334,36 @@ def spectral_predict(l_up, guide, bank: FilterBank, lambdas, head: Reconstructio
 
 def _spectral_predict(l_up: np.ndarray, guide: np.ndarray, bank: FilterBank, lam: np.ndarray,
                       head: ReconstructionHead, edge_cfg: EdgeWeightConfig,
-                      symbol_mode: str) -> np.ndarray:
+                      symbol_mode: str, overwrite: bool = False) -> np.ndarray:
     """:func:`spectral_predict` of checked grids of one shape, one float64
-    lambda per pair and a head of the bank's width.
+    lambda per pair and a head of the bank's width. With ``overwrite`` the
+    caller gives ``l_up`` up, and dct(l_up) is taken in its buffer.
 
-    Besides its inputs it holds about five grids: the sum, dct(l_up), the
-    target kept for a later pair, and the channel's guide side, then its
-    target and one scratch grid. Each channel's coefficients are solved
-    in its target's buffer, in :func:`_solved_coeffs`'s operation order
-    with Lambda_Kc L^ formed in the scratch grid, so they have its bits;
-    a target that a later pair reads is solved into a fresh grid instead.
+    Besides its inputs it holds about five grids, four with ``overwrite``:
+    the sum, dct(l_up), the target kept for a later pair, and the
+    channel's guide side, then its target and one scratch grid. Each
+    channel's coefficients are solved in its target's buffer, in
+    :func:`_solved_coeffs`'s operation order, with Lambda_Kc L^ and then
+    the divisor (Lambda * Lambda) * lam + 1 formed in the scratch grid, so
+    they have its bits with no cached Lambda^2; a target that a later pair
+    reads is solved into a fresh grid instead.
     """
     shape = l_up.shape
     lap_symbol = symbol_for(shape)
-    mode_sq = _squared_symbol(symbol_mode, *shape)
-    l_hat = _dct2(l_up)
+    mode_symbol = symbol_for(shape, solve_stencil(symbol_mode))
+    l_hat = _dct2(l_up, overwrite=overwrite)
     h_hat = np.zeros(shape)
     for c, t_hat, kept in _channel_coeffs(guide, bank, edge_cfg, np.flatnonzero(head.weights)):
         out = np.empty(shape) if kept else t_hat
-        d_symbol = symbol_for(shape, bank.pairs[c].depth_filter)
+        d_symbol = _depth_symbol(shape, bank.pairs[c].depth_filter)
         if lam[c] == 0.0:
             np.multiply(d_symbol, l_hat, out=out)
         else:
             scratch = np.empty(shape)  # made once the channel's guide side is built
             np.multiply(t_hat, np.multiply(lap_symbol, lam[c], out=scratch), out=out)
             out += np.multiply(d_symbol, l_hat, out=scratch)
-            np.multiply(mode_sq, lam[c], out=scratch)
+            np.multiply(mode_symbol, mode_symbol, out=scratch)
+            scratch *= lam[c]
             scratch += 1.0
             out /= scratch
             del scratch
@@ -356,7 +371,7 @@ def _spectral_predict(l_up: np.ndarray, guide: np.ndarray, bank: FilterBank, lam
         h_hat += out
         # freed before the generator builds the next channel's guide side
         del t_hat, out
-    h_hat[0, 0] += head.bias * math.sqrt(l_up.size)
+    h_hat[0, 0] += head.bias * math.sqrt(l_hat.size)
     return _idct2(h_hat, overwrite=True)
 
 
@@ -432,7 +447,8 @@ class _LambdaObjective:
     :func:`_channel_coeffs` as prediction, into flattened coefficient rows
     that span all triples: one d_hat row per distinct depth stencil and
     one t_hat row per distinct guide stencil (:func:`_row_index`), with
-    the symbols kept once per shape.
+    the symbols kept once per shape. The identity depth stencil's row is
+    L^ times 1.0 (:func:`_depth_symbol`): no all-ones symbol is built.
 
     The accepted state starts at lambda_c = e^0.1 for every channel and
     is the solved coefficient stack at the accepted weights plus its
@@ -485,7 +501,7 @@ class _LambdaObjective:
             self.y_hat[lo:hi] = _dct2(target).ravel()
             l_hat = _dct2(l_up)
             for c, t_hat, _ in _channel_coeffs(guide, bank, edge_cfg, range(C)):
-                np.multiply(symbol_for(shape, bank.pairs[c].depth_filter), l_hat,
+                np.multiply(_depth_symbol(shape, bank.pairs[c].depth_filter), l_hat,
                             out=self.d_hat[self.d_row[c], lo:hi].reshape(shape))
                 self.t_hat[self.t_row[c], lo:hi] = t_hat.ravel()
         # dct(1) = sqrt(MN) e_0: the bias column lives in each triple's DC slot

@@ -33,14 +33,15 @@ _DECIMAL = re.compile(rb"-?[0-9]+")
 def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     """Read whitespace-separated header tokens, skipping '#' comments.
 
-    ``data`` starts right after the magic number, which must be followed
-    by whitespace or a comment. Returns the tokens and the offset one
+    ``data`` is the whole file. The tokens start after its two-byte magic
+    number, which must be followed by whitespace or a comment; no copy of
+    the file is made. Returns the tokens and the offset in ``data`` one
     byte past the single whitespace that terminates the last token.
     """
-    if data and data[:1] not in (b" ", b"\t", b"\r", b"\n", b"#"):
+    pos = 2
+    if len(data) > pos and data[pos : pos + 1] not in (b" ", b"\t", b"\r", b"\n", b"#"):
         raise ImageFormatError("magic number not followed by whitespace")
     tokens = []
-    pos = 0
     while len(tokens) < count:
         if pos >= len(data):
             raise ImageFormatError("truncated header")
@@ -74,10 +75,23 @@ def _parse_int(token: bytes, what: str) -> int:
     raise ImageFormatError(f"bad {what}: {token!r}")
 
 
+def _payload(data: bytes, offset: int, expected: int) -> memoryview:
+    """The ``expected`` payload bytes of a file from ``offset`` on, as a view
+    of ``data``: slicing the bytes would copy the samples. Fewer raise."""
+    payload = memoryview(data)[offset:]
+    if len(payload) < expected:
+        raise ImageFormatError(
+            f"truncated payload: expected {expected} bytes, got {len(payload)}"
+        )
+    return payload[:expected]
+
+
 def _netpbm_samples(data: bytes, magic: bytes) -> tuple[np.ndarray, int, int, int]:
     """The checked integer samples of a P5 or P6 file, flat in file order,
-    and its height, width and maxval."""
-    tokens, offset = _read_tokens(data[2:], 3)
+    and its height, width and maxval. The samples are a read-only view of
+    ``data``; they are scanned against maxval only when the sample type
+    can hold more than maxval."""
+    tokens, offset = _read_tokens(data, 3)
     width = _parse_int(tokens[0], "width")
     height = _parse_int(tokens[1], "height")
     maxval = _parse_int(tokens[2], "maxval")
@@ -87,14 +101,9 @@ def _netpbm_samples(data: bytes, magic: bytes) -> tuple[np.ndarray, int, int, in
         raise ImageFormatError(f"unsupported maxval {maxval}")
     planes = 3 if magic == b"P6" else 1
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    payload = data[2 + offset :]
-    expected = width * height * planes * dtype.itemsize
-    if len(payload) < expected:
-        raise ImageFormatError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}"
-        )
-    raw = np.frombuffer(payload[:expected], dtype=dtype)
-    if raw.max(initial=0) > maxval:
+    raw = np.frombuffer(_payload(data, offset, width * height * planes * dtype.itemsize),
+                        dtype=dtype)
+    if maxval < np.iinfo(dtype).max and raw.max(initial=0) > maxval:
         raise ImageFormatError("sample exceeds declared maxval")
     return raw, height, width, maxval
 
@@ -108,7 +117,7 @@ def _load_netpbm(data: bytes, magic: bytes):
 
 def _pfm_grid(data: bytes) -> np.ndarray:
     """Float samples of a grayscale PFM, top row first, taken verbatim."""
-    tokens, offset = _read_tokens(data[2:], 3)
+    tokens, offset = _read_tokens(data, 3)
     width = _parse_int(tokens[0], "width")
     height = _parse_int(tokens[1], "height")
     if width < 1 or height < 1:
@@ -119,14 +128,8 @@ def _pfm_grid(data: bytes) -> np.ndarray:
         raise ImageFormatError(f"bad scale line: {tokens[2]!r}") from None
     if scale == 0.0 or not np.isfinite(scale):
         raise ImageFormatError(f"PFM scale must be finite and nonzero, got {scale!r}")
-    payload = data[2 + offset :]
-    expected = width * height * 4
-    if len(payload) < expected:
-        raise ImageFormatError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}"
-        )
     endian = "<f4" if scale < 0 else ">f4"
-    raw = np.frombuffer(payload[:expected], dtype=endian)
+    raw = np.frombuffer(_payload(data, offset, width * height * 4), dtype=endian)
     if not np.all(np.isfinite(raw)):
         raise ImageFormatError("PFM payload holds non-finite samples")
     return raw.astype(np.float64).reshape(height, width)[::-1]  # bottom-up rows

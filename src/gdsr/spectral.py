@@ -161,7 +161,9 @@ def _denominator(mode: str, M: int, N: int, lam: float) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _squared_symbol(mode: str, M: int, N: int) -> np.ndarray:
     """The symbol of the ``mode`` solve's stencil on an (M, N) grid, squared:
-    Lambda^2 of the feature-domain solves, cached and read-only."""
+    Lambda^2 of the two fits, cached and read-only. Prediction forms
+    Lambda * Lambda per channel in a scratch grid instead, with these bits,
+    so only a fit fills this cache."""
     values = np.square(symbol_for((M, N), solve_stencil(mode)))
     values.setflags(write=False)
     return values

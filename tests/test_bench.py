@@ -29,8 +29,8 @@ from gdsr.bench import (
     MEAN_ROW_ID,
     ERROR_MARKER,
 )
-from gdsr.feature_bank import INIT_LOG_LAMBDA, ReconstructionHead, default_bank
-from gdsr.guidance import luminance
+from gdsr.feature_bank import INIT_LOG_LAMBDA, ReconstructionHead, default_bank, spectral_predict
+from gdsr.guidance import EdgeWeightConfig, luminance
 from gdsr.imgio import load_image, load_luminance, save_image
 from gdsr.resample import degrade
 
@@ -663,6 +663,94 @@ def test_entry_records_hold_about_four_grids(tmp_path):
     assert all(r.error is None for r in records) and records == [
         dataclasses.replace(r, runtime_ms=q.runtime_ms) for r, q in zip(first, records)]
     assert peak <= 4.4 * gt.nbytes, f"peak {peak / gt.nbytes:.2f} grids"
+
+
+def _feature_params(path, seed):
+    """A feature parameter file whose head reads every channel, at lambdas
+    that include 0, written by save_params; returns its path as text."""
+    rng = np.random.default_rng(seed)
+    lambdas = np.append(rng.uniform(0.5, 4.0, 7), 0.0)
+    head = ReconstructionHead(rng.uniform(0.25, 1.0, 8), rng.uniform(-0.1, 0.1))
+    save_params(path, PipelineConfig(method="feature_domain"), (lambdas, head))
+    return str(path)
+
+
+def test_entry_records_hold_about_seven_grids_with_a_feature_config(tmp_path):
+    # bicubic, then a feature config that reads every channel, at x8 on 480x640:
+    # the feature record is the last reader of up and takes dct(up) in its
+    # buffer. Keeping up beside dct(up) made 8.33 grids.
+    M, N = 480, 640
+    gt, rgb = make_scene(np.random.default_rng(97), M, N)
+    doc = {"name": "big", "entries": [write_scene_files(tmp_path, "big", gt, rgb)]}
+    entry = load_manifest(_write_manifest(tmp_path, doc)).entries[0]
+    configs = [PipelineConfig(method="bicubic"),
+               PipelineConfig(method="feature_domain",
+                              params_path=_feature_params(tmp_path / "p.json", 97))]
+    grid = [(8, [(c.with_scale(8), c.with_scale(8).config_hash(), bench._model(c), None)
+                 for c in configs])]
+    first = bench._entry_records(entry, "big", grid)  # fills the resample and symbol caches
+    tracemalloc.start()
+    try:
+        records = bench._entry_records(entry, "big", grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.error is None for r in records) and records == [
+        dataclasses.replace(r, runtime_ms=q.runtime_ms) for r, q in zip(first, records)]
+    assert peak <= 7.5 * gt.nbytes, f"peak {peak / gt.nbytes:.2f} grids"
+
+
+@pytest.mark.parametrize("antialias", [True, False])
+def test_the_last_reader_of_up_writes_it_and_every_row_keeps_its_bytes(tmp_path, monkeypatch,
+                                                                      antialias):
+    # 67x70 crops to 64x68 at x4 and to 64x64 at x8
+    manifest = build_manifest(tmp_path, n=2, M=67, N=70)
+    bicubic = PipelineConfig(method="bicubic", crop_border=1, antialias=antialias)
+    feature = PipelineConfig(method="feature_domain", crop_border=2, antialias=antialias,
+                             params_path=_feature_params(tmp_path / "a.json", 1))
+    feature2 = PipelineConfig(method="feature_domain", antialias=antialias,
+                              params_path=_feature_params(tmp_path / "b.json", 2))
+    other = dataclasses.replace(bicubic, antialias=not antialias)
+    orders = [[bicubic, feature], [feature, bicubic], [bicubic, feature, feature2],
+              [feature, other], [feature, other, bicubic]]
+    scales = (4, 8)
+    want = {(e.id, s, cfg): dataclasses.replace(run_image(e, cfg.with_scale(s), "synth")[1],
+                                                runtime_ms=0.0)
+            for e in manifest.entries for s in scales for cfg in set().union(*orders)}
+    predict_ = bench._predict
+    for order in orders:
+        writers = []
+
+        def spy(up, guide, cfg, model, side=None, overwrite=False):
+            writers.append((cfg.scale, cfg.config_hash(), overwrite))
+            return predict_(up, guide, cfg, model, side, overwrite)
+
+        monkeypatch.setattr(bench, "_predict", spy)
+        records = run_bench(manifest, scales, order, threads=1, timing=False)
+        details = [r for r in records if r.image_id != MEAN_ROW_ID]
+        assert details == [want[(e.id, s, cfg)]
+                           for e in manifest.entries for s in scales for cfg in order]
+        # the last config of each (scale, antialias) writes that group's up
+        assert writers == [(s, cfg.with_scale(s).config_hash(),
+                            all(c.antialias != cfg.antialias for c in order[k + 1:]))
+                           for _ in manifest.entries for s in scales
+                           for k, cfg in enumerate(order)]
+
+
+def test_predict_never_writes_up_or_the_guide(tmp_path):
+    gt, rgb = make_scene(np.random.default_rng(98), 48, 64)
+    _, up = degrade(gt, 4)
+    guide = luminance(rgb)
+    before = [up.tobytes(), guide.tobytes()]
+    params = _feature_params(tmp_path / "p.json", 98)
+    for cfg in [PipelineConfig(method="bicubic"), PipelineConfig(method="image_domain", lam=2.0),
+                PipelineConfig(method="feature_domain", params_path=params)]:
+        predict(up, guide, cfg)
+        assert [up.tobytes(), guide.tobytes()] == before
+    bank, lambdas, head = bench._model(PipelineConfig(method="feature_domain",
+                                                      params_path=params))
+    spectral_predict(up, guide, bank, lambdas, head, EdgeWeightConfig())
+    assert [up.tobytes(), guide.tobytes()] == before
 
 
 # numpy sums a cropped view and a C-contiguous grid in different orders

@@ -42,8 +42,8 @@ def test_every_stage_runs_once(stage_script):
 
 def test_every_verb_runs_once(stage_script):
     verbs = stage_script.verbs(64, 64)
-    assert set(verbs) == {"verb_sr_image", "verb_sr_feature", "verb_bench", "verb_bench_scales",
-                          "verb_fit_feature"}
+    assert set(verbs) == {"verb_sr_image", "verb_sr_feature", "verb_bench", "verb_bench_feature",
+                          "verb_bench_scales", "verb_fit_feature"}
     for fn in verbs.values():
         fn()
 

@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,28 @@ def test_sample_exceeding_maxval_rejected(tmp_path):
     path.write_bytes(b"P5 1 1 100\n" + bytes([200]))
     with pytest.raises(ImageFormatError, match="maxval"):
         load_image(path)
+
+
+@pytest.mark.parametrize("name, fmt, loader, bound", [
+    # file bytes, plus the float grid, plus load_luminance's one plane buffer
+    ("guide.ppm", "ppm8", load_luminance, 2.5),
+    ("depth.pgm", "pgm16", load_image, 1.35),
+    ("depth.pfm", "pfm", load_image, 1.65),
+], ids=["ppm8-luminance", "pgm16", "pfm"])
+def test_decoders_read_the_payload_in_place(tmp_path, name, fmt, loader, bound):
+    # a sliced payload was a second copy of the samples: 2.78, 1.50 and 2.00 grids
+    rng = np.random.default_rng(5)
+    shape = (480, 640, 3) if fmt == "ppm8" else (480, 640)
+    path = tmp_path / name
+    save_image(rng.random(shape), path, fmt)
+    grid = 480 * 640 * 8
+    tracemalloc.start()
+    try:
+        loader(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * grid, f"peak {peak / grid:.2f} grids"
 
 
 def test_save_error_map_levels(tmp_path):
