@@ -17,12 +17,15 @@ to a temporary directory, with `load_image`; the load_entry stage reads
 the same files as the bench does: the depth grid and the guide's
 luminance, checked against each other. Stages marked cold go through no
 cache: the resample matrices are built by the uncached
-`_axis_weights.__wrapped__` and `stencil_symbol` is called directly,
-below `symbol_for`'s cache. `lambda_objective_evaluate` is one fit-objective evaluation
-and `lambda_objective_build` the objective's construction on two triples
-of the scene, both at 480x640 only: the objective holds 176 bytes per
-training pixel, about 236 MB for one 1024x1376 triple, and two 480x640
-triples peak at 108 MB. The result for --label is stored under that key of --out, next
+`_axis_weights.__wrapped__`, `stencil_symbol` is called directly, below
+`symbol_for`'s cache, and `denominator_cold` is the uncached
+`_denominator.__wrapped__`, the image-domain divisor at lambda = 20.
+`lambda_objective_evaluate` is one fit-objective evaluation and
+`lambda_objective_build` the whole objective on two triples of the
+scene: its construction and its first evaluation, which makes its
+accepted state. Both run at 480x640 only: the objective holds 152 bytes
+per training pixel, about 204 MB for one 1024x1376 triple, and two
+480x640 triples peak at 89 MB. The result for --label is stored under that key of --out, next
 to any other labels already in the file, so runs of two checkouts can
 share one file:
 
@@ -36,7 +39,7 @@ and `first_transform`: the same for a fresh interpreter that imports gdsr
 and runs one 480x640 `dct2_forward`, which loads the transform's
 library. Both also record "maxrss_mb", the median of the children's own
 peak resident set (ru_maxrss), in MB of 2^20 bytes. The
-MEMORY_STAGES, three stages and the three `bench` verbs, also
+MEMORY_STAGES, six stages and the three `bench` verbs, also
 record "peak_mb": the tracemalloc peak of one more
 call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
 what the call allocates and holds at once, caches filled beforehand.
@@ -75,7 +78,8 @@ from gdsr.filters import correlate_reflect  # noqa: E402
 from gdsr.guidance import EdgeWeightConfig, luminance, transfer_target  # noqa: E402
 from gdsr.imgio import load_image, save_image  # noqa: E402
 from gdsr.resample import _axis_weights, bicubic_downsample, degrade  # noqa: E402
-from gdsr.spectral import DEFAULT_SYMBOL_MODE, FIVE_POINT, stencil_symbol  # noqa: E402
+from gdsr.spectral import (DEFAULT_SYMBOL_MODE, FIVE_POINT, _denominator,  # noqa: E402
+                           stencil_symbol)
 from tests.scenes import make_scene, write_scene_files  # noqa: E402
 
 SIZES = ((480, 640), (1024, 1376))
@@ -87,7 +91,8 @@ OBJECTIVE_MAX_PIXELS = 480 * 640
 # Grid of the startup block's first transform.
 FIRST_TRANSFORM_SIZE = (480, 640)
 # Stages and verbs whose working set is recorded too.
-MEMORY_STAGES = ("transfer_target_hard", "spectral_predict", "lambda_objective_build",
+MEMORY_STAGES = ("stencil_symbol_7x7_cold", "stencil_symbol_3x3_cold", "denominator_cold",
+                 "transfer_target_hard", "spectral_predict", "lambda_objective_build",
                  "verb_bench", "verb_bench_feature", "verb_bench_scales")
 
 
@@ -133,6 +138,7 @@ def stages(M: int, N: int) -> dict:
                                       cold_weights(m, M, False), cold_weights(n, N, False)),
         "stencil_symbol_7x7_cold": lambda: stencil_symbol(g2, M, N),
         "stencil_symbol_3x3_cold": lambda: stencil_symbol(FIVE_POINT, M, N),
+        "denominator_cold": lambda: _denominator.__wrapped__(DEFAULT_SYMBOL_MODE, M, N, 20.0),
         "luminance": lambda: luminance(rgb),
         "dct2_forward": lambda: dct2_forward(up),
         "dct2_inverse": lambda: dct2_inverse(coeffs),
@@ -149,7 +155,7 @@ def stages(M: int, N: int) -> dict:
                                      DEFAULT_SYMBOL_MODE)
         timed["lambda_objective_evaluate"] = lambda: objective.evaluate(3, 2.0)
         timed["lambda_objective_build"] = lambda: _LambdaObjective(
-            [(up, guide, gt)] * 2, bank, edge, HEAD_GAMMA, DEFAULT_SYMBOL_MODE)
+            [(up, guide, gt)] * 2, bank, edge, HEAD_GAMMA, DEFAULT_SYMBOL_MODE).evaluate(3, 2.0)
     return timed
 
 

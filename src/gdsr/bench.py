@@ -568,7 +568,7 @@ def _record(entry: DatasetEntry, dataset: str, prepared, cfg: PipelineConfig, ke
     """The bench record of one prepared entry, (gt, up, guide), under
     ``cfg``, whose hash is ``key``, and its :func:`_model`: ``side`` is its
     prebuilt image-domain guide side or None, and ``build_ms`` the build
-    time it still has to count. ``last`` says no later record reads
+    time it still has to count. ``last`` says no record scored later reads
     ``up``, so this one may write it: a feature prediction transforms it
     in place. The error is taken in the prediction's own buffer, which
     nothing keeps. A bicubic prediction is ``up`` itself, so its error
@@ -598,11 +598,10 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
     would hold this task's grids. A scale's grids die before the next
     scale's are made, and each record's error is taken in its own
     prediction, so an image-domain entry at one cropped shape holds about
-    four grids at once: depth, guide side, up and prediction. The last
-    record of each (scale, antialias) whose parameter file was read may
-    write that group's ``up`` (:func:`_record`): a feature record then
-    takes dct(up) in up's buffer, so a [bicubic, feature] entry holds
-    about seven grids, not eight. Image records never write it.
+    four grids at once: depth, guide side, up and prediction. One record
+    of each (scale, antialias) group may write that group's ``up``
+    (:func:`_scoring_order`), so a [bicubic, feature] or [feature,
+    bicubic] entry holds about seven grids, not eight.
     """
     try:
         depth, guide = _load_entry(entry)
@@ -617,9 +616,10 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
     records = []
     for s, row in grid:
         prepared = {}  # antialias -> grids (gt, up, guide), or the cause they are missing
-        # antialias -> index of the last config that may read its up
-        last = {cfg.antialias: k for k, (cfg, _, _, cause) in enumerate(row) if cause is None}
-        for k, (cfg, key, model, cause) in enumerate(row):
+        order, writers = _scoring_order(row)
+        scored = {}  # config index -> its record
+        for k in order:
+            cfg, key, model, cause = row[k]
             aa = cfg.antialias
             if aa not in prepared:
                 try:
@@ -638,14 +638,40 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
                     cause = side
             if cause is None:
                 try:
-                    records.append(_record(entry, dataset, prepared[aa], cfg, key, model, side,
-                                           build_ms, k == last[aa]))
+                    scored[k] = _record(entry, dataset, prepared[aa], cfg, key, model, side,
+                                        build_ms, k in writers)
                     continue
                 except Exception as exc:
                     cause = _cause(exc)
-            records.append(BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0,
-                                       _entry_error(entry, cause)))
+            scored[k] = BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0,
+                                    _entry_error(entry, cause))
+        records += [scored[k] for k in range(len(row))]
     return records
+
+
+def _scoring_order(row) -> tuple[list[int], set[int]]:
+    """The order in which :func:`_entry_records` scores one scale's
+    configs, given as (scaled config, hash, model, cause) per config, and
+    the configs that may write their (scale, antialias) group's ``up``
+    (:func:`_record`): the group's last feature config whose parameter
+    file was read, which takes dct(up) in up's buffer, else its last
+    readable config. Configs are scored in canonical order, except that a
+    writer's later configs of its group are scored just before it, so it
+    reads ``up`` last; bicubic ones among them take their error in a
+    fresh grid. Records are still emitted in canonical order."""
+    writers = {}  # antialias -> index of the group's writer
+    for k, (cfg, _, _, cause) in enumerate(row):
+        held = writers.get(cfg.antialias)
+        if cause is None and (held is None or cfg.method == "feature_domain"
+                              or row[held][0].method != "feature_domain"):
+            writers[cfg.antialias] = k
+    order = []
+    for k, (cfg, *_) in enumerate(row):
+        if k == writers.get(cfg.antialias):
+            order += [j for j in range(k + 1, len(row)) if row[j][0].antialias == cfg.antialias]
+        if k not in order:
+            order.append(k)
+    return order, set(writers.values())
 
 
 def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,
@@ -755,24 +781,31 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig,
     fitted value can never lose to the unguided baseline on the fitting
     set. The objective is the pooled RMSE of the fixed-head prediction,
     evaluated on DCT coefficients (Parseval): each entry is transformed
-    once, and every lambda costs one per-frequency division.
+    once, and every lambda costs one per-frequency division, taken in two
+    work grids per distinct shape that every evaluation reuses.
     """
     _check_search(grid_points)
     edge_cfg = cfg.edge_config()
-    prepared = []
+    prepared, work = [], {}
     for entry, (gt, up, guide) in _train_grids(manifest, cfg):
         target = _transfer_target(guide, edge_cfg)
+        if gt.shape not in work:
+            work[gt.shape] = np.empty((2, *gt.shape))
         prepared.append((dct2_forward(up), dct2_forward(target),
                          symbol_for(gt.shape),
                          _squared_symbol(cfg.symbol_mode, *gt.shape),
-                         dct2_forward(gt), entry.depth_unit_scale**2))
-    n_pixels = sum(y_hat.size for *_, y_hat, _ in prepared)
+                         dct2_forward(gt), entry.depth_unit_scale**2, work[gt.shape]))
+    n_pixels = sum(y_hat.size for *_, y_hat, _, _ in prepared)
 
     def objective(lam: float) -> float:
         sse = 0.0
-        for u_hat, t_hat, lap_symbol, sym_sq, y_hat, unit_sq in prepared:
-            resid = _solved_coeffs(u_hat, t_hat, lap_symbol, sym_sq, lam) - y_hat
-            sse += float(np.sum(resid * resid)) * unit_sq
+        for u_hat, t_hat, lap_symbol, sym_sq, y_hat, unit_sq, (out, den) in prepared:
+            # at lam = 0 the coefficients are u_hat itself, which the
+            # difference does not write
+            resid = _solved_coeffs(u_hat, t_hat, lap_symbol, sym_sq, lam, out, den)
+            resid = np.subtract(resid, y_hat, out=out)
+            resid *= resid
+            sse += float(np.sum(resid)) * unit_sq
         return math.sqrt(sse / n_pixels)
 
     best_lam = math.exp(INIT_LOG_LAMBDA)

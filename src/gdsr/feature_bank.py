@@ -445,22 +445,28 @@ class _LambdaObjective:
     and <H_c, 1> = sqrt(MN) * dct(H_c)[0, 0]. The training triples are
     validated and transformed once here, through the same
     :func:`_channel_coeffs` as prediction, into flattened coefficient rows
-    that span all triples: one d_hat row per distinct depth stencil and
-    one t_hat row per distinct guide stencil (:func:`_row_index`), with
-    the symbols kept once per shape. The identity depth stencil's row is
-    L^ times 1.0 (:func:`_depth_symbol`): no all-ones symbol is built.
+    that span all triples: one L^ row and one t_hat row per distinct
+    guide stencil (:func:`_row_index`), with the symbols kept once per
+    shape. Each solve forms Lambda_Kc L^ from the L^ row; the identity
+    depth stencil's symbol is 1.0 (:func:`_depth_symbol`), so no all-ones
+    grid is built.
 
     The accepted state starts at lambda_c = e^0.1 for every channel and
     is the solved coefficient stack at the accepted weights plus its
     normal equations (G, b), which also give the fitted head. Moving
     channel c changes only row and column c of G and entry c of b, so one
     evaluation costs O(C * pixels): no transform, no copy, no rebuild.
+    The state and the two work rows are made on first use, so a caller
+    that drops the triples once the objective is built never holds both.
 
-    The default bank needs 4 depth rows, 7 guide rows, 8 solved rows, the
-    target row and 2 work rows: 22 rows, 176 bytes per training pixel. Two
-    triples of 480x640 hold 103 MB and peak at 108 MB while they are built
-    (MB of 2^20 bytes).
+    The default bank needs the L^ row, 7 guide rows, the target row, then
+    8 solved rows and 2 work rows: 19 rows, 152 bytes per training pixel.
+    Two triples of 480x640 hold 89 MB, which is also their peak once the
+    triples are dropped (MB of 2^20 bytes).
     """
+
+    # made on first use (__getattr__)
+    _STATE = ("h_hat", "G", "b", "_coeffs", "_work")
 
     def __init__(self, train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
                  head_gamma, symbol_mode):
@@ -479,40 +485,47 @@ class _LambdaObjective:
         sizes = [target.size for *_, target in triples]
         bounds = np.cumsum([0] + sizes)
         self.n_pixels = int(bounds[-1])
-        self.d_row = _row_index([p.depth_filter for p in bank.pairs])
         self.t_row = _row_index([p.guide_filter for p in bank.pairs])
-        self.d_hat = np.empty((max(self.d_row) + 1, self.n_pixels))
+        self.l_hat = np.empty(self.n_pixels)
         self.t_hat = np.empty((max(self.t_row) + 1, self.n_pixels))
         self.y_hat = np.empty(self.n_pixels)
-        # (lo, hi, lap_symbol, sym_sq) per run of consecutive triples of one
-        # shape, in triple order: the flat row order fixes the bits of every
-        # product over the rows, so triples are never regrouped by shape.
+        # (lo, hi, shape, lap_symbol, sym_sq, depth symbols per channel) per
+        # run of consecutive triples of one shape, in triple order: the flat
+        # row order fixes the bits of every product over the rows, so
+        # triples are never regrouped by shape.
         symbols, self._runs, last = {}, [], None
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
             shape = target.shape
             if shape not in symbols:
-                symbols[shape] = (symbol_for(shape).ravel(),
-                                  _squared_symbol(symbol_mode, *shape).ravel())
+                symbols[shape] = (symbol_for(shape), _squared_symbol(symbol_mode, *shape),
+                                  [_depth_symbol(shape, p.depth_filter) for p in bank.pairs])
             if shape == last:
                 self._runs[-1][1] = hi
             else:
-                self._runs.append([lo, hi, *symbols[shape]])
+                self._runs.append([lo, hi, shape, *symbols[shape]])
             last = shape
             self.y_hat[lo:hi] = _dct2(target).ravel()
-            l_hat = _dct2(l_up)
+            self.l_hat[lo:hi] = _dct2(l_up).ravel()
             for c, t_hat, _ in _channel_coeffs(guide, bank, edge_cfg, range(C)):
-                np.multiply(_depth_symbol(shape, bank.pairs[c].depth_filter), l_hat,
-                            out=self.d_hat[self.d_row[c], lo:hi].reshape(shape))
                 self.t_hat[self.t_row[c], lo:hi] = t_hat.ravel()
         # dct(1) = sqrt(MN) e_0: the bias column lives in each triple's DC slot
         self.dc_idx = bounds[:-1]
         self.dc_scale = np.sqrt(sizes)
-        # Work rows reused by every evaluation: fresh pixel-sized temporaries
-        # would cost page faults on each allocation. The divisor row is dead
-        # once solve returns, so the residual reuses it.
-        self._coeffs, self._den = np.empty((2, self.n_pixels))
-
         self.lambdas = np.full(C, math.exp(INIT_LOG_LAMBDA))
+
+    def __getattr__(self, name):
+        # called only for a missing attribute: the state before first use
+        if name not in self._STATE:
+            raise AttributeError(name)
+        self._start()
+        return getattr(self, name)
+
+    def _start(self) -> None:
+        """Make the accepted state at the e^0.1 start, and the work rows
+        every evaluation reuses: fresh pixel-sized temporaries would cost
+        page faults on each allocation."""
+        C = self.channels
+        self._coeffs, self._work = np.empty((2, self.n_pixels))
         self.h_hat = np.empty((C, self.n_pixels))
         for c in range(C):
             self.h_hat[c] = self.solve(c, self.lambdas[c])
@@ -523,20 +536,31 @@ class _LambdaObjective:
         self.b = np.append(self.h_hat @ self.y_hat, self.y_hat[self.dc_idx] @ self.dc_scale)
 
     def solve(self, c: int, lam: float) -> np.ndarray:
-        """Channel c's coefficients at lam; valid until the next call. At
-        lam = 0 they are channel c's depth row itself, which callers must
-        not write."""
-        d_hat = self.d_hat[self.d_row[c]]
-        if lam == 0.0:
-            return d_hat
-        t_hat = self.t_hat[self.t_row[c]]
-        for lo, hi, lap_symbol, sym_sq in self._runs:
-            # the run's rows as (triples, M*N), each shape's symbols broadcast
-            rows = (-1, lap_symbol.size)
-            _solved_coeffs(d_hat[lo:hi].reshape(rows), t_hat[lo:hi].reshape(rows),
-                           lap_symbol, sym_sq, lam, self._coeffs[lo:hi].reshape(rows),
-                           self._den[lo:hi].reshape(rows))
-        return self._coeffs
+        """Channel c's coefficients at lam, in the coefficient row; valid
+        until the next call. Each run of one shape forms (lam Lambda_lap)
+        t_hat in the work row, then Lambda_Kc L^ in the coefficient row,
+        adds the two and divides by Lambda^2 lam + 1: every sample gets the
+        operations of :func:`_solved_coeffs` in its order, so its bits.
+        lam Lambda_lap and the divisor are formed once per run, each in a
+        grid of the rows that is free at that point, so a solve allocates
+        nothing."""
+        out, t_hat = self._coeffs, self.t_hat[self.t_row[c]]
+        for lo, hi, shape, lap_symbol, sym_sq, d_symbols in self._runs:
+            run = out[lo:hi].reshape(-1, *shape)  # the run's triples, each symbol broadcast
+            l_hat = self.l_hat[lo:hi].reshape(run.shape)
+            if lam == 0.0:
+                np.multiply(d_symbols[c], l_hat, out=run)
+                continue
+            transfer = self._work[lo:hi].reshape(run.shape)
+            # lam Lambda_lap in the run's first coefficient grid, then Lambda_Kc L^ over it
+            np.multiply(np.multiply(lap_symbol, lam, out=run[0]),
+                        t_hat[lo:hi].reshape(run.shape), out=transfer)
+            np.multiply(d_symbols[c], l_hat, out=run)
+            run += transfer
+            den = np.multiply(sym_sq, lam, out=transfer[0])  # the transfer terms are spent
+            den += 1.0
+            run /= den
+        return out
 
     def head(self) -> ReconstructionHead:
         """The ridge head of the accepted state's normal equations."""
@@ -564,10 +588,8 @@ class _LambdaObjective:
         weights = coef[:-1]
         w_c = weights[c]
         weights[c] = 0.0
-        resid = np.dot(weights, self.h_hat, out=self._den)
-        # h * w_c goes into the coefficient row, in place unless h is a
-        # depth row (lam = 0), which is never written
-        resid += np.multiply(h, w_c, out=self._coeffs)
+        resid = np.dot(weights, self.h_hat, out=self._work)
+        resid += np.multiply(h, w_c, out=h)  # h is the coefficient row
         resid -= self.y_hat
         resid[self.dc_idx] += coef[-1] * self.dc_scale
         return math.sqrt(float(resid @ resid) / self.n_pixels)
@@ -648,7 +670,8 @@ def fit_lambda(train_triples, bank: FilterBank, edge_cfg: EdgeWeightConfig,
     _check_search(grid_points, sweeps)
     obj = _LambdaObjective(train_triples, bank, edge_cfg, head_gamma, symbol_mode)
     # The search reads the objective's rows only: triples passed as a
-    # temporary die here, not after the search.
+    # temporary die here, not after the search, and before the first
+    # evaluation makes the accepted state.
     del train_triples
     best = obj.evaluate(0, obj.lambdas[0])
     trace = [best]

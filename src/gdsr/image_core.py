@@ -1,4 +1,4 @@
-"""Grid validation.
+"""Grid validation, and the cache of shared read-only grids.
 
 Everything downstream computes on 2-D float64 sample grids: depth is a
 bare grid, and so is the luminance of the color guide, which decodes to
@@ -9,9 +9,34 @@ shared freely between workers.
 
 from __future__ import annotations
 
+import threading
+from functools import lru_cache, wraps
+
 import numpy as np
 
 __all__ = ["as_image", "as_stack"]
+
+
+def shared_cache(maxsize: int):
+    """``functools.lru_cache(maxsize=maxsize)`` under one lock per cache,
+    held while a miss builds: a bench worker that misses a key another
+    worker is building waits and then hits, so each grid is built once.
+    Each cache has its own lock, so one cache's build may read another.
+    The cached function keeps ``cache_clear``, ``cache_info`` and
+    ``__wrapped__``, the uncached build function."""
+    def decorate(build):
+        cached = lru_cache(maxsize=maxsize)(build)
+        lock = threading.Lock()
+
+        @wraps(build)
+        def call(*args):
+            with lock:
+                return cached(*args)
+
+        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+        return call
+
+    return decorate
 
 
 def as_image(values) -> np.ndarray:

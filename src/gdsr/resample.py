@@ -13,7 +13,9 @@ tests as the oracle. The matrices depend only on (n_in, n_out,
 antialias), so each is built once and cached, read-only: building one is
 cheap, but a fresh one is a fresh allocation of up to a few MB whose
 pages fault in again on every resample. The cache holds the 12 matrices
-of a three-scale benchmark of one shape, about 20 MB at 1024x1376.
+of a three-scale benchmark of one shape, about 20 MB at 1024x1376. A
+bench worker that asks for a matrix another worker is building waits for
+it (:func:`shared_cache`), so each key is built once.
 
 The public functions check their inputs. The bench and the fits degrade
 grids that the decoder has already checked, through :func:`_degrade`,
@@ -22,11 +24,9 @@ which does not scan them again.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from .image_core import as_image
+from .image_core import as_image, shared_cache
 
 __all__ = [
     "SCALE_FACTORS",
@@ -62,7 +62,7 @@ def bicubic_kernel(x) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=16)
+@shared_cache(maxsize=16)
 def _axis_weights(n_in: int, n_out: int, antialias: bool) -> np.ndarray:
     """Dense (n_out, n_in) resampling matrix for one axis, built in one
     pass, cached and read-only.

@@ -26,13 +26,11 @@ minimize F(H), whose right-hand side holds the 5-point lap(T).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .dct import _dct2, _idct2
-from .filters import _correlate, _stencil, correlate_reflect
-from .image_core import as_image
+from .filters import _BLOCK_BYTES, _correlate, _stencil, correlate_reflect
+from .image_core import as_image, shared_cache
 
 __all__ = [
     "FIVE_POINT",
@@ -93,7 +91,10 @@ def stencil_symbol(stencil, M: int, N: int) -> np.ndarray:
     column and one row of cosines. The terms are added in (du, dv)
     order, so a 3x3 stencil gives a + 2b cos(pi j/N) + 2c cos(pi i/M)
     + 4d cos(pi i/M) cos(pi j/N) evaluated in exactly that order; the
-    order fixes the last bits of every solve that uses the symbol.
+    order fixes the last bits of every solve that uses the symbol. The
+    grid is filled in row blocks of about 256 KB: each term of a block is
+    formed in one reused product buffer and added in, so a build holds
+    little more than the grid it returns.
 
     A stencil that is not exactly equal to both of its flips is rejected:
     the formula above holds for flip-symmetric stencils only. So is one
@@ -106,15 +107,37 @@ def stencil_symbol(stencil, M: int, N: int) -> np.ndarray:
         raise ValueError(
             "stencil has no exact spectral symbol under the reflective extension"
         )
+    values = _symbol(st, M, N)
+    values.setflags(write=False)
+    return values
+
+
+def _row_blocks(M: int, N: int):
+    """Yield (rows, buf) over an (M, N) grid: the slice of each row block
+    of about 256 KB, and a view shaped like it of one reused buffer."""
+    step = max(1, _BLOCK_BYTES // (8 * N))
+    buf = np.empty((min(step, M), N))
+    for r0 in range(0, M, step):
+        rows = slice(r0, min(r0 + step, M))
+        yield rows, buf[: rows.stop - r0]
+
+
+def _symbol(st: np.ndarray, M: int, N: int) -> np.ndarray:
+    """:func:`stencil_symbol` of a checked flip-symmetric stencil, in a
+    fresh writable grid."""
     cu, cv = st.shape[0] // 2, st.shape[1] // 2
-    values = np.zeros((M, N))
+    terms = []  # (column, row) per (du, dv): the term is their outer product
     for du in range(cu + 1):
         ci = np.cos(np.pi * du * np.arange(M) / M)[:, None]
         for dv in range(cv + 1):
-            cj = np.cos(np.pi * dv * np.arange(N) / N)[None, :]
+            cj = np.cos(np.pi * dv * np.arange(N) / N)
             mult = (2.0 if du else 1.0) * (2.0 if dv else 1.0)
-            values = values + mult * st[cu + du, cv + dv] * ci * cj
-    values.setflags(write=False)
+            terms.append((mult * st[cu + du, cv + dv] * ci, cj))
+    values = np.zeros((M, N))
+    for rows, prod in _row_blocks(M, N):
+        block = values[rows]
+        for column, cj in terms:
+            block += np.multiply(column[rows], cj, out=prod)
     return values
 
 
@@ -142,26 +165,30 @@ def symbol_for(shape, stencil=FIVE_POINT) -> np.ndarray:
     return _cached_symbol(int(M), int(N), st.tobytes(), st.shape)
 
 
-@lru_cache(maxsize=16)
+@shared_cache(maxsize=16)
 def _cached_symbol(M: int, N: int, weights: bytes, kshape) -> np.ndarray:
     return stencil_symbol(np.frombuffer(weights, dtype=np.float64).reshape(kshape), M, N)
 
 
-@lru_cache(maxsize=16)
+@shared_cache(maxsize=16)
 def _denominator(mode: str, M: int, N: int, lam: float) -> np.ndarray:
     """The image-domain solve's divisor 1 + lam * Lambda^2 on an (M, N)
     grid, lam > 0, with Lambda the symbol of the ``mode`` solve's stencil:
     cached, checked and read-only. Lambda is built here rather than taken
-    from :func:`symbol_for`, so the cache holds one grid per key, not two."""
-    denom = _screened_denominator(stencil_symbol(solve_stencil(mode), M, N), lam)
+    from :func:`symbol_for`, so the cache holds one grid per key, not two,
+    and the divisor is formed inside it (:func:`_screened_denominator`): a
+    build holds little more than the grid it keeps."""
+    denom = _symbol(solve_stencil(mode), M, N)
+    _screened_denominator(denom, lam, out=denom)
     denom.setflags(write=False)
     return denom
 
 
-@lru_cache(maxsize=16)
+@shared_cache(maxsize=16)
 def _squared_symbol(mode: str, M: int, N: int) -> np.ndarray:
     """The symbol of the ``mode`` solve's stencil on an (M, N) grid, squared:
-    Lambda^2 of the two fits, cached and read-only. Prediction forms
+    Lambda^2 of the two fits, cached and read-only. Its build reads
+    :func:`symbol_for`, whose cache has its own lock. Prediction forms
     Lambda * Lambda per channel in a scratch grid instead, with these bits,
     so only a fit fills this cache."""
     values = np.square(symbol_for((M, N), solve_stencil(mode)))
@@ -212,15 +239,20 @@ def solve_screened(E, lam: float, symbol) -> np.ndarray:
     return _solve(E.copy(), _screened_denominator(symbol, lam) if lam else None)
 
 
-def _screened_denominator(symbol: np.ndarray, lam: float) -> np.ndarray:
-    """1 + lam * Lambda^2, computed as (Lambda * lam) * Lambda + 1 in a
-    fresh grid; a sample that is not positive raises."""
-    denom = np.multiply(symbol, lam)
-    denom *= symbol
-    denom += 1.0
-    if not np.all(denom > 0.0):  # impossible for real finite symbols and lam >= 0
-        raise ValueError("non-positive or NaN sample in spectral denominator")
-    return denom
+def _screened_denominator(symbol: np.ndarray, lam: float, out=None) -> np.ndarray:
+    """1 + lam * Lambda^2 of an (M, N) symbol, computed as
+    (Lambda * lam) * Lambda + 1 row block by row block in one small
+    buffer and written to ``out``, which may be ``symbol`` itself, or to
+    a fresh grid; a sample that is not positive raises."""
+    out = np.empty(symbol.shape) if out is None else out
+    for rows, denom in _row_blocks(*symbol.shape):
+        np.multiply(symbol[rows], lam, out=denom)
+        denom *= symbol[rows]
+        denom += 1.0
+        if not np.all(denom > 0.0):  # impossible for real finite symbols and lam >= 0
+            raise ValueError("non-positive or NaN sample in spectral denominator")
+        out[rows] = denom
+    return out
 
 
 def _solve(E: np.ndarray, denom) -> np.ndarray:

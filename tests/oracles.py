@@ -179,6 +179,23 @@ def dense_screened_solve(E, lam, apply_laplacian) -> np.ndarray:
     return np.linalg.solve(A, E.ravel()).reshape(E.shape)
 
 
+def term_loop_symbol(stencil, M: int, N: int) -> np.ndarray:
+    """A flip-symmetric stencil's DCT symbol as one full-grid pass per
+    folded offset (du, dv), each term mult * K[cu + du, cv + dv] * ci * cj
+    added to the sum in (du, dv) order: the order whose bits
+    :func:`gdsr.spectral.stencil_symbol` keeps."""
+    st = np.asarray(stencil, dtype=np.float64)
+    cu, cv = st.shape[0] // 2, st.shape[1] // 2
+    values = np.zeros((M, N))
+    for du in range(cu + 1):
+        ci = np.cos(np.pi * du * np.arange(M) / M)[:, None]
+        for dv in range(cv + 1):
+            cj = np.cos(np.pi * dv * np.arange(N) / N)[None, :]
+            mult = (2.0 if du else 1.0) * (2.0 if dv else 1.0)
+            values = values + mult * st[cu + du, cv + dv] * ci * cj
+    return values
+
+
 def cosine_sum_symbol(M: int, N: int) -> np.ndarray:
     """The closed form cos(pi i/M) + cos(pi j/N), zero-based indices, as DCT
     Poisson solvers write it: the paper symbol mode's divisor."""

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -374,6 +375,22 @@ def test_one_worker_bench_runs_on_the_calling_thread(tmp_path, monkeypatch):
     assert alone.read_bytes() == pooled.read_bytes()
 
 
+def test_two_workers_build_each_resample_matrix_once(tmp_path, monkeypatch):
+    # both workers degrade a 64x72 entry at x4 at once, and each matrix
+    # build is slowed down so that they overlap: a worker that misses a
+    # matrix the other is building waits for it instead of building it too
+    manifest = build_manifest(tmp_path, n=2, M=64, N=72)
+    kernel = resample.bicubic_kernel
+    monkeypatch.setattr(resample, "bicubic_kernel", lambda x: time.sleep(0.05) or kernel(x))
+    resample._axis_weights.cache_clear()
+    try:
+        run_bench(manifest, [4], [PipelineConfig(method="bicubic")], threads=2, timing=False)
+        info = resample._axis_weights.cache_info()
+    finally:
+        resample._axis_weights.cache_clear()
+    assert info.currsize == 4 and info.misses == info.currsize
+
+
 def test_run_bench_error_rows_do_not_abort(tmp_path):
     manifest = build_manifest(tmp_path, n=2)
     bad = PipelineConfig(method="feature_domain", params_path=str(tmp_path / "nope.json"))
@@ -413,6 +430,30 @@ def test_fit_image_lambda_never_worse_than_unguided(tmp_path):
         return float(np.sqrt(np.mean(np.square(recs))))
 
     assert pooled(lam) <= pooled(0.0) + 1e-12
+
+
+def test_fit_image_lambda_evaluates_in_two_reused_grids_per_shape(tmp_path, monkeypatch):
+    # entries of two crop shapes; every evaluation solves into its shape's
+    # two work grids, and at lambda = 0 the returned u_hat stays unwritten
+    rng = np.random.default_rng(92)
+    entries = [write_scene_files(tmp_path, f"e{k}", *make_scene(rng, M, N, n_shapes=3))
+               for k, (M, N) in enumerate([(64, 64)] * 3 + [(48, 80)])]
+    manifest = load_manifest(_write_manifest(tmp_path, {"name": "fit", "entries": entries}))
+    cfg = PipelineConfig(method="image_domain", scale=8)
+    want = fit_image_lambda(manifest, cfg)
+    solved = bench._solved_coeffs
+    buffers, inputs = {}, {}
+
+    def spy(d_hat, t_hat, lap_symbol, symbol_sq, lam, out=None, den=None):
+        assert out is not None and den is not None
+        buffers.setdefault(d_hat.shape, set()).add((out.ctypes.data, den.ctypes.data))
+        inputs.setdefault(id(d_hat), (d_hat, d_hat.copy()))
+        return solved(d_hat, t_hat, lap_symbol, symbol_sq, lam, out, den)
+
+    monkeypatch.setattr(bench, "_solved_coeffs", spy)
+    assert fit_image_lambda(manifest, cfg).hex() == want.hex()
+    assert {shape: len(ids) for shape, ids in buffers.items()} == {(64, 64): 1, (48, 80): 1}
+    assert len(inputs) == 4 and all(np.array_equal(d, copy) for d, copy in inputs.values())
 
 
 def test_bench_record_validation():
@@ -675,10 +716,10 @@ def _feature_params(path, seed):
     return str(path)
 
 
-def test_entry_records_hold_about_seven_grids_with_a_feature_config(tmp_path):
-    # bicubic, then a feature config that reads every channel, at x8 on 480x640:
-    # the feature record is the last reader of up and takes dct(up) in its
-    # buffer. Keeping up beside dct(up) made 8.33 grids.
+def _feature_entry_peak(tmp_path, feature_first: bool) -> float:
+    """The traced peak, in grids, of one warm ``_entry_records`` call on a
+    480x640 entry at x8 under a bicubic config and a feature config that
+    reads every channel, in either order; its records are checked too."""
     M, N = 480, 640
     gt, rgb = make_scene(np.random.default_rng(97), M, N)
     doc = {"name": "big", "entries": [write_scene_files(tmp_path, "big", gt, rgb)]}
@@ -686,6 +727,8 @@ def test_entry_records_hold_about_seven_grids_with_a_feature_config(tmp_path):
     configs = [PipelineConfig(method="bicubic"),
                PipelineConfig(method="feature_domain",
                               params_path=_feature_params(tmp_path / "p.json", 97))]
+    if feature_first:
+        configs.reverse()
     grid = [(8, [(c.with_scale(8), c.with_scale(8).config_hash(), bench._model(c), None)
                  for c in configs])]
     first = bench._entry_records(entry, "big", grid)  # fills the resample and symbol caches
@@ -697,7 +740,23 @@ def test_entry_records_hold_about_seven_grids_with_a_feature_config(tmp_path):
         tracemalloc.stop()
     assert all(r.error is None for r in records) and records == [
         dataclasses.replace(r, runtime_ms=q.runtime_ms) for r, q in zip(first, records)]
-    assert peak <= 7.5 * gt.nbytes, f"peak {peak / gt.nbytes:.2f} grids"
+    assert [r.method for r in records] == [c.method for c in configs]
+    return peak / gt.nbytes
+
+
+def test_entry_records_hold_about_seven_grids_with_a_feature_config(tmp_path):
+    # bicubic, then the feature config: the feature record is the last
+    # reader of up and takes dct(up) in its buffer. Keeping up beside
+    # dct(up) made 8.33 grids.
+    peak = _feature_entry_peak(tmp_path, feature_first=False)
+    assert peak <= 7.5, f"peak {peak:.2f} grids"
+
+
+def test_entry_records_hold_about_seven_grids_with_the_feature_config_first(tmp_path):
+    # the bicubic record is scored first, so the feature record still reads
+    # up last; scoring in canonical order kept up beside dct(up): 8.33 grids
+    peak = _feature_entry_peak(tmp_path, feature_first=True)
+    assert peak <= 7.5, f"peak {peak:.2f} grids"
 
 
 @pytest.mark.parametrize("antialias", [True, False])
@@ -711,8 +770,16 @@ def test_the_last_reader_of_up_writes_it_and_every_row_keeps_its_bytes(tmp_path,
     feature2 = PipelineConfig(method="feature_domain", antialias=antialias,
                               params_path=_feature_params(tmp_path / "b.json", 2))
     other = dataclasses.replace(bicubic, antialias=not antialias)
-    orders = [[bicubic, feature], [feature, bicubic], [bicubic, feature, feature2],
-              [feature, other], [feature, other, bicubic]]
+    # per config order, the (index, writes up) of each record in scoring
+    # order: a group's writer is its last feature record, else its last
+    # record, and the group's later records are scored before it
+    scoring = {(bicubic, feature): [(0, False), (1, True)],
+               (feature, bicubic): [(1, False), (0, True)],
+               (bicubic, feature, feature2): [(0, False), (1, False), (2, True)],
+               (feature, feature2, bicubic): [(0, False), (2, False), (1, True)],
+               (feature, other): [(0, True), (1, True)],
+               (feature, other, bicubic): [(2, False), (0, True), (1, True)]}
+    orders = [list(order) for order in scoring]
     scales = (4, 8)
     want = {(e.id, s, cfg): dataclasses.replace(run_image(e, cfg.with_scale(s), "synth")[1],
                                                 runtime_ms=0.0)
@@ -730,11 +797,9 @@ def test_the_last_reader_of_up_writes_it_and_every_row_keeps_its_bytes(tmp_path,
         details = [r for r in records if r.image_id != MEAN_ROW_ID]
         assert details == [want[(e.id, s, cfg)]
                            for e in manifest.entries for s in scales for cfg in order]
-        # the last config of each (scale, antialias) writes that group's up
-        assert writers == [(s, cfg.with_scale(s).config_hash(),
-                            all(c.antialias != cfg.antialias for c in order[k + 1:]))
+        assert writers == [(s, order[k].with_scale(s).config_hash(), writes)
                            for _ in manifest.entries for s in scales
-                           for k, cfg in enumerate(order)]
+                           for k, writes in scoring[tuple(order)]]
 
 
 def test_predict_never_writes_up_or_the_guide(tmp_path):

@@ -34,7 +34,7 @@ def stage_script():
 
 def test_every_stage_runs_once(stage_script):
     stages = stage_script.stages(64, 64)
-    assert {"load", "load_entry", "luminance", "predict_image_lam20",
+    assert {"load", "load_entry", "luminance", "predict_image_lam20", "denominator_cold",
             "lambda_objective_evaluate"} <= set(stages)
     for fn in stages.values():
         fn()

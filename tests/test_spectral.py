@@ -1,9 +1,14 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gdsr import resample, spectral
 from gdsr.dct import _dct2, _idct2, dct2_forward, dct2_inverse
+from gdsr.feature_bank import gaussian_stencil, log_stencil
 from gdsr.filters import correlate_reflect
 from gdsr.spectral import (
     CROSS,
@@ -18,10 +23,11 @@ from gdsr.spectral import (
     symbol_for,
     _denominator,
     _solve,
+    _squared_symbol,
 )
 
 from oracles import (ConvergenceError, brute_correlate_reflect, cg_solve, cosine_sum_symbol,
-                     dense_screened_solve, energy)
+                     dense_screened_solve, energy, term_loop_symbol)
 
 
 def lap2(x):
@@ -175,6 +181,102 @@ def test_cached_denominators_are_read_only_and_keyed_by_mode_shape_and_lambda():
         assert not denom.flags.writeable
         with pytest.raises(ValueError):
             denom[0, 0] = 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(stencil=flip_symmetric_stencils(), M=st.integers(1, 40), N=st.integers(1, 9000))
+@example(stencil=FIVE_POINT, M=480, N=640)
+@example(stencil=gaussian_stencil(2.0, 7), M=480, N=640)
+@example(stencil=log_stencil(1.0, 7), M=480, N=640)
+def test_stencil_symbol_adds_its_terms_in_offset_order(stencil, M, N):
+    # a guard on the term order, which the row blocks must keep; N past
+    # 4096 puts fewer than 8 rows in a block, so grids span several, and
+    # the bank's stencils span ten at 480x640
+    assert stencil_symbol(stencil, M, N).tobytes() == term_loop_symbol(stencil, M, N).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.3, 7.7, 20.0])
+def test_denominator_row_blocks_keep_the_bits_of_the_plain_formula(lam):
+    # a guard: 480x640 spans ten row blocks; Lambda * Lambda * lam has other bits
+    for mode in SYMBOL_MODES:
+        sym = symbol_for((480, 640), solve_stencil(mode))
+        want = (sym * lam * sym + 1.0).tobytes()
+        assert want != (sym * sym * lam + 1.0).tobytes()
+        assert _denominator.__wrapped__(mode, 480, 640, lam).tobytes() == want
+        assert spectral._screened_denominator(sym, lam).tobytes() == want
+
+
+@pytest.mark.parametrize("build", [
+    lambda: stencil_symbol(FIVE_POINT, 480, 640),
+    lambda: stencil_symbol(gaussian_stencil(2.0, 7), 480, 640),
+    lambda: _denominator.__wrapped__("derived", 480, 640, 20.0),
+], ids=["five_point", "gaussian7", "denominator"])
+def test_cold_symbol_and_divisor_builds_hold_little_more_than_their_grid(build):
+    # one sum grid and a 256 KB product buffer; a full-grid product per term
+    # peaked at 2.06 grids, and the divisor beside its symbol at 2.13
+    grid = 480 * 640 * 8
+    tracemalloc.start()
+    try:
+        build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * grid, f"peak {peak / grid:.2f} grids"
+
+
+# Each cache's build reaches one module global that the test can slow
+# down: (cache, module global, arguments of a key).
+_CACHES = [(spectral._cached_symbol, "stencil_symbol", (30, 40, FIVE_POINT.tobytes(), (3, 3))),
+           (spectral._denominator, "_screened_denominator", ("derived", 30, 40, 2.0)),
+           (spectral._squared_symbol, "symbol_for", ("derived", 30, 40)),
+           (resample._axis_weights, "bicubic_kernel", (40, 5, True))]
+
+
+@pytest.mark.parametrize("cache, name, key", _CACHES,
+                         ids=["symbol", "denominator", "squared_symbol", "axis_weights"])
+def test_concurrent_misses_of_one_key_build_it_once(monkeypatch, cache, name, key):
+    # the build waits at a barrier for a second build: without the
+    # cache's lock both threads get there, with it the second thread waits
+    # for the first, whose wait times out, and then hits
+    module = resample if name == "bicubic_kernel" else spectral
+    build, barrier, builds = getattr(module, name), threading.Barrier(2, timeout=0.5), []
+
+    def slow(*args, **kwargs):
+        builds.append(threading.get_ident())
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return build(*args, **kwargs)
+
+    cache.cache_clear()
+    monkeypatch.setattr(module, name, slow)
+    got = [None, None]
+
+    def ask(k):
+        got[k] = cache(*key)
+
+    threads = [threading.Thread(target=ask, args=(k,), daemon=True) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    cache.cache_clear()
+    assert len(builds) == 1 and got[0] is got[1] is not None
+
+
+def test_a_squared_symbol_build_reads_the_symbol_cache_without_deadlock():
+    # a guard: _squared_symbol reads symbol_for inside its build, so one
+    # lock shared by both caches would never be released
+    _squared_symbol.cache_clear()
+    spectral._cached_symbol.cache_clear()
+    got = []
+    worker = threading.Thread(target=lambda: got.append(_squared_symbol("paper", 11, 13)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and got[0].tobytes() == np.square(
+        stencil_symbol(CROSS, 11, 13)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
