@@ -16,10 +16,11 @@ decodes the scene's 16-bit PGM depth and 8-bit PPM guide, written once
 to a temporary directory, with `load_image`; the load_entry stage reads
 the same files as the bench does: the depth grid and the guide's
 luminance, checked against each other. Stages marked cold go through no
-cache: the resample matrices are built by the uncached
-`_axis_weights.__wrapped__`, `stencil_symbol` is called directly, below
-`symbol_for`'s cache, and `denominator_cold` is the uncached
-`_denominator.__wrapped__`, the image-domain divisor at lambda = 20.
+cache: the resample matrices are built by `_axis_weights`,
+`stencil_symbol` is called directly, below `symbol_for`'s lookup in the
+per-shape operator cache, and `denominator_cold` is
+`_build_denominator`, the image-domain divisor at lambda = 20; none of
+the three reads or fills that cache.
 `lambda_objective_evaluate` is one fit-objective evaluation and
 `lambda_objective_build` the whole objective on two triples of the
 scene: its construction and its first evaluation, which makes its
@@ -78,7 +79,7 @@ from gdsr.filters import correlate_reflect  # noqa: E402
 from gdsr.guidance import EdgeWeightConfig, luminance, transfer_target  # noqa: E402
 from gdsr.imgio import load_image, save_image  # noqa: E402
 from gdsr.resample import _axis_weights, bicubic_downsample, degrade  # noqa: E402
-from gdsr.spectral import (DEFAULT_SYMBOL_MODE, FIVE_POINT, _denominator,  # noqa: E402
+from gdsr.spectral import (DEFAULT_SYMBOL_MODE, FIVE_POINT, _build_denominator,  # noqa: E402
                            stencil_symbol)
 from tests.scenes import make_scene, write_scene_files  # noqa: E402
 
@@ -130,15 +131,14 @@ def stages(M: int, N: int) -> dict:
     g1, g2 = gaussian_stencil(1.0, 5), gaussian_stencil(2.0, 7)
     m, n = M // SCALE, N // SCALE
     image_cfg = PipelineConfig("image_domain", lam=20.0, scale=SCALE)
-    cold_weights = _axis_weights.__wrapped__
     timed = {
         **load_stages(gt, rgb),
         "degrade": lambda: degrade(gt, SCALE),
-        "axis_weights_cold": lambda: (cold_weights(M, m, True), cold_weights(N, n, True),
-                                      cold_weights(m, M, False), cold_weights(n, N, False)),
+        "axis_weights_cold": lambda: (_axis_weights(M, m, True), _axis_weights(N, n, True),
+                                      _axis_weights(m, M, False), _axis_weights(n, N, False)),
         "stencil_symbol_7x7_cold": lambda: stencil_symbol(g2, M, N),
         "stencil_symbol_3x3_cold": lambda: stencil_symbol(FIVE_POINT, M, N),
-        "denominator_cold": lambda: _denominator.__wrapped__(DEFAULT_SYMBOL_MODE, M, N, 20.0),
+        "denominator_cold": lambda: _build_denominator(DEFAULT_SYMBOL_MODE, (M, N), 20.0),
         "luminance": lambda: luminance(rgb),
         "dct2_forward": lambda: dct2_forward(up),
         "dct2_inverse": lambda: dct2_inverse(coeffs),

@@ -456,7 +456,7 @@ def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, side=None,
         lam = model
         if lam and side is None:  # lam = 0 reads no guide side
             side = _guide_side(guide, cfg.edge_config())
-        denom = _denominator(cfg.symbol_mode, *up.shape, lam) if lam else None
+        denom = _denominator(cfg.symbol_mode, up.shape, lam) if lam else None
         h = _solve(_rhs(up, side, lam), denom)
     else:
         bank, lambdas, head = model
@@ -786,20 +786,19 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig,
     """
     _check_search(grid_points)
     edge_cfg = cfg.edge_config()
-    prepared, work = [], {}
+    prepared, shaped = [], {}  # shape -> its symbol, squared symbol and work grids
     for entry, (gt, up, guide) in _train_grids(manifest, cfg):
         target = _transfer_target(guide, edge_cfg)
-        if gt.shape not in work:
-            work[gt.shape] = np.empty((2, *gt.shape))
-        prepared.append((dct2_forward(up), dct2_forward(target),
-                         symbol_for(gt.shape),
-                         _squared_symbol(cfg.symbol_mode, *gt.shape),
-                         dct2_forward(gt), entry.depth_unit_scale**2, work[gt.shape]))
-    n_pixels = sum(y_hat.size for *_, y_hat, _, _ in prepared)
+        if gt.shape not in shaped:
+            shaped[gt.shape] = (symbol_for(gt.shape), _squared_symbol(cfg.symbol_mode, gt.shape),
+                                np.empty((2, *gt.shape)))
+        prepared.append((dct2_forward(up), dct2_forward(target), dct2_forward(gt),
+                         entry.depth_unit_scale**2, *shaped[gt.shape]))
+    n_pixels = sum(y_hat.size for _, _, y_hat, *_ in prepared)
 
     def objective(lam: float) -> float:
         sse = 0.0
-        for u_hat, t_hat, lap_symbol, sym_sq, y_hat, unit_sq, (out, den) in prepared:
+        for u_hat, t_hat, y_hat, unit_sq, lap_symbol, sym_sq, (out, den) in prepared:
             # at lam = 0 the coefficients are u_hat itself, which the
             # difference does not write
             resid = _solved_coeffs(u_hat, t_hat, lap_symbol, sym_sq, lam, out, den)

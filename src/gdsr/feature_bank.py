@@ -497,7 +497,7 @@ class _LambdaObjective:
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
             shape = target.shape
             if shape not in symbols:
-                symbols[shape] = (symbol_for(shape), _squared_symbol(symbol_mode, *shape),
+                symbols[shape] = (symbol_for(shape), _squared_symbol(symbol_mode, shape),
                                   [_depth_symbol(shape, p.depth_filter) for p in bank.pairs])
             if shape == last:
                 self._runs[-1][1] = hi

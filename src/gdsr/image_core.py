@@ -1,4 +1,4 @@
-"""Grid validation, and the cache of shared read-only grids.
+"""Grid validation, and the one cache of per-shape operators.
 
 Everything downstream computes on 2-D float64 sample grids: depth is a
 bare grid, and so is the luminance of the color guide, which decodes to
@@ -10,33 +10,38 @@ shared freely between workers.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache, wraps
+from collections import OrderedDict
 
 import numpy as np
 
 __all__ = ["as_image", "as_stack"]
 
 
-def shared_cache(maxsize: int):
-    """``functools.lru_cache(maxsize=maxsize)`` under one lock per cache,
-    held while a miss builds: a bench worker that misses a key another
-    worker is building waits and then hits, so each grid is built once.
-    Each cache has its own lock, so one cache's build may read another.
-    The cached function keeps ``cache_clear``, ``cache_info`` and
-    ``__wrapped__``, the uncached build function."""
-    def decorate(build):
-        cached = lru_cache(maxsize=maxsize)(build)
-        lock = threading.Lock()
+# Shapes kept: an entry benched at all four scale factors crops to <= 4.
+_SHAPES_KEPT = 4
+_shapes: OrderedDict = OrderedDict()  # shape -> (its lock, {key: operator})
+_shapes_lock = threading.Lock()
 
-        @wraps(build)
-        def call(*args):
-            with lock:
-                return cached(*args)
 
-        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
-        return call
-
-    return decorate
+def shape_operator(shape, key, build) -> np.ndarray:
+    """Operator ``key`` of grids of ``shape``: ``build()`` on first use, then
+    kept read-only for all. An LRU of shapes: a lookup refreshes its shape,
+    one shape past ``_SHAPES_KEPT`` evicts the least recent with all its
+    operators, and arrays handed out stay valid. A miss is built once, under
+    its shape's lock; no build reads the cache. A shape holds 8,652,800
+    bytes for bench-feature's set at 480x640, x8 (three symbols, four
+    resample matrices), 31,865,856 for bench-image's at 1024x1376, x4, 8, 16."""
+    shape = tuple(map(int, shape))
+    with _shapes_lock:
+        lock, operators = _shapes.setdefault(shape, (threading.Lock(), {}))
+        _shapes.move_to_end(shape)
+        if len(_shapes) > _SHAPES_KEPT:
+            _shapes.popitem(last=False)
+    with lock:
+        if key not in operators:
+            operators[key] = build()
+            operators[key].setflags(write=False)
+        return operators[key]
 
 
 def as_image(values) -> np.ndarray:

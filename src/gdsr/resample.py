@@ -10,12 +10,11 @@ to sum to 1. Upsampling uses the same convention without antialiasing.
 Each axis's dense weight matrix is built in one vectorized pass, with no
 loop over output rows; its bits match the per-row tap loop kept in the
 tests as the oracle. The matrices depend only on (n_in, n_out,
-antialias), so each is built once and cached, read-only: building one is
+antialias), so each is built once and kept read-only among the operators
+of its full-resolution shape (:func:`shape_operator`): building one is
 cheap, but a fresh one is a fresh allocation of up to a few MB whose
-pages fault in again on every resample. The cache holds the 12 matrices
-of a three-scale benchmark of one shape, about 20 MB at 1024x1376. A
-bench worker that asks for a matrix another worker is building waits for
-it (:func:`shared_cache`), so each key is built once.
+pages fault in again on every resample. A three-scale bench of one shape
+with both antialias values reads 18 matrices, about 31 MB at 1024x1376.
 
 The public functions check their inputs. The bench and the fits degrade
 grids that the decoder has already checked, through :func:`_degrade`,
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .image_core import as_image, shared_cache
+from .image_core import as_image, shape_operator
 
 __all__ = [
     "SCALE_FACTORS",
@@ -62,10 +61,9 @@ def bicubic_kernel(x) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-@shared_cache(maxsize=16)
 def _axis_weights(n_in: int, n_out: int, antialias: bool) -> np.ndarray:
     """Dense (n_out, n_in) resampling matrix for one axis, built in one
-    pass, cached and read-only.
+    pass; :func:`_resample` keeps each among its shape's operators.
 
     Row k takes the taps floor(u - half) .. floor(u + half) + 1 around its
     source position u; every row is padded on the right to the widest
@@ -86,7 +84,6 @@ def _axis_weights(n_in: int, n_out: int, antialias: bool) -> np.ndarray:
     W = np.zeros((n_out, n_in), dtype=np.float64)
     np.add.at(W, (np.arange(n_out)[:, None], np.clip(taps, 0, n_in - 1)), w)
     W /= W.sum(axis=1, keepdims=True)
-    W.setflags(write=False)
     return W
 
 
@@ -111,9 +108,12 @@ def bicubic_upsample(img, s: int) -> np.ndarray:
 
 def _resample(img: np.ndarray, out_shape, antialias: bool) -> np.ndarray:
     """The separable resample of a checked grid to ``out_shape``, through
-    each axis's cached matrix, with no scan of the grid."""
-    (M, N), (m, n) = img.shape, out_shape
-    return _axis_weights(M, m, antialias) @ img @ _axis_weights(N, n, antialias).T
+    each axis's matrix, kept under the larger, full-resolution shape, with
+    no scan of the grid."""
+    rows, cols = (shape_operator(max(img.shape, out_shape), ("resample", a, b, antialias),
+                                 lambda: _axis_weights(a, b, antialias))
+                  for a, b in zip(img.shape, out_shape))
+    return rows @ img @ cols.T
 
 
 def degrade(gt, s: int, antialias: bool = True) -> tuple[np.ndarray, np.ndarray]:

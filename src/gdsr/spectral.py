@@ -30,7 +30,7 @@ import numpy as np
 
 from .dct import _dct2, _idct2
 from .filters import _BLOCK_BYTES, _correlate, _stencil, correlate_reflect
-from .image_core import as_image, shared_cache
+from .image_core import as_image, shape_operator
 
 __all__ = [
     "FIVE_POINT",
@@ -157,43 +157,39 @@ def derived_symbol(kernel, M: int, N: int) -> np.ndarray:
 
 
 def symbol_for(shape, stencil=FIVE_POINT) -> np.ndarray:
-    """:func:`stencil_symbol` of an odd, flip-symmetric ``stencil`` on an
-    (M, N) grid, cached per (shape, stencil); read-only, so one instance
+    """:func:`stencil_symbol` of an odd, flip-symmetric ``stencil`` on a grid
+    of ``shape``, kept per stencil by :func:`shape_operator`, so one instance
     serves every caller. :func:`solve_stencil` names each mode's stencil."""
-    M, N = shape
     st = np.asarray(stencil, dtype=np.float64)
-    return _cached_symbol(int(M), int(N), st.tobytes(), st.shape)
+    return shape_operator(shape, ("symbol", st.tobytes(), st.shape),
+                          lambda: stencil_symbol(st, *shape))
 
 
-@shared_cache(maxsize=16)
-def _cached_symbol(M: int, N: int, weights: bytes, kshape) -> np.ndarray:
-    return stencil_symbol(np.frombuffer(weights, dtype=np.float64).reshape(kshape), M, N)
+def _denominator(mode: str, shape, lam: float) -> np.ndarray:
+    """:func:`_build_denominator`, kept per (mode, lam) by :func:`shape_operator`."""
+    return shape_operator(shape, ("denominator", mode, lam),
+                          lambda: _build_denominator(mode, shape, lam))
 
 
-@shared_cache(maxsize=16)
-def _denominator(mode: str, M: int, N: int, lam: float) -> np.ndarray:
-    """The image-domain solve's divisor 1 + lam * Lambda^2 on an (M, N)
-    grid, lam > 0, with Lambda the symbol of the ``mode`` solve's stencil:
-    cached, checked and read-only. Lambda is built here rather than taken
-    from :func:`symbol_for`, so the cache holds one grid per key, not two,
-    and the divisor is formed inside it (:func:`_screened_denominator`): a
-    build holds little more than the grid it keeps."""
-    denom = _symbol(solve_stencil(mode), M, N)
-    _screened_denominator(denom, lam, out=denom)
-    denom.setflags(write=False)
-    return denom
+def _build_denominator(mode: str, shape, lam: float) -> np.ndarray:
+    """The image-domain solve's divisor 1 + lam * Lambda^2 on a grid of
+    ``shape``, lam > 0, Lambda the ``mode`` solve's symbol, checked. Lambda
+    is built here, not taken from :func:`symbol_for`, so the cache holds one
+    grid per key, and the divisor is formed inside it (:func:`_screened_denominator`):
+    a build holds little more than the grid it keeps."""
+    denom = _symbol(solve_stencil(mode), *shape)
+    return _screened_denominator(denom, lam, out=denom)
 
 
-@shared_cache(maxsize=16)
-def _squared_symbol(mode: str, M: int, N: int) -> np.ndarray:
-    """The symbol of the ``mode`` solve's stencil on an (M, N) grid, squared:
-    Lambda^2 of the two fits, cached and read-only. Its build reads
-    :func:`symbol_for`, whose cache has its own lock. Prediction forms
-    Lambda * Lambda per channel in a scratch grid instead, with these bits,
-    so only a fit fills this cache."""
-    values = np.square(symbol_for((M, N), solve_stencil(mode)))
-    values.setflags(write=False)
-    return values
+def _squared_symbol(mode: str, shape) -> np.ndarray:
+    """Lambda^2 of the two fits: the ``mode`` solve's symbol on a grid of
+    ``shape``, squared in place, kept by :func:`shape_operator`. Prediction
+    forms Lambda * Lambda per channel instead, so only a fit keeps it."""
+    def build():
+        values = _symbol(solve_stencil(mode), *shape)
+        return np.square(values, out=values)
+
+    return shape_operator(shape, ("squared_symbol", mode), build)
 
 
 def build_rhs(l_up, guide_lap_masked, lam: float) -> np.ndarray:

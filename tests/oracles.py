@@ -428,7 +428,7 @@ class RowObjective:
         self.sym_sq = np.empty(self.n_pixels)
         self.y_hat = np.empty(self.n_pixels)
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
-            self.sym_sq[lo:hi] = _squared_symbol(symbol_mode, *target.shape).ravel()
+            self.sym_sq[lo:hi] = _squared_symbol(symbol_mode, target.shape).ravel()
             self.lap_symbol[lo:hi] = symbol_for(target.shape).ravel()
             self.y_hat[lo:hi] = _dct2(target).ravel()
             l_hat = _dct2(l_up)

@@ -6,12 +6,13 @@ import threading
 import time
 import tracemalloc
 import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gdsr import bench, dct, feature_bank, filters, guidance, resample, spectral
+from gdsr import bench, dct, feature_bank, filters, guidance, image_core, resample, spectral
 from gdsr.bench import (
     BenchRecord,
     DatasetEntry,
@@ -375,20 +376,40 @@ def test_one_worker_bench_runs_on_the_calling_thread(tmp_path, monkeypatch):
     assert alone.read_bytes() == pooled.read_bytes()
 
 
+def _counted_axis_weights(monkeypatch, delay=0.0):
+    """Record the arguments of every resample matrix build in the returned
+    list, each build first sleeping ``delay`` seconds."""
+    weights, built = resample._axis_weights, []
+    monkeypatch.setattr(resample, "_axis_weights", lambda *args: (
+        built.append(args) or time.sleep(delay) or weights(*args)))
+    return built
+
+
 def test_two_workers_build_each_resample_matrix_once(tmp_path, monkeypatch):
     # both workers degrade a 64x72 entry at x4 at once, and each matrix
     # build is slowed down so that they overlap: a worker that misses a
     # matrix the other is building waits for it instead of building it too
     manifest = build_manifest(tmp_path, n=2, M=64, N=72)
-    kernel = resample.bicubic_kernel
-    monkeypatch.setattr(resample, "bicubic_kernel", lambda x: time.sleep(0.05) or kernel(x))
-    resample._axis_weights.cache_clear()
-    try:
-        run_bench(manifest, [4], [PipelineConfig(method="bicubic")], threads=2, timing=False)
-        info = resample._axis_weights.cache_info()
-    finally:
-        resample._axis_weights.cache_clear()
-    assert info.currsize == 4 and info.misses == info.currsize
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
+    built = _counted_axis_weights(monkeypatch, delay=0.05)
+    run_bench(manifest, [4], [PipelineConfig(method="bicubic")], threads=2, timing=False)
+    assert len(set(built)) == 4 and len(built) == 4
+
+
+def test_a_warm_three_scale_bench_with_both_antialias_values_builds_no_matrix(tmp_path,
+                                                                            monkeypatch):
+    # one 64x96 shape at x4, x8 and x16 with and without antialias reads 18
+    # matrices; a cache of single matrices that held fewer rebuilt 36 of
+    # them on the second run
+    manifest = build_manifest(tmp_path, n=3, M=64, N=96)
+    configs = [PipelineConfig(method="bicubic"), PipelineConfig(method="bicubic", antialias=False)]
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
+    built = _counted_axis_weights(monkeypatch)
+    cold = run_bench(manifest, [4, 8, 16], configs, threads=1, timing=False)
+    assert len(built) == len(set(built)) == 18
+    built.clear()
+    assert run_bench(manifest, [4, 8, 16], configs, threads=1, timing=False) == cold
+    assert built == []
 
 
 def test_run_bench_error_rows_do_not_abort(tmp_path):
@@ -716,21 +737,28 @@ def _feature_params(path, seed):
     return str(path)
 
 
-def _feature_entry_peak(tmp_path, feature_first: bool) -> float:
-    """The traced peak, in grids, of one warm ``_entry_records`` call on a
-    480x640 entry at x8 under a bicubic config and a feature config that
-    reads every channel, in either order; its records are checked too."""
-    M, N = 480, 640
-    gt, rgb = make_scene(np.random.default_rng(97), M, N)
+def _feature_entry(tmp_path, feature_first: bool, antialias: bool = True, scales=(8,)):
+    """A 480x640 entry, its depth grid and the ``_entry_records`` grid of
+    a bicubic config with ``antialias`` and a feature config that reads
+    every channel, in either order, at ``scales``; and the configs."""
+    gt, rgb = make_scene(np.random.default_rng(97), 480, 640)
     doc = {"name": "big", "entries": [write_scene_files(tmp_path, "big", gt, rgb)]}
     entry = load_manifest(_write_manifest(tmp_path, doc)).entries[0]
-    configs = [PipelineConfig(method="bicubic"),
+    configs = [PipelineConfig(method="bicubic", antialias=antialias),
                PipelineConfig(method="feature_domain",
                               params_path=_feature_params(tmp_path / "p.json", 97))]
     if feature_first:
         configs.reverse()
-    grid = [(8, [(c.with_scale(8), c.with_scale(8).config_hash(), bench._model(c), None)
-                 for c in configs])]
+    grid = [(s, [(c.with_scale(s), c.with_scale(s).config_hash(), bench._model(c), None)
+                 for c in configs]) for s in scales]
+    return entry, gt, grid, configs
+
+
+def _feature_entry_peak(tmp_path, feature_first: bool, antialias: bool = True,
+                        scales=(8,)) -> float:
+    """The traced peak, in grids, of one warm ``_entry_records`` call on
+    :func:`_feature_entry`'s entry; its records are checked too."""
+    entry, gt, grid, configs = _feature_entry(tmp_path, feature_first, antialias, scales)
     first = bench._entry_records(entry, "big", grid)  # fills the resample and symbol caches
     tracemalloc.start()
     try:
@@ -740,7 +768,7 @@ def _feature_entry_peak(tmp_path, feature_first: bool) -> float:
         tracemalloc.stop()
     assert all(r.error is None for r in records) and records == [
         dataclasses.replace(r, runtime_ms=q.runtime_ms) for r, q in zip(first, records)]
-    assert [r.method for r in records] == [c.method for c in configs]
+    assert [r.method for r in records] == [c.method for c in configs] * len(scales)
     return peak / gt.nbytes
 
 
@@ -756,6 +784,37 @@ def test_entry_records_hold_about_seven_grids_with_the_feature_config_first(tmp_
     # the bicubic record is scored first, so the feature record still reads
     # up last; scoring in canonical order kept up beside dct(up): 8.33 grids
     peak = _feature_entry_peak(tmp_path, feature_first=True)
+    assert peak <= 7.5, f"peak {peak:.2f} grids"
+
+
+def test_one_shape_holds_the_bytes_stated_for_the_bench_feature_set(tmp_path, monkeypatch):
+    # bicubic and feature configs at x8, built cold on one 480x640 entry:
+    # the three symbols and four resample matrices of the operator cache's
+    # docstring, and next to nothing else kept
+    held = 8_652_800
+    assert f"{held:,} bytes for bench-feature's set at 480x640" in " ".join(
+        image_core.shape_operator.__doc__.split())
+    entry, _, grid, _ = _feature_entry(tmp_path, feature_first=False)
+    bench._entry_records(entry, "big", grid)  # loads what the first call loads once
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        records = bench._entry_records(entry, "big", grid)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (_, operators), = image_core._shapes.values()
+    assert all(r.error is None for r in records) and len(operators) == 7
+    assert sum(op.nbytes for op in operators.values()) == held
+    assert abs(after - before - held) <= 64 * 1024, f"held {after - before} bytes"
+
+
+def test_a_warm_three_scale_entry_with_both_antialias_values_holds_about_seven_grids(
+        tmp_path):
+    # the entry's 18 resample matrices stay cached between calls; a cache of
+    # 16 single matrices rebuilt them and peaked at 9.03 grids
+    peak = _feature_entry_peak(tmp_path, feature_first=True, antialias=False, scales=(4, 8, 16))
     assert peak <= 7.5, f"peak {peak:.2f} grids"
 
 

@@ -2,12 +2,13 @@ import functools
 import math
 import tracemalloc
 import weakref
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdsr import feature_bank, spectral
+from gdsr import feature_bank, image_core
 from gdsr.bench import PipelineConfig, load_params, save_params
 from gdsr.dct import dct2_forward
 from gdsr.feature_bank import (
@@ -538,25 +539,24 @@ def test_channel_coeffs_share_one_target_per_guide_stencil(monkeypatch):
 def test_feature_paths_cache_no_identity_symbol_and_no_squared_symbol(monkeypatch):
     # the identity depth stencil's symbol is all ones, and prediction forms
     # its divisor from the cached Lambda: neither is built or cached there
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
     gt, rgb = make_scene(np.random.default_rng(68), 40, 56)
     _, up = degrade(gt, 4)
     guide = luminance(rgb)
     bank = default_bank()
     head = ReconstructionHead(np.linspace(0.25, 1.0, len(bank)), 0.5)
-    cached = spectral._cached_symbol
-    looked_up = []
-    monkeypatch.setattr(spectral, "_cached_symbol",
-                        lambda M, N, weights, kshape: looked_up.append(kshape)
-                        or cached(M, N, weights, kshape))
-    cached.cache_clear()
-    spectral._squared_symbol.cache_clear()
+
+    def kept(kind):  # the keys of one kind of operator of the entry's shape
+        return [key for key in image_core._shapes[up.shape][1] if key[0] == kind]
+
     spectral_predict(up, guide, bank, np.full(len(bank), 2.0), head, HARD)
     # the five-point stencil (Lambda_lap, the derived solve's Lambda and pair
     # 3's depth side), g1 and g2
-    assert (1, 1) not in looked_up and cached.cache_info().currsize == 3
-    assert spectral._squared_symbol.cache_info().currsize == 0
+    symbols = kept("symbol")
+    assert (1, 1) not in [kshape for *_, kshape in symbols] and len(symbols) == 3
+    assert kept("squared_symbol") == []
     _LambdaObjective([(up, guide, gt)], bank, HARD, 1e-6, "derived")
-    assert (1, 1) not in looked_up and cached.cache_info().currsize == 3
+    assert kept("symbol") == symbols
 
 
 def test_spectral_predict_working_set_is_five_grids():

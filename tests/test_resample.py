@@ -1,7 +1,10 @@
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gdsr import image_core
 from gdsr.resample import (
     SCALE_FACTORS,
     bicubic_downsample,
@@ -11,6 +14,7 @@ from gdsr.resample import (
     degrade,
     _axis_weights,
     _degrade,
+    _resample,
 )
 
 from oracles import loop_axis_weights, ref_resample_2d
@@ -44,18 +48,30 @@ def test_axis_weights_bytes_match_loop_oracle(n_hr, s, upsample, antialias):
     assert got.tobytes() == loop_axis_weights(n_in, n_out, antialias).tobytes()
 
 
+def _kept(shape, n_in, n_out, antialias):
+    """The matrix the shape cache keeps under ``shape`` for one axis."""
+    return image_core._shapes[shape][1][("resample", n_in, n_out, antialias)]
+
+
 @pytest.mark.parametrize("first", [True, False])
-def test_cached_axis_weights_are_read_only_and_keyed_by_antialias(first):
-    # each (n_in, n_out) downsampling matrix is cached once per antialias
-    # setting, whichever is built first
-    _axis_weights.cache_clear()
+def test_cached_axis_weights_are_read_only_and_keyed_by_antialias(monkeypatch, first):
+    # each (n_in, n_out) downsampling matrix is kept once per antialias
+    # setting, whichever is built first, under the full-resolution shape,
+    # where the upsampling matrices back to it are kept too
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
+    grid = np.ones((40, 40))
     for antialias in (first, not first, first):
-        W = _axis_weights(40, 5, antialias)
-        assert W is _axis_weights(40, 5, antialias)
+        _resample(grid, (5, 5), antialias)
+        W = _kept((40, 40), 40, 5, antialias)
+        _resample(grid, (5, 5), antialias)
+        assert W is _kept((40, 40), 40, 5, antialias)
         assert W.tobytes() == loop_axis_weights(40, 5, antialias).tobytes()
         assert not W.flags.writeable
         with pytest.raises(ValueError):
             W[0, 0] = 1.0
+    _resample(np.ones((5, 5)), (40, 40), False)
+    assert list(image_core._shapes) == [(40, 40)] and len(image_core._shapes[(40, 40)][1]) == 3
+    assert _kept((40, 40), 5, 40, False).tobytes() == loop_axis_weights(5, 40, False).tobytes()
 
 
 @pytest.mark.parametrize("s", [4, 8])

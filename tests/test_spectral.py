@@ -1,12 +1,13 @@
 import threading
 import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gdsr import resample, spectral
+from gdsr import image_core, resample, spectral
 from gdsr.dct import _dct2, _idct2, dct2_forward, dct2_inverse
 from gdsr.feature_bank import gaussian_stencil, log_stencil
 from gdsr.filters import correlate_reflect
@@ -21,6 +22,7 @@ from gdsr.spectral import (
     solve_stencil,
     stencil_symbol,
     symbol_for,
+    _build_denominator,
     _denominator,
     _solve,
     _squared_symbol,
@@ -168,16 +170,16 @@ def test_symbols_are_read_only_arrays():
             sym[0, 0] = 1.0
 
 
-def test_cached_denominators_are_read_only_and_keyed_by_mode_shape_and_lambda():
+def test_cached_denominators_are_read_only_and_keyed_by_mode_shape_and_lambda(monkeypatch):
     # every key gets the plain formula's bits, in any order of filling
-    _denominator.cache_clear()
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
     keys = [(mode, M, N, lam) for mode in ("derived", "paper") for M, N in ((9, 7), (7, 9))
             for lam in (0.5, 20.0)]
     for mode, M, N, lam in keys + keys[::-1]:
-        denom = _denominator(mode, M, N, lam)
+        denom = _denominator(mode, (M, N), lam)
         sym = symbol_for((M, N), solve_stencil(mode))
         assert denom.tobytes() == (sym * lam * sym + 1.0).tobytes()
-        assert denom is _denominator(mode, M, N, lam)
+        assert denom is _denominator(mode, (M, N), lam)
         assert not denom.flags.writeable
         with pytest.raises(ValueError):
             denom[0, 0] = 1.0
@@ -202,14 +204,14 @@ def test_denominator_row_blocks_keep_the_bits_of_the_plain_formula(lam):
         sym = symbol_for((480, 640), solve_stencil(mode))
         want = (sym * lam * sym + 1.0).tobytes()
         assert want != (sym * sym * lam + 1.0).tobytes()
-        assert _denominator.__wrapped__(mode, 480, 640, lam).tobytes() == want
+        assert _build_denominator(mode, (480, 640), lam).tobytes() == want
         assert spectral._screened_denominator(sym, lam).tobytes() == want
 
 
 @pytest.mark.parametrize("build", [
     lambda: stencil_symbol(FIVE_POINT, 480, 640),
     lambda: stencil_symbol(gaussian_stencil(2.0, 7), 480, 640),
-    lambda: _denominator.__wrapped__("derived", 480, 640, 20.0),
+    lambda: _build_denominator("derived", (480, 640), 20.0),
 ], ids=["five_point", "gaussian7", "denominator"])
 def test_cold_symbol_and_divisor_builds_hold_little_more_than_their_grid(build):
     # one sum grid and a 256 KB product buffer; a full-grid product per term
@@ -224,21 +226,23 @@ def test_cold_symbol_and_divisor_builds_hold_little_more_than_their_grid(build):
     assert peak <= 1.3 * grid, f"peak {peak / grid:.2f} grids"
 
 
-# Each cache's build reaches one module global that the test can slow
-# down: (cache, module global, arguments of a key).
-_CACHES = [(spectral._cached_symbol, "stencil_symbol", (30, 40, FIVE_POINT.tobytes(), (3, 3))),
-           (spectral._denominator, "_screened_denominator", ("derived", 30, 40, 2.0)),
-           (spectral._squared_symbol, "symbol_for", ("derived", 30, 40)),
-           (resample._axis_weights, "bicubic_kernel", (40, 5, True))]
+# Each operator's lookup, and one module global its build reaches that the
+# test can slow down: (lookup, module, global). The resample lookup reads
+# one matrix for both axes of a square grid.
+_OPERATORS = [(lambda: symbol_for((30, 40)), spectral, "stencil_symbol"),
+              (lambda: _denominator("derived", (30, 40), 2.0), spectral,
+               "_screened_denominator"),
+              (lambda: _squared_symbol("derived", (30, 40)), spectral, "_symbol"),
+              (lambda: resample._resample(np.ones((40, 40)), (5, 5), True), resample,
+               "bicubic_kernel")]
 
 
-@pytest.mark.parametrize("cache, name, key", _CACHES,
+@pytest.mark.parametrize("lookup, module, name", _OPERATORS,
                          ids=["symbol", "denominator", "squared_symbol", "axis_weights"])
-def test_concurrent_misses_of_one_key_build_it_once(monkeypatch, cache, name, key):
-    # the build waits at a barrier for a second build: without the
-    # cache's lock both threads get there, with it the second thread waits
-    # for the first, whose wait times out, and then hits
-    module = resample if name == "bicubic_kernel" else spectral
+def test_concurrent_misses_of_one_key_build_it_once(monkeypatch, lookup, module, name):
+    # the build waits at a barrier for a second build: without the shape's
+    # lock both threads get there, with it the second thread waits for the
+    # first, whose wait times out, and then hits
     build, barrier, builds = getattr(module, name), threading.Barrier(2, timeout=0.5), []
 
     def slow(*args, **kwargs):
@@ -249,34 +253,60 @@ def test_concurrent_misses_of_one_key_build_it_once(monkeypatch, cache, name, ke
             pass
         return build(*args, **kwargs)
 
-    cache.cache_clear()
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
     monkeypatch.setattr(module, name, slow)
     got = [None, None]
 
     def ask(k):
-        got[k] = cache(*key)
+        got[k] = lookup()
 
     threads = [threading.Thread(target=ask, args=(k,), daemon=True) for k in range(2)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=30)
-    cache.cache_clear()
-    assert len(builds) == 1 and got[0] is got[1] is not None
+    (_, operators), = image_core._shapes.values()
+    kept, = operators.values()
+    assert len(builds) == 1 and got[0] is not None and got[1] is not None
+    if module is spectral:
+        assert got[0] is got[1] is kept
+    else:  # a fresh grid each, made through the one kept matrix
+        assert got[0].tobytes() == got[1].tobytes()
 
 
-def test_a_squared_symbol_build_reads_the_symbol_cache_without_deadlock():
-    # a guard: _squared_symbol reads symbol_for inside its build, so one
-    # lock shared by both caches would never be released
-    _squared_symbol.cache_clear()
-    spectral._cached_symbol.cache_clear()
-    got = []
-    worker = threading.Thread(target=lambda: got.append(_squared_symbol("paper", 11, 13)),
-                              daemon=True)
+def test_no_operator_build_reads_the_shape_cache(monkeypatch):
+    # a guard: each shape's lock is a plain Lock, so a build that looked up
+    # an operator of its shape would wait for itself. Every kind of operator
+    # of one shape is built cold on a worker, and a lookup entered from
+    # inside another on that thread is recorded.
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
+    lookup, inside, nested = image_core.shape_operator, threading.local(), []
+
+    def guarded(shape, key, build):
+        if getattr(inside, "key", None) is not None:
+            nested.append((inside.key, key))
+        inside.key = key
+        try:
+            return lookup(shape, key, build)
+        finally:
+            inside.key = None
+
+    for module in (spectral, resample):
+        monkeypatch.setattr(module, "shape_operator", guarded)
+    shape, got = (16, 24), []
+
+    def build_all():
+        got.extend([symbol_for(shape), symbol_for(shape, CROSS),
+                    _denominator("paper", shape, 2.0), _squared_symbol("paper", shape),
+                    *resample._degrade(np.ones(shape), 4, True)])
+
+    worker = threading.Thread(target=build_all, daemon=True)
     worker.start()
     worker.join(timeout=30)
-    assert not worker.is_alive() and got[0].tobytes() == np.square(
-        stencil_symbol(CROSS, 11, 13)).tobytes()
+    assert not worker.is_alive() and nested == []
+    kinds = {key[0] for key in image_core._shapes[shape][1]}
+    assert kinds == {"symbol", "denominator", "squared_symbol", "resample"}
+    assert got[3].tobytes() == np.square(stencil_symbol(CROSS, *shape)).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -394,7 +424,7 @@ def test_solve_never_writes_the_callers_grid_and_the_given_up_form_agrees(lam):
     # the in-place arithmetic keeps the bits of the plain formula
     want = e if lam == 0.0 else _idct2(_dct2(e) / (1.0 + lam * sym * sym))
     assert h.tobytes() == want.tobytes()
-    denom = _denominator("derived", *e.shape, lam) if lam else None
+    denom = _denominator("derived", e.shape, lam) if lam else None
     assert _solve(e.copy(), denom).tobytes() == want.tobytes()
 
 
