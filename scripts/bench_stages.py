@@ -21,6 +21,12 @@ cache: the resample matrices are built by `_axis_weights`,
 per-shape operator cache, and `denominator_cold` is
 `_build_denominator`, the image-domain divisor at lambda = 20; none of
 the three reads or fills that cache.
+The correlate_reflect stages filter the guide luminance with the bank's
+7x7 Gaussian (`7x7`), its 7x7 Laplacian-of-Gaussian guide stencil, whose
+49 taps are all nonzero (`7x7_log`), its 5x5 Gaussian and the 5-point
+Laplacian. `guide_side_bank` is the guide side of the committed feature
+model: `_channel_coeffs` over the channels its head weighs, that is each
+distinct guide stencil's filtering, Laplacian, edge weights and DCT.
 `lambda_objective_evaluate` is one fit-objective evaluation and
 `lambda_objective_build` the whole objective on two triples of the
 scene: its construction and its first evaluation, which makes its
@@ -73,8 +79,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from gdsr.bench import DatasetEntry, PipelineConfig, _load_entry, _model, predict  # noqa: E402
 from gdsr.cli import main as gdsr_main  # noqa: E402
 from gdsr.dct import dct2_forward, dct2_inverse  # noqa: E402
-from gdsr.feature_bank import (HEAD_GAMMA, _LambdaObjective, gaussian_stencil,  # noqa: E402
-                               spectral_predict)
+from gdsr.feature_bank import (HEAD_GAMMA, _channel_coeffs, _LambdaObjective,  # noqa: E402
+                               gaussian_stencil, log_stencil, spectral_predict)
 from gdsr.filters import correlate_reflect  # noqa: E402
 from gdsr.guidance import EdgeWeightConfig, luminance, transfer_target  # noqa: E402
 from gdsr.imgio import load_image, save_image  # noqa: E402
@@ -128,9 +134,14 @@ def stages(M: int, N: int) -> dict:
     coeffs = dct2_forward(up)
     bank, lambdas, head = _model(PipelineConfig("feature_domain", params_path=str(PARAMS)))
     edge = EdgeWeightConfig()
-    g1, g2 = gaussian_stencil(1.0, 5), gaussian_stencil(2.0, 7)
+    g1, g2, log7 = gaussian_stencil(1.0, 5), gaussian_stencil(2.0, 7), log_stencil(1.0, 7)
     m, n = M // SCALE, N // SCALE
     image_cfg = PipelineConfig("image_domain", lam=20.0, scale=SCALE)
+
+    def guide_side_bank():
+        for _ in _channel_coeffs(guide, bank, edge, np.flatnonzero(head.weights)):
+            pass
+
     timed = {
         **load_stages(gt, rgb),
         "degrade": lambda: degrade(gt, SCALE),
@@ -143,9 +154,11 @@ def stages(M: int, N: int) -> dict:
         "dct2_forward": lambda: dct2_forward(up),
         "dct2_inverse": lambda: dct2_inverse(coeffs),
         "correlate_reflect_7x7": lambda: correlate_reflect(guide, g2),
+        "correlate_reflect_7x7_log": lambda: correlate_reflect(guide, log7),
         "correlate_reflect_5x5": lambda: correlate_reflect(guide, g1),
         "correlate_reflect_3x3": lambda: correlate_reflect(guide, FIVE_POINT),
         "transfer_target_hard": lambda: transfer_target(guide, edge),
+        "guide_side_bank": guide_side_bank,
         "spectral_predict": lambda: spectral_predict(up, guide, bank, lambdas, head, edge),
         "predict_image_lam20": lambda: predict(up, guide, image_cfg),
     }

@@ -257,15 +257,17 @@ def _channel_coeffs(guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, channel
 
     The guide feature is freed once its Laplacian exists and T_c is
     transformed in its own buffer, so a channel's guide side holds at most
-    two grids besides the kept targets. A target is not kept here past its
-    pair's yield: the next pair's lookup drops it before the next build.
+    two grids besides the kept targets; the identity stencil's feature is
+    the guide itself (:func:`_guide_feature`), so its side holds one. A
+    target is not kept here past its pair's yield: the next pair's lookup
+    drops it before the next build.
     """
     keys = _row_index([bank.pairs[c].guide_filter for c in channels])
     shared = {}
     for k, c in enumerate(channels):
         t_hat = shared.pop(keys[k], None)
         if t_hat is None:
-            t_hat = _dct2(_transfer_target(_correlate(guide, bank.pairs[c].guide_filter),
+            t_hat = _dct2(_transfer_target(_guide_feature(guide, bank.pairs[c].guide_filter),
                                            edge_cfg), overwrite=True)
         kept = keys[k] in keys[k + 1:]
         if kept:
@@ -273,12 +275,25 @@ def _channel_coeffs(guide, bank: FilterBank, edge_cfg: EdgeWeightConfig, channel
         yield c, t_hat, kept
 
 
+def _is_identity(stencil: np.ndarray) -> bool:
+    """Whether ``stencil`` is the 1x1 identity, whose filtering of x is
+    1.0 * x, which has x's bits."""
+    return stencil.shape == (1, 1) and stencil[0, 0] == 1.0
+
+
+def _guide_feature(guide: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+    """The guide filtered by a guide stencil, but ``guide`` itself for the
+    identity: :func:`_transfer_target` does not write its input, so no copy
+    of the guide is made."""
+    return guide if _is_identity(stencil) else _correlate(guide, stencil)
+
+
 def _depth_symbol(shape, stencil: np.ndarray):
     """The symbol of a depth stencil on a grid of ``shape``, as
-    :func:`symbol_for` gives it, but 1.0 for the 1x1 identity: its symbol
-    is all ones, and 1.0 * x has x's bits, so a product with L^ keeps them
+    :func:`symbol_for` gives it, but 1.0 for the identity: its symbol is
+    all ones, and 1.0 * x has x's bits, so a product with L^ keeps them
     and no all-ones grid is built or cached."""
-    if stencil.shape == (1, 1) and stencil[0, 0] == 1.0:
+    if _is_identity(stencil):
         return 1.0
     return symbol_for(shape, stencil)
 

@@ -30,18 +30,34 @@ def shape_operator(shape, key, build) -> np.ndarray:
     operators, and arrays handed out stay valid. A miss is built once, under
     its shape's lock; no build reads the cache. A shape holds 8,652,800
     bytes for bench-feature's set at 480x640, x8 (three symbols, four
-    resample matrices), 31,865,856 for bench-image's at 1024x1376, x4, 8, 16."""
+    resample matrices), 31,865,856 for bench-image's at 1024x1376, x4, 8, 16.
+
+    Only a lookup whose operator exists refreshes its shape or evicts one: a
+    build that raises leaves the cache as it found it, and a shape counts
+    toward ``_SHAPES_KEPT`` once it holds an operator."""
     shape = tuple(map(int, shape))
     with _shapes_lock:
-        lock, operators = _shapes.setdefault(shape, (threading.Lock(), {}))
-        _shapes.move_to_end(shape)
-        if len(_shapes) > _SHAPES_KEPT:
-            _shapes.popitem(last=False)
+        entry = _shapes.setdefault(shape, (threading.Lock(), {}))
+    lock, operators = entry
     with lock:
         if key not in operators:
-            operators[key] = build()
-            operators[key].setflags(write=False)
-        return operators[key]
+            try:
+                operator = build()
+            except BaseException:
+                with _shapes_lock:
+                    if not operators and _shapes.get(shape) is entry:
+                        del _shapes[shape]
+                raise
+            operator.setflags(write=False)
+            operators[key] = operator
+        operator = operators[key]
+    with _shapes_lock:
+        if _shapes.setdefault(shape, entry) is entry:
+            _shapes.move_to_end(shape)
+            filled = [s for s, (_, held) in _shapes.items() if held]
+            for old in filled[: max(0, len(filled) - _SHAPES_KEPT)]:
+                del _shapes[old]
+    return operator
 
 
 def as_image(values) -> np.ndarray:

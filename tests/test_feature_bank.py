@@ -627,3 +627,36 @@ def test_params_roundtrip(tmp_path):
         fh.write("{}")
     with pytest.raises(ValueError, match="method"):
         load_params(tmp_path / "bad.json")
+
+
+def test_the_identity_guide_stencil_filters_nothing(monkeypatch):
+    # pairs 0 and 7 share the 1x1 identity guide stencil: its feature is the
+    # guide itself, so the default bank's seven distinct guide stencils take
+    # six correlations. A bank whose identity is a 3x3 stencil with a lone
+    # centre tap, 0.0 + 1.0 * x, filters all seven, with the same bits on a
+    # guide with no -0.0 sample.
+    gt, rgb = make_scene(np.random.default_rng(27), 40, 56)
+    _, up = degrade(gt, 4)
+    guide = luminance(rgb)
+    bank = default_bank()
+    centre = np.zeros((3, 3))
+    centre[1, 1] = 1.0
+    padded = FilterBank(tuple(FilterPair(p.depth_filter, centre, shared=False)
+                              if p.guide_filter.shape == (1, 1) else p for p in bank.pairs))
+    lambdas = np.linspace(0.5, 4.0, len(bank))
+    head = ReconstructionHead(np.linspace(0.25, 1.0, len(bank)), 0.5)
+    calls = []
+
+    def counted(img, stencil):
+        calls.append(stencil.shape)
+        return correlate(img, stencil)
+
+    correlate = feature_bank._correlate
+    monkeypatch.setattr(feature_bank, "_correlate", counted)
+    got = spectral_predict(up, guide, bank, lambdas, head, HARD)
+    assert len(calls) == 6 and (1, 1) not in calls
+    calls.clear()
+    want = spectral_predict(up, guide, padded, lambdas, head, HARD)
+    assert len(calls) == 7
+    assert not np.any(np.signbit(guide) & (guide == 0.0))
+    assert got.tobytes() == want.tobytes()

@@ -1,5 +1,6 @@
 """The row-blocked correlation kernel against the whole-grid per-tap loop,
-bit for bit, with blocks of every size relative to the grid."""
+bit for bit, with blocks of every size relative to the grid, rows wider
+than a block, and a ragged last block."""
 
 import numpy as np
 import pytest
@@ -47,6 +48,39 @@ def test_correlate_bytes_match_loop_oracle_at_default_block():
     img = rng.random((70, 2000))
     stencil = rng.normal(size=(7, 5))
     stencil[2, 1] = 0.0
+    got = correlate_reflect(img, stencil)
+    assert got.tobytes() == loop_correlate(img, stencil).tobytes()
+
+
+def test_rows_wider_than_a_block_wrap_across_the_slack():
+    # 40,000 columns take 320 KB a row, so every block is one row, and each
+    # accumulator row's wrap columns read the zeroed slack past the buffer
+    assert filters._BLOCK_BYTES // (8 * 40_000) == 0
+    rng = np.random.default_rng(5)
+    img = rng.normal(size=(3, 40_000)) * 10.0
+    stencil = rng.normal(size=(7, 7))
+    got = correlate_reflect(img, stencil)
+    assert got.tobytes() == loop_correlate(img, stencil).tobytes()
+
+
+@pytest.mark.parametrize("M,rows", [(7, 5), (9, 4), (13, 6)])
+def test_a_ragged_last_block_reads_past_its_rows_into_stale_samples(monkeypatch, M, rows):
+    # the last block is shorter than the one before, so its last taps read
+    # that block's leftover rows in the buffer; only wrap columns may see them
+    N = 11
+    rng = np.random.default_rng(M)
+    img = rng.normal(size=(M, N)) * 10.0
+    stencil = rng.normal(size=(5, 7))
+    monkeypatch.setattr(filters, "_BLOCK_BYTES", rows * 8 * N)
+    got = correlate_reflect(img, stencil)
+    assert got.tobytes() == loop_correlate(img, stencil).tobytes()
+
+
+def test_a_stencil_wider_and_taller_than_the_grid():
+    # halos of 3 on a 2x3 grid reflect the grid more than once
+    rng = np.random.default_rng(6)
+    img = rng.normal(size=(2, 3))
+    stencil = rng.normal(size=(7, 7))
     got = correlate_reflect(img, stencil)
     assert got.tobytes() == loop_correlate(img, stencil).tobytes()
 

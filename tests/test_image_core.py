@@ -8,6 +8,7 @@ import pytest
 from gdsr import quantize
 from gdsr import image_core
 from gdsr.image_core import as_image, shape_operator
+from gdsr.spectral import symbol_for
 
 
 def test_as_image_rejects_bad_inputs():
@@ -131,3 +132,19 @@ def test_operators_are_read_only_and_outlive_their_shape(monkeypatch):
     assert not handed.flags.writeable
     with pytest.raises(ValueError):
         handed[0, 0] = 1.0
+
+
+def test_a_build_that_raises_leaves_the_cache_as_it_was(monkeypatch):
+    # the fifth shape's build fails: it must neither stay as an empty entry
+    # nor push the least recent of the four kept shapes out
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
+    lookup = _counted([])
+    shapes = [(k + 1, 2) for k in range(image_core._SHAPES_KEPT)]
+    handed = [lookup(shape) for shape in shapes]
+    asymmetric = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        symbol_for((5, 5), asymmetric)
+    assert list(image_core._shapes) == shapes
+    for shape, operator in zip(shapes, handed, strict=True):
+        operators = image_core._shapes[shape][1]
+        assert list(operators) == [1.0] and operators[1.0] is operator
