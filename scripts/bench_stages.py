@@ -1,6 +1,7 @@
 """Time gdsr's stages one by one and its verbs end to end at fixed sizes; write JSON.
 
     python scripts/bench_stages.py --out BENCH.json --label change
+    python scripts/bench_stages.py --out BENCH.json --against PARENT_CHECKOUT
 
 Each stage runs once untimed, then REPEATS times, on one seeded
 `tests.scenes.make_scene` scene at x8, at 480x640 and 1024x1376, with
@@ -27,6 +28,8 @@ The correlate_reflect stages filter the guide luminance with the bank's
 Laplacian. `guide_side_bank` is the guide side of the committed feature
 model: `_channel_coeffs` over the channels its head weighs, that is each
 distinct guide stencil's filtering, Laplacian, edge weights and DCT.
+`solved_coeffs` is one channel solve, `_solved_coeffs` at lambda = 20
+with the 5x5 Gaussian's depth symbol, into a reused output grid.
 `lambda_objective_evaluate` is one fit-objective evaluation and
 `lambda_objective_build` the whole objective on two triples of the
 scene: its construction and its first evaluation, which makes its
@@ -50,6 +53,24 @@ MEMORY_STAGES, six stages and the three `bench` verbs, also
 record "peak_mb": the tracemalloc peak of one more
 call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
 what the call allocates and holds at once, caches filled beforehand.
+
+With --against, the stages of this checkout ("change") and of the
+checkout it names ("parent") run in two long-lived worker processes,
+each with BLAS pinned to one thread, on the same seeded scene; a worker
+imports gdsr from its checkout's src, then runs this script with
+--worker.
+Each stage's untimed first call is digested on both sides: sha256 of the
+arrays and bytes it returns, or of its `output` attribute's, which does
+the same work and returns what the timed call drops. Then the sides
+alternate sample by sample in ABBA order, REPEATS samples each. The file
+gets "parent" and "change" in the form above, and a "pairs" block:
+
+    size -> stage -> {"change_won", "n", "bit_equal"},
+
+"change_won" being how many of the n pairs of samples the change took
+less time in. A stage whose digests differ has "bit_equal" false and is
+printed as DIGESTS DIFFER; a stage that fails on a side, or that only
+one side has, gets that side's "error" in its place in "pairs".
 """
 
 from __future__ import annotations
@@ -61,6 +82,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
@@ -74,19 +96,19 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]  # a worker has imported its gdsr already
 
 from gdsr.bench import DatasetEntry, PipelineConfig, _load_entry, _model, predict  # noqa: E402
 from gdsr.cli import main as gdsr_main  # noqa: E402
 from gdsr.dct import dct2_forward, dct2_inverse  # noqa: E402
 from gdsr.feature_bank import (HEAD_GAMMA, _channel_coeffs, _LambdaObjective,  # noqa: E402
-                               gaussian_stencil, log_stencil, spectral_predict)
+                               _solved_coeffs, gaussian_stencil, log_stencil, spectral_predict)
 from gdsr.filters import correlate_reflect  # noqa: E402
 from gdsr.guidance import EdgeWeightConfig, luminance, transfer_target  # noqa: E402
 from gdsr.imgio import load_image, save_image  # noqa: E402
 from gdsr.resample import _axis_weights, bicubic_downsample, degrade  # noqa: E402
 from gdsr.spectral import (DEFAULT_SYMBOL_MODE, FIVE_POINT, _build_denominator,  # noqa: E402
-                           stencil_symbol)
+                           solve_stencil, stencil_symbol, symbol_for)
 from tests.scenes import make_scene, write_scene_files  # noqa: E402
 
 SIZES = ((480, 640), (1024, 1376))
@@ -142,6 +164,12 @@ def stages(M: int, N: int) -> dict:
         for _ in _channel_coeffs(guide, bank, edge, np.flatnonzero(head.weights)):
             pass
 
+    guide_side_bank.output = lambda: [t_hat for _, t_hat, _ in _channel_coeffs(
+        guide, bank, edge, np.flatnonzero(head.weights))]
+    shape, t_hat, solved = (M, N), dct2_forward(transfer_target(guide, edge)), np.empty((M, N))
+    solve_symbols = (symbol_for(shape, g1), coeffs, t_hat, symbol_for(shape),
+                     symbol_for(shape, solve_stencil(DEFAULT_SYMBOL_MODE)), 20.0, solved)
+
     timed = {
         **load_stages(gt, rgb),
         "degrade": lambda: degrade(gt, SCALE),
@@ -159,6 +187,7 @@ def stages(M: int, N: int) -> dict:
         "correlate_reflect_3x3": lambda: correlate_reflect(guide, FIVE_POINT),
         "transfer_target_hard": lambda: transfer_target(guide, edge),
         "guide_side_bank": guide_side_bank,
+        "solved_coeffs": lambda: _solved_coeffs(*solve_symbols),
         "spectral_predict": lambda: spectral_predict(up, guide, bank, lambdas, head, edge),
         "predict_image_lam20": lambda: predict(up, guide, image_cfg),
     }
@@ -215,7 +244,14 @@ def verbs(M: int, N: int) -> dict:
             with contextlib.redirect_stdout(io.StringIO()):
                 gdsr_main(argv)
 
-        run.scratch = scratch
+        def output():  # the written file, less a bench table's runtime column
+            run()
+            text = Path(argv[argv.index("--out") + 1]).read_bytes()
+            if argv[0] != "bench":
+                return text
+            return b"\n".join(line.rsplit(b",", 1)[0] for line in text.splitlines())
+
+        run.scratch, run.output = scratch, output
         return run
 
     return {name: verb(argv) for name, argv in commands.items()}
@@ -231,22 +267,49 @@ def peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def time_stage(fn) -> dict:
+def sample_ms(fn) -> float:
+    """The wall time of one call of fn, in ms."""
+    t0 = time.perf_counter()
     fn()
-    samples = []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn()
-        samples.append((time.perf_counter() - t0) * 1e3)
+    return (time.perf_counter() - t0) * 1e3
+
+
+def summary(samples) -> dict:
     q1, med, q3 = np.percentile(samples, [25, 50, 75])
     return {"median_ms": round(float(med), 3), "iqr_ms": round(float(q3 - q1), 3),
-            "n": REPEATS}
+            "n": len(samples)}
 
 
-def time_fresh(code: str) -> dict:
-    """time_stage of a fresh interpreter running code, plus "maxrss_mb":
-    the median of the timed children's own ru_maxrss, in MB of 2^20 bytes."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def time_stage(fn) -> dict:
+    fn()
+    return summary([sample_ms(fn) for _ in range(REPEATS)])
+
+
+def digest(value) -> str:
+    """sha256 of the arrays, bytes and scalars in a stage's result, in order."""
+    h = hashlib.sha256()
+
+    def feed(v):
+        if isinstance(v, (tuple, list)):
+            for item in v:
+                feed(item)
+        elif isinstance(v, np.ndarray):
+            h.update(repr((v.dtype.str, v.shape)).encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        elif isinstance(v, bytes):
+            h.update(v)
+        elif v is not None:
+            h.update(repr(v).encode())
+
+    feed(value)
+    return h.hexdigest()
+
+
+def time_fresh(code: str, checkout: Path) -> dict:
+    """time_stage of a fresh interpreter running code on ``checkout``'s
+    package, plus "maxrss_mb": the median of the timed children's own
+    ru_maxrss, in MB of 2^20 bytes."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     report = "; import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
     maxrss_kb = []
 
@@ -260,43 +323,161 @@ def time_fresh(code: str) -> dict:
     return timed
 
 
-def startup() -> dict:
-    """The startup block: fresh interpreters importing the package, and
-    importing it and running one FIRST_TRANSFORM_SIZE forward transform."""
+def startup(checkout: Path = ROOT) -> dict:
+    """The startup block of ``checkout``: fresh interpreters importing its
+    package, and importing it and running one FIRST_TRANSFORM_SIZE forward
+    transform."""
     M, N = FIRST_TRANSFORM_SIZE
-    return {"import_gdsr": time_fresh("import gdsr"),
+    return {"import_gdsr": time_fresh("import gdsr", checkout),
             "first_transform": time_fresh(f"import gdsr, numpy; "
-                                          f"gdsr.dct2_forward(numpy.zeros(({M}, {N})))")}
+                                          f"gdsr.dct2_forward(numpy.zeros(({M}, {N})))",
+                                          checkout)}
 
 
-def commit() -> str:
+def commit(checkout: Path) -> str:
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=12"],
-                             cwd=ROOT, capture_output=True, text=True, check=True)
+                             cwd=checkout, capture_output=True, text=True, check=True)
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
     return out.stdout.strip()
 
 
+def info(checkout: Path = ROOT) -> dict:
+    """A run's header for ``checkout``: versions, commit, cores, scale and
+    startup block."""
+    return {"commit": commit(checkout), "numpy": np.__version__, "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(), "scale": SCALE, "startup": startup(checkout)}
+
+
+def serve() -> None:
+    """Worker side of --against: answer one JSON request per stdin line
+    with one JSON line on the real stdout; what the stages print goes to
+    stderr. Requests: {"op": "size", "M", "N"} (build that
+    size's stages, answer their names), {"op": "run", "name", "digest"}
+    (one call: its ms, or the digest of its result) and {"op": "peak",
+    "name"}. A failing request answers {"error": cause}."""
+    reply, sys.stdout = sys.stdout, sys.stderr
+    built = {}
+    for line in sys.stdin:
+        req = json.loads(line)
+        try:
+            if req["op"] == "size":
+                built = {}  # the last size's scenes die first
+                built = {**stages(req["M"], req["N"]), **verbs(req["M"], req["N"])}
+                answer = list(built)
+            elif req["op"] == "run" and req["digest"]:
+                fn = built[req["name"]]
+                answer = {"sha256": digest(getattr(fn, "output", fn)())}
+            elif req["op"] == "run":
+                answer = {"ms": sample_ms(built[req["name"]])}
+            else:
+                answer = {"peak_mb": peak_mb(built[req["name"]])}
+        except Exception as exc:
+            answer = {"error": f"{type(exc).__name__}: {exc}"}
+        reply.write(json.dumps(answer) + "\n")
+        reply.flush()
+
+
+class Worker:
+    """One --worker process on a checkout, asked one request at a time."""
+
+    def __init__(self, checkout: Path):
+        start = (f"import runpy, sys; sys.path.insert(0, {str(checkout / 'src')!r}); "
+                 f"import gdsr; runpy.run_path({str(Path(__file__).resolve())!r}, "
+                 f"run_name='__main__')")
+        self.proc = subprocess.Popen([sys.executable, "-c", start, "--worker"],
+                                     stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def ask(self, **req) -> dict:
+        self.proc.stdin.write(json.dumps(req) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"worker exited with {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def paired(workers: dict, name: str) -> tuple[dict, dict]:
+    """One stage on both workers: the timing of each side it runs on, and
+    its "pairs" entry."""
+    first = {label: w.ask(op="run", name=name, digest=True) for label, w in workers.items()}
+    samples = {label: [] for label, answer in first.items() if "error" not in answer}
+    for k in range(REPEATS):  # ABBA: change first in even pairs, parent first in odd ones
+        for label in ("change", "parent")[:: 1 if k % 2 == 0 else -1]:
+            if label in samples:
+                samples[label].append(workers[label].ask(op="run", name=name, digest=False)["ms"])
+    timed = {label: summary(ms) for label, ms in samples.items()}
+    if name in MEMORY_STAGES:
+        for label in timed:
+            timed[label]["peak_mb"] = workers[label].ask(op="peak", name=name)["peak_mb"]
+    if len(samples) < 2:
+        return timed, {label: answer["error"] for label, answer in first.items()
+                       if "error" in answer}
+    won = sum(c < p for c, p in zip(samples["change"], samples["parent"]))
+    return timed, {"change_won": won, "n": REPEATS,
+                   "bit_equal": first["change"]["sha256"] == first["parent"]["sha256"]}
+
+
+def against(parent: Path) -> dict:
+    """The --against run of this checkout and ``parent``: the file's
+    "parent", "change" and "pairs" blocks."""
+    checkouts = {"change": ROOT, "parent": parent}
+    doc = {label: {**info(checkout), "stages": {}} for label, checkout in checkouts.items()}
+    workers = {label: Worker(checkout) for label, checkout in checkouts.items()}
+    try:
+        doc["pairs"] = {}
+        for M, N in SIZES:
+            size = f"{M}x{N}"
+            names = [w.ask(op="size", M=M, N=N) for w in workers.values()]
+            for label in workers:
+                doc[label]["stages"][size] = {}
+            doc["pairs"][size] = {}
+            for name in dict.fromkeys(names[0] + names[1]):
+                timed, pair = paired(workers, name)
+                for label, result in timed.items():
+                    doc[label]["stages"][size][name] = result
+                doc["pairs"][size][name] = pair
+                marks = "" if pair.get("bit_equal", True) else "  DIGESTS DIFFER"
+                print(f"{size} {name}: {timed} {pair}{marks}", flush=True)
+    finally:
+        for w in workers.values():
+            w.close()
+    return doc
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", required=True, help="JSON file to write or extend")
-    ap.add_argument("--label", required=True, help="key of this run in the file")
+    ap.add_argument("--out", help="JSON file to write or extend")
+    ap.add_argument("--label", help="key of this run in the file")
+    ap.add_argument("--against", metavar="DIR", help="checkout of the parent to pair with")
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    result = {"commit": commit(), "numpy": np.__version__, "scipy": scipy.__version__,
-              "cpu_count": os.cpu_count(), "scale": SCALE, "startup": startup(), "stages": {}}
-    print(f"startup: {result['startup']}", flush=True)
-    for M, N in SIZES:
-        size = f"{M}x{N}"
-        result["stages"][size] = {}
-        for name, fn in {**stages(M, N), **verbs(M, N)}.items():
-            result["stages"][size][name] = time_stage(fn)
-            if name in MEMORY_STAGES:
-                result["stages"][size][name]["peak_mb"] = peak_mb(fn)
-            print(f"{size} {name}: {result['stages'][size][name]}", flush=True)
+    if args.worker:
+        serve()
+        return 0
+    if args.out is None or (args.against is None) == (args.label is None):
+        ap.error("give --out, and --label or --against")
     out = Path(args.out)
     doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    doc[args.label] = result
+    if args.against:
+        doc.update(against(Path(args.against).resolve()))
+    else:
+        result = {**info(), "stages": {}}
+        print(f"startup: {result['startup']}", flush=True)
+        for M, N in SIZES:
+            size = f"{M}x{N}"
+            result["stages"][size] = {}
+            for name, fn in {**stages(M, N), **verbs(M, N)}.items():
+                result["stages"][size][name] = time_stage(fn)
+                if name in MEMORY_STAGES:
+                    result["stages"][size][name]["peak_mb"] = peak_mb(fn)
+                print(f"{size} {name}: {result['stages'][size][name]}", flush=True)
+        doc[args.label] = result
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 

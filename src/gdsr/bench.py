@@ -45,7 +45,7 @@ from .image_core import as_image
 from .imgio import load_image, load_luminance
 from .resample import _crop, _degrade, check_scale
 from .spectral import (DEFAULT_SYMBOL_MODE, SYMBOL_MODES, _denominator, _laplacian, _rhs,
-                       _solve, _squared_symbol, symbol_for)
+                       _solve, solve_stencil, symbol_for)
 
 __all__ = [
     "DatasetEntry",
@@ -537,30 +537,36 @@ def run_image(entry: DatasetEntry, cfg: PipelineConfig,
         raise RuntimeError(_entry_error(entry, _cause(exc))) from exc
 
 
-def _guide_sides(guide: np.ndarray, grid) -> dict:
-    """The image-domain guide sides of one entry's luminance grid, one per
-    (cropped shape, edge config) that a config of ``grid`` with lambda > 0
-    reads, built in canonical order: key -> [lap(T), or the cause of its
-    failed build, the ms its build took]. A scale the grid is too small
-    for reads none; its crop fails its records."""
-    sides = {}
+def _side_keys(guide: np.ndarray, grid) -> list[list]:
+    """Per scale of ``grid``, the image-domain guide sides that its configs
+    with lambda > 0 read, as (cropped shape, edge config) keys in canonical
+    order. A scale the grid is too small for reads none; its crop fails its
+    records."""
+    keys = []
     for s, row in grid:
-        for cfg, _, model, _ in row:
-            if cfg.method != "image_domain" or not model:  # no lambda, or lambda = 0
-                continue
+        try:
+            shape = _crop(guide, s).shape
+        except ValueError:
+            shape = None
+        keys.append(list(dict.fromkeys(
+            (shape, cfg.edge_config()) for cfg, _, model, _ in row
+            if shape and cfg.method == "image_domain" and model)))  # model: lambda > 0
+    return keys
+
+
+def _guide_sides(guide, keys, sides: dict) -> None:
+    """Add to ``sides`` each of ``keys`` it lacks, built from one entry's
+    luminance grid in order: key -> [lap(T), or the cause of its failed
+    build, the ms its build took]."""
+    for key in keys:
+        if key not in sides:
+            (M, N), edge_cfg = key
+            t0 = time.perf_counter()
             try:
-                cropped = _crop(guide, s)
-            except ValueError:
-                break
-            key = (cropped.shape, cfg.edge_config())
-            if key not in sides:
-                t0 = time.perf_counter()
-                try:
-                    side = _guide_side(cropped, key[1])
-                except Exception as exc:
-                    side = _cause(exc)
-                sides[key] = [side, (time.perf_counter() - t0) * 1e3]
-    return sides
+                side = _guide_side(guide[:M, :N], edge_cfg)
+            except Exception as exc:
+                side = _cause(exc)
+            sides[key] = [side, (time.perf_counter() - t0) * 1e3]
 
 
 def _record(entry: DatasetEntry, dataset: str, prepared, cfg: PipelineConfig, key: str, model,
@@ -587,21 +593,23 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
     canonical order; ``grid`` pairs each scale with one (scaled config,
     hash, :func:`_model`, cause the model could not be read) per config.
 
-    The entry is loaded once. Its image-domain guide sides are built next,
-    before any degrade (:func:`_guide_sides`), and the luminance grid is
-    dropped unless a feature-domain config reads it. Each build's time
-    counts toward the first record that reads it. The depth is then
-    cropped and degraded once per (scale, antialias). A failed load fails
-    every record, a failed crop those of its scale, an unreadable
-    parameter file those of its config, and a failed guide side those
-    that read it. Causes are kept as text: a kept exception's traceback
-    would hold this task's grids. A scale's grids die before the next
-    scale's are made, and each record's error is taken in its own
-    prediction, so an image-domain entry at one cropped shape holds about
-    four grids at once: depth, guide side, up and prediction. One record
-    of each (scale, antialias) group may write that group's ``up``
-    (:func:`_scoring_order`), so a [bicubic, feature] or [feature,
-    bicubic] entry holds about seven grids, not eight.
+    The entry is loaded once. Each image-domain guide side is built at the
+    first scale that reads it, before that scale's degrades
+    (:func:`_guide_sides`), and dropped after the last; the luminance grid
+    is dropped once the last side is built, unless a feature-domain config
+    reads it. Each build's time counts toward the first record that reads
+    it. A failed load fails every record, a failed crop those of its
+    scale, an unreadable parameter file those of its config, and a failed
+    guide side those that read it. Causes are kept as text: a kept
+    exception's traceback would hold this task's grids. A scale's grids
+    die before the next scale's are made, and each record's error is
+    taken in its own prediction, so an image-domain entry at one cropped
+    shape holds about four grids at once: depth, guide side, up and
+    prediction; at three cropped shapes, five, the guide too while a
+    later side is to be built. One record of each (scale, antialias)
+    group may write that group's ``up`` (:func:`_scoring_order`), so a
+    [bicubic, feature] or [feature, bicubic] entry holds about seven
+    grids, not eight.
     """
     try:
         depth, guide = _load_entry(entry)
@@ -609,44 +617,56 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
         error = _entry_error(entry, _cause(exc))
         return [BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0, error)
                 for s, row in grid for cfg, key, *_ in row]
-    sides = _guide_sides(guide, grid)
-    if not any(cfg.method == "feature_domain" and cause is None
-               for _, row in grid for cfg, _, _, cause in row):
-        guide = None
-    records = []
-    for s, row in grid:
-        prepared = {}  # antialias -> grids (gt, up, guide), or the cause they are missing
-        order, writers = _scoring_order(row)
-        scored = {}  # config index -> its record
-        for k in order:
-            cfg, key, model, cause = row[k]
-            aa = cfg.antialias
-            if aa not in prepared:
-                try:
-                    prepared[aa] = (*_crop_and_degrade(depth, s, aa),
-                                    None if guide is None else _crop(guide, s))
-                except Exception as exc:
-                    prepared[aa] = _cause(exc)
-            if isinstance(prepared[aa], str):
-                cause = prepared[aa]
-            side, build_ms = None, 0.0
-            if cause is None and cfg.method == "image_domain" and model:
-                built = sides[(prepared[aa][0].shape, cfg.edge_config())]
-                side, build_ms = built
-                built[1] = 0.0
-                if isinstance(side, str):
-                    cause = side
-            if cause is None:
-                try:
-                    scored[k] = _record(entry, dataset, prepared[aa], cfg, key, model, side,
-                                        build_ms, k in writers)
-                    continue
-                except Exception as exc:
-                    cause = _cause(exc)
-            scored[k] = BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0,
-                                    _entry_error(entry, cause))
-        records += [scored[k] for k in range(len(row))]
+    keys = _side_keys(guide, grid)
+    feature = any(cfg.method == "feature_domain" and cause is None
+                  for _, row in grid for cfg, _, _, cause in row)
+    sides, records = {}, []
+    for k, (s, row) in enumerate(grid):
+        later = {key for read in keys[k:] for key in read}
+        sides = {key: built for key, built in sides.items() if key in later}
+        _guide_sides(guide, keys[k], sides)
+        if not feature and later <= sides.keys():  # no side is left to build
+            guide = None
+        records += _scale_records(entry, dataset, depth, guide, s, row, sides)
     return records
+
+
+def _scale_records(entry: DatasetEntry, dataset: str, depth: np.ndarray, guide, s: int, row,
+                   sides: dict) -> list[BenchRecord]:
+    """:func:`_entry_records` at one scale ``s``, whose configs ``row``
+    gives, from the loaded depth, the luminance grid or None, and the
+    built guide sides."""
+    prepared = {}  # antialias -> grids (gt, up, guide), or the cause they are missing
+    order, writers = _scoring_order(row)
+    scored = {}  # config index -> its record
+    for k in order:
+        cfg, key, model, cause = row[k]
+        aa = cfg.antialias
+        if aa not in prepared:
+            try:
+                prepared[aa] = (*_crop_and_degrade(depth, s, aa),
+                                None if guide is None else _crop(guide, s))
+            except Exception as exc:
+                prepared[aa] = _cause(exc)
+        if isinstance(prepared[aa], str):
+            cause = prepared[aa]
+        side, build_ms = None, 0.0
+        if cause is None and cfg.method == "image_domain" and model:
+            built = sides[(prepared[aa][0].shape, cfg.edge_config())]
+            side, build_ms = built
+            built[1] = 0.0
+            if isinstance(side, str):
+                cause = side
+        if cause is None:
+            try:
+                scored[k] = _record(entry, dataset, prepared[aa], cfg, key, model, side,
+                                    build_ms, k in writers)
+                continue
+            except Exception as exc:
+                cause = _cause(exc)
+        scored[k] = BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0,
+                                _entry_error(entry, cause))
+    return [scored[k] for k in range(len(row))]
 
 
 def _scoring_order(row) -> tuple[list[int], set[int]]:
@@ -786,11 +806,12 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig,
     """
     _check_search(grid_points)
     edge_cfg = cfg.edge_config()
-    prepared, shaped = [], {}  # shape -> its symbol, squared symbol and work grids
+    prepared, shaped = [], {}  # shape -> its two symbols and two work grids
     for entry, (gt, up, guide) in _train_grids(manifest, cfg):
         target = _transfer_target(guide, edge_cfg)
         if gt.shape not in shaped:
-            shaped[gt.shape] = (symbol_for(gt.shape), _squared_symbol(cfg.symbol_mode, gt.shape),
+            shaped[gt.shape] = (symbol_for(gt.shape),
+                                symbol_for(gt.shape, solve_stencil(cfg.symbol_mode)),
                                 np.empty((2, *gt.shape)))
         prepared.append((dct2_forward(up), dct2_forward(target), dct2_forward(gt),
                          entry.depth_unit_scale**2, *shaped[gt.shape]))
@@ -798,11 +819,9 @@ def fit_image_lambda(manifest: DatasetManifest, cfg: PipelineConfig,
 
     def objective(lam: float) -> float:
         sse = 0.0
-        for u_hat, t_hat, y_hat, unit_sq, lap_symbol, sym_sq, (out, den) in prepared:
-            # at lam = 0 the coefficients are u_hat itself, which the
-            # difference does not write
-            resid = _solved_coeffs(u_hat, t_hat, lap_symbol, sym_sq, lam, out, den)
-            resid = np.subtract(resid, y_hat, out=out)
+        for u_hat, t_hat, y_hat, unit_sq, lap_symbol, mode_symbol, (out, work) in prepared:
+            resid = _solved_coeffs(1.0, u_hat, t_hat, lap_symbol, mode_symbol, lam, out, work)
+            resid -= y_hat
             resid *= resid
             sse += float(np.sum(resid)) * unit_sq
         return math.sqrt(sse / n_pixels)

@@ -35,7 +35,6 @@ from .guidance import EdgeWeightConfig, _transfer_target
 from .spectral import (
     DEFAULT_SYMBOL_MODE,
     FIVE_POINT,
-    _squared_symbol,
     build_rhs,
     laplacian_apply,
     solve_screened,
@@ -298,21 +297,27 @@ def _depth_symbol(shape, stencil: np.ndarray):
     return symbol_for(shape, stencil)
 
 
-def _solved_coeffs(d_hat, t_hat, lap_symbol, symbol_sq, lam: float, out=None,
-                   den=None) -> np.ndarray:
-    """One channel's solved coefficients (d_hat + (lam Lambda_lap) t_hat) /
-    (1 + lam Lambda^2), in this operation order, which
-    :func:`_spectral_predict` follows in its own buffers and prediction's
-    bits depend on; lam = 0 returns ``d_hat``. ``out`` and ``den`` are
-    optional buffers shaped like ``d_hat``."""
+def _solved_coeffs(d_symbol, l_hat, t_hat, lap_symbol, mode_symbol, lam: float, out,
+                   work=None) -> np.ndarray:
+    """A channel's solved coefficients (Lambda_K L^ + (lam Lambda_lap) T^) /
+    ((Lambda * Lambda) lam + 1), in ``out``, which may be ``t_hat``; lam = 0
+    gives Lambda_K L^. Prediction and both fits solve every channel here,
+    so this operation order fixes their bits. The grids are (M, N), or runs
+    (k, M, N) over whose leading axis the (M, N) symbols broadcast;
+    ``d_symbol`` may be the scalar 1.0 (:func:`_depth_symbol`). ``work``, a
+    grid shaped like ``out``, is clobbered; at lam != 0 with no ``work``,
+    one is made here, after the caller has built ``t_hat``."""
     if lam == 0.0:
-        return d_hat
-    den = np.multiply(symbol_sq, lam, out=den)
-    den += 1.0
-    out = np.multiply(lap_symbol, lam, out=out)
-    out *= t_hat
-    out += d_hat
-    out /= den
+        return np.multiply(d_symbol, l_hat, out=out)
+    if work is None:
+        work = np.empty(out.shape)
+    grid = work[(0,) * (work.ndim - np.ndim(lap_symbol))]  # one symbol-shaped grid
+    np.multiply(t_hat, np.multiply(lap_symbol, lam, out=grid), out=out)
+    out += np.multiply(d_symbol, l_hat, out=work)
+    np.multiply(mode_symbol, mode_symbol, out=grid)
+    grid *= lam
+    grid += 1.0
+    out /= grid
     return out
 
 
@@ -356,12 +361,9 @@ def _spectral_predict(l_up: np.ndarray, guide: np.ndarray, bank: FilterBank, lam
 
     Besides its inputs it holds about five grids, four with ``overwrite``:
     the sum, dct(l_up), the target kept for a later pair, and the
-    channel's guide side, then its target and one scratch grid. Each
-    channel's coefficients are solved in its target's buffer, in
-    :func:`_solved_coeffs`'s operation order, with Lambda_Kc L^ and then
-    the divisor (Lambda * Lambda) * lam + 1 formed in the scratch grid, so
-    they have its bits with no cached Lambda^2; a target that a later pair
-    reads is solved into a fresh grid instead.
+    channel's guide side, then its target and the solve's work grid. Each
+    channel is solved in its target's buffer (:func:`_solved_coeffs`); a
+    target that a later pair reads is solved into a fresh grid instead.
     """
     shape = l_up.shape
     lap_symbol = symbol_for(shape)
@@ -369,19 +371,9 @@ def _spectral_predict(l_up: np.ndarray, guide: np.ndarray, bank: FilterBank, lam
     l_hat = _dct2(l_up, overwrite=overwrite)
     h_hat = np.zeros(shape)
     for c, t_hat, kept in _channel_coeffs(guide, bank, edge_cfg, np.flatnonzero(head.weights)):
-        out = np.empty(shape) if kept else t_hat
-        d_symbol = _depth_symbol(shape, bank.pairs[c].depth_filter)
-        if lam[c] == 0.0:
-            np.multiply(d_symbol, l_hat, out=out)
-        else:
-            scratch = np.empty(shape)  # made once the channel's guide side is built
-            np.multiply(t_hat, np.multiply(lap_symbol, lam[c], out=scratch), out=out)
-            out += np.multiply(d_symbol, l_hat, out=scratch)
-            np.multiply(mode_symbol, mode_symbol, out=scratch)
-            scratch *= lam[c]
-            scratch += 1.0
-            out /= scratch
-            del scratch
+        out = _solved_coeffs(_depth_symbol(shape, bank.pairs[c].depth_filter), l_hat, t_hat,
+                             lap_symbol, mode_symbol, lam[c],
+                             np.empty(shape) if kept else t_hat)
         out *= head.weights[c]
         h_hat += out
         # freed before the generator builds the next channel's guide side
@@ -504,15 +496,15 @@ class _LambdaObjective:
         self.l_hat = np.empty(self.n_pixels)
         self.t_hat = np.empty((max(self.t_row) + 1, self.n_pixels))
         self.y_hat = np.empty(self.n_pixels)
-        # (lo, hi, shape, lap_symbol, sym_sq, depth symbols per channel) per
-        # run of consecutive triples of one shape, in triple order: the flat
-        # row order fixes the bits of every product over the rows, so
+        # (lo, hi, shape, lap_symbol, mode_symbol, depth symbols per channel)
+        # per run of consecutive triples of one shape, in triple order: the
+        # flat row order fixes the bits of every product over the rows, so
         # triples are never regrouped by shape.
         symbols, self._runs, last = {}, [], None
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
             shape = target.shape
             if shape not in symbols:
-                symbols[shape] = (symbol_for(shape), _squared_symbol(symbol_mode, shape),
+                symbols[shape] = (symbol_for(shape), symbol_for(shape, solve_stencil(symbol_mode)),
                                   [_depth_symbol(shape, p.depth_filter) for p in bank.pairs])
             if shape == last:
                 self._runs[-1][1] = hi
@@ -552,29 +544,15 @@ class _LambdaObjective:
 
     def solve(self, c: int, lam: float) -> np.ndarray:
         """Channel c's coefficients at lam, in the coefficient row; valid
-        until the next call. Each run of one shape forms (lam Lambda_lap)
-        t_hat in the work row, then Lambda_Kc L^ in the coefficient row,
-        adds the two and divides by Lambda^2 lam + 1: every sample gets the
-        operations of :func:`_solved_coeffs` in its order, so its bits.
-        lam Lambda_lap and the divisor are formed once per run, each in a
-        grid of the rows that is free at that point, so a solve allocates
-        nothing."""
+        until the next call. Each run of one shape is solved at once
+        (:func:`_solved_coeffs`), with the work row as its work grids, so a
+        solve allocates nothing."""
         out, t_hat = self._coeffs, self.t_hat[self.t_row[c]]
-        for lo, hi, shape, lap_symbol, sym_sq, d_symbols in self._runs:
-            run = out[lo:hi].reshape(-1, *shape)  # the run's triples, each symbol broadcast
-            l_hat = self.l_hat[lo:hi].reshape(run.shape)
-            if lam == 0.0:
-                np.multiply(d_symbols[c], l_hat, out=run)
-                continue
-            transfer = self._work[lo:hi].reshape(run.shape)
-            # lam Lambda_lap in the run's first coefficient grid, then Lambda_Kc L^ over it
-            np.multiply(np.multiply(lap_symbol, lam, out=run[0]),
-                        t_hat[lo:hi].reshape(run.shape), out=transfer)
-            np.multiply(d_symbols[c], l_hat, out=run)
-            run += transfer
-            den = np.multiply(sym_sq, lam, out=transfer[0])  # the transfer terms are spent
-            den += 1.0
-            run /= den
+        for lo, hi, shape, lap_symbol, mode_symbol, d_symbols in self._runs:
+            run = (-1, *shape)  # the run's triples, each symbol broadcast
+            _solved_coeffs(d_symbols[c], self.l_hat[lo:hi].reshape(run),
+                           t_hat[lo:hi].reshape(run), lap_symbol, mode_symbol, lam,
+                           out[lo:hi].reshape(run), self._work[lo:hi].reshape(run))
         return out
 
     def head(self) -> ReconstructionHead:

@@ -181,17 +181,6 @@ def _build_denominator(mode: str, shape, lam: float) -> np.ndarray:
     return _screened_denominator(denom, lam, out=denom)
 
 
-def _squared_symbol(mode: str, shape) -> np.ndarray:
-    """Lambda^2 of the two fits: the ``mode`` solve's symbol on a grid of
-    ``shape``, squared in place, kept by :func:`shape_operator`. Prediction
-    forms Lambda * Lambda per channel instead, so only a fit keeps it."""
-    def build():
-        values = _symbol(solve_stencil(mode), *shape)
-        return np.square(values, out=values)
-
-    return shape_operator(shape, ("squared_symbol", mode), build)
-
-
 def build_rhs(l_up, guide_lap_masked, lam: float) -> np.ndarray:
     """Right-hand side E = lam * lap(T) + L of the screened equation.
 

@@ -44,7 +44,7 @@ from gdsr.feature_bank import (
 from gdsr.guidance import EdgeWeightConfig, multichannel_edge_weight
 from gdsr.image_core import as_image
 from gdsr.resample import bicubic_kernel
-from gdsr.spectral import _squared_symbol, laplacian_apply, solve_stencil, symbol_for
+from gdsr.spectral import laplacian_apply, solve_stencil, symbol_for
 
 
 def reflect_index(i: int, n: int) -> int:
@@ -425,10 +425,10 @@ class RowObjective:
         self.d_hat = np.empty((C, self.n_pixels))
         self.t_hat = np.empty((C, self.n_pixels))
         self.lap_symbol = np.empty(self.n_pixels)
-        self.sym_sq = np.empty(self.n_pixels)
+        self.mode_symbol = np.empty(self.n_pixels)
         self.y_hat = np.empty(self.n_pixels)
         for (l_up, guide, target), lo, hi in zip(triples, bounds[:-1], bounds[1:]):
-            self.sym_sq[lo:hi] = _squared_symbol(symbol_mode, target.shape).ravel()
+            self.mode_symbol[lo:hi] = symbol_for(target.shape, solve_stencil(symbol_mode)).ravel()
             self.lap_symbol[lo:hi] = symbol_for(target.shape).ravel()
             self.y_hat[lo:hi] = _dct2(target).ravel()
             l_hat = _dct2(l_up)
@@ -455,8 +455,8 @@ class RowObjective:
 
     def solve(self, c: int, lam: float) -> np.ndarray:
         """Channel c's coefficients at lam; valid until the next call."""
-        return _solved_coeffs(self.d_hat[c], self.t_hat[c], self.lap_symbol, self.sym_sq,
-                              lam, self._coeffs, self._scratch)
+        return _solved_coeffs(1.0, self.d_hat[c], self.t_hat[c], self.lap_symbol,
+                              self.mode_symbol, lam, self._coeffs, self._scratch)
 
     def head(self) -> ReconstructionHead:
         """The ridge head of the accepted state's normal equations."""

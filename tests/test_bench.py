@@ -455,7 +455,7 @@ def test_fit_image_lambda_never_worse_than_unguided(tmp_path):
 
 def test_fit_image_lambda_evaluates_in_two_reused_grids_per_shape(tmp_path, monkeypatch):
     # entries of two crop shapes; every evaluation solves into its shape's
-    # two work grids, and at lambda = 0 the returned u_hat stays unwritten
+    # two work grids, and no evaluation writes an entry's u_hat
     rng = np.random.default_rng(92)
     entries = [write_scene_files(tmp_path, f"e{k}", *make_scene(rng, M, N, n_shapes=3))
                for k, (M, N) in enumerate([(64, 64)] * 3 + [(48, 80)])]
@@ -465,11 +465,11 @@ def test_fit_image_lambda_evaluates_in_two_reused_grids_per_shape(tmp_path, monk
     solved = bench._solved_coeffs
     buffers, inputs = {}, {}
 
-    def spy(d_hat, t_hat, lap_symbol, symbol_sq, lam, out=None, den=None):
-        assert out is not None and den is not None
-        buffers.setdefault(d_hat.shape, set()).add((out.ctypes.data, den.ctypes.data))
-        inputs.setdefault(id(d_hat), (d_hat, d_hat.copy()))
-        return solved(d_hat, t_hat, lap_symbol, symbol_sq, lam, out, den)
+    def spy(d_symbol, l_hat, t_hat, lap_symbol, mode_symbol, lam, out, work=None):
+        assert work is not None
+        buffers.setdefault(l_hat.shape, set()).add((out.ctypes.data, work.ctypes.data))
+        inputs.setdefault(id(l_hat), (l_hat, l_hat.copy()))
+        return solved(d_symbol, l_hat, t_hat, lap_symbol, mode_symbol, lam, out, work)
 
     monkeypatch.setattr(bench, "_solved_coeffs", spy)
     assert fit_image_lambda(manifest, cfg).hex() == want.hex()
@@ -725,6 +725,30 @@ def test_entry_records_hold_about_four_grids(tmp_path):
     assert all(r.error is None for r in records) and records == [
         dataclasses.replace(r, runtime_ms=q.runtime_ms) for r, q in zip(first, records)]
     assert peak <= 4.4 * gt.nbytes, f"peak {peak / gt.nbytes:.2f} grids"
+
+
+def test_entry_records_at_three_cropped_shapes_hold_about_five_grids(tmp_path):
+    # 1020x1370 crops to 1020x1368, 1016x1368 and 1008x1360 at x4, x8 and
+    # x16: each guide side lives from the first scale that reads it to the
+    # last, beside the depth, the guide until the last side is built, up
+    # and the prediction. Building every side before the first degrade
+    # held all three for the entry's life: 6.05 grids.
+    gt, rgb = make_scene(np.random.default_rng(98), 1020, 1370)
+    doc = {"name": "big", "entries": [write_scene_files(tmp_path, "big", gt, rgb)]}
+    entry = load_manifest(_write_manifest(tmp_path, doc)).entries[0]
+    configs = [PipelineConfig(method="bicubic"), PipelineConfig(method="image_domain", lam=20.0)]
+    grid = [(s, [(c.with_scale(s), c.with_scale(s).config_hash(), bench._model(c), None)
+                 for c in configs]) for s in (4, 8, 16)]
+    bench._entry_records(entry, "big", grid)  # fills the resample and divisor caches
+    tracemalloc.start()
+    try:
+        records = bench._entry_records(entry, "big", grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.error is None for r in records) and [r.rmse for r in records] == [
+        run_image(entry, c.with_scale(s), "big")[1].rmse for s in (4, 8, 16) for c in configs]
+    assert peak <= 5.4 * gt.nbytes, f"peak {peak / gt.nbytes:.2f} grids"
 
 
 def _feature_params(path, seed):

@@ -10,7 +10,7 @@ from pathlib import Path
 # Imported before the script pins OPENBLAS_NUM_THREADS=1, so that OpenBLAS
 # starts with the default threading that tests/golden.json was made with
 # even when this module is the first in the run to load numpy.
-import numpy  # noqa: F401
+import numpy
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_stages.py"
@@ -36,7 +36,7 @@ def test_every_stage_runs_once(stage_script):
     stages = stage_script.stages(64, 64)
     assert {"load", "load_entry", "luminance", "predict_image_lam20", "denominator_cold",
             "lambda_objective_evaluate", "correlate_reflect_7x7_log",
-            "guide_side_bank"} <= set(stages)
+            "guide_side_bank", "solved_coeffs"} <= set(stages)
     for fn in stages.values():
         fn()
 
@@ -71,3 +71,30 @@ def test_startup_times_a_fresh_first_transform(stage_script):
     # the child holds at least the interpreter and numpy
     assert startup["import_gdsr"]["maxrss_mb"] > 1
     assert timed["maxrss_mb"] >= startup["import_gdsr"]["maxrss_mb"] - 1
+
+
+def test_against_pairs_every_stage_of_the_repo_with_itself(stage_script):
+    # two workers on this checkout: every stage and verb runs on both sides,
+    # ABBA-paired, and returns the same bytes on both
+    stage_script.REPEATS = 2
+    stage_script.SIZES = ((64, 64),)
+    stage_script.FIRST_TRANSFORM_SIZE = (8, 8)
+    doc = stage_script.against(SCRIPT.parent.parent)
+    pairs = doc["pairs"]["64x64"]
+    assert {"solved_coeffs", "spectral_predict", "verb_fit_feature"} <= set(pairs)
+    for label in ("change", "parent"):
+        timed = doc[label]["stages"]["64x64"]
+        assert set(timed) == set(pairs) and all(t["n"] == 2 for t in timed.values())
+        assert all("peak_mb" in timed[name] for name in stage_script.MEMORY_STAGES)
+        assert doc[label]["startup"]["import_gdsr"]["n"] == 2
+    for name, pair in pairs.items():
+        assert pair["bit_equal"] is True and pair["n"] == 2 and 0 <= pair["change_won"] <= 2, name
+
+
+def test_digest_tells_the_last_bit_apart(stage_script):
+    x = numpy.linspace(0.0, 1.0, 12).reshape(3, 4)
+    y = x.copy()
+    y.view(numpy.uint64)[1, 2] ^= 1
+    assert stage_script.digest([x, b"csv"]) == stage_script.digest([x.copy(), b"csv"])
+    assert stage_script.digest([x, b"csv"]) != stage_script.digest([y, b"csv"])
+    assert stage_script.digest(x) != stage_script.digest(x.reshape(4, 3))

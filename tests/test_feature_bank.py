@@ -25,6 +25,7 @@ from gdsr.feature_bank import (
     log_stencil,
     spectral_predict,
     _LambdaObjective,
+    _solved_coeffs,
 )
 from gdsr.filters import correlate_reflect
 from gdsr.guidance import EdgeWeightConfig, edge_weight, luminance, transfer_target
@@ -36,6 +37,7 @@ from gdsr.spectral import (
     derived_symbol,
     laplacian_apply,
     solve_screened,
+    solve_stencil,
     symbol_for,
 )
 
@@ -372,6 +374,30 @@ def _assert_same_bits(got, want):
     assert got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+# The one channel solve of prediction and both fits, written out as its
+# docstring states it; a change of operation order moves the last bits.
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       run=st.sampled_from([None, 1, 2, 3]), depth=st.sampled_from(_DEPTH_POOL[:3]),
+       lam=_LAMBDA, mode=st.sampled_from(SYMBOL_MODES), alias=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_solved_coeffs_has_the_bits_of_its_formula(shape, run, depth, lam, mode, alias, seed):
+    # a run of triples carries a leading axis that every symbol broadcasts
+    # over; the identity depth stencil's symbol is the scalar 1.0
+    grids = shape if run is None else (run, *shape)
+    l_hat, t_hat = np.random.default_rng(seed).standard_normal((2, *grids))
+    d_symbol = 1.0 if depth is IDENTITY else symbol_for(shape, depth)
+    lap, mode_symbol = symbol_for(shape), symbol_for(shape, solve_stencil(mode))
+    if lam == 0.0:
+        want = d_symbol * l_hat
+    else:
+        want = (d_symbol * l_hat + (lam * lap) * t_hat) / ((mode_symbol * mode_symbol) * lam + 1.0)
+    out = t_hat if alias else np.empty(grids)
+    got = _solved_coeffs(d_symbol, l_hat, t_hat, lap, mode_symbol, lam, out)
+    assert got is out
+    _assert_same_bits(got, want)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(SYMBOL_MODES),
        edge=st.sampled_from(["none", "hard", "soft"]), gamma=st.sampled_from([1e-8, 1e-6]))
@@ -537,8 +563,9 @@ def test_channel_coeffs_share_one_target_per_guide_stencil(monkeypatch):
 
 
 def test_feature_paths_cache_no_identity_symbol_and_no_squared_symbol(monkeypatch):
-    # the identity depth stencil's symbol is all ones, and prediction forms
-    # its divisor from the cached Lambda: neither is built or cached there
+    # the identity depth stencil's symbol is all ones, and every channel
+    # solve forms its divisor from the cached Lambda: neither is built or
+    # cached, and the derived fit's Lambda is prediction's Lambda_lap entry
     monkeypatch.setattr(image_core, "_shapes", OrderedDict())
     gt, rgb = make_scene(np.random.default_rng(68), 40, 56)
     _, up = degrade(gt, 4)
@@ -555,8 +582,9 @@ def test_feature_paths_cache_no_identity_symbol_and_no_squared_symbol(monkeypatc
     symbols = kept("symbol")
     assert (1, 1) not in [kshape for *_, kshape in symbols] and len(symbols) == 3
     assert kept("squared_symbol") == []
-    _LambdaObjective([(up, guide, gt)], bank, HARD, 1e-6, "derived")
-    assert kept("symbol") == symbols
+    operators = list(image_core._shapes[up.shape][1])
+    _LambdaObjective([(up, guide, gt)], bank, HARD, 1e-6, "derived").evaluate(0, 2.0)
+    assert list(image_core._shapes[up.shape][1]) == operators
 
 
 def test_spectral_predict_working_set_is_five_grids():

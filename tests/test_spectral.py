@@ -25,7 +25,6 @@ from gdsr.spectral import (
     _build_denominator,
     _denominator,
     _solve,
-    _squared_symbol,
 )
 
 from oracles import (ConvergenceError, brute_correlate_reflect, cg_solve, cosine_sum_symbol,
@@ -232,13 +231,12 @@ def test_cold_symbol_and_divisor_builds_hold_little_more_than_their_grid(build):
 _OPERATORS = [(lambda: symbol_for((30, 40)), spectral, "stencil_symbol"),
               (lambda: _denominator("derived", (30, 40), 2.0), spectral,
                "_screened_denominator"),
-              (lambda: _squared_symbol("derived", (30, 40)), spectral, "_symbol"),
               (lambda: resample._resample(np.ones((40, 40)), (5, 5), True), resample,
                "bicubic_kernel")]
 
 
 @pytest.mark.parametrize("lookup, module, name", _OPERATORS,
-                         ids=["symbol", "denominator", "squared_symbol", "axis_weights"])
+                         ids=["symbol", "denominator", "axis_weights"])
 def test_concurrent_misses_of_one_key_build_it_once(monkeypatch, lookup, module, name):
     # the build waits at a barrier for a second build: without the shape's
     # lock both threads get there, with it the second thread waits for the
@@ -297,7 +295,7 @@ def test_no_operator_build_reads_the_shape_cache(monkeypatch):
 
     def build_all():
         got.extend([symbol_for(shape), symbol_for(shape, CROSS),
-                    _denominator("paper", shape, 2.0), _squared_symbol("paper", shape),
+                    _denominator("paper", shape, 2.0),
                     *resample._degrade(np.ones(shape), 4, True)])
 
     worker = threading.Thread(target=build_all, daemon=True)
@@ -305,8 +303,7 @@ def test_no_operator_build_reads_the_shape_cache(monkeypatch):
     worker.join(timeout=30)
     assert not worker.is_alive() and nested == []
     kinds = {key[0] for key in image_core._shapes[shape][1]}
-    assert kinds == {"symbol", "denominator", "squared_symbol", "resample"}
-    assert got[3].tobytes() == np.square(stencil_symbol(CROSS, *shape)).tobytes()
+    assert kinds == {"symbol", "denominator", "resample"}
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
