@@ -55,15 +55,21 @@ call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
 what the call allocates and holds at once, caches filled beforehand.
 
 With --against, the stages of this checkout ("change") and of the
-checkout it names ("parent") run in two long-lived worker processes,
-each with BLAS pinned to one thread, on the same seeded scene; a worker
-imports gdsr from its checkout's src, then runs this script with
---worker.
-Each stage's untimed first call is digested on both sides: sha256 of the
-arrays and bytes it returns, or of its `output` attribute's, which does
-the same work and returns what the timed call drops. Then the sides
-alternate sample by sample in ABBA order, REPEATS samples each. The file
-gets "parent" and "change" in the form above, and a "pairs" block:
+checkout it names ("parent") run in two worker processes, each with
+BLAS pinned to one thread, on the same seeded scene; a worker imports
+gdsr from its checkout's src, then runs this script with --worker. A
+process carries its own bias of a few percent on some stages, so each
+size runs in ROUNDS rounds, each on a fresh pair of workers, started
+change first in even rounds and parent first in odd ones. In each
+round, each stage runs once untimed on both sides, and then the sides
+alternate sample by sample in ABBA order, led by the side started
+first, REPEATS samples each. The first round's untimed calls are
+digested: sha256 of the arrays and bytes a stage returns, or of its
+`output` attribute's, which does the same work and returns what the
+timed call drops. The file gets "parent" and "change" in the form
+above, each stage's samples pooled over the rounds (n = ROUNDS x
+REPEATS) and its "peak_mb" taken in the last round, and a "pairs"
+block:
 
     size -> stage -> {"change_won", "n", "bit_equal"},
 
@@ -114,6 +120,8 @@ from tests.scenes import make_scene, write_scene_files  # noqa: E402
 SIZES = ((480, 640), (1024, 1376))
 SCALE = 8
 REPEATS = 7
+# Rounds of an --against run, each on a fresh pair of workers.
+ROUNDS = 3
 PARAMS = ROOT / "perfbench" / "feature_params.json"
 # Largest grid the fit-objective stage and the fit verb run at.
 OBJECTIVE_MAX_PIXELS = 480 * 640
@@ -402,51 +410,75 @@ class Worker:
         self.proc.wait()
 
 
-def paired(workers: dict, name: str) -> tuple[dict, dict]:
-    """One stage on both workers: the timing of each side it runs on, and
-    its "pairs" entry."""
-    first = {label: w.ask(op="run", name=name, digest=True) for label, w in workers.items()}
+def paired_round(workers: dict, name: str, digest_first: bool) -> tuple[dict, dict, int | None]:
+    """One round of one stage on a fresh pair of workers, the first-started
+    first in ``workers``: each side's untimed first answer (its digest when
+    ``digest_first``), each side's REPEATS samples, ABBA-paired and led by
+    the first-started side, and how many pairs the change won, or None
+    when a side has no samples."""
+    first = {label: w.ask(op="run", name=name, digest=digest_first)
+             for label, w in workers.items()}
     samples = {label: [] for label, answer in first.items() if "error" not in answer}
-    for k in range(REPEATS):  # ABBA: change first in even pairs, parent first in odd ones
-        for label in ("change", "parent")[:: 1 if k % 2 == 0 else -1]:
-            if label in samples:
-                samples[label].append(workers[label].ask(op="run", name=name, digest=False)["ms"])
-    timed = {label: summary(ms) for label, ms in samples.items()}
-    if name in MEMORY_STAGES:
-        for label in timed:
-            timed[label]["peak_mb"] = workers[label].ask(op="peak", name=name)["peak_mb"]
+    sides = list(samples)
+    for k in range(REPEATS):
+        for label in sides[:: 1 if k % 2 == 0 else -1]:
+            samples[label].append(workers[label].ask(op="run", name=name, digest=False)["ms"])
     if len(samples) < 2:
-        return timed, {label: answer["error"] for label, answer in first.items()
-                       if "error" in answer}
-    won = sum(c < p for c, p in zip(samples["change"], samples["parent"]))
-    return timed, {"change_won": won, "n": REPEATS,
-                   "bit_equal": first["change"]["sha256"] == first["parent"]["sha256"]}
+        return first, samples, None
+    return first, samples, sum(c < p for c, p in zip(samples["change"], samples["parent"]))
 
 
 def against(parent: Path) -> dict:
     """The --against run of this checkout and ``parent``: the file's
-    "parent", "change" and "pairs" blocks."""
+    "parent", "change" and "pairs" blocks. Each size runs in ROUNDS rounds,
+    each on a fresh pair of workers started change first in even rounds
+    and parent first in odd ones, so that a worker's own bias falls on
+    both sides; the samples of all rounds are pooled per stage. Digests
+    come from the first round and traced peaks from the last."""
     checkouts = {"change": ROOT, "parent": parent}
     doc = {label: {**info(checkout), "stages": {}} for label, checkout in checkouts.items()}
-    workers = {label: Worker(checkout) for label, checkout in checkouts.items()}
-    try:
-        doc["pairs"] = {}
-        for M, N in SIZES:
-            size = f"{M}x{N}"
-            names = [w.ask(op="size", M=M, N=N) for w in workers.values()]
-            for label in workers:
-                doc[label]["stages"][size] = {}
-            doc["pairs"][size] = {}
-            for name in dict.fromkeys(names[0] + names[1]):
-                timed, pair = paired(workers, name)
-                for label, result in timed.items():
-                    doc[label]["stages"][size][name] = result
-                doc["pairs"][size][name] = pair
-                marks = "" if pair.get("bit_equal", True) else "  DIGESTS DIFFER"
-                print(f"{size} {name}: {timed} {pair}{marks}", flush=True)
-    finally:
-        for w in workers.values():
-            w.close()
+    doc["pairs"] = {}
+    for M, N in SIZES:
+        size = f"{M}x{N}"
+        firsts, samples, wins, peaks = {}, {}, {}, {}  # per stage name
+        for r in range(ROUNDS):
+            labels = ("change", "parent")[:: 1 if r % 2 == 0 else -1]
+            workers = {}
+            try:
+                for label in labels:
+                    workers[label] = Worker(checkouts[label])
+                names = [w.ask(op="size", M=M, N=N) for w in workers.values()]
+                for name in dict.fromkeys(names[0] + names[1]):
+                    first, ms, won = paired_round(workers, name, r == 0)
+                    firsts.setdefault(name, first)
+                    for label, values in ms.items():
+                        samples.setdefault(name, {}).setdefault(label, []).extend(values)
+                    if won is not None:
+                        wins.setdefault(name, []).append(won)
+                    if r == ROUNDS - 1 and name in MEMORY_STAGES:
+                        peaks[name] = {label: workers[label].ask(op="peak", name=name)["peak_mb"]
+                                       for label in ms}
+            finally:
+                for w in workers.values():
+                    w.close()
+            print(f"{size} round {r + 1}/{ROUNDS} done", flush=True)
+        for label in checkouts:
+            doc[label]["stages"][size] = {}
+        doc["pairs"][size] = {}
+        for name, first in firsts.items():
+            timed = {label: summary(ms) for label, ms in samples.get(name, {}).items()}
+            for label, peak in peaks.get(name, {}).items():
+                timed[label]["peak_mb"] = peak
+            for label, result in timed.items():
+                doc[label]["stages"][size][name] = result
+            pair = {label: answer["error"] for label, answer in first.items()
+                    if "error" in answer}
+            if not pair:
+                pair = {"change_won": sum(wins[name]), "n": REPEATS * len(wins[name]),
+                        "bit_equal": first["change"]["sha256"] == first["parent"]["sha256"]}
+            doc["pairs"][size][name] = pair
+            marks = "" if pair.get("bit_equal", True) else "  DIGESTS DIFFER"
+            print(f"{size} {name}: {timed} {pair}{marks}", flush=True)
     return doc
 
 

@@ -606,10 +606,10 @@ def _entry_records(entry: DatasetEntry, dataset: str, grid) -> list[BenchRecord]
     taken in its own prediction, so an image-domain entry at one cropped
     shape holds about four grids at once: depth, guide side, up and
     prediction; at three cropped shapes, five, the guide too while a
-    later side is to be built. One record of each (scale, antialias)
-    group may write that group's ``up`` (:func:`_scoring_order`), so a
-    [bicubic, feature] or [feature, bicubic] entry holds about seven
-    grids, not eight.
+    later side is to be built. A scale is scored group by group, one per
+    antialias value, each group's writer last (:func:`_scale_records`),
+    so a [bicubic, feature] entry in either order, or with mixed antialias
+    values, holds about seven grids, not eight.
     """
     try:
         depth, guide = _load_entry(entry)
@@ -635,63 +635,46 @@ def _scale_records(entry: DatasetEntry, dataset: str, depth: np.ndarray, guide, 
                    sides: dict) -> list[BenchRecord]:
     """:func:`_entry_records` at one scale ``s``, whose configs ``row``
     gives, from the loaded depth, the luminance grid or None, and the
-    built guide sides."""
-    prepared = {}  # antialias -> grids (gt, up, guide), or the cause they are missing
-    order, writers = _scoring_order(row)
+    built guide sides. Each antialias group of ``row``, in order of first
+    appearance, is scored in one pass over its grids (gt, up, guide),
+    which die before the next group's are made. Its writer may write
+    ``up`` (:func:`_record`): its last feature config whose parameter file
+    was read, which takes dct(up) in up's buffer, else its last readable
+    config. The writer is scored after the rest of its group, which keep
+    canonical order, as the records do."""
     scored = {}  # config index -> its record
-    for k in order:
-        cfg, key, model, cause = row[k]
-        aa = cfg.antialias
-        if aa not in prepared:
-            try:
-                prepared[aa] = (*_crop_and_degrade(depth, s, aa),
-                                None if guide is None else _crop(guide, s))
-            except Exception as exc:
-                prepared[aa] = _cause(exc)
-        if isinstance(prepared[aa], str):
-            cause = prepared[aa]
-        side, build_ms = None, 0.0
-        if cause is None and cfg.method == "image_domain" and model:
-            built = sides[(prepared[aa][0].shape, cfg.edge_config())]
-            side, build_ms = built
-            built[1] = 0.0
-            if isinstance(side, str):
-                cause = side
-        if cause is None:
-            try:
-                scored[k] = _record(entry, dataset, prepared[aa], cfg, key, model, side,
-                                    build_ms, k in writers)
-                continue
-            except Exception as exc:
-                cause = _cause(exc)
-        scored[k] = BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0,
-                                _entry_error(entry, cause))
+    for aa in dict.fromkeys(cfg.antialias for cfg, *_ in row):
+        group = [k for k, (cfg, *_) in enumerate(row) if cfg.antialias == aa]
+        readable = [k for k in group if row[k][3] is None]
+        writer = ([k for k in readable if row[k][0].method == "feature_domain"]
+                  or readable or [None])[-1]
+        try:
+            prepared = (*_crop_and_degrade(depth, s, aa),
+                        None if guide is None else _crop(guide, s))
+        except Exception as exc:
+            prepared = _cause(exc)
+        for k in sorted(group, key=lambda k: k == writer):
+            cfg, key, model, cause = row[k]
+            if isinstance(prepared, str):
+                cause = prepared
+            side, build_ms = None, 0.0
+            if cause is None and cfg.method == "image_domain" and model:
+                built = sides[(prepared[0].shape, cfg.edge_config())]
+                side, build_ms = built
+                built[1] = 0.0
+                if isinstance(side, str):
+                    cause = side
+            if cause is None:
+                try:
+                    scored[k] = _record(entry, dataset, prepared, cfg, key, model, side,
+                                        build_ms, k == writer)
+                    continue
+                except Exception as exc:
+                    cause = _cause(exc)
+            scored[k] = BenchRecord(dataset, entry.id, s, cfg.method, key, None, 0.0,
+                                    _entry_error(entry, cause))
+        del prepared
     return [scored[k] for k in range(len(row))]
-
-
-def _scoring_order(row) -> tuple[list[int], set[int]]:
-    """The order in which :func:`_entry_records` scores one scale's
-    configs, given as (scaled config, hash, model, cause) per config, and
-    the configs that may write their (scale, antialias) group's ``up``
-    (:func:`_record`): the group's last feature config whose parameter
-    file was read, which takes dct(up) in up's buffer, else its last
-    readable config. Configs are scored in canonical order, except that a
-    writer's later configs of its group are scored just before it, so it
-    reads ``up`` last; bicubic ones among them take their error in a
-    fresh grid. Records are still emitted in canonical order."""
-    writers = {}  # antialias -> index of the group's writer
-    for k, (cfg, _, _, cause) in enumerate(row):
-        held = writers.get(cfg.antialias)
-        if cause is None and (held is None or cfg.method == "feature_domain"
-                              or row[held][0].method != "feature_domain"):
-            writers[cfg.antialias] = k
-    order = []
-    for k, (cfg, *_) in enumerate(row):
-        if k == writers.get(cfg.antialias):
-            order += [j for j in range(k + 1, len(row)) if row[j][0].antialias == cfg.antialias]
-        if k not in order:
-            order.append(k)
-    return order, set(writers.values())
 
 
 def run_bench(manifest: DatasetManifest, scales, configs, out_csv=None,

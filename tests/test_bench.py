@@ -641,21 +641,31 @@ def test_run_bench_builds_each_guide_side_once_per_shape_and_edge_config(tmp_pat
     want = [run_image(e, cfg.with_scale(s), "synth")
             for e in manifest.entries for s in (4, 8) for cfg in configs]
     targets, preds = [], []
-    transfer_target, score = bench._transfer_target, bench._rmse_into
+    transfer_target, predict_ = bench._transfer_target, bench._predict
     monkeypatch.setattr(bench, "_transfer_target", lambda guide, edge_cfg: (
         targets.append((guide.shape, edge_cfg.tau_quantile)) or transfer_target(guide, edge_cfg)))
-    # image records score their prediction in its own buffer: copy it first
-    monkeypatch.setattr(bench, "_rmse_into", lambda pred, gt, border: (
-        preds.append(pred.copy()) or score(pred, gt, border)))
+
+    def spy(up, guide, cfg, model, side=None, overwrite=False):
+        pred = predict_(up, guide, cfg, model, side, overwrite)
+        # image records score their prediction in its own buffer: copy it first
+        preds.append(((cfg.scale, cfg.config_hash()), pred.copy()))
+        return pred
+
+    monkeypatch.setattr(bench, "_predict", spy)
     records = run_bench(manifest, [4, 8], configs, threads=1, timing=False)
     # one call per (entry, cropped shape, edge config), in canonical order
     assert targets == [((64, 64), 0.9), ((64, 64), 0.8),
                        ((64, 68), 0.9), ((64, 68), 0.8), ((64, 64), 0.9), ((64, 64), 0.8)]
     details = [r for r in records if r.image_id != MEAN_ROW_ID]
     assert details == [dataclasses.replace(rec, runtime_ms=0.0) for _, rec in want]
+    # one worker scores the entries one after another, each in its own order
+    per_entry = len(want) // len(manifest.entries)
     assert len(preds) == len(want)
-    for pred, (want_pred, _) in zip(preds, want):
-        assert pred.tobytes() == want_pred.tobytes()
+    for k in range(0, len(want), per_entry):
+        got = dict(preds[k:k + per_entry])
+        assert len(got) == per_entry
+        for want_pred, rec in want[k:k + per_entry]:
+            assert got[(rec.scale, rec.config_hash)].tobytes() == want_pred.tobytes()
 
 
 def test_a_failed_guide_side_fails_only_the_records_that_read_it(tmp_path, monkeypatch):
@@ -761,28 +771,29 @@ def _feature_params(path, seed):
     return str(path)
 
 
-def _feature_entry(tmp_path, feature_first: bool, antialias: bool = True, scales=(8,)):
+_BICUBIC = PipelineConfig(method="bicubic")
+_FEATURE = PipelineConfig(method="feature_domain")
+
+
+def _feature_entry(tmp_path, configs, scales=(8,)):
     """A 480x640 entry, its depth grid and the ``_entry_records`` grid of
-    a bicubic config with ``antialias`` and a feature config that reads
-    every channel, in either order, at ``scales``; and the configs."""
+    ``configs`` at ``scales``, each feature config given one parameter
+    file whose head reads every channel; and those configs."""
     gt, rgb = make_scene(np.random.default_rng(97), 480, 640)
     doc = {"name": "big", "entries": [write_scene_files(tmp_path, "big", gt, rgb)]}
     entry = load_manifest(_write_manifest(tmp_path, doc)).entries[0]
-    configs = [PipelineConfig(method="bicubic", antialias=antialias),
-               PipelineConfig(method="feature_domain",
-                              params_path=_feature_params(tmp_path / "p.json", 97))]
-    if feature_first:
-        configs.reverse()
+    params = _feature_params(tmp_path / "p.json", 97)
+    configs = [dataclasses.replace(c, params_path=params) if c.method == "feature_domain" else c
+               for c in configs]
     grid = [(s, [(c.with_scale(s), c.with_scale(s).config_hash(), bench._model(c), None)
                  for c in configs]) for s in scales]
     return entry, gt, grid, configs
 
 
-def _feature_entry_peak(tmp_path, feature_first: bool, antialias: bool = True,
-                        scales=(8,)) -> float:
+def _feature_entry_peak(tmp_path, configs, scales=(8,)) -> float:
     """The traced peak, in grids, of one warm ``_entry_records`` call on
     :func:`_feature_entry`'s entry; its records are checked too."""
-    entry, gt, grid, configs = _feature_entry(tmp_path, feature_first, antialias, scales)
+    entry, gt, grid, configs = _feature_entry(tmp_path, configs, scales)
     first = bench._entry_records(entry, "big", grid)  # fills the resample and symbol caches
     tracemalloc.start()
     try:
@@ -800,14 +811,14 @@ def test_entry_records_hold_about_seven_grids_with_a_feature_config(tmp_path):
     # bicubic, then the feature config: the feature record is the last
     # reader of up and takes dct(up) in its buffer. Keeping up beside
     # dct(up) made 8.33 grids.
-    peak = _feature_entry_peak(tmp_path, feature_first=False)
+    peak = _feature_entry_peak(tmp_path, [_BICUBIC, _FEATURE])
     assert peak <= 7.5, f"peak {peak:.2f} grids"
 
 
 def test_entry_records_hold_about_seven_grids_with_the_feature_config_first(tmp_path):
     # the bicubic record is scored first, so the feature record still reads
     # up last; scoring in canonical order kept up beside dct(up): 8.33 grids
-    peak = _feature_entry_peak(tmp_path, feature_first=True)
+    peak = _feature_entry_peak(tmp_path, [_FEATURE, _BICUBIC])
     assert peak <= 7.5, f"peak {peak:.2f} grids"
 
 
@@ -818,7 +829,7 @@ def test_one_shape_holds_the_bytes_stated_for_the_bench_feature_set(tmp_path, mo
     held = 8_652_800
     assert f"{held:,} bytes for bench-feature's set at 480x640" in " ".join(
         image_core.shape_operator.__doc__.split())
-    entry, _, grid, _ = _feature_entry(tmp_path, feature_first=False)
+    entry, _, grid, _ = _feature_entry(tmp_path, [_BICUBIC, _FEATURE])
     bench._entry_records(entry, "big", grid)  # loads what the first call loads once
     monkeypatch.setattr(image_core, "_shapes", OrderedDict())
     tracemalloc.start()
@@ -838,7 +849,20 @@ def test_a_warm_three_scale_entry_with_both_antialias_values_holds_about_seven_g
         tmp_path):
     # the entry's 18 resample matrices stay cached between calls; a cache of
     # 16 single matrices rebuilt them and peaked at 9.03 grids
-    peak = _feature_entry_peak(tmp_path, feature_first=True, antialias=False, scales=(4, 8, 16))
+    configs = [_FEATURE, dataclasses.replace(_BICUBIC, antialias=False)]
+    peak = _feature_entry_peak(tmp_path, configs, scales=(4, 8, 16))
+    assert peak <= 7.5, f"peak {peak:.2f} grids"
+
+
+@pytest.mark.parametrize("configs", [
+    [_FEATURE, dataclasses.replace(_FEATURE, antialias=False)],
+    [dataclasses.replace(_BICUBIC, antialias=False), _FEATURE, _BICUBIC],
+], ids=["feature-feature_noaa", "bicubic_noaa-feature-bicubic"])
+def test_a_row_that_mixes_antialias_values_holds_about_seven_grids(tmp_path, configs):
+    # each antialias group's grids die before the next group's are made;
+    # keeping every group's gt, up and guide crop to the end of the scale
+    # made 8.44 grids
+    peak = _feature_entry_peak(tmp_path, configs)
     assert peak <= 7.5, f"peak {peak:.2f} grids"
 
 
@@ -883,6 +907,110 @@ def test_the_last_reader_of_up_writes_it_and_every_row_keeps_its_bytes(tmp_path,
         assert writers == [(s, order[k].with_scale(s).config_hash(), writes)
                            for _ in manifest.entries for s in scales
                            for k, writes in scoring[tuple(order)]]
+
+
+# A config is (method, lam, params, antialias, crop_border, edge_mode,
+# symbol_mode); a feature config's params are None, the seed of a random
+# model written by save_params, or "unreadable".
+_CONFIG_SPECS = st.one_of(
+    st.tuples(st.just("bicubic"), st.just(1.0), st.none()),
+    st.tuples(st.just("image_domain"), st.one_of(st.just(0.0), st.floats(0.5, 40.0)), st.none()),
+    st.tuples(st.just("feature_domain"), st.just(1.0),
+              st.one_of(st.none(), st.integers(0, 2**16), st.just("unreadable"))),
+).flatmap(lambda head: st.tuples(
+    st.just(head), st.booleans(), st.integers(0, 3), st.sampled_from(guidance.EDGE_MODES),
+    st.sampled_from(spectral.SYMBOL_MODES)).map(lambda t: (*t[0], *t[1:])))
+# entries of odd sizes, each with a depth unit scale; a side of 7 is too
+# small for x8, so that scale's crop fails
+_SCHEDULES = st.fixed_dictionaries({
+    "entries": st.lists(st.tuples(st.integers(3, 23).map(lambda m: 2 * m + 1),
+                                  st.integers(3, 31).map(lambda n: 2 * n + 1),
+                                  st.sampled_from([1.0, 0.001, 3.5])), min_size=1, max_size=2),
+    "scales": st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3, unique=True),
+    "configs": st.lists(_CONFIG_SPECS, min_size=1, max_size=4, unique=True),
+    "threads": st.sampled_from([1, 2]),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedule=_SCHEDULES)
+@example(schedule={  # two readers of up in each group; x8 too large for the 7x9 entry
+    "entries": [(7, 9, 1.0), (33, 47, 0.001)], "scales": [8, 2],
+    "configs": [("feature_domain", 1.0, 1, True, 0, "hard", "derived"),
+                ("bicubic", 1.0, None, False, 1, "hard", "derived"),
+                ("feature_domain", 1.0, 2, True, 2, "soft", "paper"),
+                ("image_domain", 5.0, None, False, 0, "none", "derived")],
+    "threads": 2})
+@example(schedule={
+    "entries": [(21, 17, 3.5)], "scales": [4],
+    "configs": [("feature_domain", 1.0, "unreadable", True, 0, "hard", "derived"),
+                ("image_domain", 0.0, None, True, 0, "hard", "paper"),
+                ("feature_domain", 1.0, None, True, 1, "hard", "derived"),
+                ("bicubic", 1.0, None, True, 0, "hard", "derived")],
+    "threads": 1})
+def test_run_bench_schedules_every_record_as_run_image_computes_it(tmp_path_factory,
+                                                                 schedule):
+    # The bench shares each entry's loads, crops, degrades and guide sides
+    # across records, and lets one record per (scale, antialias) group write
+    # its up. Whatever the draw, each record must be run_image's, a failure
+    # its RuntimeError's text, and each group's writer the rule's config,
+    # scored after the rest of its group.
+    tmp = tmp_path_factory.mktemp("schedule")
+    rng = np.random.default_rng(99)
+    doc = {"name": "synth", "entries": [
+        dict(write_scene_files(tmp, f"img{i}", *make_scene(rng, M, N, n_shapes=2)),
+             depth_unit_scale=unit) for i, (M, N, unit) in enumerate(schedule["entries"])]}
+    manifest = load_manifest(_write_manifest(tmp, doc))
+    configs = []
+    for k, (method, lam, params, *rest) in enumerate(schedule["configs"]):
+        if params == "unreadable":
+            (tmp / f"p{k}.json").write_text('{"method": "feature"')
+        elif params is not None:
+            _feature_params(tmp / f"p{k}.json", params)
+        configs.append(PipelineConfig(
+            method, lam, None if params is None else str(tmp / f"p{k}.json"),
+            **dict(zip(["antialias", "crop_border", "edge_mode", "symbol_mode"], rest))))
+    scales = schedule["scales"]
+    want = []
+    for e in manifest.entries:
+        for s in scales:
+            for cfg in configs:
+                try:
+                    rec = dataclasses.replace(run_image(e, cfg.with_scale(s), "synth")[1],
+                                              runtime_ms=0.0)
+                except RuntimeError as exc:
+                    rec = BenchRecord("synth", e.id, s, cfg.method,
+                                      cfg.with_scale(s).config_hash(), None, 0.0, str(exc))
+                want.append(rec)
+    scored = {}  # (entry id, scale, antialias) -> [(config hash, writes up)] in scoring order
+    record = bench._record
+
+    def spy(entry, dataset, prepared, cfg, key, model, side, build_ms, last):
+        scored.setdefault((entry.id, cfg.scale, cfg.antialias), []).append((key, last))
+        return record(entry, dataset, prepared, cfg, key, model, side, build_ms, last)
+
+    out = tmp / "bench.csv"
+    bench._record = spy  # a function-scoped monkeypatch would outlive the draw
+    try:
+        records = run_bench(manifest, scales, configs, out, threads=schedule["threads"],
+                            timing=False)
+    finally:
+        bench._record = record
+    assert [r for r in records if r.image_id != MEAN_ROW_ID] == want
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+    assert [row[5] == ERROR_MARKER for row in rows] == [r.rmse is None for r in records]
+    # a group's writer is its last feature config whose parameter file was
+    # read, else its last readable config. Any writer scored last gives
+    # run_image's records, so the rule shows only in the _record calls.
+    readable = [cfg for cfg, spec in zip(configs, schedule["configs"]) if spec[2] != "unreadable"]
+    for (image_id, s, aa), order in scored.items():
+        group = [cfg for cfg in readable if cfg.antialias == aa]
+        writer = ([cfg for cfg in group if cfg.method == "feature_domain"] or group)[-1]
+        key = writer.with_scale(s).config_hash()
+        writes = [h for h, last in order if last]
+        assert writes in ([], [key]) and (not writes or order[-1] == (key, True))
+        assert writes or not any(r.image_id == image_id and r.scale == s and r.config_hash == key
+                                 and r.rmse is not None for r in want)
 
 
 def test_predict_never_writes_up_or_the_guide(tmp_path):

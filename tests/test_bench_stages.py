@@ -74,9 +74,11 @@ def test_startup_times_a_fresh_first_transform(stage_script):
 
 
 def test_against_pairs_every_stage_of_the_repo_with_itself(stage_script):
-    # two workers on this checkout: every stage and verb runs on both sides,
-    # ABBA-paired, and returns the same bytes on both
+    # ROUNDS fresh pairs of workers on this checkout: every stage and verb
+    # runs on both sides, ABBA-paired, its samples pooled over the rounds,
+    # and returns the same bytes on both
     stage_script.REPEATS = 2
+    n = stage_script.ROUNDS * 2
     stage_script.SIZES = ((64, 64),)
     stage_script.FIRST_TRANSFORM_SIZE = (8, 8)
     doc = stage_script.against(SCRIPT.parent.parent)
@@ -84,11 +86,11 @@ def test_against_pairs_every_stage_of_the_repo_with_itself(stage_script):
     assert {"solved_coeffs", "spectral_predict", "verb_fit_feature"} <= set(pairs)
     for label in ("change", "parent"):
         timed = doc[label]["stages"]["64x64"]
-        assert set(timed) == set(pairs) and all(t["n"] == 2 for t in timed.values())
+        assert set(timed) == set(pairs) and all(t["n"] == n for t in timed.values())
         assert all("peak_mb" in timed[name] for name in stage_script.MEMORY_STAGES)
         assert doc[label]["startup"]["import_gdsr"]["n"] == 2
     for name, pair in pairs.items():
-        assert pair["bit_equal"] is True and pair["n"] == 2 and 0 <= pair["change_won"] <= 2, name
+        assert pair["bit_equal"] is True and pair["n"] == n and 0 <= pair["change_won"] <= n, name
 
 
 def test_digest_tells_the_last_bit_apart(stage_script):
