@@ -1,18 +1,21 @@
-"""Time gdsr's stages one by one and its verbs end to end at fixed sizes; write JSON.
+"""Time gdsr's stages one by one and its verbs end to end at fixed sizes,
+paired with another checkout; write JSON.
 
-    python scripts/bench_stages.py --out BENCH.json --label change
     python scripts/bench_stages.py --out BENCH.json --against PARENT_CHECKOUT
+    python scripts/bench_stages.py --out BENCH.json --against .
 
-Each stage runs once untimed, then REPEATS times, on one seeded
-`tests.scenes.make_scene` scene at x8, at 480x640 and 1024x1376, with
-BLAS pinned to one thread. The verb_* stages run one `gdsr` command end
-to end, in process through `gdsr.cli.main`, on that scene written to a
-temporary directory: `sr --method image`, `sr --method feature
---params`, one `bench` of bicubic, image lambda = 20 and feature
-configs, one `bench` of the bicubic and feature configs alone, as
-perfbench's bench-feature runs them (`verb_bench_feature`), one `bench
---scales 4,8,16` of the bicubic and image configs, and `fit --method
-feature`, at 480x640 only. The load stage
+The second command pairs this checkout with itself: its k/n and ratios
+show what the pairing reads when nothing changed.
+
+Each stage runs on one seeded `tests.scenes.make_scene` scene at x8, at
+480x640 and 1024x1376, with BLAS pinned to one thread. The verb_* stages
+run one `gdsr` command end to end, in process through `gdsr.cli.main`,
+on that scene written to a temporary directory: `sr --method image`, `sr
+--method feature --params`, one `bench` of bicubic, image lambda = 20 and
+feature configs, one `bench` of the bicubic and feature configs alone,
+as perfbench's bench-feature runs them (`verb_bench_feature`), one
+`bench --scales 4,8,16` of the bicubic and image configs, and `fit
+--method feature`, at 480x640 only. The load stage
 decodes the scene's 16-bit PGM depth and 8-bit PPM guide, written once
 to a temporary directory, with `load_image`; the load_entry stage reads
 the same files as the bench does: the depth grid and the guide's
@@ -35,48 +38,50 @@ with the 5x5 Gaussian's depth symbol, into a reused output grid.
 scene: its construction and its first evaluation, which makes its
 accepted state. Both run at 480x640 only: the objective holds 152 bytes
 per training pixel, about 204 MB for one 1024x1376 triple, and two
-480x640 triples peak at 89 MB. The result for --label is stored under that key of --out, next
-to any other labels already in the file, so runs of two checkouts can
-share one file:
+480x640 triples peak at 89 MB.
 
-    stage -> {"median_ms", "iqr_ms", "n"}, per size,
+The stages of this checkout ("change") and of the checkout --against
+names ("parent") run in two worker processes, each with BLAS pinned to
+one thread, on the same seeded scene; a worker imports gdsr from its
+checkout's src, then runs this script's stages. A process carries its
+own bias of a few percent on some stages, so each size runs in ROUNDS
+rounds, each on a fresh pair of workers, started change first in even
+rounds and parent first in odd ones. In each round, each stage runs once
+untimed on both sides, and then the sides alternate sample by sample in
+ABBA order, led by the side started first, REPEATS samples each. The
+first round's untimed calls are digested: sha256 of the arrays and bytes
+a stage returns, or of its `output` attribute's, which does the same
+work and returns what the timed call drops. The file holds "parent" and
+"change", each with the commit, the numpy and scipy versions,
+os.cpu_count(), the scale, a "startup" block and
 
-plus the commit, the numpy and scipy versions and os.cpu_count(). A
-"startup" block, recorded once per run rather than per size, holds
-`import_gdsr`: the wall time of a fresh `python -c "import gdsr"` with
-the same BLAS pinning and PYTHONPATH=src, in the same median/IQR form,
-and `first_transform`: the same for a fresh interpreter that imports gdsr
-and runs one 480x640 `dct2_forward`, which loads the transform's
-library. Both also record "maxrss_mb", the median of the children's own
-peak resident set (ru_maxrss), in MB of 2^20 bytes. The
-MEMORY_STAGES, six stages and the three `bench` verbs, also
-record "peak_mb": the tracemalloc peak of one more
-call, untimed and after the timed ones, in MB of 2^20 bytes. It counts
-what the call allocates and holds at once, caches filled beforehand.
+    "stages": size -> stage -> {"median_ms", "iqr_ms", "n"},
 
-With --against, the stages of this checkout ("change") and of the
-checkout it names ("parent") run in two worker processes, each with
-BLAS pinned to one thread, on the same seeded scene; a worker imports
-gdsr from its checkout's src, then runs this script with --worker. A
-process carries its own bias of a few percent on some stages, so each
-size runs in ROUNDS rounds, each on a fresh pair of workers, started
-change first in even rounds and parent first in odd ones. In each
-round, each stage runs once untimed on both sides, and then the sides
-alternate sample by sample in ABBA order, led by the side started
-first, REPEATS samples each. The first round's untimed calls are
-digested: sha256 of the arrays and bytes a stage returns, or of its
-`output` attribute's, which does the same work and returns what the
-timed call drops. The file gets "parent" and "change" in the form
-above, each stage's samples pooled over the rounds (n = ROUNDS x
-REPEATS) and its "peak_mb" taken in the last round, and a "pairs"
-block:
+a stage's samples pooled over the rounds (n = ROUNDS x REPEATS), and a
+"pairs" block:
 
-    size -> stage -> {"change_won", "n", "bit_equal"},
+    size -> stage -> {"change_won", "n", "ratio", "bit_equal"}.
 
-"change_won" being how many of the n pairs of samples the change took
-less time in. A stage whose digests differ has "bit_equal" false and is
-printed as DIGESTS DIFFER; a stage that fails on a side, or that only
-one side has, gets that side's "error" in its place in "pairs".
+"change_won" is how many of the n pairs of samples the change took less
+time in, and "ratio" the median over rounds of the round's median
+change sample over its median parent sample. Drift between rounds
+cancels inside a round's ratio, but moves the pooled medians, so cite
+the ratio with the k/n. A stage whose digests differ has "bit_equal"
+false and is printed as DIGESTS DIFFER; a stage that fails on a side, or
+that only one side has, gets that side's "error" in its place in
+"pairs".
+
+Each side's "startup" block holds `import_gdsr`: the wall time of a
+fresh `python -c "import gdsr"` on that checkout's package with the same
+BLAS pinning, in the same median/IQR form, and `first_transform`: the
+same for a fresh interpreter that imports gdsr and runs one 480x640
+`dct2_forward`, which loads the transform's library. Both also record
+"maxrss_mb", the median of the children's own peak resident set
+(ru_maxrss), in MB of 2^20 bytes. The MEMORY_STAGES, six stages and the
+three `bench` verbs, also record "peak_mb" in the last round: the
+tracemalloc peak of one more call, untimed and after the timed ones, in
+MB of 2^20 bytes. It counts what the call allocates and holds at once,
+caches filled beforehand.
 """
 
 from __future__ import annotations
@@ -120,7 +125,7 @@ from tests.scenes import make_scene, write_scene_files  # noqa: E402
 SIZES = ((480, 640), (1024, 1376))
 SCALE = 8
 REPEATS = 7
-# Rounds of an --against run, each on a fresh pair of workers.
+# Rounds of a run, each on a fresh pair of workers.
 ROUNDS = 3
 PARAMS = ROOT / "perfbench" / "feature_params.json"
 # Largest grid the fit-objective stage and the fit verb run at.
@@ -288,11 +293,6 @@ def summary(samples) -> dict:
             "n": len(samples)}
 
 
-def time_stage(fn) -> dict:
-    fn()
-    return summary([sample_ms(fn) for _ in range(REPEATS)])
-
-
 def digest(value) -> str:
     """sha256 of the arrays, bytes and scalars in a stage's result, in order."""
     h = hashlib.sha256()
@@ -314,9 +314,9 @@ def digest(value) -> str:
 
 
 def time_fresh(code: str, checkout: Path) -> dict:
-    """time_stage of a fresh interpreter running code on ``checkout``'s
-    package, plus "maxrss_mb": the median of the timed children's own
-    ru_maxrss, in MB of 2^20 bytes."""
+    """The summary of REPEATS fresh interpreters, after an untimed one,
+    running code on ``checkout``'s package, plus "maxrss_mb": the median
+    of the timed children's own ru_maxrss, in MB of 2^20 bytes."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     report = "; import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
     maxrss_kb = []
@@ -326,7 +326,8 @@ def time_fresh(code: str, checkout: Path) -> dict:
                              capture_output=True, text=True)
         maxrss_kb.append(int(out.stdout))
 
-    timed = time_stage(run)
+    run()
+    timed = summary([sample_ms(run) for _ in range(REPEATS)])
     timed["maxrss_mb"] = round(float(np.median(maxrss_kb[1:])) / 1024, 3)
     return timed
 
@@ -351,7 +352,7 @@ def commit(checkout: Path) -> str:
     return out.stdout.strip()
 
 
-def info(checkout: Path = ROOT) -> dict:
+def info(checkout: Path) -> dict:
     """A run's header for ``checkout``: versions, commit, cores, scale and
     startup block."""
     return {"commit": commit(checkout), "numpy": np.__version__, "scipy": scipy.__version__,
@@ -359,12 +360,12 @@ def info(checkout: Path = ROOT) -> dict:
 
 
 def serve() -> None:
-    """Worker side of --against: answer one JSON request per stdin line
-    with one JSON line on the real stdout; what the stages print goes to
-    stderr. Requests: {"op": "size", "M", "N"} (build that
-    size's stages, answer their names), {"op": "run", "name", "digest"}
-    (one call: its ms, or the digest of its result) and {"op": "peak",
-    "name"}. A failing request answers {"error": cause}."""
+    """A worker: answer one JSON request per stdin line with one JSON line
+    on the real stdout; what the stages print goes to stderr. Requests:
+    {"op": "size", "M", "N"} (build that size's stages, answer their
+    names), {"op": "run", "name", "digest"} (one call: its ms, or the
+    digest of its result) and {"op": "peak", "name"}. A failing request
+    answers {"error": cause}."""
     reply, sys.stdout = sys.stdout, sys.stderr
     built = {}
     for line in sys.stdin:
@@ -388,13 +389,13 @@ def serve() -> None:
 
 
 class Worker:
-    """One --worker process on a checkout, asked one request at a time."""
+    """One worker process on a checkout, asked one request at a time."""
 
     def __init__(self, checkout: Path):
         start = (f"import runpy, sys; sys.path.insert(0, {str(checkout / 'src')!r}); "
                  f"import gdsr; runpy.run_path({str(Path(__file__).resolve())!r}, "
-                 f"run_name='__main__')")
-        self.proc = subprocess.Popen([sys.executable, "-c", start, "--worker"],
+                 f"run_name='__worker__')")
+        self.proc = subprocess.Popen([sys.executable, "-c", start],
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
 
     def ask(self, **req) -> dict:
@@ -410,12 +411,11 @@ class Worker:
         self.proc.wait()
 
 
-def paired_round(workers: dict, name: str, digest_first: bool) -> tuple[dict, dict, int | None]:
+def paired_round(workers: dict, name: str, digest_first: bool) -> tuple[dict, dict]:
     """One round of one stage on a fresh pair of workers, the first-started
     first in ``workers``: each side's untimed first answer (its digest when
-    ``digest_first``), each side's REPEATS samples, ABBA-paired and led by
-    the first-started side, and how many pairs the change won, or None
-    when a side has no samples."""
+    ``digest_first``), and the REPEATS samples of each side whose first
+    call did not fail, ABBA-paired and led by the first-started side."""
     first = {label: w.ask(op="run", name=name, digest=digest_first)
              for label, w in workers.items()}
     samples = {label: [] for label, answer in first.items() if "error" not in answer}
@@ -423,24 +423,43 @@ def paired_round(workers: dict, name: str, digest_first: bool) -> tuple[dict, di
     for k in range(REPEATS):
         for label in sides[:: 1 if k % 2 == 0 else -1]:
             samples[label].append(workers[label].ask(op="run", name=name, digest=False)["ms"])
-    if len(samples) < 2:
-        return first, samples, None
-    return first, samples, sum(c < p for c, p in zip(samples["change"], samples["parent"]))
+    return first, samples
+
+
+def aggregate(rounds: list[dict]) -> tuple[dict, dict]:
+    """One stage's rounds, each {side: its samples}, as each side's summary
+    of its samples pooled over the rounds, and the pair over the rounds
+    that both sides ran (empty when there is none): "change_won" of "n"
+    pairs of samples, and "ratio", the median over those rounds of the
+    round's median change sample over its median parent sample."""
+    pooled = {}
+    for samples in rounds:
+        for label, ms in samples.items():
+            pooled.setdefault(label, []).extend(ms)
+    timed = {label: summary(ms) for label, ms in pooled.items()}
+    paired = [samples for samples in rounds if len(samples) == 2]
+    if not paired:
+        return timed, {}
+    ratios = [np.median(samples["change"]) / np.median(samples["parent"]) for samples in paired]
+    return timed, {
+        "change_won": sum(c < p for samples in paired
+                          for c, p in zip(samples["change"], samples["parent"])),
+        "n": sum(len(samples["change"]) for samples in paired),
+        "ratio": round(float(np.median(ratios)), 4)}
 
 
 def against(parent: Path) -> dict:
-    """The --against run of this checkout and ``parent``: the file's
-    "parent", "change" and "pairs" blocks. Each size runs in ROUNDS rounds,
-    each on a fresh pair of workers started change first in even rounds
-    and parent first in odd ones, so that a worker's own bias falls on
-    both sides; the samples of all rounds are pooled per stage. Digests
-    come from the first round and traced peaks from the last."""
+    """The run of this checkout against ``parent``: the file's "parent",
+    "change" and "pairs" blocks. Each size runs in ROUNDS rounds, each on
+    a fresh pair of workers started change first in even rounds and parent
+    first in odd ones, so that a worker's own bias falls on both sides.
+    Digests come from the first round and traced peaks from the last."""
     checkouts = {"change": ROOT, "parent": parent}
     doc = {label: {**info(checkout), "stages": {}} for label, checkout in checkouts.items()}
     doc["pairs"] = {}
     for M, N in SIZES:
         size = f"{M}x{N}"
-        firsts, samples, wins, peaks = {}, {}, {}, {}  # per stage name
+        firsts, rounds, peaks = {}, {}, {}  # per stage name
         for r in range(ROUNDS):
             labels = ("change", "parent")[:: 1 if r % 2 == 0 else -1]
             workers = {}
@@ -449,15 +468,12 @@ def against(parent: Path) -> dict:
                     workers[label] = Worker(checkouts[label])
                 names = [w.ask(op="size", M=M, N=N) for w in workers.values()]
                 for name in dict.fromkeys(names[0] + names[1]):
-                    first, ms, won = paired_round(workers, name, r == 0)
+                    first, samples = paired_round(workers, name, r == 0)
                     firsts.setdefault(name, first)
-                    for label, values in ms.items():
-                        samples.setdefault(name, {}).setdefault(label, []).extend(values)
-                    if won is not None:
-                        wins.setdefault(name, []).append(won)
+                    rounds.setdefault(name, []).append(samples)
                     if r == ROUNDS - 1 and name in MEMORY_STAGES:
                         peaks[name] = {label: workers[label].ask(op="peak", name=name)["peak_mb"]
-                                       for label in ms}
+                                       for label in samples}
             finally:
                 for w in workers.values():
                     w.close()
@@ -466,53 +482,33 @@ def against(parent: Path) -> dict:
             doc[label]["stages"][size] = {}
         doc["pairs"][size] = {}
         for name, first in firsts.items():
-            timed = {label: summary(ms) for label, ms in samples.get(name, {}).items()}
+            timed, pair = aggregate(rounds[name])
             for label, peak in peaks.get(name, {}).items():
                 timed[label]["peak_mb"] = peak
             for label, result in timed.items():
                 doc[label]["stages"][size][name] = result
-            pair = {label: answer["error"] for label, answer in first.items()
-                    if "error" in answer}
-            if not pair:
-                pair = {"change_won": sum(wins[name]), "n": REPEATS * len(wins[name]),
-                        "bit_equal": first["change"]["sha256"] == first["parent"]["sha256"]}
+            errors = {label: answer["error"] for label, answer in first.items()
+                      if "error" in answer}
+            pair = errors or {
+                **pair, "bit_equal": first["change"]["sha256"] == first["parent"]["sha256"]}
             doc["pairs"][size][name] = pair
             marks = "" if pair.get("bit_equal", True) else "  DIGESTS DIFFER"
             print(f"{size} {name}: {timed} {pair}{marks}", flush=True)
     return doc
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", help="JSON file to write or extend")
-    ap.add_argument("--label", help="key of this run in the file")
-    ap.add_argument("--against", metavar="DIR", help="checkout of the parent to pair with")
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args()
-    if args.worker:
-        serve()
-        return 0
-    if args.out is None or (args.against is None) == (args.label is None):
-        ap.error("give --out, and --label or --against")
-    out = Path(args.out)
-    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    if args.against:
-        doc.update(against(Path(args.against).resolve()))
-    else:
-        result = {**info(), "stages": {}}
-        print(f"startup: {result['startup']}", flush=True)
-        for M, N in SIZES:
-            size = f"{M}x{N}"
-            result["stages"][size] = {}
-            for name, fn in {**stages(M, N), **verbs(M, N)}.items():
-                result["stages"][size][name] = time_stage(fn)
-                if name in MEMORY_STAGES:
-                    result["stages"][size][name]["peak_mb"] = peak_mb(fn)
-                print(f"{size} {name}: {result['stages'][size][name]}", flush=True)
-        doc[args.label] = result
-    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--against", required=True, metavar="DIR",
+                    help="checkout to pair this one with; . pairs it with itself")
+    args = ap.parse_args(argv)
+    doc = against(Path(args.against).resolve())
+    Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 
 if __name__ == "__main__":
     sys.exit(main())
+if __name__ == "__worker__":  # started by Worker
+    serve()

@@ -158,24 +158,27 @@ def _field(obj: dict, key: str, kinds, where: str, default=None):
 def load_manifest(path) -> DatasetManifest:
     """Read a JSON manifest: {"name": ..., "entries": [{id, rgb_path,
     depth_path, depth_unit_scale, split}, ...]}. Relative paths resolve
-    against the manifest's directory. A missing key or a value of the
-    wrong type raises a ValueError naming the manifest."""
+    against the manifest's directory. Each rejected document raises a
+    ValueError naming the manifest, a missing image a FileNotFoundError."""
     path = Path(path)
     doc = _object(_read_json(path, "manifest"), "manifest", path)
-    base = path.parent
+    raws = [_object(raw, "manifest", path, k) for k, raw in enumerate(
+        _field(doc, "entries", (list,), f"manifest {path}: top level"))]
     entries = []
-    for k, raw in enumerate(_field(doc, "entries", (list,), f"manifest {path}: top level")):
-        raw = _object(raw, "manifest", path, k)
-        where = f"manifest {path}: entry {k}"
-        entries.append(DatasetEntry(
-            id=str(_field(raw, "id", (str, int), where)),
-            rgb_path=str(base / _field(raw, "rgb_path", (str,), where)),
-            depth_path=str(base / _field(raw, "depth_path", (str,), where)),
-            depth_unit_scale=float(_field(raw, "depth_unit_scale", (int, float), where, 1.0)),
-            split=_field(raw, "split", (str,), where, "test"),
-        ))
-    name = _field(doc, "name", (str,), f"manifest {path}: top level", path.stem)
-    return DatasetManifest(name, tuple(entries))
+    try:  # so that the entries' and the manifest's own checks name the file too
+        for k, raw in enumerate(raws):
+            where = f"entry {k}"
+            entries.append(DatasetEntry(
+                id=str(_field(raw, "id", (str, int), where)),
+                rgb_path=str(path.parent / _field(raw, "rgb_path", (str,), where)),
+                depth_path=str(path.parent / _field(raw, "depth_path", (str,), where)),
+                depth_unit_scale=_field(raw, "depth_unit_scale", (int, float), where, 1.0),
+                split=_field(raw, "split", (str,), where, "test"),
+            ))
+        return DatasetManifest(_field(doc, "name", (str,), "top level", path.stem),
+                               tuple(entries))
+    except (OverflowError, ValueError) as exc:  # OverflowError: a unit scale beyond float range
+        raise ValueError(f"manifest {path}: {exc}") from None
 
 
 def load_configs(path) -> list[PipelineConfig]:
@@ -187,7 +190,8 @@ def load_configs(path) -> list[PipelineConfig]:
     for k, raw in enumerate(doc if isinstance(doc, list) else [doc]):
         raw = _object(raw, "config", path, k)
         method = raw.get("method", "bicubic")
-        raw = dict(raw, method=_METHOD_ALIASES.get(method, method))
+        if isinstance(method, str):  # any other kind fails PipelineConfig's type check
+            raw = dict(raw, method=_METHOD_ALIASES.get(method, method))
         try:  # an unknown key's TypeError names the key
             configs.append(PipelineConfig(**raw))
         except (TypeError, ValueError) as exc:
@@ -648,9 +652,9 @@ def _scale_records(entry: DatasetEntry, dataset: str, depth: np.ndarray, guide, 
         readable = [k for k in group if row[k][3] is None]
         writer = ([k for k in readable if row[k][0].method == "feature_domain"]
                   or readable or [None])[-1]
-        try:
-            prepared = (*_crop_and_degrade(depth, s, aa),
-                        None if guide is None else _crop(guide, s))
+        try:  # a group with nothing to score is only cropped: a crop failure outranks its errors
+            prepared = _crop(depth, s) if writer is None else (
+                *_crop_and_degrade(depth, s, aa), None if guide is None else _crop(guide, s))
         except Exception as exc:
             prepared = _cause(exc)
         for k in sorted(group, key=lambda k: k == writer):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gdsr import bench, dct, feature_bank, filters, guidance, image_core, resample, spectral
+from gdsr import bench, cli, dct, feature_bank, filters, guidance, image_core, resample, spectral
 from gdsr.bench import (
     BenchRecord,
     DatasetEntry,
@@ -20,6 +20,7 @@ from gdsr.bench import (
     PipelineConfig,
     fit_feature_params,
     fit_image_lambda,
+    load_configs,
     load_manifest,
     predict,
     rmse,
@@ -1066,7 +1067,7 @@ def test_entry_smaller_than_a_scale_fails_only_that_scale(tmp_path):
     assert means[4] is not None and means[16] is None
 
 
-def test_load_and_crop_failures_outrank_an_unreadable_params_file(tmp_path):
+def test_load_and_crop_failures_outrank_an_unreadable_params_file(tmp_path, monkeypatch):
     manifest = build_manifest(tmp_path, n=2, M=12, N=12)
     good, bad = manifest.entries
     blob = open(bad.depth_path, "rb").read()
@@ -1074,22 +1075,33 @@ def test_load_and_crop_failures_outrank_an_unreadable_params_file(tmp_path):
         fh.write(blob[: len(blob) // 2])  # truncated PGM payload
     params = tmp_path / "bad.params.json"
     params.write_text('{"method": "feature"')
+    # the antialias=False group holds only the unreadable config
     configs = [PipelineConfig(method="feature_domain", params_path=str(params)),
-               PipelineConfig(method="bicubic")]
+               PipelineConfig(method="bicubic"),
+               PipelineConfig(method="feature_domain", params_path=str(params), antialias=False)]
+    degrades = []
+    monkeypatch.setattr(bench, "_degrade",
+                        lambda gt, s, aa: degrades.append((s, aa)) or degrade(gt, s, aa))
     records = run_bench(manifest, [4, 16], configs, threads=1, timing=False)
-    errors = {(r.image_id, r.scale, r.method): r.error
-              for r in records if r.image_id != MEAN_ROW_ID}
+    errors = {}  # (id, scale) -> each config's error, in config order
+    for r in records:
+        if r.image_id != MEAN_ROW_ID:
+            errors.setdefault((r.image_id, r.scale), []).append(r.error)
     # the load failure fails every record of its entry
-    load_error = errors[(bad.id, 4, "feature_domain")]
+    load_error = errors[(bad.id, 4)][0]
     assert load_error.startswith(f"entry {bad.id!r}: ImageFormatError: ")
-    assert {errors[(bad.id, s, cfg.method)] for s in (4, 16) for cfg in configs} == {load_error}
-    # the crop failure fails every record of its scale
+    assert errors[(bad.id, 4)] == errors[(bad.id, 16)] == [load_error] * 3
+    # the crop failure fails every record of its scale, the group with
+    # nothing to score included
     crop_error = f"entry {good.id!r}: ValueError: image (12, 12) smaller than scale 16"
-    assert {errors[(good.id, 16, cfg.method)] for cfg in configs} == {crop_error}
+    assert errors[(good.id, 16)] == [crop_error] * 3
     # only where the entry is loaded and cropped does the params file fail a record
-    assert errors[(good.id, 4, "feature_domain")].startswith(
+    params_error, bicubic_error, group_error = errors[(good.id, 4)]
+    assert params_error.startswith(
         f"entry {good.id!r}: ValueError: parameter file {params}: not valid JSON")
-    assert errors[(good.id, 4, "bicubic")] is None
+    assert bicubic_error is None and group_error == params_error
+    # and a group with nothing to score is not degraded
+    assert degrades == [(4, True)]
 
 
 @pytest.mark.parametrize("threads", [0, -2])
@@ -1198,3 +1210,127 @@ def test_load_manifest_rejects_invalid_json(tmp_path):
         path.write_bytes(data)
         with pytest.raises(ValueError, match=re.escape(f"manifest {path}: not valid JSON")):
             load_manifest(path)
+
+
+# Documents near each JSON reader's schema. Each key maps to a (good, bad)
+# pair of strategies and holds a good value 8 times in 10, else a bad one:
+# wrong kinds, NaN, Infinity, integers too large for a float, nested JSON.
+# Optional keys may be missing, and now and then the whole document is any
+# JSON value. A manifest's paths are files that exist or no string at all,
+# so every image is found.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10**400, -10**400]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_GOOD_NUMBER = st.floats(0.0, 1e3) | st.integers(0, 1000)
+_BAD_NUMBER = st.floats() | st.integers() | st.sampled_from([10**400, -10**400]) | _JSON
+
+
+def _near(required: dict, optional: dict):
+    def value(good, bad):
+        return st.sampled_from([good] * 8 + [bad] * 2).flatmap(lambda drawn: drawn)
+
+    obj = st.fixed_dictionaries({k: value(*v) for k, v in required.items()},
+                                optional={k: value(*v) for k, v in optional.items()})
+    return st.one_of(obj, obj, _JSON)
+
+
+def _choice(good, bad):
+    return st.sampled_from(good), st.sampled_from(bad) | _JSON
+
+
+def _path(name, other):
+    return st.just(name), st.just(other) | _JSON.filter(lambda v: not isinstance(v, str))
+
+
+_ENTRY = _near({"id": (st.text("abc", min_size=1, max_size=2),
+                       st.integers() | st.text(",\n") | _JSON),
+                "rgb_path": _path("s_rgb.ppm", "s_depth.pgm"),
+                "depth_path": _path("s_depth.pgm", "s_rgb.ppm")},
+               {"depth_unit_scale": (_GOOD_NUMBER.filter(bool), _BAD_NUMBER),
+                "split": _choice(["train", "val", "test"], ["dev", ""])})
+_MANIFESTS = _near({"entries": (st.lists(_ENTRY, min_size=1, max_size=3), st.just([]) | _JSON)},
+                   {"name": (st.text("xyz", max_size=3), st.text(",\r\n", min_size=1) | _JSON)})
+_CONFIG = _near({}, {
+    "method": _choice(["bicubic", "image", "feature", "image_domain"], ["spectral", ""]),
+    "lam": (_GOOD_NUMBER, _BAD_NUMBER), "params_path": _choice([None, "params.json"], [""]),
+    "edge_mode": _choice(guidance.EDGE_MODES, ["sharp"]),
+    "tau_quantile": (st.floats(0.01, 0.99), _BAD_NUMBER),
+    "steepness": (st.floats(0.1, 100.0), _BAD_NUMBER),
+    "symbol_mode": _choice(spectral.SYMBOL_MODES, ["dense"]),
+    "scale": _choice([None, 2, 4, 8, 16], [3, 0, 8.0]),
+    "crop_border": (st.integers(0, 4), st.integers() | st.floats() | _JSON),
+    "antialias": (st.booleans(), st.integers(0, 1) | _JSON), "lamda": (st.just(2.0), _JSON)})
+_VECTOR = (st.lists(_GOOD_NUMBER, min_size=8, max_size=8),
+           st.lists(_BAD_NUMBER, min_size=7, max_size=9) | _JSON)
+_PARAMS = _near({"method": _choice(["image", "feature"], ["bicubic"]),
+                 "lambda": (_GOOD_NUMBER, _BAD_NUMBER), "bank": _choice(["default8"], ["d4"]),
+                 "lambdas": _VECTOR, "head_weights": _VECTOR,
+                 "head_bias": (_GOOD_NUMBER, _BAD_NUMBER)},
+                {"head_gamma": (_GOOD_NUMBER, _BAD_NUMBER)})
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    """A 32x32 scene, its 8x8 LR depth at x4, and a manifest listing it."""
+    root = tmp_path_factory.mktemp("readers")
+    gt, rgb = make_scene(np.random.default_rng(7), 32, 32, n_shapes=2)
+    entry = write_scene_files(root, "s", gt, rgb)
+    save_image(np.maximum(resample.bicubic_downsample(gt, 4), 0.0), root / "s_lr.pgm", "pgm16")
+    (root / "manifest.json").write_text(json.dumps({"entries": [entry]}))
+    return root
+
+
+def _loads_or_names_the_file(read, path, doc, name) -> ValueError | None:
+    """None when ``read(path)`` loads ``doc``, written to ``path``; else its
+    ValueError, whose text must hold ``name``: anything else fails."""
+    path.write_text(json.dumps(doc))
+    try:
+        read(path)
+    except ValueError as exc:
+        assert name in str(exc)
+        return exc
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_MANIFESTS)
+@example(doc={"entries": [{"id": "a", "rgb_path": "s_rgb.ppm", "depth_path": "s_depth.pgm",
+                           "depth_unit_scale": 10**400}]})
+@example(doc={"name": "a,b", "entries": []})
+def test_load_manifest_loads_or_names_the_file(reader_files, doc):
+    path = reader_files / "drawn_manifest.json"
+    _loads_or_names_the_file(load_manifest, path, doc, f"manifest {path}: ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=st.one_of(_CONFIG, st.lists(_CONFIG, max_size=3)))
+@example(doc={"method": []})
+@example(doc=[{"method": "image"}, {"method": {"name": "image"}}])
+def test_load_configs_loads_or_names_the_file(reader_files, doc):
+    path, out = reader_files / "config.json", reader_files / "bench.csv"
+    exc = _loads_or_names_the_file(load_configs, path, doc, f"config {path}: ")
+    if exc is not None:  # the command fails alike, and writes nothing
+        with pytest.raises(ValueError) as failed:
+            cli.main(["bench", "--manifest", str(reader_files / "manifest.json"), "--scales",
+                      "4", "--config", str(path), "--out", str(out)])
+        assert str(failed.value) == str(exc) and not out.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_PARAMS, method=st.sampled_from(["image", "feature"]))
+@example(doc={"method": "image", "lambda": 10**400}, method="image")
+@example(doc=dict(_FEATURE_PARAMS, head_weights=[[1.0]] * 8), method="feature")
+def test_model_loads_or_names_the_parameter_file(reader_files, doc, method):
+    path, out = reader_files / "params.json", reader_files / "pred.pgm"
+    cfg = PipelineConfig(method=bench._METHOD_ALIASES[method], params_path=str(path))
+    exc = _loads_or_names_the_file(lambda p: bench._model(cfg), path, doc,
+                                   f"parameter file {path}")
+    if exc is not None:  # the command fails alike, and writes nothing
+        with pytest.raises(ValueError) as failed:
+            cli.main(["sr", "--depth", str(reader_files / "s_lr.pgm"), "--rgb",
+                      str(reader_files / "s_rgb.ppm"), "--scale", "4", "--method", method,
+                      "--params", str(path), "--out", str(out)])
+        assert str(failed.value) == str(exc) and not out.exists()

@@ -2,6 +2,7 @@
 calls would go unseen; this loads it and runs each of its stages and
 verbs once at a small size."""
 
+import math
 import os
 import sys
 import types
@@ -76,7 +77,7 @@ def test_startup_times_a_fresh_first_transform(stage_script):
 def test_against_pairs_every_stage_of_the_repo_with_itself(stage_script):
     # ROUNDS fresh pairs of workers on this checkout: every stage and verb
     # runs on both sides, ABBA-paired, its samples pooled over the rounds,
-    # and returns the same bytes on both
+    # and returns the same bytes on both, with a per-round ratio
     stage_script.REPEATS = 2
     n = stage_script.ROUNDS * 2
     stage_script.SIZES = ((64, 64),)
@@ -91,6 +92,39 @@ def test_against_pairs_every_stage_of_the_repo_with_itself(stage_script):
         assert doc[label]["startup"]["import_gdsr"]["n"] == 2
     for name, pair in pairs.items():
         assert pair["bit_equal"] is True and pair["n"] == n and 0 <= pair["change_won"] <= n, name
+        assert math.isfinite(pair["ratio"]) and pair["ratio"] > 0, name
+
+
+def test_a_round_that_favours_one_side_moves_the_pooled_medians_but_not_the_ratio(stage_script):
+    # the machine drifts from round to round (levels 100, 110, 120 ms), and
+    # in the middle round the parent's worker is 20 % slow: pooled, the
+    # parent reads 120.36 ms against the change's 110.33, a median of each
+    # side's round medians reads the same, and the per-round ratio reads 1
+    def round_(level, parent_bias=1.0):
+        ms = [level * (1 + 0.001 * k) for k in range(7)]
+        return {"change": ms, "parent": [x * parent_bias for x in ms]}
+
+    timed, pair = stage_script.aggregate([round_(100.0), round_(110.0, 1.2), round_(120.0)])
+    assert timed["change"]["median_ms"] == 110.33 and timed["parent"]["median_ms"] == 120.36
+    assert timed["change"]["n"] == timed["parent"]["n"] == 21
+    assert pair == {"change_won": 7, "n": 21, "ratio": 1.0}
+
+
+def test_a_round_that_one_side_failed_is_left_out_of_the_pair(stage_script):
+    rounds = [{"change": [2.0, 2.0], "parent": [1.0, 1.0]}, {"parent": [1.0, 1.0]}]
+    timed, pair = stage_script.aggregate(rounds)
+    assert timed["change"]["n"] == 2 and timed["parent"]["n"] == 4
+    assert pair == {"change_won": 0, "n": 2, "ratio": 2.0}
+    assert stage_script.aggregate([{"parent": [1.0]}])[1] == {}
+
+
+@pytest.mark.parametrize("argv", [[], ["--label", "mine"]], ids=["no-against", "label"])
+def test_a_run_without_against_is_a_usage_error(stage_script, tmp_path, capsys, argv):
+    out = tmp_path / "stages.json"
+    with pytest.raises(SystemExit) as exc:
+        stage_script.main(["--out", str(out), *argv])
+    assert exc.value.code == 2 and "--against" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_digest_tells_the_last_bit_apart(stage_script):
