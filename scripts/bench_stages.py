@@ -22,9 +22,7 @@ the same files as the bench does: the depth grid and the guide's
 luminance, checked against each other. Stages marked cold go through no
 cache: the resample matrices are built by `_axis_weights`,
 `stencil_symbol` is called directly, below `symbol_for`'s lookup in the
-per-shape operator cache, and `denominator_cold` is
-`_build_denominator`, the image-domain divisor at lambda = 20; none of
-the three reads or fills that cache.
+per-shape operator cache; neither reads or fills that cache.
 The correlate_reflect stages filter the guide luminance with the bank's
 7x7 Gaussian (`7x7`), its 7x7 Laplacian-of-Gaussian guide stencil, whose
 49 taps are all nonzero (`7x7_log`), its 5x5 Gaussian and the 5-point
@@ -77,7 +75,7 @@ BLAS pinning, in the same median/IQR form, and `first_transform`: the
 same for a fresh interpreter that imports gdsr and runs one 480x640
 `dct2_forward`, which loads the transform's library. Both also record
 "maxrss_mb", the median of the children's own peak resident set
-(ru_maxrss), in MB of 2^20 bytes. The MEMORY_STAGES, six stages and the
+(ru_maxrss), in MB of 2^20 bytes. The MEMORY_STAGES, five stages and the
 three `bench` verbs, also record "peak_mb" in the last round: the
 tracemalloc peak of one more call, untimed and after the timed ones, in
 MB of 2^20 bytes. It counts what the call allocates and holds at once,
@@ -118,8 +116,8 @@ from gdsr.filters import correlate_reflect  # noqa: E402
 from gdsr.guidance import EdgeWeightConfig, luminance, transfer_target  # noqa: E402
 from gdsr.imgio import load_image, save_image  # noqa: E402
 from gdsr.resample import _axis_weights, bicubic_downsample, degrade  # noqa: E402
-from gdsr.spectral import (DEFAULT_SYMBOL_MODE, FIVE_POINT, _build_denominator,  # noqa: E402
-                           solve_stencil, stencil_symbol, symbol_for)
+from gdsr.spectral import (DEFAULT_SYMBOL_MODE, FIVE_POINT, solve_stencil,  # noqa: E402
+                           stencil_symbol, symbol_for)
 from tests.scenes import make_scene, write_scene_files  # noqa: E402
 
 SIZES = ((480, 640), (1024, 1376))
@@ -133,9 +131,9 @@ OBJECTIVE_MAX_PIXELS = 480 * 640
 # Grid of the startup block's first transform.
 FIRST_TRANSFORM_SIZE = (480, 640)
 # Stages and verbs whose working set is recorded too.
-MEMORY_STAGES = ("stencil_symbol_7x7_cold", "stencil_symbol_3x3_cold", "denominator_cold",
-                 "transfer_target_hard", "spectral_predict", "lambda_objective_build",
-                 "verb_bench", "verb_bench_feature", "verb_bench_scales")
+MEMORY_STAGES = ("stencil_symbol_7x7_cold", "stencil_symbol_3x3_cold", "transfer_target_hard",
+                 "spectral_predict", "lambda_objective_build", "verb_bench",
+                 "verb_bench_feature", "verb_bench_scales")
 
 
 def load_stages(gt, rgb) -> dict:
@@ -190,7 +188,6 @@ def stages(M: int, N: int) -> dict:
                                       _axis_weights(m, M, False), _axis_weights(n, N, False)),
         "stencil_symbol_7x7_cold": lambda: stencil_symbol(g2, M, N),
         "stencil_symbol_3x3_cold": lambda: stencil_symbol(FIVE_POINT, M, N),
-        "denominator_cold": lambda: _build_denominator(DEFAULT_SYMBOL_MODE, (M, N), 20.0),
         "luminance": lambda: luminance(rgb),
         "dct2_forward": lambda: dct2_forward(up),
         "dct2_inverse": lambda: dct2_inverse(coeffs),

@@ -41,11 +41,11 @@ from .feature_bank import (
     _spectral_predict,
 )
 from .guidance import EdgeWeightConfig, _transfer_target
-from .image_core import as_image
+from .image_core import as_image, is_finite
 from .imgio import load_image, load_luminance
 from .resample import _crop, _degrade, check_scale
-from .spectral import (DEFAULT_SYMBOL_MODE, SYMBOL_MODES, _denominator, _laplacian, _rhs,
-                       _solve, solve_stencil, symbol_for)
+from .spectral import (DEFAULT_SYMBOL_MODE, SYMBOL_MODES, _laplacian, _rhs, _solve,
+                       solve_stencil, symbol_for)
 
 __all__ = [
     "DatasetEntry",
@@ -270,7 +270,7 @@ class PipelineConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not (np.isfinite(self.lam) and self.lam >= 0.0):
+        if not (is_finite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.crop_border < 0:
             raise ValueError(f"crop_border must be >= 0, got {self.crop_border}")
@@ -460,8 +460,8 @@ def _predict(up: np.ndarray, guide, cfg: PipelineConfig, model, side=None,
         lam = model
         if lam and side is None:  # lam = 0 reads no guide side
             side = _guide_side(guide, cfg.edge_config())
-        denom = _denominator(cfg.symbol_mode, up.shape, lam) if lam else None
-        h = _solve(_rhs(up, side, lam), denom)
+        symbol = symbol_for(up.shape, solve_stencil(cfg.symbol_mode)) if lam else None
+        h = _solve(_rhs(up, side, lam), symbol, lam)
     else:
         bank, lambdas, head = model
         h = _spectral_predict(up, guide, bank, lambdas, head, cfg.edge_config(),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import as_image, as_stack
+from .image_core import as_image, as_stack, is_finite
 from .spectral import _laplacian
 
 __all__ = [
@@ -49,7 +49,7 @@ class EdgeWeightConfig:
             raise ValueError(f"mode must be one of {EDGE_MODES}, got {self.mode!r}")
         if not (0.0 < self.tau_quantile < 1.0):
             raise ValueError(f"tau_quantile must lie in (0, 1), got {self.tau_quantile}")
-        if not (np.isfinite(self.steepness) and self.steepness > 0.0):
+        if not (is_finite(self.steepness) and self.steepness > 0.0):
             raise ValueError(f"steepness must be positive, got {self.steepness}")
 
 

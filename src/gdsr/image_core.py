@@ -9,6 +9,7 @@ shared freely between workers.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 
@@ -19,45 +20,45 @@ __all__ = ["as_image", "as_stack"]
 
 # Shapes kept: an entry benched at all four scale factors crops to <= 4.
 _SHAPES_KEPT = 4
-_shapes: OrderedDict = OrderedDict()  # shape -> (its lock, {key: operator})
-_shapes_lock = threading.Lock()
+_shapes: OrderedDict = OrderedDict()  # shape -> {key: operator}
+_lock = threading.Lock()
 
 
 def shape_operator(shape, key, build) -> np.ndarray:
     """Operator ``key`` of grids of ``shape``: ``build()`` on first use, then
     kept read-only for all. An LRU of shapes: a lookup refreshes its shape,
     one shape past ``_SHAPES_KEPT`` evicts the least recent with all its
-    operators, and arrays handed out stay valid. A miss is built once, under
-    its shape's lock; no build reads the cache. A shape holds 8,652,800
-    bytes for bench-feature's set at 480x640, x8 (three symbols, four
-    resample matrices), 31,865,856 for bench-image's at 1024x1376, x4, 8, 16.
+    operators, and arrays handed out stay valid. An operator depends on
+    its shape and key alone, never on a lambda. A shape holds
+    8,652,800 bytes for bench-feature's set at 480x640, x8 (three symbols,
+    four resample matrices), 31,865,856 for bench-image's at 1024x1376,
+    x4, 8, 16 (one symbol, twelve resample matrices).
 
-    Only a lookup whose operator exists refreshes its shape or evicts one: a
-    build that raises leaves the cache as it found it, and a shape counts
-    toward ``_SHAPES_KEPT`` once it holds an operator."""
+    Every lookup takes the one module lock, and a miss is built under it,
+    so a key is built once; no build reads the cache. An operator is
+    inserted only once its build returns: a build that raises leaves the
+    cache as it found it."""
     shape = tuple(map(int, shape))
-    with _shapes_lock:
-        entry = _shapes.setdefault(shape, (threading.Lock(), {}))
-    lock, operators = entry
-    with lock:
+    with _lock:
+        operators = _shapes.get(shape, {})
         if key not in operators:
-            try:
-                operator = build()
-            except BaseException:
-                with _shapes_lock:
-                    if not operators and _shapes.get(shape) is entry:
-                        del _shapes[shape]
-                raise
+            operator = build()
             operator.setflags(write=False)
             operators[key] = operator
-        operator = operators[key]
-    with _shapes_lock:
-        if _shapes.setdefault(shape, entry) is entry:
-            _shapes.move_to_end(shape)
-            filled = [s for s, (_, held) in _shapes.items() if held]
-            for old in filled[: max(0, len(filled) - _SHAPES_KEPT)]:
-                del _shapes[old]
-    return operator
+            _shapes[shape] = operators
+        _shapes.move_to_end(shape)
+        if len(_shapes) > _SHAPES_KEPT:
+            _shapes.popitem(last=False)
+        return operators[key]
+
+
+def is_finite(value) -> bool:
+    """Whether a real number is finite as a float; an integer too large
+    for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def as_image(values) -> np.ndarray:

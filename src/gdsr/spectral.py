@@ -30,7 +30,7 @@ import numpy as np
 
 from .dct import _dct2, _idct2
 from .filters import _BLOCK_BYTES, _correlate, _stencil, correlate_reflect
-from .image_core import as_image, shape_operator
+from .image_core import as_image, is_finite, shape_operator
 
 __all__ = [
     "FIVE_POINT",
@@ -107,24 +107,6 @@ def stencil_symbol(stencil, M: int, N: int) -> np.ndarray:
         raise ValueError(
             "stencil has no exact spectral symbol under the reflective extension"
         )
-    values = _symbol(st, M, N)
-    values.setflags(write=False)
-    return values
-
-
-def _row_blocks(M: int, N: int):
-    """Yield (rows, buf) over an (M, N) grid: the slice of each row block
-    of about 256 KB, and a view shaped like it of one reused buffer."""
-    step = max(1, _BLOCK_BYTES // (8 * N))
-    buf = np.empty((min(step, M), N))
-    for r0 in range(0, M, step):
-        rows = slice(r0, min(r0 + step, M))
-        yield rows, buf[: rows.stop - r0]
-
-
-def _symbol(st: np.ndarray, M: int, N: int) -> np.ndarray:
-    """:func:`stencil_symbol` of a checked flip-symmetric stencil, in a
-    fresh writable grid."""
     cu, cv = st.shape[0] // 2, st.shape[1] // 2
     terms = []  # (column, row) per (du, dv): the term is their outer product
     for du in range(cu + 1):
@@ -138,7 +120,18 @@ def _symbol(st: np.ndarray, M: int, N: int) -> np.ndarray:
         block = values[rows]
         for column, cj in terms:
             block += np.multiply(column[rows], cj, out=prod)
+    values.setflags(write=False)
     return values
+
+
+def _row_blocks(M: int, N: int):
+    """Yield (rows, buf) over an (M, N) grid: the slice of each row block
+    of about 256 KB, and a view shaped like it of one reused buffer."""
+    step = max(1, _BLOCK_BYTES // (8 * N))
+    buf = np.empty((min(step, M), N))
+    for r0 in range(0, M, step):
+        rows = slice(r0, min(r0 + step, M))
+        yield rows, buf[: rows.stop - r0]
 
 
 def derived_symbol(kernel, M: int, N: int) -> np.ndarray:
@@ -165,22 +158,6 @@ def symbol_for(shape, stencil=FIVE_POINT) -> np.ndarray:
                           lambda: stencil_symbol(st, *shape))
 
 
-def _denominator(mode: str, shape, lam: float) -> np.ndarray:
-    """:func:`_build_denominator`, kept per (mode, lam) by :func:`shape_operator`."""
-    return shape_operator(shape, ("denominator", mode, lam),
-                          lambda: _build_denominator(mode, shape, lam))
-
-
-def _build_denominator(mode: str, shape, lam: float) -> np.ndarray:
-    """The image-domain solve's divisor 1 + lam * Lambda^2 on a grid of
-    ``shape``, lam > 0, Lambda the ``mode`` solve's symbol, checked. Lambda
-    is built here, not taken from :func:`symbol_for`, so the cache holds one
-    grid per key, and the divisor is formed inside it (:func:`_screened_denominator`):
-    a build holds little more than the grid it keeps."""
-    denom = _symbol(solve_stencil(mode), *shape)
-    return _screened_denominator(denom, lam, out=denom)
-
-
 def build_rhs(l_up, guide_lap_masked, lam: float) -> np.ndarray:
     """Right-hand side E = lam * lap(T) + L of the screened equation.
 
@@ -191,7 +168,7 @@ def build_rhs(l_up, guide_lap_masked, lam: float) -> np.ndarray:
     t = as_image(guide_lap_masked)
     if l_up.shape != t.shape:
         raise ValueError(f"dimension mismatch: {l_up.shape} vs {t.shape}")
-    if not (np.isfinite(lam) and lam >= 0.0):
+    if not (is_finite(lam) and lam >= 0.0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     return _rhs(l_up, _laplacian(t) if lam else None, lam)
 
@@ -212,41 +189,36 @@ def solve_screened(E, lam: float, symbol) -> np.ndarray:
     H = idct( dct(E) / (1 + lam * Lambda^2) ), the division taken against
     the all-ones grid plus the squared symbol. With lam = 0 the solve is
     the identity and E is returned unchanged (bit for bit). ``symbol`` is
-    the (M, N) grid Lambda, as :func:`symbol_for` returns it. E itself is
-    never written.
+    the (M, N) grid Lambda, as :func:`symbol_for` returns it; one with a
+    non-finite sample is rejected. E itself is never written.
     """
     E = as_image(E)
-    if not (np.isfinite(lam) and lam >= 0.0):
+    if not (is_finite(lam) and lam >= 0.0):
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     symbol = np.asarray(symbol, dtype=np.float64)
     if symbol.shape != E.shape:
         raise ValueError(f"symbol shape {symbol.shape} does not match input {E.shape}")
-    return _solve(E.copy(), _screened_denominator(symbol, lam) if lam else None)
+    if not np.all(np.isfinite(symbol)):
+        raise ValueError("symbol contains non-finite (inf or NaN) samples")
+    return _solve(E.copy(), symbol, lam)
 
 
-def _screened_denominator(symbol: np.ndarray, lam: float, out=None) -> np.ndarray:
-    """1 + lam * Lambda^2 of an (M, N) symbol, computed as
-    (Lambda * lam) * Lambda + 1 row block by row block in one small
-    buffer and written to ``out``, which may be ``symbol`` itself, or to
-    a fresh grid; a sample that is not positive raises."""
-    out = np.empty(symbol.shape) if out is None else out
+def _solve(E: np.ndarray, symbol: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`solve_screened` of a checked E, finite symbol and lam. The
+    caller gives E up: both transforms run in its buffer, and with lam = 0
+    E itself is returned and the symbol is not read.
+
+    The divisor (Lambda * lam) * Lambda + 1 is formed one row block at a
+    time in a small buffer, in that order, which fixes its bits. With a
+    finite Lambda and a finite lam >= 0, Lambda * lam * Lambda is >= 0 or
+    +inf, so every divisor is >= 1 or +inf and needs no check.
+    """
+    if lam == 0.0:
+        return E
+    coeffs = _dct2(E, overwrite=True)
     for rows, denom in _row_blocks(*symbol.shape):
         np.multiply(symbol[rows], lam, out=denom)
         denom *= symbol[rows]
         denom += 1.0
-        if not np.all(denom > 0.0):  # impossible for real finite symbols and lam >= 0
-            raise ValueError("non-positive or NaN sample in spectral denominator")
-        out[rows] = denom
-    return out
-
-
-def _solve(E: np.ndarray, denom) -> np.ndarray:
-    """:func:`solve_screened` on a checked E and its checked divisor
-    ``denom``, 1 + lam * Lambda^2, which is None when lam = 0. The caller
-    gives E up: both transforms run in its buffer, and with lam = 0 E
-    itself is returned."""
-    if denom is None:
-        return E
-    coeffs = _dct2(E, overwrite=True)
-    coeffs /= denom
+        coeffs[rows] /= denom
     return _idct2(coeffs, overwrite=True)

@@ -386,6 +386,34 @@ def _counted_axis_weights(monkeypatch, delay=0.0):
     return built
 
 
+def test_an_image_lambda_sweep_caches_one_symbol_per_solve_stencil(tmp_path, monkeypatch):
+    # a guard: nothing the cache keeps depends on lambda, so a sweep over
+    # lambdas keeps one symbol per solve stencil and no grid per lambda
+    manifest = build_manifest(tmp_path, n=1)
+    configs = [PipelineConfig(method="image_domain", lam=lam, symbol_mode=mode)
+               for lam in (1, 2, 5, 10, 20, 50) for mode in spectral.SYMBOL_MODES]
+    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
+    records = run_bench(manifest, [4], configs, threads=2, timing=False)
+    assert all(r.error is None for r in records)
+    operators, = image_core._shapes.values()
+    stencils = [spectral.solve_stencil(mode) for mode in spectral.SYMBOL_MODES]
+    assert sorted(key for key in operators if key[0] != "resample") == sorted(
+        ("symbol", stencil.tobytes(), stencil.shape) for stencil in stencils)
+
+
+@pytest.mark.parametrize("make, key", [
+    (lambda: PipelineConfig(method="image_domain", lam=10**400), "lam"),
+    (lambda: PipelineConfig(steepness=10**400), "steepness"),
+    (lambda: EdgeWeightConfig("soft", 0.9, 10**400), "steepness"),
+    (lambda: spectral.build_rhs(np.ones((4, 4)), np.ones((4, 4)), 10**400), "lam"),
+    (lambda: spectral.solve_screened(np.ones((4, 4)), 10**400, np.ones((4, 4))), "lam"),
+], ids=["config_lam", "config_steepness", "edge_steepness", "build_rhs", "solve_screened"])
+def test_a_number_too_large_for_a_float_is_named_as_its_field(make, key):
+    # numpy's isfinite raised a bare TypeError for such an integer
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        make()
+
+
 def test_two_workers_build_each_resample_matrix_once(tmp_path, monkeypatch):
     # both workers degrade a 64x72 entry at x4 at once, and each matrix
     # build is slowed down so that they overlap: a worker that misses a
@@ -840,7 +868,7 @@ def test_one_shape_holds_the_bytes_stated_for_the_bench_feature_set(tmp_path, mo
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    (_, operators), = image_core._shapes.values()
+    operators, = image_core._shapes.values()
     assert all(r.error is None for r in records) and len(operators) == 7
     assert sum(op.nbytes for op in operators.values()) == held
     assert abs(after - before - held) <= 64 * 1024, f"held {after - before} bytes"
@@ -1306,12 +1334,17 @@ def test_load_manifest_loads_or_names_the_file(reader_files, doc):
 
 
 @settings(max_examples=60, deadline=None)
-@given(doc=st.one_of(_CONFIG, st.lists(_CONFIG, max_size=3)))
-@example(doc={"method": []})
-@example(doc=[{"method": "image"}, {"method": {"name": "image"}}])
-def test_load_configs_loads_or_names_the_file(reader_files, doc):
+@given(doc=st.one_of(_CONFIG, st.lists(_CONFIG, max_size=3)), key=st.none())
+@example(doc={"method": []}, key="method")
+@example(doc=[{"method": "image"}, {"method": {"name": "image"}}], key="method")
+@example(doc={"method": "image", "lam": 10**400}, key="lam")
+@example(doc={"steepness": 10**400}, key="steepness")
+def test_load_configs_loads_or_names_the_file(reader_files, doc, key):
+    # ``key``, when given, is the field the error must name
     path, out = reader_files / "config.json", reader_files / "bench.csv"
     exc = _loads_or_names_the_file(load_configs, path, doc, f"config {path}: ")
+    if key is not None:
+        assert exc is not None and f": {key} must be" in str(exc)
     if exc is not None:  # the command fails alike, and writes nothing
         with pytest.raises(ValueError) as failed:
             cli.main(["bench", "--manifest", str(reader_files / "manifest.json"), "--scales",

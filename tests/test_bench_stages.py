@@ -35,7 +35,7 @@ def stage_script():
 
 def test_every_stage_runs_once(stage_script):
     stages = stage_script.stages(64, 64)
-    assert {"load", "load_entry", "luminance", "predict_image_lam20", "denominator_cold",
+    assert {"load", "load_entry", "luminance", "predict_image_lam20", "axis_weights_cold",
             "lambda_objective_evaluate", "correlate_reflect_7x7_log",
             "guide_side_bank", "solved_coeffs"} <= set(stages)
     for fn in stages.values():

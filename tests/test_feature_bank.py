@@ -574,7 +574,7 @@ def test_feature_paths_cache_no_identity_symbol_and_no_squared_symbol(monkeypatc
     head = ReconstructionHead(np.linspace(0.25, 1.0, len(bank)), 0.5)
 
     def kept(kind):  # the keys of one kind of operator of the entry's shape
-        return [key for key in image_core._shapes[up.shape][1] if key[0] == kind]
+        return [key for key in image_core._shapes[up.shape] if key[0] == kind]
 
     spectral_predict(up, guide, bank, np.full(len(bank), 2.0), head, HARD)
     # the five-point stencil (Lambda_lap, the derived solve's Lambda and pair
@@ -582,9 +582,9 @@ def test_feature_paths_cache_no_identity_symbol_and_no_squared_symbol(monkeypatc
     symbols = kept("symbol")
     assert (1, 1) not in [kshape for *_, kshape in symbols] and len(symbols) == 3
     assert kept("squared_symbol") == []
-    operators = list(image_core._shapes[up.shape][1])
+    operators = list(image_core._shapes[up.shape])
     _LambdaObjective([(up, guide, gt)], bank, HARD, 1e-6, "derived").evaluate(0, 2.0)
-    assert list(image_core._shapes[up.shape][1]) == operators
+    assert list(image_core._shapes[up.shape]) == operators
 
 
 def test_spectral_predict_working_set_is_five_grids():

@@ -73,7 +73,7 @@ def test_shape_operator_builds_each_key_once_under_contention(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    kept = sum(len(operators) for _, operators in image_core._shapes.values())
+    kept = sum(len(operators) for operators in image_core._shapes.values())
     assert builds == Counter(range(16)) and kept == 16
     assert all(a is b for values in got for a, b in zip(values, got[0], strict=True))
 
@@ -146,5 +146,5 @@ def test_a_build_that_raises_leaves_the_cache_as_it_was(monkeypatch):
         symbol_for((5, 5), asymmetric)
     assert list(image_core._shapes) == shapes
     for shape, operator in zip(shapes, handed, strict=True):
-        operators = image_core._shapes[shape][1]
+        operators = image_core._shapes[shape]
         assert list(operators) == [1.0] and operators[1.0] is operator

@@ -50,7 +50,7 @@ def test_axis_weights_bytes_match_loop_oracle(n_hr, s, upsample, antialias):
 
 def _kept(shape, n_in, n_out, antialias):
     """The matrix the shape cache keeps under ``shape`` for one axis."""
-    return image_core._shapes[shape][1][("resample", n_in, n_out, antialias)]
+    return image_core._shapes[shape][("resample", n_in, n_out, antialias)]
 
 
 @pytest.mark.parametrize("first", [True, False])
@@ -70,7 +70,7 @@ def test_cached_axis_weights_are_read_only_and_keyed_by_antialias(monkeypatch, f
         with pytest.raises(ValueError):
             W[0, 0] = 1.0
     _resample(np.ones((5, 5)), (40, 40), False)
-    assert list(image_core._shapes) == [(40, 40)] and len(image_core._shapes[(40, 40)][1]) == 3
+    assert list(image_core._shapes) == [(40, 40)] and len(image_core._shapes[(40, 40)]) == 3
     assert _kept((40, 40), 5, 40, False).tobytes() == loop_axis_weights(5, 40, False).tobytes()
 
 

@@ -22,8 +22,6 @@ from gdsr.spectral import (
     solve_stencil,
     stencil_symbol,
     symbol_for,
-    _build_denominator,
-    _denominator,
     _solve,
 )
 
@@ -169,21 +167,6 @@ def test_symbols_are_read_only_arrays():
             sym[0, 0] = 1.0
 
 
-def test_cached_denominators_are_read_only_and_keyed_by_mode_shape_and_lambda(monkeypatch):
-    # every key gets the plain formula's bits, in any order of filling
-    monkeypatch.setattr(image_core, "_shapes", OrderedDict())
-    keys = [(mode, M, N, lam) for mode in ("derived", "paper") for M, N in ((9, 7), (7, 9))
-            for lam in (0.5, 20.0)]
-    for mode, M, N, lam in keys + keys[::-1]:
-        denom = _denominator(mode, (M, N), lam)
-        sym = symbol_for((M, N), solve_stencil(mode))
-        assert denom.tobytes() == (sym * lam * sym + 1.0).tobytes()
-        assert denom is _denominator(mode, (M, N), lam)
-        assert not denom.flags.writeable
-        with pytest.raises(ValueError):
-            denom[0, 0] = 1.0
-
-
 @settings(max_examples=100, deadline=None)
 @given(stencil=flip_symmetric_stencils(), M=st.integers(1, 40), N=st.integers(1, 9000))
 @example(stencil=FIVE_POINT, M=480, N=640)
@@ -198,23 +181,24 @@ def test_stencil_symbol_adds_its_terms_in_offset_order(stencil, M, N):
 
 @pytest.mark.parametrize("lam", [0.3, 7.7, 20.0])
 def test_denominator_row_blocks_keep_the_bits_of_the_plain_formula(lam):
-    # a guard: 480x640 spans ten row blocks; Lambda * Lambda * lam has other bits
+    # a guard: 480x640 spans ten row blocks of the divisor; Lambda * Lambda * lam
+    # has other bits
+    e = np.random.default_rng(29).standard_normal((480, 640))
     for mode in SYMBOL_MODES:
         sym = symbol_for((480, 640), solve_stencil(mode))
-        want = (sym * lam * sym + 1.0).tobytes()
-        assert want != (sym * sym * lam + 1.0).tobytes()
-        assert _build_denominator(mode, (480, 640), lam).tobytes() == want
-        assert spectral._screened_denominator(sym, lam).tobytes() == want
+        want = _idct2(_dct2(e) / (sym * lam * sym + 1.0)).tobytes()
+        assert want != _idct2(_dct2(e) / (sym * sym * lam + 1.0)).tobytes()
+        assert _solve(e.copy(), sym, lam).tobytes() == want
+        assert solve_screened(e, lam, sym).tobytes() == want
 
 
 @pytest.mark.parametrize("build", [
     lambda: stencil_symbol(FIVE_POINT, 480, 640),
     lambda: stencil_symbol(gaussian_stencil(2.0, 7), 480, 640),
-    lambda: _build_denominator("derived", (480, 640), 20.0),
-], ids=["five_point", "gaussian7", "denominator"])
+], ids=["five_point", "gaussian7"])
 def test_cold_symbol_and_divisor_builds_hold_little_more_than_their_grid(build):
     # one sum grid and a 256 KB product buffer; a full-grid product per term
-    # peaked at 2.06 grids, and the divisor beside its symbol at 2.13
+    # peaked at 2.06 grids
     grid = 480 * 640 * 8
     tracemalloc.start()
     try:
@@ -229,16 +213,14 @@ def test_cold_symbol_and_divisor_builds_hold_little_more_than_their_grid(build):
 # test can slow down: (lookup, module, global). The resample lookup reads
 # one matrix for both axes of a square grid.
 _OPERATORS = [(lambda: symbol_for((30, 40)), spectral, "stencil_symbol"),
-              (lambda: _denominator("derived", (30, 40), 2.0), spectral,
-               "_screened_denominator"),
               (lambda: resample._resample(np.ones((40, 40)), (5, 5), True), resample,
                "bicubic_kernel")]
 
 
 @pytest.mark.parametrize("lookup, module, name", _OPERATORS,
-                         ids=["symbol", "denominator", "axis_weights"])
+                         ids=["symbol", "axis_weights"])
 def test_concurrent_misses_of_one_key_build_it_once(monkeypatch, lookup, module, name):
-    # the build waits at a barrier for a second build: without the shape's
+    # the build waits at a barrier for a second build: without the cache's
     # lock both threads get there, with it the second thread waits for the
     # first, whose wait times out, and then hits
     build, barrier, builds = getattr(module, name), threading.Barrier(2, timeout=0.5), []
@@ -263,7 +245,7 @@ def test_concurrent_misses_of_one_key_build_it_once(monkeypatch, lookup, module,
         t.start()
     for t in threads:
         t.join(timeout=30)
-    (_, operators), = image_core._shapes.values()
+    operators, = image_core._shapes.values()
     kept, = operators.values()
     assert len(builds) == 1 and got[0] is not None and got[1] is not None
     if module is spectral:
@@ -273,9 +255,9 @@ def test_concurrent_misses_of_one_key_build_it_once(monkeypatch, lookup, module,
 
 
 def test_no_operator_build_reads_the_shape_cache(monkeypatch):
-    # a guard: each shape's lock is a plain Lock, so a build that looked up
-    # an operator of its shape would wait for itself. Every kind of operator
-    # of one shape is built cold on a worker, and a lookup entered from
+    # a guard: the cache's lock is a plain Lock, so a build that looked up
+    # an operator would wait for itself. Every kind of operator of one
+    # shape is built cold on a worker, and a lookup entered from
     # inside another on that thread is recorded.
     monkeypatch.setattr(image_core, "_shapes", OrderedDict())
     lookup, inside, nested = image_core.shape_operator, threading.local(), []
@@ -295,15 +277,14 @@ def test_no_operator_build_reads_the_shape_cache(monkeypatch):
 
     def build_all():
         got.extend([symbol_for(shape), symbol_for(shape, CROSS),
-                    _denominator("paper", shape, 2.0),
                     *resample._degrade(np.ones(shape), 4, True)])
 
     worker = threading.Thread(target=build_all, daemon=True)
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive() and nested == []
-    kinds = {key[0] for key in image_core._shapes[shape][1]}
-    assert kinds == {"symbol", "denominator", "resample"}
+    kinds = {key[0] for key in image_core._shapes[shape]}
+    assert kinds == {"symbol", "resample"}
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -421,8 +402,7 @@ def test_solve_never_writes_the_callers_grid_and_the_given_up_form_agrees(lam):
     # the in-place arithmetic keeps the bits of the plain formula
     want = e if lam == 0.0 else _idct2(_dct2(e) / (1.0 + lam * sym * sym))
     assert h.tobytes() == want.tobytes()
-    denom = _denominator("derived", e.shape, lam) if lam else None
-    assert _solve(e.copy(), denom).tobytes() == want.tobytes()
+    assert _solve(e.copy(), sym, lam).tobytes() == want.tobytes()
 
 
 def test_solve_shape_guard():
@@ -437,6 +417,16 @@ def test_solve_rejects_a_nan_symbol():
     sym[3, 4] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         solve_screened(np.zeros((8, 8)), 1.0, sym)
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1.0, 1e300])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_solve_rejects_an_infinite_symbol(bad, lam):
+    # an infinite sample made an infinite divisor, and its frequency silently read 0
+    sym = np.array(derived_symbol(FIVE_POINT, 8, 8))
+    sym[5, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_screened(np.ones((8, 8)), lam, sym)
 
 
 def test_paper_mode_runs_but_differs():
