@@ -41,7 +41,7 @@ from .feature_bank import (
     _spectral_predict,
 )
 from .guidance import EdgeWeightConfig, _transfer_target
-from .image_core import as_image, is_finite
+from .image_core import as_image, real
 from .imgio import load_image, load_luminance
 from .resample import _crop, _degrade, check_scale
 from .spectral import (DEFAULT_SYMBOL_MODE, SYMBOL_MODES, _laplacian, _rhs, _solve,
@@ -86,10 +86,8 @@ class DatasetEntry:
 
     def __post_init__(self):
         # json reads NaN and Infinity, so the manifest can carry them
-        if not (math.isfinite(self.depth_unit_scale) and self.depth_unit_scale > 0):
-            raise ValueError(f"depth_unit_scale must be finite and positive, "
-                             f"got {self.depth_unit_scale}")
-        object.__setattr__(self, "depth_unit_scale", float(self.depth_unit_scale))
+        object.__setattr__(self, "depth_unit_scale", real(
+            self.depth_unit_scale, "depth_unit_scale", "finite and positive"))
         if self.split not in ("train", "val", "test"):
             raise ValueError(f"split must be train/val/test, got {self.split!r}")
 
@@ -177,7 +175,7 @@ def load_manifest(path) -> DatasetManifest:
             ))
         return DatasetManifest(_field(doc, "name", (str,), "top level", path.stem),
                                tuple(entries))
-    except (OverflowError, ValueError) as exc:  # OverflowError: a unit scale beyond float range
+    except ValueError as exc:
         raise ValueError(f"manifest {path}: {exc}") from None
 
 
@@ -270,8 +268,7 @@ class PipelineConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {type(value).__name__}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not (is_finite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        real(self.lam, "lam", "finite and >= 0")
         if self.crop_border < 0:
             raise ValueError(f"crop_border must be >= 0, got {self.crop_border}")
         if self.symbol_mode not in SYMBOL_MODES:
@@ -312,10 +309,9 @@ class BenchRecord:
     error: str | None = None
 
     def __post_init__(self):
-        if self.rmse is not None and not (np.isfinite(self.rmse) and self.rmse >= 0):
-            raise ValueError(f"rmse must be finite and >= 0, got {self.rmse}")
-        if not (np.isfinite(self.runtime_ms) and self.runtime_ms >= 0):
-            raise ValueError(f"runtime_ms must be finite and >= 0, got {self.runtime_ms}")
+        if self.rmse is not None:
+            real(self.rmse, "rmse", "finite and >= 0")
+        real(self.runtime_ms, "runtime_ms", "finite and >= 0")
 
 
 def rmse(pred: np.ndarray, gt: np.ndarray, crop_border: int = 0) -> float:
@@ -360,32 +356,19 @@ def _rmse_into(pred: np.ndarray, gt: np.ndarray, crop_border: int) -> float:
     return _root_mean_square(diff)
 
 
-def _number(obj: dict, key: str, where: str, default=None, nonnegative: bool = False,
+def _number(obj: dict, key: str, where: str, default=None, rule: str = "finite",
             length: int | None = None):
     """``obj[key]``, an int or float as a float, or with ``length`` a list
-    of that many as a float64 vector. Each must be finite and, with
-    ``nonnegative``, >= 0, else a ValueError naming the file and the key:
-    json reads NaN, Infinity and integers too large for a float."""
+    of that many as a float64 vector, each checked by :func:`real` against
+    ``rule``, else a ValueError naming the file and the key: json reads
+    NaN, Infinity and integers too large for a float."""
+    what = f"{where} key {key!r}"
     if length is None:
-        values = [_field(obj, key, (int, float), where, default)]
-    else:
-        values = _field(obj, key, (list,), where)
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where} key {key!r} must hold ints or floats, "
-                                 f"got {type(value).__name__}")
-        if len(values) != length:
-            raise ValueError(f"{where} key {key!r} must hold {length} values, got {len(values)}")
-    rule = "finite and >= 0" if nonnegative else "finite"
-    try:
-        floats = np.array(values, dtype=np.float64)
-    except OverflowError:
-        raise ValueError(f"{where} key {key!r} must be {rule}, "
-                         f"got an integer too large for a float") from None
-    for value in floats:
-        if not (math.isfinite(value) and (value >= 0.0 or not nonnegative)):
-            raise ValueError(f"{where} key {key!r} must be {rule}, got {value}")
-    return float(floats[0]) if length is None else floats
+        return real(_field(obj, key, (int, float), where, default), what, rule)
+    values = _field(obj, key, (list,), where)
+    if len(values) != length:
+        raise ValueError(f"{what} must hold {length} values, got {len(values)}")
+    return np.array([real(value, what, rule) for value in values])
 
 
 def _model(cfg: PipelineConfig):
@@ -403,7 +386,7 @@ def _model(cfg: PipelineConfig):
             return cfg.lam
         if params["method"] != "image":
             raise ValueError(f"{where} is not an image-domain fit")
-        return _number(params, "lambda", where, nonnegative=True)
+        return _number(params, "lambda", where, rule="finite and >= 0")
     bank = default_bank()
     if params is None:
         weights = np.zeros(len(bank))
@@ -416,11 +399,11 @@ def _model(cfg: PipelineConfig):
     if fit_bank != bank.name:
         raise ValueError(f"{where} was fit with bank {fit_bank!r}, "
                          f"but the pipeline uses bank {bank.name!r}")
-    lambdas = _number(params, "lambdas", where, nonnegative=True, length=len(bank))
+    lambdas = _number(params, "lambdas", where, rule="finite and >= 0", length=len(bank))
     return bank, lambdas, ReconstructionHead(
         _number(params, "head_weights", where, length=len(bank)),
         _number(params, "head_bias", where),
-        _number(params, "head_gamma", where, 0.0, nonnegative=True),
+        _number(params, "head_gamma", where, 0.0, rule="finite and >= 0"),
     )
 
 

@@ -24,12 +24,13 @@ channel coefficients, so fit and prediction are one model.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dct import _dct2, _idct2
-from .image_core import as_image, as_stack
+from .image_core import as_image, as_stack, real
 from .filters import _correlate, _stencil, correlate_reflect
 from .guidance import EdgeWeightConfig, _transfer_target
 from .spectral import (
@@ -173,12 +174,10 @@ def extract(img, bank: FilterBank, side: str) -> np.ndarray:
 
 
 def _check_lambdas(lambdas, channels: int) -> np.ndarray:
-    lam = np.asarray(lambdas, dtype=np.float64).ravel()
-    if lam.size != channels:
-        raise ValueError(f"expected {channels} channel weights, got {lam.size}")
-    if not np.all(np.isfinite(lam)) or np.any(lam < 0.0):
-        raise ValueError("channel weights must be finite and >= 0")
-    return lam
+    lam = np.ravel(lambdas).tolist()  # numpy scalars as the Python ones they hold
+    if len(lam) != channels:
+        raise ValueError(f"expected {channels} channel weights, got {len(lam)}")
+    return np.array([real(v, "channel weights", "finite and >= 0") for v in lam])
 
 
 def channel_solve(phi_l, phi_r, w, lambdas, symbol) -> np.ndarray:
@@ -213,16 +212,13 @@ class ReconstructionHead:
     gamma: float = 0.0
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64).ravel()  # copy: frozen below
-        if w.size < 1 or not np.all(np.isfinite(w)):
-            raise ValueError("head weights must be a nonempty finite vector")
-        if not np.isfinite(self.bias):
-            raise ValueError("head bias must be finite")
-        _check_gamma(self.gamma)
+        w = np.array([real(v, "head weights") for v in np.ravel(self.weights).tolist()])
+        if w.size < 1:
+            raise ValueError("head weights must be a nonempty vector")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", float(self.bias))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "bias", real(self.bias, "head bias"))
+        object.__setattr__(self, "gamma", _check_gamma(self.gamma))
 
     @property
     def channels(self) -> int:
@@ -612,16 +608,16 @@ def _golden_min(f, lo: float, hi: float, tol: float = 0.02):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _check_gamma(gamma: float) -> None:
-    if not (np.isfinite(gamma) and gamma >= 0.0):
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+def _check_gamma(gamma: float) -> float:
+    return real(gamma, "gamma", "finite and >= 0")
 
 
 def _check_search(grid_points: int, sweeps: int = 1) -> None:
-    if grid_points < 3:
-        raise ValueError(f"grid_points must be >= 3, got {grid_points}")
-    if sweeps < 1:
-        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
+    for name, value, least in (("grid_points", grid_points, 3), ("sweeps", sweeps, 1)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an int, got {type(value).__name__}")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _search_log_lambda(f, grid_points: int):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image_core import as_image, as_stack, is_finite
+from .image_core import as_image, as_stack, real
 from .spectral import _laplacian
 
 __all__ = [
@@ -47,10 +47,9 @@ class EdgeWeightConfig:
     def __post_init__(self):
         if self.mode not in EDGE_MODES:
             raise ValueError(f"mode must be one of {EDGE_MODES}, got {self.mode!r}")
-        if not (0.0 < self.tau_quantile < 1.0):
+        if not 0.0 < real(self.tau_quantile, "tau_quantile") < 1.0:
             raise ValueError(f"tau_quantile must lie in (0, 1), got {self.tau_quantile}")
-        if not (is_finite(self.steepness) and self.steepness > 0.0):
-            raise ValueError(f"steepness must be positive, got {self.steepness}")
+        real(self.steepness, "steepness", "finite and positive")
 
 
 def luminance(rgb) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Grid validation, and the one cache of per-shape operators.
+"""Grid and number validation, and the one cache of per-shape operators.
 
 Everything downstream computes on 2-D float64 sample grids: depth is a
 bare grid, and so is the luminance of the color guide, which decodes to
@@ -10,6 +10,7 @@ shared freely between workers.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 
@@ -52,13 +53,25 @@ def shape_operator(shape, key, build) -> np.ndarray:
         return operators[key]
 
 
-def is_finite(value) -> bool:
-    """Whether a real number is finite as a float; an integer too large
-    for one is not."""
+_RULES = {"finite": lambda x: True, "finite and >= 0": lambda x: x >= 0.0,
+          "finite and positive": lambda x: x > 0.0}
+
+
+def real(value, what: str, rule: str = "finite") -> float:
+    """``value`` as a float, checked against ``rule``: "finite", "finite and
+    >= 0" or "finite and positive". Else a ValueError "{what} must be
+    {rule}, got {value}": a value that is not a real number (a str, a bool,
+    None) is named by its type, and an integer too large for a float is
+    named as such, never by its digits."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {type(value).__name__}")
     try:
-        return math.isfinite(value)
+        x = float(value)
     except OverflowError:
-        return False
+        raise ValueError(f"{what} must be {rule}, got an integer too large for a float") from None
+    if not (math.isfinite(x) and _RULES[rule](x)):
+        raise ValueError(f"{what} must be {rule}, got {x}")
+    return x
 
 
 def as_image(values) -> np.ndarray:

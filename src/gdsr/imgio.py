@@ -18,7 +18,7 @@ import re
 import numpy as np
 
 from .guidance import _LUMA
-from .image_core import as_image
+from .image_core import as_image, real
 
 __all__ = ["load_image", "load_luminance", "save_image", "save_error_map", "quantize"]
 
@@ -258,8 +258,7 @@ def save_error_map(pred: np.ndarray, gt: np.ndarray, path, max_err: float) -> No
     """
     if pred.shape != gt.shape:
         raise ValueError(f"dimension mismatch: {pred.shape} vs {gt.shape}")
-    if not (np.isfinite(max_err) and max_err > 0.0):
-        raise ValueError(f"max_err must be positive, got {max_err}")
+    max_err = real(max_err, "max_err", "finite and positive")
     err = np.abs(pred - gt)
     save_image(np.clip(err / max_err, 0.0, 1.0), path, "pgm8")
 

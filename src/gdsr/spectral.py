@@ -30,7 +30,7 @@ import numpy as np
 
 from .dct import _dct2, _idct2
 from .filters import _BLOCK_BYTES, _correlate, _stencil, correlate_reflect
-from .image_core import as_image, is_finite, shape_operator
+from .image_core import as_image, real, shape_operator
 
 __all__ = [
     "FIVE_POINT",
@@ -168,8 +168,7 @@ def build_rhs(l_up, guide_lap_masked, lam: float) -> np.ndarray:
     t = as_image(guide_lap_masked)
     if l_up.shape != t.shape:
         raise ValueError(f"dimension mismatch: {l_up.shape} vs {t.shape}")
-    if not (is_finite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    lam = real(lam, "lam", "finite and >= 0")
     return _rhs(l_up, _laplacian(t) if lam else None, lam)
 
 
@@ -193,8 +192,7 @@ def solve_screened(E, lam: float, symbol) -> np.ndarray:
     non-finite sample is rejected. E itself is never written.
     """
     E = as_image(E)
-    if not (is_finite(lam) and lam >= 0.0):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    lam = real(lam, "lam", "finite and >= 0")
     symbol = np.asarray(symbol, dtype=np.float64)
     if symbol.shape != E.shape:
         raise ValueError(f"symbol shape {symbol.shape} does not match input {E.shape}")

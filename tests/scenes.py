@@ -18,8 +18,9 @@ def make_scene(rng, M=128, N=128, n_shapes=6):
     albedo = np.stack([np.full((M, N), v) for v in rng.uniform(0.35, 0.65, 3)])
     for _ in range(n_shapes):
         kind = rng.choice(["rect", "disk"])
-        h = int(rng.integers(M // 5, M // 2))
-        w = int(rng.integers(N // 5, N // 2))
+        # a side of 1 draws a shape of side 0; every larger side draws as before
+        h = int(rng.integers(M // 5, max(M // 2, 1)))
+        w = int(rng.integers(N // 5, max(N // 2, 1)))
         i0 = int(rng.integers(0, M - h))
         j0 = int(rng.integers(0, N - w))
         if kind == "rect":

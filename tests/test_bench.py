@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import threading
 import time
@@ -32,9 +33,10 @@ from gdsr.bench import (
     MEAN_ROW_ID,
     ERROR_MARKER,
 )
-from gdsr.feature_bank import INIT_LOG_LAMBDA, ReconstructionHead, default_bank, spectral_predict
+from gdsr.feature_bank import (INIT_LOG_LAMBDA, ReconstructionHead, default_bank, fit_lambda,
+                               spectral_predict)
 from gdsr.guidance import EdgeWeightConfig, luminance
-from gdsr.imgio import load_image, load_luminance, save_image
+from gdsr.imgio import load_image, load_luminance, save_error_map, save_image
 from gdsr.resample import degrade
 
 from oracles import pixel_head
@@ -198,11 +200,11 @@ _FEATURE_PARAMS = {"method": "feature", "bank": "default8", "lambdas": [1.0] * 8
     ("image_domain", '{"method": "image", "lambda": -1}',
      "key 'lambda' must be finite and >= 0, got -1.0"),
     ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, lambdas=["x"] + [1.0] * 7)),
-     "key 'lambdas' must hold ints or floats, got str"),
+     "key 'lambdas' must be a real number, got str"),
     ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, lambdas=[1.0] * 3)),
      "key 'lambdas' must hold 8 values, got 3"),
     ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, head_weights=[True] + [0.0] * 7)),
-     "key 'head_weights' must hold ints or floats, got bool"),
+     "key 'head_weights' must be a real number, got bool"),
     ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, lambdas=[1.0] * 7 + [math.nan])),
      "key 'lambdas' must be finite and >= 0, got nan"),
     ("feature_domain", json.dumps(dict(_FEATURE_PARAMS, lambdas=[1.0, -0.5] + [1.0] * 6)),
@@ -401,17 +403,59 @@ def test_an_image_lambda_sweep_caches_one_symbol_per_solve_stencil(tmp_path, mon
         ("symbol", stencil.tobytes(), stencil.shape) for stencil in stencils)
 
 
+_GRID = np.ones((4, 4))
+
+
 @pytest.mark.parametrize("make, key", [
     (lambda: PipelineConfig(method="image_domain", lam=10**400), "lam"),
     (lambda: PipelineConfig(steepness=10**400), "steepness"),
     (lambda: EdgeWeightConfig("soft", 0.9, 10**400), "steepness"),
-    (lambda: spectral.build_rhs(np.ones((4, 4)), np.ones((4, 4)), 10**400), "lam"),
-    (lambda: spectral.solve_screened(np.ones((4, 4)), 10**400, np.ones((4, 4))), "lam"),
-], ids=["config_lam", "config_steepness", "edge_steepness", "build_rhs", "solve_screened"])
+    (lambda: EdgeWeightConfig("hard", 10**400), "tau_quantile"),
+    (lambda: spectral.build_rhs(_GRID, _GRID, 10**400), "lam"),
+    (lambda: spectral.solve_screened(_GRID, 10**400, _GRID), "lam"),
+    (lambda: fit_lambda([(_GRID,) * 3], default_bank(), EdgeWeightConfig(), head_gamma=10**400),
+     "gamma"),
+    (lambda: ReconstructionHead([1.0], 10**400), "head bias"),
+    (lambda: ReconstructionHead([1.0, -10**400], 0.0), "head weights"),
+    (lambda: DatasetEntry("a", "a.ppm", "a.pgm", depth_unit_scale=10**400), "depth_unit_scale"),
+    (lambda: spectral_predict(_GRID, _GRID, default_bank(), [1.0] * 7 + [10**400],
+                              ReconstructionHead(np.ones(8), 0.0), EdgeWeightConfig()),
+     "channel weights"),
+    (lambda: save_error_map(_GRID, _GRID, os.devnull, 10**400), "max_err"),
+], ids=["config_lam", "config_steepness", "edge_steepness", "edge_tau_quantile", "build_rhs",
+        "solve_screened", "fit_gamma", "head_bias", "head_weights", "entry_unit_scale",
+        "spectral_predict_lambdas", "error_map_max_err"])
 def test_a_number_too_large_for_a_float_is_named_as_its_field(make, key):
-    # numpy's isfinite raised a bare TypeError for such an integer
-    with pytest.raises(ValueError, match=f"^{key} must be"):
+    # numpy's isfinite raised a bare TypeError for such an integer, float()
+    # a bare OverflowError, and a range check printed all 401 digits
+    with pytest.raises(ValueError, match=f"^{key} must be .*, got an integer too large") as info:
         make()
+    assert len(str(info.value)) <= 200
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EdgeWeightConfig("hard", "0.9"), "tau_quantile must be a real number, got str"),
+    (lambda: spectral.build_rhs(_GRID, _GRID, "1"), "lam must be a real number, got str"),
+    (lambda: spectral.solve_screened(_GRID, True, _GRID), "lam must be a real number, got bool"),
+    (lambda: ReconstructionHead([1.0], None), "head bias must be a real number, got NoneType"),
+    (lambda: ReconstructionHead([1.0, None], 0.0),
+     "head weights must be a real number, got NoneType"),
+    (lambda: DatasetEntry("a", "a.ppm", "a.pgm", depth_unit_scale="1"),
+     "depth_unit_scale must be a real number, got str"),
+    (lambda: spectral_predict(_GRID, _GRID, default_bank(), np.array(["1"] * 8),
+                              ReconstructionHead(np.ones(8), 0.0), EdgeWeightConfig()),
+     "channel weights must be a real number, got str"),
+    (lambda: save_error_map(_GRID, _GRID, os.devnull, False),
+     "max_err must be a real number, got bool"),
+], ids=["edge_tau_quantile_str", "build_rhs_str", "solve_screened_bool", "head_bias_none",
+        "head_weights_none", "entry_unit_scale_str", "spectral_predict_lambdas_str",
+        "error_map_max_err_bool"])
+def test_a_value_that_is_not_a_real_number_is_named_by_its_type(make, message):
+    # numpy's isfinite raised a bare TypeError for a str or None, and a
+    # bool passed as the number it stands for
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        make()
+    assert len(str(info.value)) <= 200
 
 
 def test_two_workers_build_each_resample_matrix_once(tmp_path, monkeypatch):
@@ -949,11 +993,11 @@ _CONFIG_SPECS = st.one_of(
 ).flatmap(lambda head: st.tuples(
     st.just(head), st.booleans(), st.integers(0, 3), st.sampled_from(guidance.EDGE_MODES),
     st.sampled_from(spectral.SYMBOL_MODES)).map(lambda t: (*t[0], *t[1:])))
-# entries of odd sizes, each with a depth unit scale; a side of 7 is too
-# small for x8, so that scale's crop fails
+# entries of odd sizes from 1x1 to 47x63, each with a depth unit scale; a
+# side below a scale fails that scale's crop, and one of 1 fails every scale
 _SCHEDULES = st.fixed_dictionaries({
-    "entries": st.lists(st.tuples(st.integers(3, 23).map(lambda m: 2 * m + 1),
-                                  st.integers(3, 31).map(lambda n: 2 * n + 1),
+    "entries": st.lists(st.tuples(st.integers(0, 23).map(lambda m: 2 * m + 1),
+                                  st.integers(0, 31).map(lambda n: 2 * n + 1),
                                   st.sampled_from([1.0, 0.001, 3.5])), min_size=1, max_size=2),
     "scales": st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3, unique=True),
     "configs": st.lists(_CONFIG_SPECS, min_size=1, max_size=4, unique=True),

@@ -219,7 +219,7 @@ def test_fit_image_accepts_feature_flags_at_their_defaults(tmp_path):
 @pytest.mark.parametrize("flags, match", [
     (["--grid-points", "0"], "grid_points must be >= 3, got 0"),
     (["--sweeps", "0"], "sweeps must be >= 1, got 0"),
-    (["--gamma", "-1"], "gamma must be >= 0, got -1.0"),
+    (["--gamma", "-1"], "gamma must be finite and >= 0, got -1.0"),
     (["--mode", "head", "--sweeps", "0"], "sweeps must be >= 1, got 0"),
 ], ids=["grid-points", "sweeps", "gamma", "head-sweeps"])
 def test_fit_feature_checks_settings_before_preparing(tmp_path, monkeypatch, flags, match):

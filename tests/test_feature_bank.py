@@ -635,6 +635,15 @@ def test_fit_lambda_input_validation():
         fit_lambda([], bank, HARD, 1e-6)
     with pytest.raises(ValueError, match="grid_points"):
         fit_lambda([_tiny_training_triple(72)], bank, HARD, 1e-6, grid_points=2)
+    # a float or str setting built the whole objective, then failed inside
+    # numpy or range with a bare TypeError
+    for setting, message in [({"grid_points": 3.5}, "grid_points must be an int, got float"),
+                             ({"grid_points": "9"}, "grid_points must be an int, got str"),
+                             ({"grid_points": True}, "grid_points must be an int, got bool"),
+                             ({"sweeps": 1.5}, "sweeps must be an int, got float"),
+                             ({"sweeps": None}, "sweeps must be an int, got NoneType")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_lambda([_tiny_training_triple(72)], bank, HARD, 1e-6, **setting)
     l_up, guide, target = _tiny_training_triple(72)
     for bad in [(l_up, guide[:-1], target), (l_up, guide, target[:, :-1]),
                 (l_up[:-1], guide, target)]:
